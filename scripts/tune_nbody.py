@@ -35,9 +35,9 @@ def main() -> None:
     base = Path(args.out)
     base.write_text(source)
 
-    assignment, report = tune(source, TuningConfig(method=args.method))
-    widths = assignment.widths()
     prog = parse_program(source)
+    assignment, report = tune(prog, TuningConfig(method=args.method))
+    widths = assignment.widths()
     base.with_suffix(".annotated.pop").write_text(emit_annotated(prog, widths))
     base.with_suffix(".mp.txt").write_text(emit_mp_code(prog, widths))
     base.with_suffix(".report.json").write_text(report.to_json())

@@ -54,8 +54,8 @@ file formats:
                      reproduces the tuned execution bit for bit.  Needs
                      only the standard library: it uses an importable
                      bittune, else a bundled copy of bittune.mpfloat.
-                     Free inputs are left unbound (NameError when run
-                     on its own).  Variables named after Python
+                     Free inputs are left unbound; run on its own, the
+                     script exits naming them.  Variables named after Python
                      keywords, __debug__, mp or mp_sqrt are refused.
   report JSON        method, per-point widths, system sizes, totals, and
                      the verification table
@@ -126,10 +126,6 @@ def _config(args) -> TuningConfig:
     )
 
 
-def _input_names(cfg: TuningConfig) -> tuple[str, ...]:
-    return tuple(sorted({n for b in cfg.bindings for n in b}))
-
-
 def _report_text(report, timings: bool) -> str:
     raw = json.loads(report.to_json())
     if not timings:
@@ -138,10 +134,9 @@ def _report_text(report, timings: bool) -> str:
 
 
 def cmd_tune(args) -> int:
-    source = Path(args.source).read_text()
     cfg = _config(args)
-    assignment, report = tune(source, cfg)
-    prog = parse_program(source, _input_names(cfg))
+    prog = parse_program(Path(args.source).read_text(), cfg.input_names())
+    assignment, report = tune(prog, cfg)
     widths = assignment.widths()
 
     base = Path(args.source)
@@ -154,7 +149,7 @@ def cmd_tune(args) -> int:
                  script_path: emit_mp_code(prog, widths),
                  report_path: _report_text(report, args.timings)}
     if args.emit_lp:
-        artifacts[base.with_suffix(".lp")] = _export_text(prog, cfg)
+        artifacts[base.with_suffix(".lp")] = export_lp(report.c1)
     for path, text in artifacts.items():
         path.write_text(text)
     written = list(artifacts)
@@ -218,33 +213,27 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _export_text(prog, cfg: TuningConfig, refined: bool = False) -> str:
-    links = build_links(prog)
-    ranges = analyze_ranges(prog, cfg.pref, cfg.bindings or None,
-                            ufp_zero=-cfg.pmax)
-    if refined:
-        system = gen_refined(prog, ranges, links, cfg.cond_nsb, cfg.pmax)
-        return export_lp(system, Policy.const_one(system))
-    system = gen_ilp(prog, ranges, links, cfg.cond_nsb, cfg.pmax)
-    return export_lp(system)
-
-
 def cmd_export_lp(args) -> int:
-    source = Path(args.source).read_text()
     cfg = _config(args)
-    prog = parse_program(source, _input_names(cfg))
+    prog = parse_program(Path(args.source).read_text(), cfg.input_names())
+    links = build_links(prog)
+    ranges = analyze_ranges(prog, cfg.pref, cfg.bindings, ufp_zero=-cfg.pmax)
+    if args.refined:
+        system = gen_refined(prog, ranges, links, cfg.cond_nsb, cfg.pmax)
+        text = export_lp(system, Policy.const_one(system))
+    else:
+        text = export_lp(gen_ilp(prog, ranges, links, cfg.cond_nsb, cfg.pmax))
     out_path = Path(args.out) if args.out else Path(args.source).with_suffix(".lp")
-    out_path.write_text(_export_text(prog, cfg, args.refined))
+    out_path.write_text(text)
     print(f"wrote {out_path}")
     return 0
 
 
 def cmd_run(args) -> int:
-    source = Path(args.source).read_text()
     cfg = _config(args)
     if not 1 <= args.bits <= cfg.pmax:
         raise _UsageError(f"--bits {args.bits} outside [1, {cfg.pmax}]")
-    prog = parse_program(source, _input_names(cfg))
+    prog = parse_program(Path(args.source).read_text(), cfg.input_names())
     widths = dict.fromkeys(range(len(prog.points)), args.bits)
     trace = run_tuned(prog, widths, cfg.bindings[0] if cfg.bindings else None,
                       max_steps=cfg.max_steps)
@@ -282,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", metavar="PATH",
                    help="report destination (default SOURCE.report.json)")
     p.add_argument("--emit-lp", action="store_true",
-                   help="also write the solved system as SOURCE.lp")
+                   help="also write the plain system the widths were "
+                        "solved from as SOURCE.lp")
     p.add_argument("--timings", action="store_true",
                    help="keep analysis_seconds in the report (breaks "
                         "byte-identical reruns)")

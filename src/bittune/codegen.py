@@ -21,8 +21,9 @@ bittune is importable, and otherwise runs the compressed copy of
 ``mpfloat.py`` (docstrings dropped) that its header carries.  That copy
 is made from the package's own file, once per process, so it cannot
 drift from the package.  Free inputs of the source program are left
-unbound, so the script of a program tuned with ``--samples`` raises
-NameError when it runs on its own.
+unbound: the script of a program tuned with ``--samples`` checks that
+its namespace binds them and otherwise exits with one line naming the
+unbound ones.
 """
 
 from __future__ import annotations
@@ -74,6 +75,11 @@ _HEADER_END = '''"""))
 
 '''
 
+# For a program with free inputs the header's last sentence changes to
+# match the check that follows it.
+_NAMEERROR_NOTE = "or its first read raises NameError."
+_CHECKED_NOTE = "or it stops, naming the unbound ones."
+
 # Names a script cannot give a variable: Python keywords and __debug__
 # do not compile as assignment targets, and mp/mp_sqrt are its runtime.
 _RESERVED = frozenset(keyword.kwlist) | {"__debug__", "mp", "mp_sqrt"}
@@ -107,6 +113,18 @@ def _check_names(prog: Program) -> None:
         raise ScriptNameError(
             f"variable name {shown}{more} cannot be used in the mp script "
             f"(Python keywords, __debug__, mp and mp_sqrt are reserved)")
+
+
+def _input_check(inputs: tuple[str, ...]) -> list[str]:
+    """Script lines that exit with one message unless every free input
+    is bound in the namespace the script runs in."""
+    names = repr(tuple(inputs))
+    return [f"if any(n not in globals() for n in {names}):",
+            "    raise SystemExit('unbound free inputs: ' + ', '.join(",
+            f"        n for n in {names} if n not in globals()) +",
+            "        '; run this script in a namespace that binds them to '",
+            "        'bittune.mpfloat.MPValue values')",
+            ""]
 
 
 def _width(widths: dict[int, int], point: int) -> int:
@@ -165,6 +183,10 @@ def emit_mp_code(prog: Program, widths: dict[int, int]) -> str:
     Raises ScriptNameError for a variable named after a Python keyword,
     __debug__, mp or mp_sqrt."""
     _check_names(prog)
+    header = _header()
     out: list[str] = []
+    if prog.inputs:
+        header = header.replace(_NAMEERROR_NOTE, _CHECKED_NOTE, 1)
+        out += _input_check(prog.inputs)
     _emit_stmts(prog.stmts, widths, 0, out)
-    return _header() + "\n".join(out) + "\n"
+    return header + "\n".join(out) + "\n"

@@ -20,6 +20,10 @@ from .program import (
 )
 
 
+# Definition point of a program input, bound before the first statement.
+_ENTRY = -1
+
+
 class FlowError(ValueError):
     """A variable is read on every path before any definition."""
 
@@ -95,7 +99,9 @@ def _build_cfg(stmts: list[Stmt]) -> list[_FlowNode]:
     return nodes
 
 
-def _reaching(nodes: list[_FlowNode]) -> list[set[tuple[str, int]]]:
+def _reaching(nodes: list[_FlowNode],
+              entry: frozenset = frozenset()) -> list[set[tuple[str, int]]]:
+    """In-sets of reaching (var, def point) pairs; entry reaches node 0."""
     preds: list[list[int]] = [[] for _ in nodes]
     for i, n in enumerate(nodes):
         for s in n.succs:
@@ -107,7 +113,7 @@ def _reaching(nodes: list[_FlowNode]) -> list[set[tuple[str, int]]]:
     while work:
         i = work.popleft()
         queued[i] = False
-        inset: set = set()
+        inset: set = set(entry) if i == 0 else set()
         for p in preds[i]:
             inset |= outs[p]
         ins[i] = inset
@@ -142,20 +148,24 @@ def build_links(prog: Program) -> list[DefUseLink]:
     return links
 
 
-def check_defined_before_use(prog: Program, predefined=()) -> None:
+def check_defined_before_use(prog: Program, predefined=()) -> tuple[str, ...]:
     """Raise FlowError if some read has no reaching definition at all.
 
     Names in predefined count as defined at entry (program inputs bound
-    externally at run time).
+    externally at run time).  Returns those of them that some read can
+    see before any assignment: the program's free inputs, sorted.
     """
     bound = set(predefined)
     nodes = _build_cfg(prog.stmts)
-    ins = _reaching(nodes)
+    ins = _reaching(nodes, frozenset((var, _ENTRY) for var in bound))
+    free: set[str] = set()
     for i, n in enumerate(nodes):
         for var, use_pt in n.reads:
             if var in bound:
-                continue
-            if not any(v == var for (v, _) in ins[i]):
+                if (var, _ENTRY) in ins[i]:
+                    free.add(var)
+            elif not any(v == var for (v, _) in ins[i]):
                 raise FlowError(
                     f"variable {var!r} is read (control point {use_pt}) "
                     f"before any definition")
+    return tuple(sorted(free))

@@ -1,28 +1,46 @@
-"""Program execution: reference, range-recording, and tuned modes.
+"""Program execution: one lowering to pre-bound closures, two modes.
 
-One tree-walking interpreter core serves all three modes; they differ
-only in the width chosen at each control point and in what gets recorded
-per visit.  The reference mode evaluates everything at one high working
-precision.  Range analysis additionally tracks, per control point, the
-magnitude extremes and the visit count over one or more runs.  The tuned
-mode evaluates every point at its solved width: literals parse to the
-literal point's width, reads re-round the stored value to the read
-point's width, operations round correctly to the result point's width,
-and stores round to the target point's width.  With a uniform assignment
-the tuned mode reproduces the reference bit-for-bit.
+A pass lowers the program once, to one closure per control point and
+per statement, with the point's width bound when the closure is built.
+A visit then does no dispatch on node types and no width lookup, and a
+literal is parsed once per pass instead of once per visit.  The two
+modes differ only in the widths bound and in what a pass records:
+
+* Reference mode (run_reference) evaluates everything at one working
+  precision and records, per control point, the largest ufp seen and
+  the visit count.  ufp is monotone in |x|, so the largest ufp is the
+  ufp of the largest magnitude, which is all the constraints read.
+  With several input binding sets, the run on the first gives the
+  trace and its ranges; the runs on the others only add ranges.
+  analyze_ranges is this mode with only the ranges kept.
+* Tuned mode (run_tuned) evaluates every point at its solved width:
+  literals parse to the literal point's width, reads re-round the
+  stored value to the read point's width, operations round correctly
+  to the result point's width, and stores round to the target point's
+  width.  With a uniform assignment it reproduces the reference bit
+  for bit.
+
+Both modes keep the step cap, the check against reading an unassigned
+variable and the arithmetic domain errors; an EvalError names the pass
+(reference run or tuned run) it stopped.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import mpfloat
-from .mpfloat import DEFAULT_PRECISION, MPDomainError, MPValue, abs_, round_to
+from .mpfloat import DEFAULT_PRECISION, MPDomainError, MPValue, round_to
 from .program import (
     Assign, BinOp, Compare, If, Neg, Num, Program, Require, Sqrt, Var, While,
 )
 
 MAX_STEPS = 10_000_000
+
+REFERENCE = "reference run"
+TUNED = "tuned run"
 
 
 class EvalError(RuntimeError):
@@ -34,205 +52,247 @@ class EvalError(RuntimeError):
 
 
 @dataclass
+class UfpMap:
+    """Per-point magnitudes from one or more reference runs: the largest
+    ufp seen (None while every value was zero) and the visit count."""
+
+    top: list[int | None]
+    counts: list[int]
+    ufp_zero: int = -DEFAULT_PRECISION
+
+    @classmethod
+    def empty(cls, n_points: int, ufp_zero: int) -> "UfpMap":
+        return cls([None] * n_points, [0] * n_points, ufp_zero)
+
+    def visited(self, point: int) -> bool:
+        return self.counts[point] > 0
+
+    def visits(self, point: int) -> int:
+        return self.counts[point]
+
+    def ufp(self, point: int) -> int:
+        """ufp of the largest magnitude seen; the sentinel for all-zero points."""
+        u = self.top[point]
+        return self.ufp_zero if u is None else u
+
+    def note(self, point: int, value: MPValue) -> None:
+        self.counts[point] += 1
+        if value.mant:
+            u = value.exp + value.prec - 1      # mpfloat.ufp(value)
+            top = self.top[point]
+            if top is None or u > top:
+                self.top[point] = u
+
+
+@dataclass
 class Trace:
     env: dict[str, MPValue]
     samples: dict[str, list[MPValue]] = field(default_factory=dict)
     steps: int = 0
+    ranges: UfpMap | None = None      # reference mode only
 
 
-@dataclass
-class PointRange:
-    max_abs: MPValue
-    min_abs: MPValue
-    visits: int
-
-
-@dataclass
-class UfpMap:
-    """Per-point magnitude information from one or more recorded runs."""
-
-    ranges: dict[int, PointRange] = field(default_factory=dict)
-    ufp_zero: int = -DEFAULT_PRECISION
-
-    def visited(self, point: int) -> bool:
-        return point in self.ranges
-
-    def visits(self, point: int) -> int:
-        r = self.ranges.get(point)
-        return r.visits if r else 0
-
-    def ufp(self, point: int) -> int:
-        """ufp of the largest magnitude seen; the sentinel for all-zero points."""
-        r = self.ranges.get(point)
-        if r is None or r.max_abs.is_zero():
-            return self.ufp_zero
-        return mpfloat.ufp(r.max_abs)
-
-    def record(self, point: int, value: MPValue) -> None:
-        a = abs_(value)
-        r = self.ranges.get(point)
-        if r is None:
-            self.ranges[point] = PointRange(a, a, 1)
-        else:
-            if a > r.max_abs:
-                r.max_abs = a
-            if a < r.min_abs:
-                r.min_abs = a
-            r.visits += 1
-
-    def merge(self, other: "UfpMap") -> None:
-        for point, r in other.ranges.items():
-            mine = self.ranges.get(point)
-            if mine is None:
-                self.ranges[point] = PointRange(r.max_abs, r.min_abs, r.visits)
-            else:
-                if r.max_abs > mine.max_abs:
-                    mine.max_abs = r.max_abs
-                if r.min_abs < mine.min_abs:
-                    mine.min_abs = r.min_abs
-                mine.visits += r.visits
-
-
-_COMPARE = {
-    "<": lambda c: c < 0,
-    "<=": lambda c: c <= 0,
-    ">": lambda c: c > 0,
-    ">=": lambda c: c >= 0,
-    "==": lambda c: c == 0,
-    "!=": lambda c: c != 0,
-}
-
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 
 class _Interp:
-    def __init__(self, prog: Program, width_for, bindings=None, track=(),
-                 max_steps: int = MAX_STEPS, ranges: UfpMap | None = None):
-        self.prog = prog
-        self.width_for = width_for
-        self.track = tuple(track)
+    """One pass over a program lowered to closures; widths[p] is bound
+    into the closure of point p when the pass is built."""
+
+    def __init__(self, name: str, prog: Program, widths: list[int],
+                 bindings=None, track=(), max_steps: int = MAX_STEPS,
+                 ranges: UfpMap | None = None):
+        self.name = name
+        self.widths = widths
         self.max_steps = max_steps
         self.ranges = ranges
+        self.note = ranges.note if ranges is not None else None
         self.steps = 0
         self.env: dict[str, MPValue] = {}
-        self.samples: dict[str, list[MPValue]] = {v: [] for v in self.track}
-        for name, value in (bindings or {}).items():
+        self.samples: dict[str, list[MPValue]] = {v: [] for v in track}
+        for var, value in (bindings or {}).items():
             if isinstance(value, str):
                 value = mpfloat.parse_decimal(value, DEFAULT_PRECISION)
-            self.env[name] = value
+            self.env[var] = value
+        self.body = self.block(prog.stmts)
 
-    def record(self, point: int, value: MPValue) -> MPValue:
-        if self.ranges is not None:
-            self.ranges.record(point, value)
-        return value
+    def run(self) -> Trace:
+        self.body()
+        return Trace(self.env, self.samples, self.steps, self.ranges)
 
-    def eval(self, e) -> MPValue:
-        if isinstance(e, Num):
-            return self.record(e.point,
-                               mpfloat.parse_decimal(e.text, self.width_for(e.point)))
-        if isinstance(e, Var):
-            raw = self.env.get(e.name)
-            if raw is None:
-                raise EvalError(f"variable {e.name!r} read before assignment",
-                                e.point)
-            return self.record(e.point, round_to(raw, self.width_for(e.point)))
-        if isinstance(e, BinOp):
-            a = self.eval(e.left)
-            b = self.eval(e.right)
-            try:
-                v = mpfloat.arith(e.op, a, b, self.width_for(e.point))
-            except MPDomainError as err:
-                raise EvalError(str(err), e.point) from err
-            return self.record(e.point, v)
-        if isinstance(e, Neg):
-            v = mpfloat.arith("neg", self.eval(e.operand), None,
-                              self.width_for(e.point))
-            return self.record(e.point, v)
-        if isinstance(e, Sqrt):
-            a = self.eval(e.arg)
-            try:
-                v = mpfloat.sqrt(a, self.width_for(e.point))
-            except MPDomainError as err:
-                raise EvalError(str(err), e.point) from err
-            return self.record(e.point, v)
-        raise TypeError(f"unexpected expression node {e!r}")
-
-    def test(self, cond: Compare) -> bool:
-        left = self.eval(cond.left)
-        right = self.eval(cond.right)
-        c = -1 if left < right else (0 if left == right else 1)
-        return _COMPARE[cond.op](c)
+    def fail(self, message: str, point: int | None = None) -> EvalError:
+        return EvalError(f"{self.name}: {message}", point)
 
     def tick(self) -> None:
         self.steps += 1
         if self.steps > self.max_steps:
-            raise EvalError(f"iteration cap of {self.max_steps} steps exceeded")
+            raise self.fail(f"iteration cap of {self.max_steps} steps exceeded")
 
-    def run(self, stmts) -> None:
-        for st in stmts:
-            if isinstance(st, Assign):
-                self.tick()
-                v = self.eval(st.expr)
-                stored = round_to(v, self.width_for(st.point))
-                self.record(st.point, stored)
-                self.env[st.name] = stored
-                if st.name in self.samples:
-                    self.samples[st.name].append(stored)
-            elif isinstance(st, While):
-                self.tick()
-                while self.test(st.cond):
-                    self.run(st.body)
-                    self.tick()
-            elif isinstance(st, If):
-                self.tick()
-                if self.test(st.cond):
-                    self.run(st.then_body)
-                else:
-                    self.run(st.else_body)
-            elif isinstance(st, Require):
-                self.tick()
-                raw = self.env.get(st.name)
+    # --- expressions ---------------------------------------------------
+
+    def expr(self, e) -> Callable[[], MPValue]:
+        # One closure per node and no wrappers, so evaluation nests no
+        # deeper than the expression does.
+        p = e.point
+        n = self.widths[p]
+        fail, note = self.fail, self.note
+        if isinstance(e, Num):
+            value = mpfloat.parse_decimal(e.text, n)
+
+            def lit():
+                if note is not None:
+                    note(p, value)
+                return value
+            return lit
+        if isinstance(e, Var):
+            env, name = self.env, e.name
+
+            def read():
+                raw = env.get(name)
                 if raw is None:
-                    raise EvalError(
-                        f"require_nsb on unassigned variable {st.name!r}",
-                        st.point)
-                self.record(st.point, round_to(raw, self.width_for(st.point)))
-            else:
-                raise TypeError(f"unexpected statement {st!r}")
+                    raise fail(f"variable {name!r} read before assignment", p)
+                v = round_to(raw, n)
+                if note is not None:
+                    note(p, v)
+                return v
+            return read
+        if isinstance(e, BinOp):
+            op, a, b = e.op, self.expr(e.left), self.expr(e.right)
 
-    def trace(self) -> Trace:
-        return Trace(self.env, self.samples, self.steps)
+            def binop():
+                x = a()
+                y = b()
+                try:
+                    v = mpfloat.arith(op, x, y, n)
+                except MPDomainError as err:
+                    raise fail(str(err), p) from err
+                if note is not None:
+                    note(p, v)
+                return v
+            return binop
+        if isinstance(e, Neg):
+            a = self.expr(e.operand)
+
+            def neg():
+                v = mpfloat.arith("neg", a(), None, n)
+                if note is not None:
+                    note(p, v)
+                return v
+            return neg
+        if isinstance(e, Sqrt):
+            a = self.expr(e.arg)
+
+            def sqrt():
+                x = a()
+                try:
+                    v = mpfloat.sqrt(x, n)
+                except MPDomainError as err:
+                    raise fail(str(err), p) from err
+                if note is not None:
+                    note(p, v)
+                return v
+            return sqrt
+        raise TypeError(f"unexpected expression node {e!r}")
+
+    def cond(self, c: Compare) -> Callable[[], bool]:
+        a, b, test = self.expr(c.left), self.expr(c.right), _COMPARE[c.op]
+        return lambda: test(a(), b())
+
+    # --- statements ----------------------------------------------------
+
+    def block(self, stmts) -> Callable[[], None]:
+        steps = tuple(self.stmt(st) for st in stmts)
+
+        def block():
+            for step in steps:
+                step()
+        return block
+
+    def stmt(self, st) -> Callable[[], None]:
+        tick = self.tick
+        if isinstance(st, While):
+            cond, body = self.cond(st.cond), self.block(st.body)
+
+            def loop():
+                tick()
+                while cond():
+                    body()
+                    tick()
+            return loop
+        if isinstance(st, If):
+            cond = self.cond(st.cond)
+            then_body, else_body = self.block(st.then_body), self.block(st.else_body)
+
+            def branch():
+                tick()
+                if cond():
+                    then_body()
+                else:
+                    else_body()
+            return branch
+        if not isinstance(st, (Assign, Require)):
+            raise TypeError(f"unexpected statement {st!r}")
+        env, name, p = self.env, st.name, st.point
+        n = self.widths[p]
+        note = self.note
+        if isinstance(st, Assign):
+            rhs = self.expr(st.expr)
+            samples = self.samples.get(name)
+
+            def assign():
+                tick()
+                stored = round_to(rhs(), n)
+                if note is not None:
+                    note(p, stored)
+                env[name] = stored
+                if samples is not None:
+                    samples.append(stored)
+            return assign
+        fail = self.fail
+
+        def require():
+            tick()
+            raw = env.get(name)
+            if raw is None:
+                raise fail(f"require_nsb on unassigned variable {name!r}", p)
+            v = round_to(raw, n)
+            if note is not None:
+                note(p, v)
+        return require
 
 
 def run_reference(prog: Program, pref: int = DEFAULT_PRECISION, bindings=None,
-                  track=(), max_steps: int = MAX_STEPS) -> Trace:
-    """Execute every operation at pref bits."""
-    it = _Interp(prog, lambda p: pref, bindings, track, max_steps)
-    it.run(prog.stmts)
-    return it.trace()
+                  track=(), max_steps: int = MAX_STEPS, *, more_bindings=(),
+                  ufp_zero: int | None = None) -> Trace:
+    """Execute every operation at pref bits and record per-point ranges.
+
+    env, samples and steps come from the run on bindings.  Each set in
+    more_bindings is run too, and only adds to trace.ranges.  ufp_zero
+    is the ufp the ranges give points that held only zero (default
+    -pref)."""
+    ranges = UfpMap.empty(prog.n_points, -pref if ufp_zero is None else ufp_zero)
+    widths = [pref] * prog.n_points
+    trace = _Interp(REFERENCE, prog, widths, bindings, track, max_steps,
+                    ranges).run()
+    for extra in more_bindings:
+        _Interp(REFERENCE, prog, widths, extra, (), max_steps, ranges).run()
+    return trace
 
 
 def analyze_ranges(prog: Program, pref: int = DEFAULT_PRECISION,
                    binding_sets=None, ufp_zero: int | None = None,
                    max_steps: int = MAX_STEPS) -> UfpMap:
-    """Record per-point magnitude ranges over one run per binding set."""
-    sets = list(binding_sets) if binding_sets else [None]
-    out = UfpMap(ufp_zero=-pref if ufp_zero is None else ufp_zero)
-    for bindings in sets:
-        it = _Interp(prog, lambda p: pref, bindings, (), max_steps, ranges=UfpMap())
-        it.run(prog.stmts)
-        out.merge(it.ranges)
-    return out
+    """Per-point ranges over one reference run per binding set."""
+    first, *rest = list(binding_sets or ()) or [None]
+    return run_reference(prog, pref, first, (), max_steps, more_bindings=rest,
+                         ufp_zero=ufp_zero).ranges
 
 
 def run_tuned(prog: Program, widths: dict[int, int], bindings=None, track=(),
               max_steps: int = MAX_STEPS) -> Trace:
     """Execute with each control point at its assigned width (clamped to >= 1)."""
-
-    def width_for(point: int) -> int:
-        n = widths.get(point)
-        if n is None:
-            raise EvalError("no width assigned", point)
-        return n if n >= 1 else 1
-
-    it = _Interp(prog, width_for, bindings, track, max_steps)
-    it.run(prog.stmts)
-    return it.trace()
+    missing = next((p for p in range(prog.n_points) if p not in widths), None)
+    if missing is not None:
+        raise EvalError(f"{TUNED}: no width assigned", missing)
+    bound = [max(widths[p], 1) for p in range(prog.n_points)]
+    return _Interp(TUNED, prog, bound, bindings, track, max_steps).run()

@@ -29,7 +29,7 @@ from importlib import resources
 from pathlib import Path
 
 from .flow import build_links
-from .interp import Trace, analyze_ranges, run_reference, run_tuned
+from .interp import Trace, run_reference, run_tuned
 from .mpfloat import to_float, to_fraction
 from .parse import parse_program
 from .solver import policy_iterate, solve_monotone
@@ -269,13 +269,12 @@ def _cell_t_max(plan: ExperimentPlan, years: float) -> str:
     return plan.t_max if plan.t_max is not None else horizon_t_max(years, plan.dt)
 
 
-def _prepare_horizon(plan: ExperimentPlan, c: BenchConstants, years: float):
-    """Range analysis and reference trace, shared by every requirement
+def _prepare_horizon(plan: ExperimentPlan, c: BenchConstants,
+                     years: float) -> Trace:
+    """The reference trace and its ranges, shared by every requirement
     at this horizon (neither depends on the require_nsb bit counts)."""
     base_prog = parse_program(build_nbody_program(c, plan.dt, _cell_t_max(plan, years)))
-    ranges = analyze_ranges(base_prog, plan.pref)
-    ref = run_reference(base_prog, plan.pref, track=planet_coord_names(c))
-    return ranges, ref
+    return run_reference(base_prog, plan.pref, track=planet_coord_names(c))
 
 
 def _run_cell(plan: ExperimentPlan, c: BenchConstants, years: float,
@@ -291,11 +290,11 @@ def _run_cell(plan: ExperimentPlan, c: BenchConstants, years: float,
     """
     coords = planet_coord_names(c)
     bodies = [b.name for b in c.planets()]
-    ranges, ref = shared if shared is not None else _prepare_horizon(plan, c, years)
+    ref = shared if shared is not None else _prepare_horizon(plan, c, years)
 
     source = build_nbody_program(c, plan.dt, _cell_t_max(plan, years), req)
     t0 = time.perf_counter()
-    prog, assignment = _solve_for(source, ranges, plan)
+    prog, assignment = _solve_for(source, ref.ranges, plan)
     tune_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()

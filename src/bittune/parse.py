@@ -231,11 +231,12 @@ def parse_program(src: str, inputs=()) -> Program:
     """Parse and label source text; raises ParseError on malformed input.
 
     Variable names listed in inputs are treated as externally bound, so
-    reading them before any assignment is not an error.
+    reading them before any assignment is not an error; those that some
+    read can see unassigned become prog.inputs.
     """
     stmts = _Parser(tokenize(src)).program()
     prog = Program(stmts, source=src)
     label_program(prog)
     from .flow import check_defined_before_use
-    check_defined_before_use(prog, inputs)
+    prog.inputs = check_defined_before_use(prog, inputs)
     return prog

@@ -96,6 +96,7 @@ class Program:
     scopes: dict[int, tuple[int, ...]] = field(default_factory=dict)
     n_structs: int = 0
     source: str = ""
+    inputs: tuple[str, ...] = ()     # free inputs, bound before the first statement
 
     @property
     def n_points(self) -> int:

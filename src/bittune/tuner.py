@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from . import mpfloat
 from .constraints import (
-    DEFAULT_COND_NSB, DEFAULT_PMAX, gen_ilp, gen_refined, system_stats,
+    DEFAULT_COND_NSB, DEFAULT_PMAX, ConstraintSystem, gen_ilp, gen_refined,
+    system_stats,
 )
 from .flow import build_links
-from .interp import MAX_STEPS, Trace, analyze_ranges, run_reference, run_tuned
+from .interp import MAX_STEPS, Trace, run_reference, run_tuned
 from .parse import parse_program
 from .program import Program, Require
 from .solver import (
@@ -58,6 +59,10 @@ class TuningConfig:
         if self.pref > self.pmax:
             raise TuneError(f"pref {self.pref} exceeds pmax {self.pmax}")
 
+    def input_names(self) -> tuple[str, ...]:
+        """Every name some binding set binds: the program's free inputs."""
+        return tuple(sorted({name for b in self.bindings for name in b}))
+
 
 @dataclass
 class VerifyRow:
@@ -84,12 +89,17 @@ class TuningReport:
     steps_tuned: int = 0
     diverged: bool = False
     verification: list[VerifyRow] = field(default_factory=list)
+    # The plain system tune() built, for LP export; not part of the JSON.
+    c1: ConstraintSystem | None = field(default=None, repr=False, compare=False)
 
     def all_passed(self) -> bool:
         return not self.diverged and all(r.passed for r in self.verification)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        raw = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "c1"}
+        raw["verification"] = [asdict(r) for r in self.verification]
+        return json.dumps(raw, sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "TuningReport":
@@ -165,25 +175,27 @@ def _require_count(prog: Program) -> int:
     return sum(1 for node in prog.points if isinstance(node, Require))
 
 
-def tune(source: str, cfg: TuningConfig | None = None):
-    """Full pipeline; returns (NsbAssignment, TuningReport)."""
+def tune(source: str | Program, cfg: TuningConfig | None = None):
+    """Full pipeline on source text or a parsed program; returns
+    (NsbAssignment, TuningReport)."""
     cfg = cfg or TuningConfig()
     cfg.check()
     t0 = time.perf_counter()
-    prog = (parse_program(source, _input_names(cfg))
+    prog = (parse_program(source, cfg.input_names())
             if isinstance(source, str) else source)
     if _require_count(prog) == 0:
         raise TuneError("program has no require_nsb statement; nothing to tune")
     links = build_links(prog)
-    ranges = analyze_ranges(prog, cfg.pref, cfg.bindings or None,
-                            ufp_zero=-cfg.pmax, max_steps=cfg.max_steps)
-    c1 = gen_ilp(prog, ranges, links, cfg.cond_nsb, cfg.pmax)
+    first, *rest = cfg.bindings or (None,)
+    ref = run_reference(prog, cfg.pref, first, max_steps=cfg.max_steps,
+                        more_bindings=rest, ufp_zero=-cfg.pmax)
+    c1 = gen_ilp(prog, ref.ranges, links, cfg.cond_nsb, cfg.pmax)
     a_ilp = solve_monotone(c1)
     systems = {"c1": system_stats(c1)}
     totals = {"ilp": a_ilp.total}
     pi_iterations = 0
     if cfg.method == "pi":
-        c2 = gen_refined(prog, ranges, links, cfg.cond_nsb, cfg.pmax)
+        c2 = gen_refined(prog, ref.ranges, links, cfg.cond_nsb, cfg.pmax)
         assignment, _policy, pi_iterations = policy_iterate(
             c2, cfg.node_limit, cfg.pi_cap)
         stats2 = system_stats(c2)
@@ -199,10 +211,7 @@ def tune(source: str, cfg: TuningConfig | None = None):
     elapsed = time.perf_counter() - t0
 
     widths = assignment.widths()
-    ref = run_reference(prog, cfg.pref, _first_binding(cfg),
-                        max_steps=cfg.max_steps)
-    tuned = run_tuned(prog, widths, _first_binding(cfg),
-                      max_steps=cfg.max_steps)
+    tuned = run_tuned(prog, widths, first, max_steps=cfg.max_steps)
     report = TuningReport(
         method=cfg.method,
         total_bits=totals,
@@ -216,31 +225,21 @@ def tune(source: str, cfg: TuningConfig | None = None):
         steps_tuned=tuned.steps,
         diverged=ref.steps != tuned.steps,
         verification=_verify_rows(prog, ref, tuned, cfg.tolerance_factor),
+        c1=c1,
     )
     return assignment, report
 
 
-def _first_binding(cfg: TuningConfig):
-    return cfg.bindings[0] if cfg.bindings else None
-
-
-def _input_names(cfg: TuningConfig) -> tuple:
-    names: set[str] = set()
-    for b in cfg.bindings:
-        names |= set(b)
-    return tuple(sorted(names))
-
-
-def verify(source, assignment: NsbAssignment | dict, cfg: TuningConfig | None = None):
+def verify(source: str | Program, assignment: NsbAssignment | dict,
+           cfg: TuningConfig | None = None):
     """Run reference vs tuned and build the verification table."""
     cfg = cfg or TuningConfig()
-    prog = (parse_program(source, _input_names(cfg))
+    prog = (parse_program(source, cfg.input_names())
             if isinstance(source, str) else source)
     widths = (assignment.widths() if isinstance(assignment, NsbAssignment)
               else dict(assignment))
-    ref = run_reference(prog, cfg.pref, _first_binding(cfg),
-                        max_steps=cfg.max_steps)
-    tuned = run_tuned(prog, widths, _first_binding(cfg),
-                      max_steps=cfg.max_steps)
+    first = cfg.bindings[0] if cfg.bindings else None
+    ref = run_reference(prog, cfg.pref, first, max_steps=cfg.max_steps)
+    tuned = run_tuned(prog, widths, first, max_steps=cfg.max_steps)
     rows = _verify_rows(prog, ref, tuned, cfg.tolerance_factor)
     return rows, ref, tuned

@@ -66,6 +66,41 @@ class TestTuneCommand:
         assert code == 0
         assert (workdir / "small.lp").read_text().startswith("\\ precision")
 
+    def test_emit_lp_matches_export_lp(self, workdir, capsys):
+        (workdir / "open.pop").write_text(
+            "y = x * x + 0.5;\nz = sqrt(y);\nrequire_nsb(z, 16);\n")
+        (workdir / "s.json").write_text('[{"x": "3.0"}, {"x": "0.125"}]')
+        run_cli(capsys, "tune", "open.pop", "--samples", "s.json",
+                "--method", "pi", "--emit-lp")
+        run_cli(capsys, "export-lp", "open.pop", "--samples", "s.json",
+                "--out", "exported.lp")
+        assert (workdir / "open.lp").read_bytes() == \
+            (workdir / "exported.lp").read_bytes()
+
+    def test_source_is_parsed_once(self, workdir, capsys, monkeypatch):
+        import bittune.cli
+        import bittune.tuner
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return parse_program(*args, **kwargs)
+
+        parse_program = bittune.cli.parse_program
+        monkeypatch.setattr(bittune.cli, "parse_program", counted)
+        monkeypatch.setattr(bittune.tuner, "parse_program", counted)
+        code, _, err = run_cli(capsys, "tune", "small.pop", "--emit-lp")
+        assert code == 0, err
+        assert len(calls) == 1
+
+    def test_evaluation_error_names_the_pass(self, workdir, capsys):
+        (workdir / "div.pop").write_text(
+            "a = 0.0;\nb = 1.0 / a;\nrequire_nsb(b, 10);\n")
+        code, _, err = run_cli(capsys, "tune", "div.pop")
+        assert code == 1
+        assert err == ("bittune: tune: reference run: division by zero "
+                       "(control point 4)\n")
+
     def test_missing_file_is_analysis_error(self, workdir, capsys):
         code, _, err = run_cli(capsys, "tune", "missing.pop")
         assert code == 1
@@ -82,6 +117,27 @@ class TestTuneCommand:
             [sys.executable, str(workdir / "small.mp.txt")],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_mp_script_names_its_unbound_inputs(self, workdir, capsys):
+        (workdir / "open.pop").write_text(
+            "y = x * w + 1.0;\nrequire_nsb(y, 12);\n")
+        (workdir / "s.json").write_text('{"x": "0.5", "w": "3.0"}')
+        run_cli(capsys, "tune", "open.pop", "--samples", "s.json")
+        script = (workdir / "open.mp.txt").read_text()
+        assert "or it stops, naming the unbound ones." in script
+        proc = subprocess.run(
+            [sys.executable, "-I", "-S", str(workdir / "open.mp.txt")],
+            capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("unbound free inputs: w, x;")
+        from bittune import mpfloat
+        ns = {"x": mpfloat.from_float(0.5)}
+        with pytest.raises(SystemExit, match="^unbound free inputs: w;"):
+            exec(compile(script, "open.mp.txt", "exec"), ns)
+        ns = {"x": mpfloat.from_float(0.5), "w": mpfloat.from_float(3.0)}
+        exec(compile(script, "open.mp.txt", "exec"), ns)
+        assert mpfloat.to_float(ns["y"]) == 2.5
 
     @pytest.mark.parametrize("name", ["lambda", "mp", "mp_sqrt"])
     def test_script_name_refused_before_any_artifact(self, workdir, capsys,

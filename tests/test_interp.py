@@ -75,6 +75,23 @@ class TestReference:
             run_reference(prog, pref=50)
         assert exc.value.point is not None
 
+    def test_long_sum_nests_no_deeper_than_the_expression(self):
+        # 700 left-nested additions: evaluation must take one frame per
+        # level in both modes, or the recursion limit is hit.
+        src = "s = " + " + ".join(f"{i}.5" for i in range(700)) + ";\n"
+        prog = parse_program(src)
+        ref = run_reference(prog, pref=100)
+        assert mpfloat.to_fraction(ref.env["s"]) == Fraction(700 * 699 + 700, 2)
+        tuned = run_tuned(prog, _uniform(prog, 100))
+        assert tuned.env["s"] == ref.env["s"]
+
+    def test_errors_name_the_pass(self):
+        prog = parse_program("a = 1.0;\nb = 0.0;\nc = a / b;\n")
+        with pytest.raises(EvalError, match=r"^reference run: division by zero"):
+            run_reference(prog, pref=50)
+        with pytest.raises(EvalError, match=r"^tuned run: division by zero"):
+            run_tuned(prog, _uniform(prog, 20))
+
     def test_track_records_initial_state_and_each_step(self):
         src = "x = 1.0;\nt = 0.0;\nwhile (t < 3.0) {\n    x = x * 2.0;\n    t = t + 1.0;\n}\n"
         trace = run_reference(parse_program(src), pref=60, track=("x",))
@@ -118,6 +135,14 @@ class TestTuned:
         prog = parse_program(src)
         trace = run_tuned(prog, _uniform(prog, 2))
         assert mpfloat.to_float(trace.env["t"]) == 4.0
+
+    def test_missing_width_of_an_unvisited_point_rejected(self):
+        src = "a = 1.0;\nif (a > 2.0) {\n    b = a;\n}\n"
+        prog = parse_program(src)
+        widths = _uniform(prog, 20)
+        del widths[prog.n_points - 1]
+        with pytest.raises(EvalError, match="^tuned run: no width assigned"):
+            run_tuned(prog, widths)
 
     def test_narrow_width_can_stall_a_loop(self):
         # With an exactly representable bound, 4 + 1 ties back to 4 at
@@ -163,9 +188,9 @@ class TestRanges:
         q_def = next(n.point for n in prog.points
                      if type(n).__name__ == "Assign" and n.name == "q"
                      and prog.scopes[n.point])
-        r = ranges.ranges[q_def]
-        assert mpfloat.to_fraction(r.min_abs) == Fraction(1, 2**20)
-        assert mpfloat.to_fraction(r.max_abs) == Fraction(1, 2)
+        # q runs 1/2, 1/4, ..., 1/2**20 in the loop: the largest is 1/2.
+        assert ranges.ufp(q_def) == -1
+        assert ranges.visits(q_def) == 20
 
     def test_multiple_binding_sets_merge(self):
         prog = parse_program("y = x + 0.0;\n", inputs=("x",))
@@ -173,10 +198,47 @@ class TestRanges:
                                 binding_sets=[{"x": "0.25"}, {"x": "8.0"}])
         y_read = next(n.point for n in prog.points
                       if type(n).__name__ == "Var" and n.name == "x")
-        r = ranges.ranges[y_read]
-        assert mpfloat.to_fraction(r.min_abs) == Fraction(1, 4)
-        assert mpfloat.to_fraction(r.max_abs) == 8
-        assert r.visits == 2
+        assert ranges.ufp(y_read) == 3                   # 8 in [8, 16)
+        assert ranges.visits(y_read) == 2
+
+    def test_fused_pass_keeps_the_first_sets_trace(self):
+        # The trip count follows the input, so each set runs a different
+        # number of steps; the trace is the first set's, the ranges span
+        # both.
+        src = ("k = 0.0;\nwhile (k < x) {\n    k = k + 1.0;\n}\n"
+               "require_nsb(k, 10);\n")
+        prog = parse_program(src, inputs=("x",))
+        first, second = {"x": "2.0"}, {"x": "5.0"}
+        fused = run_reference(prog, 60, first, more_bindings=[second])
+        alone = run_reference(prog, 60, first)
+        assert fused.env == alone.env
+        assert mpfloat.to_fraction(fused.env["k"]) == 2
+        assert fused.steps == alone.steps
+        body_def = next(n.point for n in prog.points
+                        if type(n).__name__ == "Assign"
+                        and prog.scopes[n.point])
+        assert fused.ranges.visits(body_def) == 2 + 5
+        assert fused.ranges.ufp(body_def) == 2          # 5 in [4, 8)
+        assert alone.ranges.ufp(body_def) == 1
+        merged = analyze_ranges(prog, 60, [first, second])
+        assert merged == fused.ranges
+
+    def test_literal_is_parsed_once_per_pass(self, monkeypatch):
+        calls = []
+        parse = mpfloat.parse_decimal
+
+        def counted(text, p):
+            calls.append(text)
+            return parse(text, p)
+
+        monkeypatch.setattr(mpfloat, "parse_decimal", counted)
+        prog = parse_program(GEOM)
+        literals = [n.text for n in prog.points if type(n).__name__ == "Num"]
+        run_reference(prog, pref=100)
+        assert sorted(calls) == sorted(literals)
+        calls.clear()
+        run_tuned(prog, _uniform(prog, 30))
+        assert sorted(calls) == sorted(literals)
 
     @given(st.integers(0, 2**32))
     def test_recorded_ufp_brackets_final_value(self, seed):
