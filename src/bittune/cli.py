@@ -6,7 +6,8 @@ One command per invocation:
                   the reduced-precision Python script, and a JSON report
   verify SOURCE   re-run reference vs tuned under a solved width map and
                   print the verification table
-  bench           orbit benchmark sweep; writes summary and series CSVs
+  bench           orbit benchmark sweep; prints the drift table and
+                  writes summary and series CSVs
   export-lp SOURCE
                   write the constraint system in LP format
   run SOURCE      execute at one uniform precision and print the final
@@ -15,6 +16,9 @@ One command per invocation:
 Exit status is 0 on success, 1 when analysis or verification fails,
 2 on usage errors.  Error messages go to standard error prefixed with
 the command that raised them.
+
+tune, verify, bench and export-lp go through tuner's reference_run;
+export-lp then generates the system it writes, the others tuner.solve.
 
 Artifacts are deterministic: the same invocation writes byte-identical
 files.  The one timing field (analysis_seconds) is therefore dropped
@@ -32,7 +36,7 @@ from pathlib import Path
 from . import mpfloat
 from .constraints import GenError, gen_ilp, gen_refined
 from .flow import FlowError, build_links
-from .interp import EvalError, analyze_ranges, run_tuned
+from .interp import EvalError, run_tuned
 from .lpfile import export_lp
 from .mpfloat import MPDomainError
 from .nbody import ExperimentPlan, run_experiment
@@ -40,7 +44,7 @@ from .parse import ParseError, parse_program
 from .render import MissingWidthError, emit_annotated
 from .codegen import emit_mp_code
 from .solver import Policy, SolverError
-from .tuner import TuneError, TuningConfig, tune, verify
+from .tuner import TuneError, TuningConfig, reference_run, tune, verify
 
 _ERRORS = (ParseError, FlowError, GenError, SolverError, EvalError,
            TuneError, MPDomainError, MissingWidthError, OSError,
@@ -56,7 +60,8 @@ file formats:
                      bittune, else a bundled copy of bittune.mpfloat.
                      Free inputs are left unbound; run on its own, the
                      script exits naming them.  Variables named after Python
-                     keywords, __debug__, mp or mp_sqrt are refused.
+                     keywords, __debug__, mp or mp_sqrt are refused, and so
+                     is an expression nested over 200 brackets deep.
   report JSON        method, per-point widths, system sizes, totals, and
                      the verification table
   bench summary CSV  nsb, horizon_years, body, distance_au, tune_seconds,
@@ -206,9 +211,19 @@ def cmd_bench(args) -> int:
         out_dir=args.out,
     )
     rows = run_experiment(plan, jobs=args.jobs)
+    bodies = list(dict.fromkeys(r.body for r in rows))
+    cells: dict[float, dict[int, dict]] = {}
     for r in rows:
-        print(f"nsb {r.nsb:>3}  {r.horizon_years:>5g} y  {r.body:<8} "
-              f"{r.distance_au:.3e} AU")
+        cells.setdefault(r.horizon_years, {}).setdefault(r.nsb, {})[r.body] = r
+    for years, by_nsb in cells.items():
+        print(f"horizon {years:g} years")
+        print(f"{'nsb':>4}" + "".join(f"{b:>12}" for b in bodies)
+              + f"{'tune s':>9}{'run s':>9}")
+        for nsb, cell in by_nsb.items():
+            dists = "".join(f"{cell[b].distance_au:>12.3e}" for b in bodies)
+            first = cell[bodies[0]]
+            print(f"{nsb:>4}{dists}{first.tune_seconds:>9.2f}"
+                  f"{first.run_seconds:>9.2f}")
     print(f"wrote {Path(args.out) / 'summary.csv'} ({len(rows)} rows)")
     return 0
 
@@ -216,13 +231,10 @@ def cmd_bench(args) -> int:
 def cmd_export_lp(args) -> int:
     cfg = _config(args)
     prog = parse_program(Path(args.source).read_text(), cfg.input_names())
-    links = build_links(prog)
-    ranges = analyze_ranges(prog, cfg.pref, cfg.bindings, ufp_zero=-cfg.pmax)
-    if args.refined:
-        system = gen_refined(prog, ranges, links, cfg.cond_nsb, cfg.pmax)
-        text = export_lp(system, Policy.const_one(system))
-    else:
-        text = export_lp(gen_ilp(prog, ranges, links, cfg.cond_nsb, cfg.pmax))
+    gen = gen_refined if args.refined else gen_ilp
+    system = gen(prog, reference_run(prog, cfg).ranges, build_links(prog),
+                 cfg.cond_nsb, cfg.pmax)
+    text = export_lp(system, Policy.const_one(system))
     out_path = Path(args.out) if args.out else Path(args.source).with_suffix(".lp")
     out_path.write_text(text)
     print(f"wrote {out_path}")

@@ -89,6 +89,14 @@ class ScriptNameError(ValueError):
     """A program variable's name cannot be used in the emitted script."""
 
 
+# CPython's tokenizer refuses a line nested deeper than 200 brackets.
+MAX_BRACKETS = 200
+
+
+class ScriptNestingError(ValueError):
+    """An expression nests deeper in the emitted script than Python compiles."""
+
+
 @functools.cache
 def _header() -> str:
     """The script header.  It carries mpfloat.py, read from the package
@@ -133,24 +141,30 @@ def _width(widths: dict[int, int], point: int) -> int:
     return widths[point]
 
 
-def _emit_expr(e: Expr, widths) -> str:
+def _emit_expr(e: Expr, widths, depth: int) -> str:
+    """e's wrapper call, inside depth open brackets."""
+    depth += 1
+    if depth > MAX_BRACKETS:
+        raise ScriptNestingError(
+            f"control point {e.point} would sit {depth} brackets deep in "
+            f"the mp script; Python compiles at most {MAX_BRACKETS}")
     if isinstance(e, Num):
         return f"mp('{e.text}', {_width(widths, e.point)})"
     if isinstance(e, Var):
         return f"mp({e.name}, {_width(widths, e.point)})"
     if isinstance(e, Sqrt):
-        return f"mp_sqrt({_emit_expr(e.arg, widths)}, {_width(widths, e.point)})"
+        return f"mp_sqrt({_emit_expr(e.arg, widths, depth)}, {_width(widths, e.point)})"
     if isinstance(e, Neg):
-        return f"mp(-{_emit_expr(e.operand, widths)}, {_width(widths, e.point)})"
+        return f"mp(-{_emit_expr(e.operand, widths, depth)}, {_width(widths, e.point)})"
     if isinstance(e, BinOp):
-        left = _emit_expr(e.left, widths)
-        right = _emit_expr(e.right, widths)
+        left = _emit_expr(e.left, widths, depth)
+        right = _emit_expr(e.right, widths, depth)
         return f"mp({left} {e.op} {right}, {_width(widths, e.point)})"
     raise TypeError(f"unexpected expression node {e!r}")
 
 
 def _emit_cond(c: Compare, widths) -> str:
-    return f"{_emit_expr(c.left, widths)} {c.op} {_emit_expr(c.right, widths)}"
+    return f"{_emit_expr(c.left, widths, 0)} {c.op} {_emit_expr(c.right, widths, 0)}"
 
 
 def _emit_stmts(stmts: list[Stmt], widths, indent: int, out: list[str]) -> None:
@@ -160,7 +174,7 @@ def _emit_stmts(stmts: list[Stmt], widths, indent: int, out: list[str]) -> None:
         return
     for st in stmts:
         if isinstance(st, Assign):
-            rhs = _emit_expr(st.expr, widths)
+            rhs = _emit_expr(st.expr, widths, 1)
             out.append(f"{pad}{st.name} = mp({rhs}, {_width(widths, st.point)})")
         elif isinstance(st, While):
             out.append(f"{pad}while {_emit_cond(st.cond, widths)}:")
@@ -181,7 +195,8 @@ def emit_mp_code(prog: Program, widths: dict[int, int]) -> str:
     """Emit the runnable reduced-precision script for a solved assignment.
 
     Raises ScriptNameError for a variable named after a Python keyword,
-    __debug__, mp or mp_sqrt."""
+    __debug__, mp or mp_sqrt, and ScriptNestingError for an expression
+    nested deeper than MAX_BRACKETS brackets."""
     _check_names(prog)
     header = _header()
     out: list[str] = []

@@ -13,6 +13,7 @@ comments allowed) and can be checked against the system directly.
 from __future__ import annotations
 
 from .constraints import ConstraintSystem
+from .solver import apply_policy
 
 
 def _wrap(parts: list[str], head: str, limit: int = 72) -> list[str]:
@@ -33,7 +34,6 @@ def export_lp(system: ConstraintSystem, policy=None) -> str:
         if policy is None:
             raise ValueError(
                 "system has carry definitions; export requires a policy")
-        from .solver import apply_policy
         system = apply_policy(system, policy)
 
     out: list[str] = ["\\ precision-demand constraint system"]
@@ -92,7 +92,6 @@ def check_solution(system: ConstraintSystem, named: dict[str, int],
                    policy=None) -> tuple[bool, int]:
     """(feasible, objective total) of an external solution for the system."""
     if system.xi_defs:
-        from .solver import apply_policy
         if policy is None:
             raise ValueError("carry definitions present; a policy is required")
         system = apply_policy(system, policy)

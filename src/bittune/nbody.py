@@ -14,6 +14,9 @@ velocities (given per day) are scaled by days_per_year once in the
 prologue.  A sweep horizon of H years runs the loop up to
 t_max = H - dt/2; the half-step guard keeps the trip count identical
 between the reference run and every tuned run, however t rounds.
+
+The sweep tunes through `tuner`: one reference_run per horizon, shared
+by its requirements, and one solve per cell.
 """
 
 from __future__ import annotations
@@ -28,12 +31,10 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .flow import build_links
 from .interp import Trace, run_reference, run_tuned
 from .mpfloat import to_float, to_fraction
 from .parse import parse_program
-from .solver import policy_iterate, solve_monotone
-from .constraints import gen_ilp, gen_refined
+from .tuner import TuningConfig, reference_run, solve
 
 BODY_ORDER = ("Sun", "Jupiter", "Saturn", "Uranus", "Neptune")
 COORDS = ("x", "y", "z")
@@ -242,6 +243,11 @@ class ExperimentPlan:
             if not 1 <= n <= self.pref:
                 raise ValueError(f"requirement {n} outside [1, {self.pref}]")
 
+    def tuning_config(self) -> TuningConfig:
+        """What every cell is tuned with; widths are capped at pref."""
+        return TuningConfig(self.method, self.pref, self.cond_nsb,
+                            pmax=self.pref)
+
 
 @dataclass(frozen=True)
 class SummaryRow:
@@ -253,18 +259,6 @@ class SummaryRow:
     run_seconds: float
 
 
-def _solve_for(source: str, ranges, plan: ExperimentPlan):
-    prog = parse_program(source)
-    links = build_links(prog)
-    c1 = gen_ilp(prog, ranges, links, plan.cond_nsb, plan.pref)
-    if plan.method == "pi":
-        c2 = gen_refined(prog, ranges, links, plan.cond_nsb, plan.pref)
-        assignment, _, _ = policy_iterate(c2)
-    else:
-        assignment = solve_monotone(c1)
-    return prog, assignment
-
-
 def _cell_t_max(plan: ExperimentPlan, years: float) -> str:
     return plan.t_max if plan.t_max is not None else horizon_t_max(years, plan.dt)
 
@@ -274,7 +268,8 @@ def _prepare_horizon(plan: ExperimentPlan, c: BenchConstants,
     """The reference trace and its ranges, shared by every requirement
     at this horizon (neither depends on the require_nsb bit counts)."""
     base_prog = parse_program(build_nbody_program(c, plan.dt, _cell_t_max(plan, years)))
-    return run_reference(base_prog, plan.pref, track=planet_coord_names(c))
+    return reference_run(base_prog, plan.tuning_config(),
+                         track=planet_coord_names(c))
 
 
 def _run_cell(plan: ExperimentPlan, c: BenchConstants, years: float,
@@ -283,10 +278,10 @@ def _run_cell(plan: ExperimentPlan, c: BenchConstants, years: float,
 
     Returns (distances, series, tune_seconds, run_seconds) where
     distances is [(body, final drift)] and series the per-step rows or
-    None.  tune_seconds covers constraint generation and solving only;
-    the shared range/reference stage is not charged to any cell (a
-    worker recomputes it when shared is None, e.g. under a process
-    pool, but the attribution stays the same).
+    None.  tune_seconds covers parsing and tuner.solve only; the shared
+    reference stage is not charged to any cell (a worker recomputes it
+    when shared is None, e.g. under a process pool, but the attribution
+    stays the same).
     """
     coords = planet_coord_names(c)
     bodies = [b.name for b in c.planets()]
@@ -294,7 +289,8 @@ def _run_cell(plan: ExperimentPlan, c: BenchConstants, years: float,
 
     source = build_nbody_program(c, plan.dt, _cell_t_max(plan, years), req)
     t0 = time.perf_counter()
-    prog, assignment = _solve_for(source, ref.ranges, plan)
+    prog = parse_program(source)
+    assignment, _ = solve(prog, ref.ranges, plan.tuning_config())
     tune_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -31,12 +31,11 @@ DEFAULT_NODE_LIMIT = 200_000
 DEFAULT_PI_CAP = 100
 
 
+_SHOWN_ROWS = 10
+
+
 class SolverError(RuntimeError):
-    def __init__(self, message: str, cycle: list[str] | None = None):
-        if cycle:
-            message += "\n  tight cycle:\n    " + "\n    ".join(cycle)
-        super().__init__(message)
-        self.cycle = cycle or []
+    pass
 
 
 @dataclass
@@ -124,25 +123,30 @@ def _kleene(constraints, values, upper, raised_by=None):
     return None
 
 
-def _tight_cycle(start: LinearConstraint, raised_by) -> list[str]:
-    """Walk the raising chain backward until a variable repeats."""
-    chain = []
+def _raising_rows(start: LinearConstraint, raised_by) -> str:
+    """Walk the rows that raised start's variables backward, until a
+    variable repeats (a cycle) or nothing raised them (a chain), and
+    describe the first _SHOWN_ROWS of them."""
+    rows = []
     seen: dict[IntVar, int] = {}
+    kind = "raising chain"
     c = start
     while True:
-        chain.append(str(c))
-        if not c.rhs.terms:
-            break
+        rows.append(str(c))
         drivers = [v for _, v in c.rhs.terms if v in raised_by]
         if not drivers:
             break
         v = drivers[0]
         if v in seen:
-            chain = chain[seen[v]:]
+            rows, kind = rows[seen[v]:], "tight cycle"
             break
-        seen[v] = len(chain)
+        seen[v] = len(rows)
         c = raised_by[v]
-    return chain
+    text = f"\n  {kind} of {len(rows)} rows:\n    " + "\n    ".join(
+        rows[:_SHOWN_ROWS])
+    if len(rows) > _SHOWN_ROWS:
+        text += f"\n    … and {len(rows) - _SHOWN_ROWS} more rows"
+    return text
 
 
 def solve_monotone(system: ConstraintSystem) -> NsbAssignment:
@@ -154,8 +158,8 @@ def solve_monotone(system: ConstraintSystem) -> NsbAssignment:
     bad = _kleene(system.constraints, values, upper, raised_by)
     if bad is not None:
         raise SolverError(
-            f"infeasible: {bad.lhs} is driven past the cap {system.pmax}",
-            _tight_cycle(bad, raised_by))
+            f"infeasible: {bad.lhs} is driven past the cap {system.pmax}"
+            + _raising_rows(bad, raised_by))
     return _finish(system, values)
 
 
@@ -355,9 +359,7 @@ def policy_iterate(system: ConstraintSystem,
     return assignment, policy, max_iterations
 
 
-from .lpfile import export_lp            # noqa: E402  (re-export)
-
 __all__ = [
-    "NsbAssignment", "Policy", "SolverError", "apply_policy", "export_lp",
+    "NsbAssignment", "Policy", "SolverError", "apply_policy",
     "policy_iterate", "solve_ilp", "solve_monotone",
 ]

@@ -1,8 +1,11 @@
-"""Pipeline orchestration: parse, record ranges, solve, verify, report.
+"""The one tuning pipeline: parse, reference run, solve, verify, report.
 
-tune() runs the whole chain for one source text and returns the solved
-assignment together with a report carrying the per-point widths, system
-sizes, timings, and a verification table.  Verification compares the
+Every caller goes through two stages: reference_run() runs at cfg.pref
+bits and records ranges over all binding sets, and solve() generates C1
+(and C2 for pi) from them, solves, and checks the assignment by
+substitution.  tune() chains them for one source text and returns the
+solved assignment together with a report carrying the per-point widths,
+system sizes, timings, and a verification table.  Verification compares the
 tuned execution against the high-precision reference: for each
 require_nsb(v, n) the absolute error |tuned - reference| must stay
 within tolerance_factor * 2^(ufp(ref) - n + 1).  The factor (default
@@ -23,7 +26,7 @@ from .constraints import (
     system_stats,
 )
 from .flow import build_links
-from .interp import MAX_STEPS, Trace, run_reference, run_tuned
+from .interp import MAX_STEPS, Trace, UfpMap, run_reference, run_tuned
 from .parse import parse_program
 from .program import Program, Require
 from .solver import (
@@ -107,30 +110,6 @@ class TuningReport:
         rows = [VerifyRow(**r) for r in raw.pop("verification")]
         return cls(verification=rows, **raw)
 
-    def to_text(self) -> str:
-        lines = [f"method: {self.method}"]
-        for name in sorted(self.total_bits):
-            lines.append(f"total bits ({name}): {self.total_bits[name]}")
-        for name, stats in self.systems.items():
-            desc = ", ".join(f"{k}={v}" for k, v in sorted(stats.items()))
-            lines.append(f"system {name}: {desc}")
-        if self.method == "pi":
-            lines.append(f"policy iterations: {self.pi_iterations}")
-        lines.append(f"analysis seconds: {self.analysis_seconds:.3f}")
-        if self.diverged:
-            lines.append(f"control flow diverged: reference ran "
-                         f"{self.steps_reference} steps, tuned "
-                         f"{self.steps_tuned}")
-        if self.verification:
-            header = f"{'variable':<16} {'bits':>4} {'error':>13} " \
-                     f"{'bound':>13}  result"
-            lines.append(header)
-            for r in self.verification:
-                status = "pass" if r.passed else "FAIL"
-                lines.append(f"{r.var:<16} {r.bits:>4} {r.error:>13} "
-                             f"{r.bound:>13}  {status}")
-        return "\n".join(lines) + "\n"
-
 
 def _fraction_str(f: Fraction) -> str:
     if f == 0:
@@ -175,6 +154,41 @@ def _require_count(prog: Program) -> int:
     return sum(1 for node in prog.points if isinstance(node, Require))
 
 
+def reference_run(prog: Program, cfg: TuningConfig, track=()) -> Trace:
+    """The run at cfg.pref bits that every later stage reads: env, samples
+    and steps from the first binding set, ranges over all of them."""
+    first, *rest = cfg.bindings or (None,)
+    return run_reference(prog, cfg.pref, first, track, max_steps=cfg.max_steps,
+                         more_bindings=rest, ufp_zero=-cfg.pmax)
+
+
+def solve(prog: Program, ranges: UfpMap, cfg: TuningConfig):
+    """Generate C1 (and C2 for pi) from the ranges, solve, and check the
+    assignment by substitution into the system it was solved from.
+    Returns (NsbAssignment, TuningReport); the report's run fields
+    (steps, verification, analysis_seconds) are left to the caller."""
+    links = build_links(prog)
+    c1 = gen_ilp(prog, ranges, links, cfg.cond_nsb, cfg.pmax)
+    assignment = solve_monotone(c1)
+    report = TuningReport(method=cfg.method,
+                          total_bits={"ilp": assignment.total}, nsb={},
+                          systems={"c1": system_stats(c1)}, c1=c1)
+    solved = c1
+    if cfg.method == "pi":
+        solved = gen_refined(prog, ranges, links, cfg.cond_nsb, cfg.pmax)
+        assignment, _policy, report.pi_iterations = policy_iterate(
+            solved, cfg.node_limit, cfg.pi_cap)
+        report.systems["c2"] = dict(system_stats(solved),
+                                    xi_defs=len(solved.xi_defs))
+        report.total_bits["pi"] = assignment.total
+    if not solved.satisfied_by(assignment.values):
+        raise TuneError("solved assignment fails substitution check")
+    report.nsb = {str(p): n for p, n in sorted(assignment.widths().items())}
+    report.skipped_points = solved.skipped_points
+    report.zero_ufp_points = solved.zero_ufp_points
+    return assignment, report
+
+
 def tune(source: str | Program, cfg: TuningConfig | None = None):
     """Full pipeline on source text or a parsed program; returns
     (NsbAssignment, TuningReport)."""
@@ -185,48 +199,16 @@ def tune(source: str | Program, cfg: TuningConfig | None = None):
             if isinstance(source, str) else source)
     if _require_count(prog) == 0:
         raise TuneError("program has no require_nsb statement; nothing to tune")
-    links = build_links(prog)
-    first, *rest = cfg.bindings or (None,)
-    ref = run_reference(prog, cfg.pref, first, max_steps=cfg.max_steps,
-                        more_bindings=rest, ufp_zero=-cfg.pmax)
-    c1 = gen_ilp(prog, ref.ranges, links, cfg.cond_nsb, cfg.pmax)
-    a_ilp = solve_monotone(c1)
-    systems = {"c1": system_stats(c1)}
-    totals = {"ilp": a_ilp.total}
-    pi_iterations = 0
-    if cfg.method == "pi":
-        c2 = gen_refined(prog, ref.ranges, links, cfg.cond_nsb, cfg.pmax)
-        assignment, _policy, pi_iterations = policy_iterate(
-            c2, cfg.node_limit, cfg.pi_cap)
-        stats2 = system_stats(c2)
-        stats2["xi_defs"] = len(c2.xi_defs)
-        systems["c2"] = stats2
-        totals["pi"] = assignment.total
-        active = c2
-    else:
-        assignment = a_ilp
-        active = c1
-    if not active.satisfied_by(assignment.values):
-        raise TuneError("solved assignment fails substitution check")
-    elapsed = time.perf_counter() - t0
+    ref = reference_run(prog, cfg)
+    assignment, report = solve(prog, ref.ranges, cfg)
+    report.analysis_seconds = round(time.perf_counter() - t0, 3)
 
-    widths = assignment.widths()
-    tuned = run_tuned(prog, widths, first, max_steps=cfg.max_steps)
-    report = TuningReport(
-        method=cfg.method,
-        total_bits=totals,
-        nsb={str(p): n for p, n in sorted(widths.items())},
-        systems=systems,
-        pi_iterations=pi_iterations,
-        analysis_seconds=round(elapsed, 3),
-        skipped_points=active.skipped_points,
-        zero_ufp_points=active.zero_ufp_points,
-        steps_reference=ref.steps,
-        steps_tuned=tuned.steps,
-        diverged=ref.steps != tuned.steps,
-        verification=_verify_rows(prog, ref, tuned, cfg.tolerance_factor),
-        c1=c1,
-    )
+    tuned = run_tuned(prog, assignment.widths(), (cfg.bindings or (None,))[0],
+                      max_steps=cfg.max_steps)
+    report.steps_reference = ref.steps
+    report.steps_tuned = tuned.steps
+    report.diverged = ref.steps != tuned.steps
+    report.verification = _verify_rows(prog, ref, tuned, cfg.tolerance_factor)
     return assignment, report
 
 
@@ -238,8 +220,8 @@ def verify(source: str | Program, assignment: NsbAssignment | dict,
             if isinstance(source, str) else source)
     widths = (assignment.widths() if isinstance(assignment, NsbAssignment)
               else dict(assignment))
-    first = cfg.bindings[0] if cfg.bindings else None
-    ref = run_reference(prog, cfg.pref, first, max_steps=cfg.max_steps)
-    tuned = run_tuned(prog, widths, first, max_steps=cfg.max_steps)
+    ref = reference_run(prog, cfg)
+    tuned = run_tuned(prog, widths, (cfg.bindings or (None,))[0],
+                      max_steps=cfg.max_steps)
     rows = _verify_rows(prog, ref, tuned, cfg.tolerance_factor)
     return rows, ref, tuned

@@ -1,13 +1,20 @@
 """Command-line contract: artifacts, exit codes, determinism."""
 
 import csv
+import itertools
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from bittune import nbody
 from bittune.cli import main
+from bittune.tuner import TuningConfig, tune
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL = """\
 a = 0.1;
@@ -151,6 +158,37 @@ class TestTuneCommand:
         assert sorted(p.name for p in workdir.iterdir()) == \
             ["named.pop", "small.pop"]
 
+    def test_infeasibility_message_is_bounded(self, workdir, capsys):
+        # Every term of a long sum raises the carry chain above it, so
+        # the sum's width passes the cap along a chain of ~500 rows.
+        terms = " + ".join(f"{i}.5" for i in range(600))
+        (workdir / "long.pop").write_text(
+            f"s = {terms};\nrequire_nsb(s, 20);\n")
+        code, out, err = run_cli(capsys, "tune", "long.pop")
+        assert code == 1 and out == ""
+        assert err.startswith("bittune: tune: infeasible:")
+        assert "raising chain of " in err and "more rows" in err
+        assert len(err.splitlines()) <= 15
+
+    def test_script_nesting_limit(self, workdir, capsys):
+        # A left-leaning sum of n terms nests n + 1 brackets deep in the
+        # script; CPython compiles at most 200.
+        for n in (199, 200):
+            terms = " + ".join(f"{i}.5" for i in range(n))
+            (workdir / f"s{n}.pop").write_text(
+                f"s = {terms};\nrequire_nsb(s, 8);\n")
+        code, _, err = run_cli(capsys, "tune", "s199.pop")
+        assert code == 0, err
+        proc = subprocess.run([sys.executable, "-I", "-S", "s199.mp.txt"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, out, err = run_cli(capsys, "tune", "s200.pop")
+        assert code == 1 and out == ""
+        assert err == ("bittune: tune: control point 0 would sit 201 "
+                       "brackets deep in the mp script; Python compiles at "
+                       "most 200\n")
+        assert not list(workdir.glob("s200.*.*"))
+
 
 class TestVerifyCommand:
     def test_passes_after_tune(self, workdir, capsys):
@@ -175,23 +213,47 @@ class TestVerifyCommand:
 
 
 class TestBenchCommand:
-    def test_tiny_sweep(self, workdir, capsys):
-        code, out, err = run_cli(capsys, "bench", "--nsb", "11",
-                                 "--years", "0.05", "--out", "results",
-                                 "--no-series")
-        assert code == 0, err
-        with open(workdir / "results" / "summary.csv") as fh:
-            table = list(csv.reader(fh))
-        assert len(table) == 1 + 4
-        assert "Jupiter" in out
+    def test_tiny_sweep(self, workdir, capsys, monkeypatch):
+        # Each cell's widths are those `tune` solves for the same source.
+        seen = []
+        original = nbody.run_tuned
+
+        def run_tuned(prog, widths, *args, **kwargs):
+            seen.append(dict(widths))
+            return original(prog, widths, *args, **kwargs)
+
+        monkeypatch.setattr(nbody, "run_tuned", run_tuned)
+        cells = list(itertools.product(("ilp", "pi"), (11, 24)))
+        for method in ("ilp", "pi"):
+            code, out, err = run_cli(capsys, "bench", "--nsb", "11,24",
+                                     "--years", "0.05", "--method", method,
+                                     "--out", method, "--no-series")
+            assert code == 0, err
+            with open(workdir / method / "summary.csv") as fh:
+                table = list(csv.reader(fh))
+            assert len(table) == 1 + 2 * 4
+            assert "Jupiter" in out
+        assert len(seen) == len(cells)
+        t_max = nbody.horizon_t_max(0.05)
+        for (method, req), widths in zip(cells, seen):
+            source = nbody.build_nbody_program(t_max=t_max, req=req)
+            assignment, _ = tune(source, TuningConfig(method))
+            assert widths == assignment.widths(), (method, req)
 
     def test_row_grid_is_nsb_times_years_times_bodies(self, workdir, capsys):
-        code, _, _ = run_cli(capsys, "bench", "--nsb", "11,24",
-                             "--years", "0.05,0.1", "--out", "grid",
-                             "--no-series")
+        code, out, _ = run_cli(capsys, "bench", "--nsb", "11,24",
+                               "--years", "0.05,0.1", "--out", "grid",
+                               "--no-series")
         assert code == 0
         with open(workdir / "grid" / "summary.csv") as fh:
             assert len(list(csv.reader(fh))) == 1 + 2 * 2 * 4
+        # One drift table per horizon, one row per requirement: nsb, four
+        # planet distances, tune and run seconds.
+        lines = out.splitlines()
+        assert [ln for ln in lines if ln.startswith("horizon")] == \
+            ["horizon 0.05 years", "horizon 0.1 years"]
+        rows = [ln.split() for ln in lines if ln.split()[0].isdigit()]
+        assert [(r[0], len(r)) for r in rows] == [("11", 7), ("24", 7)] * 2
 
     def test_nsb_out_of_box_is_usage_error(self, workdir, capsys):
         code, _, err = run_cli(capsys, "bench", "--nsb", "0")
@@ -200,6 +262,33 @@ class TestBenchCommand:
     def test_negative_years_is_usage_error(self, workdir, capsys):
         code, _, err = run_cli(capsys, "bench", "--years", "-3")
         assert code == 2
+
+
+class TestScripts:
+    def test_tune_nbody_writes_what_tune_writes(self, tmp_path, capsys,
+                                                monkeypatch):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
+        script_dir, cli_dir = tmp_path / "script", tmp_path / "cli"
+        script_dir.mkdir()
+        cli_dir.mkdir()
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "tune_nbody.py"),
+             "--years", "0.05", "--req", "11",
+             "--out", str(script_dir / "nbody.pop")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "12/12 within tolerance" in proc.stdout
+        (cli_dir / "nbody.pop").write_bytes(
+            (script_dir / "nbody.pop").read_bytes())
+        monkeypatch.chdir(cli_dir)
+        code, _, err = run_cli(capsys, "tune", "nbody.pop", "--method", "pi")
+        assert code == 0, err
+        for name in ("nbody.annotated.pop", "nbody.mp.txt",
+                     "nbody.report.json"):
+            assert (script_dir / name).read_bytes() == \
+                (cli_dir / name).read_bytes(), name
 
 
 class TestExportAndRun:

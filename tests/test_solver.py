@@ -132,7 +132,7 @@ class TestMonotone:
         # a >= b + 1 and b >= a + 1 has no fixed point below any cap.
         rows = [(0, 1, ((1, 1),)), (1, 1, ((1, 0),))]
         sys_, _ = make_system(rows, 2, pmax=60)
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match="tight cycle of 2 rows"):
             solve_monotone(sys_)
 
     def test_rejects_negative_coefficients(self):
