@@ -61,7 +61,8 @@ file formats:
                      Free inputs are left unbound; run on its own, the
                      script exits naming them.  Variables named after Python
                      keywords, __debug__, mp or mp_sqrt are refused, and so
-                     is an expression nested over 200 brackets deep.
+                     is an expression nested over 200 brackets deep, a
+                     loop inside 20 others or a body indented 100 levels.
   report JSON        method, per-point widths, system sizes, totals, and
                      the verification table
   bench summary CSV  nsb, horizon_years, body, distance_au, tune_seconds,

@@ -89,12 +89,16 @@ class ScriptNameError(ValueError):
     """A program variable's name cannot be used in the emitted script."""
 
 
-# CPython's tokenizer refuses a line nested deeper than 200 brackets.
+# CPython's tokenizer refuses a line nested deeper than 200 brackets or
+# indented 100 levels (the module level is the first), and its compiler
+# more than 20 loops nested in one another.
 MAX_BRACKETS = 200
+MAX_INDENT = 99
+MAX_LOOPS = 20
 
 
 class ScriptNestingError(ValueError):
-    """An expression nests deeper in the emitted script than Python compiles."""
+    """Code nests deeper in the emitted script than Python compiles."""
 
 
 @functools.cache
@@ -167,7 +171,23 @@ def _emit_cond(c: Compare, widths) -> str:
     return f"{_emit_expr(c.left, widths, 0)} {c.op} {_emit_expr(c.right, widths, 0)}"
 
 
-def _emit_stmts(stmts: list[Stmt], widths, indent: int, out: list[str]) -> None:
+def _check_block(st: While | If, indent: int, loops: int) -> None:
+    """Refuse a loop or branch whose body Python would not compile."""
+    kind = "while loop" if isinstance(st, While) else "if statement"
+    where = f"the {kind} testing control point {st.cond.left.point}"
+    if indent + 1 > MAX_INDENT:
+        raise ScriptNestingError(
+            f"{where} would indent its body {indent + 1} levels in the mp "
+            f"script; Python compiles at most {MAX_INDENT}")
+    if loops > MAX_LOOPS:
+        raise ScriptNestingError(
+            f"{where} would sit {loops} loops deep in the mp script; "
+            f"Python compiles at most {MAX_LOOPS}")
+
+
+def _emit_stmts(stmts: list[Stmt], widths, indent: int, out: list[str],
+                loops: int = 0) -> None:
+    """Emit stmts indented indent levels, inside loops enclosing loops."""
     pad = "    " * indent
     if not stmts:
         out.append(f"{pad}pass")
@@ -177,14 +197,16 @@ def _emit_stmts(stmts: list[Stmt], widths, indent: int, out: list[str]) -> None:
             rhs = _emit_expr(st.expr, widths, 1)
             out.append(f"{pad}{st.name} = mp({rhs}, {_width(widths, st.point)})")
         elif isinstance(st, While):
+            _check_block(st, indent, loops + 1)
             out.append(f"{pad}while {_emit_cond(st.cond, widths)}:")
-            _emit_stmts(st.body, widths, indent + 1, out)
+            _emit_stmts(st.body, widths, indent + 1, out, loops + 1)
         elif isinstance(st, If):
+            _check_block(st, indent, loops)
             out.append(f"{pad}if {_emit_cond(st.cond, widths)}:")
-            _emit_stmts(st.then_body, widths, indent + 1, out)
+            _emit_stmts(st.then_body, widths, indent + 1, out, loops)
             if st.else_body:
                 out.append(f"{pad}else:")
-                _emit_stmts(st.else_body, widths, indent + 1, out)
+                _emit_stmts(st.else_body, widths, indent + 1, out, loops)
         elif isinstance(st, Require):
             out.append(f"{pad}# require_nsb({st.name}, {st.bits})")
         else:
@@ -196,7 +218,8 @@ def emit_mp_code(prog: Program, widths: dict[int, int]) -> str:
 
     Raises ScriptNameError for a variable named after a Python keyword,
     __debug__, mp or mp_sqrt, and ScriptNestingError for an expression
-    nested deeper than MAX_BRACKETS brackets."""
+    nested deeper than MAX_BRACKETS brackets, a body indented more than
+    MAX_INDENT levels or more than MAX_LOOPS nested loops."""
     _check_names(prog)
     header = _header()
     out: list[str] = []

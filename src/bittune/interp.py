@@ -114,10 +114,11 @@ class _Interp:
             if isinstance(value, str):
                 value = mpfloat.parse_decimal(value, DEFAULT_PRECISION)
             self.env[var] = value
-        self.body = self.block(prog.stmts)
+        self.body = tuple(map(self.stmt, prog.stmts))
 
     def run(self) -> Trace:
-        self.body()
+        for step in self.body:
+            step()
         return Trace(self.env, self.samples, self.steps, self.ranges)
 
     def fail(self, message: str, point: int | None = None) -> EvalError:
@@ -200,35 +201,31 @@ class _Interp:
 
     # --- statements ----------------------------------------------------
 
-    def block(self, stmts) -> Callable[[], None]:
-        steps = tuple(self.stmt(st) for st in stmts)
-
-        def block():
-            for step in steps:
-                step()
-        return block
+    # A body is a tuple of steps that its loop or branch runs itself, and
+    # map() lowers it without a Python frame of its own: lowering and
+    # running a nested body each take one frame per level.
 
     def stmt(self, st) -> Callable[[], None]:
         tick = self.tick
         if isinstance(st, While):
-            cond, body = self.cond(st.cond), self.block(st.body)
+            cond, body = self.cond(st.cond), tuple(map(self.stmt, st.body))
 
             def loop():
                 tick()
                 while cond():
-                    body()
+                    for step in body:
+                        step()
                     tick()
             return loop
         if isinstance(st, If):
             cond = self.cond(st.cond)
-            then_body, else_body = self.block(st.then_body), self.block(st.else_body)
+            then_body = tuple(map(self.stmt, st.then_body))
+            else_body = tuple(map(self.stmt, st.else_body))
 
             def branch():
                 tick()
-                if cond():
-                    then_body()
-                else:
-                    else_body()
+                for step in then_body if cond() else else_body:
+                    step()
             return branch
         if not isinstance(st, (Assign, Require)):
             raise TypeError(f"unexpected statement {st!r}")

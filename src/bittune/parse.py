@@ -16,6 +16,15 @@ Grammar:
 '#' starts a comment running to end of line.  A unary minus applied
 directly to a numeral folds into the literal, so -0.5 is one control
 point, not two.
+
+Nesting is bounded so that no pass runs out of Python's default
+recursion limit of 1000 frames: at most MAX_BRACKETS brackets (round
+or curly) open at once, and at most MAX_DEPTH operators on any path
+from an expression's root to a leaf.  The parser recurses four frames
+per parenthesis and two per block; labelling, def-use analysis, the
+interpreter, constraint generation and rendering take one per block and
+one per operator.  A program at both limits needs about 810 frames,
+which leaves room for the callers.
 """
 
 from __future__ import annotations
@@ -29,6 +38,9 @@ from .program import (
 )
 
 KEYWORDS = {"while", "if", "else", "sqrt", "require_nsb"}
+
+MAX_BRACKETS = 100
+MAX_DEPTH = 700
 
 _TOKEN_RE = re.compile(
     r"""
@@ -62,6 +74,7 @@ def tokenize(src: str) -> list[Token]:
     pos = 0
     line = 1
     line_start = 0
+    depth = 0                       # brackets open
     while pos < len(src):
         m = _TOKEN_RE.match(src, pos)
         if m is None:
@@ -71,6 +84,15 @@ def tokenize(src: str) -> list[Token]:
         text = m.group()
         if kind != "ws":
             tokens.append(Token(kind, text, line, pos - line_start + 1))
+            if kind == "sym":
+                if text in "({":
+                    depth += 1
+                    if depth > MAX_BRACKETS:
+                        raise ParseError(
+                            f"brackets nested over the limit of {MAX_BRACKETS}",
+                            line, pos - line_start + 1)
+                elif text in ")}":
+                    depth -= 1
         nl = text.count("\n")
         if nl:
             line += nl
@@ -150,7 +172,7 @@ class _Parser:
         if self.at_ident():
             name = self.ident()
             self.expect("=")
-            expr = self.expr()
+            expr = self.bounded_expr()
             self.expect(";")
             return Assign(name, expr)
         raise self.fail("expected a statement")
@@ -173,13 +195,28 @@ class _Parser:
         return stmts
 
     def condition(self) -> Compare:
-        left = self.expr()
+        left = self.bounded_expr()
         t = self.peek()
         if t.kind != "cmp":
             raise self.fail("expected a comparison operator")
         self.next()
-        right = self.expr()
+        right = self.bounded_expr()
         return Compare(t.text, left, right)
+
+    def bounded_expr(self):
+        """An expression of a statement or condition, refused if it nests
+        more than MAX_DEPTH operators deep."""
+        t, start = self.peek(), self.i
+        node = self.expr()
+        # Each operator takes a token, so only a long expression can be
+        # too deep.
+        if self.i - start > MAX_DEPTH:
+            depth = _operator_depth(node)
+            if depth > MAX_DEPTH:
+                raise ParseError(f"expression nested {depth} operators deep, "
+                                 f"over the limit of {MAX_DEPTH}",
+                                 t.line, t.col)
+        return node
 
     def expr(self):
         node = self.term()
@@ -196,14 +233,17 @@ class _Parser:
         return node
 
     def factor(self):
-        if self.peek().text == "-":
+        signs = 0
+        while self.peek().text == "-":
             self.next()
-            inner = self.factor()
-            if isinstance(inner, Num) and not inner.text.startswith("-"):
-                inner.text = "-" + inner.text
-                return inner
-            return Neg(inner)
-        return self.atom()
+            signs += 1
+        node = self.atom()
+        for _ in range(signs):               # innermost sign first
+            if isinstance(node, Num) and not node.text.startswith("-"):
+                node.text = "-" + node.text
+            else:
+                node = Neg(node)
+        return node
 
     def atom(self):
         t = self.peek()
@@ -225,6 +265,23 @@ class _Parser:
             self.next()
             return Var(t.text)
         raise self.fail("expected a value")
+
+
+def _operator_depth(e) -> int:
+    """Operators on the longest path from e to a leaf, without recursion."""
+    deepest = 0
+    stack = [(e, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, BinOp):
+            stack += ((node.left, depth + 1), (node.right, depth + 1))
+        elif isinstance(node, Neg):
+            stack.append((node.operand, depth + 1))
+        elif isinstance(node, Sqrt):
+            stack.append((node.arg, depth + 1))
+        else:
+            deepest = max(deepest, depth)
+    return deepest
 
 
 def parse_program(src: str, inputs=()) -> Program:

@@ -15,6 +15,21 @@ the always-carry policy and switching any definition whose selected
 argument is not minimal at the current solution; each switch keeps the
 incumbent feasible, so the bit-sum never increases.
 
+Every solve works on one indexed form of its system, built once per
+solve_monotone, solve_ilp or policy_iterate call and dropped when it
+returns: variables are numbered, values are a list of ints, and rows
+are parallel lists of left index (-1 for the constant 0), constant and
+((coef, index), ...) terms, with a users list of row indices per
+variable.  One worklist fixpoint over that form serves the monotone
+solve, the relaxation (negative terms frozen at the node's upper bounds
+as a per-row constant offset) and the repair pass.  A carry policy is
+substituted on the row form, once per policy iteration; apply_policy
+materialises the same rows back into a ConstraintSystem for the LP
+export.  The worklist starts with every row pending in row order and
+pops the last one first, and users lists are in row order: repair on
+mixed-sign rows, the rows named by an infeasibility message and so the
+solved widths depend on that order.
+
 Everything is exact integer arithmetic; optimality is certified either
 by monotonicity or by exhausting the branch tree.
 """
@@ -23,9 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .constraints import (
-    ConstraintSystem, IntVar, LinExpr, LinearConstraint, XiDef,
-)
+from .constraints import ConstraintSystem, IntVar, LinExpr, XiDef
 
 DEFAULT_NODE_LIMIT = 200_000
 DEFAULT_PI_CAP = 100
@@ -69,19 +82,150 @@ class Policy:
         return self.selections[d]
 
 
-def _finish(system: ConstraintSystem, values: dict[IntVar, int],
-            optimal: bool = True, nodes: int = 0) -> NsbAssignment:
-    """Fill carry values from their definitions, verify, and package."""
-    for d in system.xi_defs:
-        values[d.var] = d.evaluate(values)
-    for c in system.constraints:
-        if not c.holds(values):
-            raise SolverError(f"solver produced an infeasible point: {c}")
+class _Rows:
+    """Rows as parallel lists: left variable index (-1 for the constant
+    0), constant, ((coef, index), ...) terms, and the index of the
+    system row each one came from."""
+
+    __slots__ = ("lhs", "const", "terms", "src")
+
+    def __init__(self):
+        self.lhs: list[int] = []
+        self.const: list[int] = []
+        self.terms: list[tuple[tuple[int, int], ...]] = []
+        self.src: list[int] = []
+
+    def append(self, lhs: int, const: int, terms, src: int) -> None:
+        self.lhs.append(lhs)
+        self.const.append(const)
+        self.terms.append(terms)
+        self.src.append(src)
+
+
+def _users(n: int, rows, terms) -> list[list[int]]:
+    """Per variable, the rows (from rows, in order) whose terms read it."""
+    users: list[list[int]] = [[] for _ in range(n)]
+    for r in rows:
+        for _, i in terms[r]:
+            users[i].append(r)
+    return users
+
+
+def _eval(const: int, terms, values: list[int]) -> int:
+    for coef, i in terms:
+        const += coef * values[i]
+    return const
+
+
+def _combine(lhs: int, const: int, terms) -> tuple:
+    """Merge repeated variables; a left variable that cancels against its
+    own +1 term leaves a pure upper-bound row (left index -1)."""
+    combined: dict[int, int] = {}
+    for coef, i in terms:
+        combined[i] = combined.get(i, 0) + coef
+    if lhs >= 0 and lhs in combined:
+        k = combined.pop(lhs)
+        if k == 1:
+            lhs = -1
+        else:
+            combined[lhs] = k
+    return lhs, const, tuple((c, i) for i, c in combined.items() if c)
+
+
+class _Indexed:
+    """A system over numbered variables: its rows, its carry definitions
+    ((var, (const, terms), (const, terms)) per definition) and its
+    objective.  Lives for one solver call."""
+
+    def __init__(self, system: ConstraintSystem):
+        self.system = system
+        self.vars: list[IntVar] = list(system.variables)
+        index = {v: i for i, v in enumerate(self.vars)}
+
+        def number(v: IntVar) -> int:
+            i = index.get(v)
+            if i is None:
+                i = index[v] = len(self.vars)
+                self.vars.append(v)
+            return i
+
+        def indexed(e: LinExpr) -> tuple[int, tuple]:
+            return e.const, tuple((c, number(v)) for c, v in e.terms)
+
+        self.rows = _Rows()
+        for r, c in enumerate(system.constraints):
+            const, terms = indexed(c.rhs)
+            self.rows.append(number(c.lhs) if c.lhs is not None else -1,
+                             const, terms, r)
+        self.defs = [(number(d.var), indexed(d.arg1), indexed(d.arg2))
+                     for d in system.xi_defs]
+        self.objective = [index[v] for v in system.objective]
+        def_of = [-1] * len(self.vars)
+        for k, (var, _, _) in enumerate(self.defs):
+            def_of[var] = k
+        self.def_of = def_of
+        # Per row: None, or its terms without carries and the carries'
+        # definition numbers in term order.
+        self.splits = [
+            (tuple(t for t in terms if def_of[t[1]] < 0),
+             [def_of[i] for _, i in terms if def_of[i] >= 0])
+            if any(def_of[i] >= 0 for _, i in terms) else None
+            for terms in self.rows.terms]
+
+    def selections(self, policy: Policy) -> list[int]:
+        return [policy[d] for d in self.system.xi_defs]
+
+    def substitute(self, selections: list[int]) -> _Rows:
+        """The rows with every carry replaced per its selection.
+
+        Selection 3 replaces the carry with the constant 1.  Selection 1
+        or 2 replaces max(e, 0) by emitting the row twice, once without
+        the carry term and once with e added."""
+        rows, out = self.rows, _Rows()
+        for r, split in enumerate(self.splits):
+            if split is None:
+                out.append(rows.lhs[r], rows.const[r], rows.terms[r], r)
+                continue
+            plain, carries = split
+            variants = [(rows.const[r], plain)]
+            for d in carries:
+                sel = selections[d]
+                if sel == 3:
+                    variants = [(k + 1, t) for k, t in variants]
+                else:
+                    ac, at = self.defs[d][sel]
+                    variants = [v for k, t in variants
+                                for v in ((k, t), (k + ac, t + at))]
+            for k, t in variants:
+                out.append(*_combine(rows.lhs[r], k, t), r)
+        return out
+
+    def solved_order(self) -> list[int]:
+        """Assignment order of a policy solve: non-carry variables as
+        numbered, then carries in definition order."""
+        return ([i for i, d in enumerate(self.def_of) if d < 0]
+                + [var for var, _, _ in self.defs])
+
+
+def _finish(ix: _Indexed, values: list[int], order,
+            nodes: int = 0) -> NsbAssignment:
+    """Fill carry values from their definitions, verify every row of the
+    system, and package the variables in order."""
+    for var, (c1, t1), (c2, t2) in ix.defs:
+        values[var] = min(max(_eval(c1, t1, values), 0),
+                          max(_eval(c2, t2, values), 0), 1)
+    rows = ix.rows
+    for r, left in enumerate(rows.lhs):
+        if ((values[left] if left >= 0 else 0)
+                < _eval(rows.const[r], rows.terms[r], values)):
+            raise SolverError(f"solver produced an infeasible point: "
+                              f"{ix.system.constraints[r]}")
+    named = {ix.vars[i]: values[i] for i in order}
     subtotals: dict[str, int] = {}
-    for v, n in values.items():
+    for v, n in named.items():
         subtotals[v.kind] = subtotals.get(v.kind, 0) + n
-    total = system.objective_value(values)
-    return NsbAssignment(dict(values), total, subtotals, optimal, True, nodes)
+    total = sum(values[i] for i in ix.objective)
+    return NsbAssignment(named, total, subtotals, True, True, nodes)
 
 
 def _check_monotone(system: ConstraintSystem) -> None:
@@ -95,55 +239,55 @@ def _check_monotone(system: ConstraintSystem) -> None:
                     f"not a monotone-shaped system")
 
 
-def _kleene(constraints, values, upper, raised_by=None):
-    """Raise values to the least fixpoint; returns the violated constraint
-    if some variable must exceed its upper bound, else None."""
-    by_var: dict[IntVar, list] = {}
-    for c in constraints:
-        for _, v in c.rhs.terms:
-            by_var.setdefault(v, []).append(c)
-    pending = list(constraints)
-    on_queue = set(map(id, pending))
+def _kleene(lhs, const, terms, users, pending, values, upper,
+            raised_by=None) -> int:
+    """Raise values to the least fixpoint of the pending rows (all with a
+    left variable) and the rows users reach; returns the violated row if
+    some variable must exceed its upper bound, else -1."""
+    queued = bytearray(len(lhs))
+    for r in pending:
+        queued[r] = 1
     while pending:
-        c = pending.pop()
-        on_queue.discard(id(c))
-        need = c.rhs.evaluate(values)
-        if values[c.lhs] < need:
-            if need > upper[c.lhs]:
-                if raised_by is not None:
-                    raised_by[c.lhs] = c
-                return c
-            values[c.lhs] = need
+        r = pending.pop()
+        queued[r] = 0
+        need = const[r]
+        for coef, i in terms[r]:
+            need += coef * values[i]
+        v = lhs[r]
+        if values[v] < need:
             if raised_by is not None:
-                raised_by[c.lhs] = c
-            for dep in by_var.get(c.lhs, ()):
-                if id(dep) not in on_queue:
+                raised_by[v] = r
+            if need > upper[v]:
+                return r
+            values[v] = need
+            for dep in users[v]:
+                if not queued[dep]:
+                    queued[dep] = 1
                     pending.append(dep)
-                    on_queue.add(id(dep))
-    return None
+    return -1
 
 
-def _raising_rows(start: LinearConstraint, raised_by) -> str:
+def _raising_rows(ix: _Indexed, start: int, raised_by: list[int]) -> str:
     """Walk the rows that raised start's variables backward, until a
     variable repeats (a cycle) or nothing raised them (a chain), and
     describe the first _SHOWN_ROWS of them."""
-    rows = []
-    seen: dict[IntVar, int] = {}
+    rows: list[int] = []
+    seen: dict[int, int] = {}
     kind = "raising chain"
-    c = start
+    r = start
     while True:
-        rows.append(str(c))
-        drivers = [v for _, v in c.rhs.terms if v in raised_by]
+        rows.append(r)
+        drivers = [i for _, i in ix.rows.terms[r] if raised_by[i] >= 0]
         if not drivers:
             break
-        v = drivers[0]
-        if v in seen:
-            rows, kind = rows[seen[v]:], "tight cycle"
+        i = drivers[0]
+        if i in seen:
+            rows, kind = rows[seen[i]:], "tight cycle"
             break
-        seen[v] = len(rows)
-        c = raised_by[v]
+        seen[i] = len(rows)
+        r = raised_by[i]
     text = f"\n  {kind} of {len(rows)} rows:\n    " + "\n    ".join(
-        rows[:_SHOWN_ROWS])
+        str(ix.system.constraints[r]) for r in rows[:_SHOWN_ROWS])
     if len(rows) > _SHOWN_ROWS:
         text += f"\n    … and {len(rows) - _SHOWN_ROWS} more rows"
     return text
@@ -152,183 +296,130 @@ def _raising_rows(start: LinearConstraint, raised_by) -> str:
 def solve_monotone(system: ConstraintSystem) -> NsbAssignment:
     """Least solution of a +1-coefficient system; minimizes the bit-sum."""
     _check_monotone(system)
-    values = {v: 0 for v in system.variables}
-    upper = {v: system.pmax for v in system.variables}
-    raised_by: dict[IntVar, LinearConstraint] = {}
-    bad = _kleene(system.constraints, values, upper, raised_by)
-    if bad is not None:
+    ix = _Indexed(system)
+    rows, n = ix.rows, len(ix.vars)
+    values = [0] * n
+    raised_by = [-1] * n
+    bad = _kleene(rows.lhs, rows.const, rows.terms,
+                  _users(n, range(len(rows.lhs)), rows.terms),
+                  list(range(len(rows.lhs))), values, [system.pmax] * n,
+                  raised_by)
+    if bad >= 0:
         raise SolverError(
-            f"infeasible: {bad.lhs} is driven past the cap {system.pmax}"
-            + _raising_rows(bad, raised_by))
-    return _finish(system, values)
+            f"infeasible: {system.constraints[bad].lhs} is driven past "
+            f"the cap {system.pmax}" + _raising_rows(ix, bad, raised_by))
+    return _finish(ix, values, range(n))
 
 
 def apply_policy(system: ConstraintSystem, policy: Policy) -> ConstraintSystem:
-    """Substitute each carry variable per the policy.
+    """The system with each carry variable substituted per the policy,
+    row for row as the solver substitutes it.
 
     Selection 3 replaces the carry with the constant 1.  Selection 1 or 2
     replaces max(e, 0) by emitting the row twice, once without the carry
     term and once with e added; a row whose left variable cancels against
     e becomes a pure upper-bound row (left side None).
     """
-    defs = {d.var: d for d in system.xi_defs}
+    ix = _Indexed(system)
+    rows = ix.substitute(ix.selections(policy))
     out = ConstraintSystem("policy", system.pmax)
-    for v in system.variables:
-        if v not in defs:
-            out.declare(v)
+    out.declare(*(v for i, v in enumerate(system.variables)
+                  if ix.def_of[i] < 0))
     out.objective = list(system.objective)
     out.skipped_points = list(system.skipped_points)
     out.zero_ufp_points = list(system.zero_ufp_points)
-
-    def emit(lhs, const, terms, origin, site):
-        combined: dict[IntVar, int] = {}
-        for coef, v in terms:
-            combined[v] = combined.get(v, 0) + coef
-        if lhs is not None and lhs in combined:
-            k = combined.pop(lhs)
-            if k == 1:
-                lhs = None
-            else:
-                combined[lhs] = k
-        rhs = LinExpr(const, tuple((c, v) for v, c in combined.items() if c))
-        out.add(lhs, rhs, origin, site)
-
-    for c in system.constraints:
-        plain = [(coef, v) for coef, v in c.rhs.terms if v not in defs]
-        xis = [v for _, v in c.rhs.terms if v in defs]
-        if not xis:
-            out.add(c.lhs, c.rhs, c.origin, c.site)
-            continue
-        variants = [(c.rhs.const, plain)]
-        for x in xis:
-            d = defs[x]
-            sel = policy[d]
-            if sel == 3:
-                variants = [(k + 1, t) for k, t in variants]
-            else:
-                arg = d.arg1 if sel == 1 else d.arg2
-                expanded = []
-                for k, t in variants:
-                    expanded.append((k, t))
-                    expanded.append((k + arg.const, t + list(arg.terms)))
-                variants = expanded
-        for k, t in variants:
-            emit(c.lhs, k, t, c.origin, c.site)
+    for r, left in enumerate(rows.lhs):
+        c = system.constraints[rows.src[r]]
+        rhs = LinExpr(rows.const[r],
+                      tuple((k, ix.vars[i]) for k, i in rows.terms[r]))
+        out.add(ix.vars[left] if left >= 0 else None, rhs, c.origin, c.site)
     return out
 
 
-def _negative_vars(system: ConstraintSystem) -> list[IntVar]:
-    neg = []
-    seen = set()
-    for c in system.constraints:
-        for coef, v in c.rhs.terms:
-            if coef < 0 and v not in seen:
-                seen.add(v)
-                neg.append(v)
-    return neg
+def _branch_and_bound(n: int, rows: _Rows, objective: list[int], pmax: int,
+                      node_limit: int) -> tuple[list[int], int]:
+    """The least-objective integer point of rows over [0, pmax]^n, and
+    the number of nodes opened."""
+    lhs, const, terms = rows.lhs, rows.const, rows.terms
+    left = [r for r, v in enumerate(lhs) if v >= 0]
+    bounds = [r for r, v in enumerate(lhs) if v < 0]
+    # The relaxation reads negative terms at the node's upper bounds, as
+    # a constant offset per row, and propagates through the rest.
+    kept = [tuple(t for t in ts if t[0] >= 0) for ts in terms]
+    frozen = [(r, tuple(t for t in terms[r] if t[0] < 0))
+              for r in left if len(kept[r]) < len(terms[r])]
+    kept_users = _users(n, left, kept)
+    all_users = _users(n, left, terms)
+    neg_vars = list(dict.fromkeys(i for ts in terms for coef, i in ts
+                                  if coef < 0))
 
-
-def _relax(constraints, lo, hi):
-    """Least point with negative terms frozen at box uppers; None if the
-    box admits no completion."""
-    frozen = []
-    for c in constraints:
-        if c.lhs is None:
-            continue
-        const = c.rhs.const
-        terms = []
-        for coef, v in c.rhs.terms:
-            if coef < 0:
-                const += coef * hi[v]
-            else:
-                terms.append((coef, v))
-        frozen.append(LinearConstraint(c.lhs, LinExpr(const, tuple(terms)),
-                                       c.origin, c.site))
-    values = dict(lo)
-    if _kleene(frozen, values, hi) is not None:
-        return None
-    for c in constraints:
-        if c.lhs is None:
-            best = c.rhs.const
-            for coef, v in c.rhs.terms:
-                best += coef * (values[v] if coef > 0 else hi[v])
-            if best > 0:
-                return None
-    return values
-
-
-def _repair(constraints, start, hi):
-    """Raise the relaxed point against the true rows to a feasible point."""
-    values = dict(start)
-    if _kleene([c for c in constraints if c.lhs is not None], values, hi) is not None:
-        return None
-    for c in constraints:
-        if c.lhs is None and not c.holds(values):
-            return None
-    return values
-
-
-def solve_ilp(system: ConstraintSystem, policy: Policy | None = None,
-              node_limit: int = DEFAULT_NODE_LIMIT) -> NsbAssignment:
-    """Minimize the bit-sum over the integer box, branch and bound."""
-    if system.xi_defs:
-        if policy is None:
-            raise SolverError("system has carry definitions; a policy is required")
-        work = apply_policy(system, policy)
-    else:
-        work = system
-    obj = work.objective
-    neg_vars = _negative_vars(work)
-    lo0 = {v: 0 for v in work.variables}
-    hi0 = {v: work.pmax for v in work.variables}
-
-    best: dict[IntVar, int] | None = None
+    best: list[int] | None = None
     best_obj: int | None = None
     nodes = 0
-    stack = [(lo0, hi0)]
+    stack = [([0] * n, [pmax] * n)]
     while stack:
         nodes += 1
         if nodes > node_limit:
             raise SolverError(f"branch and bound exceeded {node_limit} nodes")
         lo, hi = stack.pop()
-        relaxed = _relax(work.constraints, lo, hi)
-        if relaxed is None:
+        # Relaxation: least point with negative terms frozen at hi.
+        offset = list(const)
+        for r, ts in frozen:
+            for coef, i in ts:
+                offset[r] += coef * hi[i]
+        relaxed = list(lo)
+        if _kleene(lhs, offset, kept, kept_users, left[:], relaxed, hi) >= 0:
             continue
-        bound = sum(relaxed[v] for v in obj)
+        if any(const[r] + sum(c * (relaxed[i] if c > 0 else hi[i])
+                              for c, i in terms[r]) > 0 for r in bounds):
+            continue
+        bound = sum(relaxed[i] for i in objective)
         if best_obj is not None and bound >= best_obj:
             continue
-        candidate = _repair(work.constraints, relaxed, hi)
-        if candidate is not None:
-            cand_obj = sum(candidate[v] for v in obj)
+        # Repair: raise the relaxed point against the true rows.
+        candidate = list(relaxed)
+        if (_kleene(lhs, const, terms, all_users, left[:], candidate, hi) < 0
+                and all(_eval(const[r], terms[r], candidate) <= 0
+                        for r in bounds)):
+            cand_obj = sum(candidate[i] for i in objective)
             if best_obj is None or cand_obj < best_obj:
                 best, best_obj = candidate, cand_obj
             if cand_obj == bound:
                 continue
-        branch = None
-        for v in neg_vars:
-            if lo[v] < hi[v]:
-                branch = v
-                break
+        branch = next((i for i in neg_vars if lo[i] < hi[i]), None)
         if branch is None:
             # All negative occurrences fixed: the relaxation was exact, so
             # the repaired point (if any) already matched the bound.
             continue
         split = min(max(relaxed[branch], lo[branch]), hi[branch] - 1)
-        left_hi = dict(hi)
+        left_hi = list(hi)
         left_hi[branch] = split
-        right_lo = dict(lo)
+        right_lo = list(lo)
         right_lo[branch] = split + 1
         stack.append((right_lo, hi))
         stack.append((lo, left_hi))
     if best is None:
         raise SolverError("infeasible system: no integer point in the box")
-    full = dict(best)
+    return best, nodes
+
+
+def solve_ilp(system: ConstraintSystem, policy: Policy | None = None,
+              node_limit: int = DEFAULT_NODE_LIMIT, *,
+              indexed: _Indexed | None = None) -> NsbAssignment:
+    """Minimize the bit-sum over the integer box, branch and bound.
+
+    indexed is the system's indexed form, passed by policy_iterate,
+    which solves one system under several policies and indexes it once."""
+    ix = indexed or _Indexed(system)
     if system.xi_defs:
-        result = _finish(system, full, optimal=True, nodes=nodes)
+        if policy is None:
+            raise SolverError("system has carry definitions; a policy is required")
+        work = ix.substitute(ix.selections(policy))
     else:
-        result = _finish(work, full, optimal=True, nodes=nodes)
-    result.nodes = nodes
-    return result
+        work = ix.rows
+    best, nodes = _branch_and_bound(len(ix.vars), work, ix.objective,
+                                    system.pmax, node_limit)
+    return _finish(ix, best, ix.solved_order(), nodes)
 
 
 def policy_iterate(system: ConstraintSystem,
@@ -340,14 +431,16 @@ def policy_iterate(system: ConstraintSystem,
     always-carry policy, whose solution matches the plain system's, and
     only ever lowers the bit-sum.
     """
+    ix = _Indexed(system)
     policy = Policy.const_one(system)
     assignment = None
     for iteration in range(1, max_iterations + 1):
-        assignment = solve_ilp(system, policy, node_limit)
+        assignment = solve_ilp(system, policy, node_limit, indexed=ix)
+        values = [assignment.values[v] for v in ix.vars]
         switched = False
-        for d in system.xi_defs:
-            args = (max(d.arg1.evaluate(assignment.values), 0),
-                    max(d.arg2.evaluate(assignment.values), 0),
+        for d, (_, (c1, t1), (c2, t2)) in zip(system.xi_defs, ix.defs):
+            args = (max(_eval(c1, t1, values), 0),
+                    max(_eval(c2, t2, values), 0),
                     1)
             current = policy[d]
             if args[current - 1] > min(args):

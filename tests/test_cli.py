@@ -189,6 +189,77 @@ class TestTuneCommand:
                        "most 200\n")
         assert not list(workdir.glob("s200.*.*"))
 
+    def test_infeasibility_message_is_pinned(self, workdir, capsys):
+        # Which rows are named depends on the order in which the
+        # solver's worklist visits rows; this text pins that order.
+        terms = " + ".join(f"{i}.5" for i in range(600))
+        (workdir / "long.pop").write_text(
+            f"s = {terms};\nrequire_nsb(s, 20);\n")
+        _, _, err = run_cli(capsys, "tune", "long.pop")
+        chain = "".join(f"    nsb_{p} >= nsb_{p + 2} + xi_{p + 2}({p},{p + 1})\n"
+                        for p in range(226, 246, 2))
+        assert err == ("bittune: tune: infeasible: nsb_226 is driven past "
+                       "the cap 500\n  raising chain of 489 rows:\n" + chain
+                       + "    … and 479 more rows\n")
+
+    @staticmethod
+    def _nested(workdir, name, head, n):
+        (workdir / name).write_text(
+            "i = 0.5;\n" + head * n + "i = i + 1.0;" + "}" * n
+            + "\nrequire_nsb(i, 8);\n")
+
+    @pytest.mark.parametrize("head, fits, limit, words", [
+        ("while (i < 1.0) {", 20, 20, "loops deep"),
+        ("if (i < 1.0) {", 99, 99, "levels in the mp script"),
+    ])
+    def test_script_statement_nesting_limit(self, workdir, capsys, head,
+                                            fits, limit, words):
+        # CPython compiles at most 20 nested loops and a body indented at
+        # most 99 levels below the module.
+        self._nested(workdir, "fits.pop", head, fits)
+        self._nested(workdir, "over.pop", head, fits + 1)
+        code, _, err = run_cli(capsys, "tune", "fits.pop")
+        assert code == 0, err
+        proc = subprocess.run([sys.executable, "-I", "-S", "fits.mp.txt"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, out, err = run_cli(capsys, "tune", "over.pop")
+        assert code == 1 and out == ""
+        assert err.startswith("bittune: tune: the ")
+        assert f"{fits + 1} {words}" in err
+        assert f"Python compiles at most {limit}\n" in err
+        assert "control point" in err and len(err.splitlines()) == 1
+        assert not list(workdir.glob("over.*.*"))
+
+    def test_deep_expression_refused_at_parse(self, workdir, capsys):
+        # 1199 terms nest 1198 additions deep: every recursive pass would
+        # exceed Python's recursion limit, so the parser refuses it.
+        terms = " + ".join(f"{i}.5" for i in range(1199))
+        (workdir / "deep.pop").write_text(f"t = 1.0;\ns = {terms};\n"
+                                          "require_nsb(s, 8);\n")
+        code, out, err = run_cli(capsys, "tune", "deep.pop")
+        assert code == 1 and out == ""
+        assert err == ("bittune: tune: line 2, column 5: expression nested "
+                       "1198 operators deep, over the limit of 700\n")
+        assert not list(workdir.glob("deep.*.*"))
+
+    def test_program_at_both_parse_limits_passes_every_stage(self, workdir,
+                                                             capsys):
+        # 100 nested branches around a sum nested 700 additions deep:
+        # parse, labelling, def-use links, both runs and both systems fit
+        # in the recursion limit; the solve then fails on its own terms.
+        terms = " + ".join(f"{i}.5" for i in range(701))
+        (workdir / "edge.pop").write_text(
+            "s = 0.5;\n" + "if (s < 1.0) {" * 100 + f"s = {terms};"
+            + "}" * 100 + "\nrequire_nsb(s, 8);\n")
+        for argv in (("run", "edge.pop"), ("export-lp", "edge.pop"),
+                     ("export-lp", "edge.pop", "--refined")):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, err
+        code, _, err = run_cli(capsys, "tune", "edge.pop", "--method", "pi")
+        assert code == 1
+        assert err.startswith("bittune: tune: infeasible:")
+
 
 class TestVerifyCommand:
     def test_passes_after_tune(self, workdir, capsys):

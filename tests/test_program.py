@@ -6,8 +6,10 @@ from hypothesis import given, strategies as st
 from bittune.flow import (
     FlowError, build_links, check_defined_before_use,
 )
-from bittune.parse import ParseError, parse_program, tokenize
-from bittune.program import Assign, BinOp, Num, Require, Var, While
+from bittune.parse import (
+    MAX_BRACKETS, MAX_DEPTH, ParseError, parse_program, tokenize,
+)
+from bittune.program import Assign, BinOp, Neg, Num, Require, Var, While
 from bittune.render import emit_annotated, emit_plain, strip_annotations
 from helpers import gen_straight_line
 
@@ -91,6 +93,38 @@ class TestParser:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ParseError):
             parse_program(bad)
+
+    @pytest.mark.parametrize("make", [
+        lambda n: " + ".join(["1.5"] * (n + 1)),      # n additions
+        lambda n: "-" * n + "x",                      # n signs
+    ])
+    def test_operator_depth_limit(self, make):
+        parse_program(f"x = 2.0;\ny = {make(MAX_DEPTH)};\n")
+        with pytest.raises(ParseError) as exc:
+            parse_program(f"x = 2.0;\ny = {make(MAX_DEPTH + 1)};\n")
+        assert str(exc.value) == (
+            f"line 2, column 5: expression nested {MAX_DEPTH + 1} operators "
+            f"deep, over the limit of {MAX_DEPTH}")
+
+    @pytest.mark.parametrize("make", [
+        lambda n: "y = " + "(" * n + "1.5" + ")" * n + ";",
+        lambda n: "y = " + "sqrt(" * n + "1.5" + ")" * n + ";",
+        lambda n: "if (1.0 < 2.0) {" * n + "y = 1.5;" + "}" * n,
+    ])
+    def test_bracket_limit(self, make):
+        parse_program("x = 2.0;\n" + make(MAX_BRACKETS) + "\n")
+        with pytest.raises(ParseError) as exc:
+            parse_program("x = 2.0;\n" + make(MAX_BRACKETS + 1) + "\n")
+        assert str(exc.value).startswith("line 2, column ")
+        assert str(exc.value).endswith(
+            f": brackets nested over the limit of {MAX_BRACKETS}")
+
+    def test_signs_fold_into_the_innermost_literal_only(self):
+        prog = parse_program("a = - - 0.5;\nb = - -x;\n", ("x",))
+        a, b = prog.stmts[0].expr, prog.stmts[1].expr
+        assert isinstance(a, Neg) and a.operand.text == "-0.5"
+        assert isinstance(b, Neg) and isinstance(b.operand, Neg)
+        assert isinstance(b.operand.operand, Var)
 
     def test_parse_error_carries_line(self):
         with pytest.raises(ParseError) as exc:

@@ -5,21 +5,24 @@ written here in the dumbest possible style, full enumeration over small
 boxes, and (when scipy is importable) an external LP/MILP solver.
 """
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from bittune.constraints import (
-    ConstraintSystem, LinExpr, gen_refined, nsb,
+    ConstraintSystem, LinExpr, gen_ilp, gen_refined, nsb,
 )
 from bittune.flow import build_links
 from bittune.interp import analyze_ranges
+from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from bittune.solver import (
     Policy, SolverError, apply_policy, policy_iterate, solve_ilp,
     solve_monotone,
 )
+from bittune.tuner import TuningConfig, reference_run
 from helpers import gen_straight_line
 
 
@@ -240,6 +243,49 @@ class TestPolicyIteration:
                            "require_nsb(c, 12);\n")
         improved, _, _ = policy_iterate(c2)
         assert improved.converged
+
+
+def _digest(assignment) -> str:
+    """sha256 of every variable's value, in the assignment's order."""
+    text = "".join(f"{v}={n}\n" for v, n in assignment.values.items())
+    return hashlib.sha256(f"{text}total={assignment.total}\n".encode()).hexdigest()
+
+
+class TestPinnedOutput:
+    """Exact solver output, recorded once and compared byte for byte: the
+    order of the solved variables and every nsb, nsbe and xi value."""
+
+    CFG = TuningConfig(method="pi")
+
+    def _systems(self, src):
+        prog = parse_program(src)
+        ranges = reference_run(prog, self.CFG).ranges
+        links = build_links(prog)
+        return (gen_ilp(prog, ranges, links, self.CFG.cond_nsb, self.CFG.pmax),
+                gen_refined(prog, ranges, links, self.CFG.cond_nsb,
+                            self.CFG.pmax))
+
+    def test_five_body_policy_iteration(self):
+        _, c2 = self._systems(build_nbody_program(
+            dt="0.01", t_max=horizon_t_max(0.05), req=24))
+        assignment, _, iterations = policy_iterate(c2)
+        assert (assignment.total, iterations, len(assignment.values)) == \
+            (13033, 2, 2115)
+        assert _digest(assignment) == (
+            "5dc53f47fea5cf9a438a7b039758a740a00f3d9daee9f823606048e6cc4b8a89")
+
+    def test_random_programs_monotone_and_policy_iteration(self):
+        rng = random.Random(20211)
+        monotone, iterated = hashlib.sha256(), hashlib.sha256()
+        for k in range(50):
+            c1, c2 = self._systems(
+                gen_straight_line(rng, max_ops=(4, 12, 30)[k % 3]))
+            monotone.update(_digest(solve_monotone(c1)).encode())
+            iterated.update(_digest(policy_iterate(c2)[0]).encode())
+        assert monotone.hexdigest() == (
+            "9fde85902e1321c1d71d47de3238de7c087a679c0135599796059ffd288b26bc")
+        assert iterated.hexdigest() == (
+            "8499971a7248886fc23c542fcaf8c25b310e6499c48ceaccfec4ebf3fc521808")
 
 
 class TestExternalSolverBelt:
