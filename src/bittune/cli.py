@@ -21,9 +21,10 @@ tune, verify, bench and export-lp go through tuner's reference_run;
 export-lp then generates the system it writes, the others tuner.solve.
 
 Artifacts are deterministic: the same invocation writes byte-identical
-files.  The one timing field (analysis_seconds) is therefore dropped
-from tune's report unless --timings is given; the bench summary keeps
-its timing columns because its schema requires them.
+files.  The timing fields (analysis_seconds and the per-stage seconds,
+stages) are therefore left out of tune's report unless --timings is
+given; the bench summary keeps its timing columns because its schema
+requires them.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 
 from . import mpfloat
 from .constraints import GenError, gen_ilp, gen_refined
-from .flow import FlowError, build_links
+from .flow import FlowError
 from .interp import EvalError, run_tuned
 from .lpfile import export_lp
 from .mpfloat import MPDomainError
@@ -44,7 +45,9 @@ from .parse import ParseError, parse_program
 from .render import MissingWidthError, emit_annotated
 from .codegen import emit_mp_code
 from .solver import Policy, SolverError
-from .tuner import TuneError, TuningConfig, reference_run, tune, verify
+from .tuner import (
+    TuneError, TuningConfig, reference_run, stage, tune, verify,
+)
 
 _ERRORS = (ParseError, FlowError, GenError, SolverError, EvalError,
            TuneError, MPDomainError, MissingWidthError, OSError,
@@ -132,17 +135,13 @@ def _config(args) -> TuningConfig:
     )
 
 
-def _report_text(report, timings: bool) -> str:
-    raw = json.loads(report.to_json())
-    if not timings:
-        del raw["analysis_seconds"]
-    return json.dumps(raw, sort_keys=True, indent=2) + "\n"
-
-
 def cmd_tune(args) -> int:
     cfg = _config(args)
-    prog = parse_program(Path(args.source).read_text(), cfg.input_names())
-    assignment, report = tune(prog, cfg)
+    source = Path(args.source).read_text()
+    stages: dict[str, float] = {}
+    with stage(stages, "parse"):
+        prog = parse_program(source, cfg.input_names())
+    assignment, report = tune(prog, cfg, stages)
     widths = assignment.widths()
 
     base = Path(args.source)
@@ -151,11 +150,14 @@ def cmd_tune(args) -> int:
     report_path = Path(args.report) if args.report else base.with_suffix(".report.json")
     # Render every artifact before writing any, so a refusal (a variable
     # name the mp script cannot use, say) leaves no partial set behind.
-    artifacts = {annotated_path: emit_annotated(prog, widths),
-                 script_path: emit_mp_code(prog, widths),
-                 report_path: _report_text(report, args.timings)}
-    if args.emit_lp:
-        artifacts[base.with_suffix(".lp")] = export_lp(report.c1)
+    with stage(stages, "emit"):
+        annotated = emit_annotated(prog, widths)
+        script = emit_mp_code(prog, widths)
+        lp = export_lp(report.c1) if args.emit_lp else None
+    artifacts = {annotated_path: annotated, script_path: script,
+                 report_path: report.to_json(timings=args.timings)}
+    if lp is not None:
+        artifacts[base.with_suffix(".lp")] = lp
     for path, text in artifacts.items():
         path.write_text(text)
     written = list(artifacts)
@@ -233,7 +235,7 @@ def cmd_export_lp(args) -> int:
     cfg = _config(args)
     prog = parse_program(Path(args.source).read_text(), cfg.input_names())
     gen = gen_refined if args.refined else gen_ilp
-    system = gen(prog, reference_run(prog, cfg).ranges, build_links(prog),
+    system = gen(prog, reference_run(prog, cfg).ranges, prog.links,
                  cfg.cond_nsb, cfg.pmax)
     text = export_lp(system, Policy.const_one(system))
     out_path = Path(args.out) if args.out else Path(args.source).with_suffix(".lp")
@@ -287,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the plain system the widths were "
                         "solved from as SOURCE.lp")
     p.add_argument("--timings", action="store_true",
-                   help="keep analysis_seconds in the report (breaks "
-                        "byte-identical reruns)")
+                   help="keep analysis_seconds and the per-stage seconds "
+                        "(stages) in the report (breaks byte-identical "
+                        "reruns)")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("verify", help="check a solved width map")

@@ -32,6 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from . import flow
 from .program import (
     Assign, BinOp, Compare, If, Neg, Num, Program, Require, Sqrt, Stmt, Var,
     While, label_program,
@@ -285,15 +286,17 @@ def _operator_depth(e) -> int:
 
 
 def parse_program(src: str, inputs=()) -> Program:
-    """Parse and label source text; raises ParseError on malformed input.
+    """Parse and label source text, then run the def-use pass once;
+    raises ParseError on malformed input and FlowError on a read that no
+    definition reaches.
 
     Variable names listed in inputs are treated as externally bound, so
     reading them before any assignment is not an error; those that some
-    read can see unassigned become prog.inputs.
+    read can see unassigned become prog.inputs.  The def-use links become
+    prog.links.
     """
     stmts = _Parser(tokenize(src)).program()
     prog = Program(stmts, source=src)
     label_program(prog)
-    from .flow import check_defined_before_use
-    prog.inputs = check_defined_before_use(prog, inputs)
+    prog.inputs, prog.links = flow.check_defined_before_use(prog, inputs)
     return prog

@@ -97,6 +97,7 @@ class Program:
     n_structs: int = 0
     source: str = ""
     inputs: tuple[str, ...] = ()     # free inputs, bound before the first statement
+    links: list = field(default_factory=list)   # flow.DefUseLink, by use then def point
 
     @property
     def n_points(self) -> int:

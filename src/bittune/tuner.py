@@ -5,18 +5,25 @@ bits and records ranges over all binding sets, and solve() generates C1
 (and C2 for pi) from them, solves, and checks the assignment by
 substitution.  tune() chains them for one source text and returns the
 solved assignment together with a report carrying the per-point widths,
-system sizes, timings, and a verification table.  Verification compares the
-tuned execution against the high-precision reference: for each
-require_nsb(v, n) the absolute error |tuned - reference| must stay
-within tolerance_factor * 2^(ufp(ref) - n + 1).  The factor (default
-100) absorbs accumulation over long runs; the per-operation bound
-itself is what the constraints guarantee locally.
+system sizes, timings, and a verification table.  The timings are
+analysis_seconds and the stage timer's stages, seconds per stage: parse
+(def-use analysis included), reference_run, generate (C1 and C2), solve
+(the substitution check included), tuned_run, verify, and emit, which
+the command line adds for rendering the artifacts.
+
+Verification compares the tuned execution against the high-precision
+reference: for each require_nsb(v, n) the absolute error
+|tuned - reference| must stay within tolerance_factor *
+2^(ufp(ref) - n + 1).  The factor (default 100) absorbs accumulation
+over long runs; the per-operation bound itself is what the constraints
+guarantee locally.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
@@ -25,7 +32,6 @@ from .constraints import (
     DEFAULT_COND_NSB, DEFAULT_PMAX, ConstraintSystem, gen_ilp, gen_refined,
     system_stats,
 )
-from .flow import build_links
 from .interp import MAX_STEPS, Trace, UfpMap, run_reference, run_tuned
 from .parse import parse_program
 from .program import Program, Require
@@ -86,6 +92,7 @@ class TuningReport:
     systems: dict[str, dict[str, int]]
     pi_iterations: int = 0
     analysis_seconds: float = 0.0
+    stages: dict[str, float] = field(default_factory=dict)
     skipped_points: list[int] = field(default_factory=list)
     zero_ufp_points: list[int] = field(default_factory=list)
     steps_reference: int = 0
@@ -98,9 +105,12 @@ class TuningReport:
     def all_passed(self) -> bool:
         return not self.diverged and all(r.passed for r in self.verification)
 
-    def to_json(self) -> str:
+    def to_json(self, timings: bool = True) -> str:
+        """The report as sorted JSON; without timings, the clock fields
+        (analysis_seconds, stages) are left out, so reruns match."""
+        skip = {"c1"} if timings else {"c1", "analysis_seconds", "stages"}
         raw = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name != "c1"}
+               if f.name not in skip}
         raw["verification"] = [asdict(r) for r in self.verification]
         return json.dumps(raw, sort_keys=True, indent=2) + "\n"
 
@@ -109,6 +119,17 @@ class TuningReport:
         raw = json.loads(text)
         rows = [VerifyRow(**r) for r in raw.pop("verification")]
         return cls(verification=rows, **raw)
+
+
+@contextmanager
+def stage(stages: dict[str, float], name: str):
+    """Add the wall seconds the with-block takes to stages[name]."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        stages[name] = round(stages.get(name, 0.0)
+                             + time.perf_counter() - t0, 6)
 
 
 def _fraction_str(f: Fraction) -> str:
@@ -162,53 +183,73 @@ def reference_run(prog: Program, cfg: TuningConfig, track=()) -> Trace:
                          more_bindings=rest, ufp_zero=-cfg.pmax)
 
 
-def solve(prog: Program, ranges: UfpMap, cfg: TuningConfig):
-    """Generate C1 (and C2 for pi) from the ranges, solve, and check the
-    assignment by substitution into the system it was solved from.
-    Returns (NsbAssignment, TuningReport); the report's run fields
-    (steps, verification, analysis_seconds) are left to the caller."""
-    links = build_links(prog)
-    c1 = gen_ilp(prog, ranges, links, cfg.cond_nsb, cfg.pmax)
-    assignment = solve_monotone(c1)
+def solve(prog: Program, ranges: UfpMap, cfg: TuningConfig,
+          stages: dict[str, float] | None = None):
+    """Generate C1 (and C2 for pi) from the ranges and prog.links, solve,
+    and check the assignment by substitution into the system it was
+    solved from.  Returns (NsbAssignment, TuningReport); the report's
+    run fields (steps, verification, analysis_seconds) are left to the
+    caller.  Generate and solve times are added to stages."""
+    stages = {} if stages is None else stages
+    with stage(stages, "generate"):
+        c1 = gen_ilp(prog, ranges, prog.links, cfg.cond_nsb, cfg.pmax)
+    with stage(stages, "solve"):
+        assignment = solve_monotone(c1)
     report = TuningReport(method=cfg.method,
                           total_bits={"ilp": assignment.total}, nsb={},
-                          systems={"c1": system_stats(c1)}, c1=c1)
+                          systems={"c1": system_stats(c1)}, stages=stages,
+                          c1=c1)
     solved = c1
     if cfg.method == "pi":
-        solved = gen_refined(prog, ranges, links, cfg.cond_nsb, cfg.pmax)
-        assignment, _policy, report.pi_iterations = policy_iterate(
-            solved, cfg.node_limit, cfg.pi_cap)
+        with stage(stages, "generate"):
+            solved = gen_refined(prog, ranges, prog.links, cfg.cond_nsb,
+                                 cfg.pmax)
+        with stage(stages, "solve"):
+            assignment, _policy, report.pi_iterations = policy_iterate(
+                solved, cfg.node_limit, cfg.pi_cap)
         report.systems["c2"] = dict(system_stats(solved),
                                     xi_defs=len(solved.xi_defs))
         report.total_bits["pi"] = assignment.total
-    if not solved.satisfied_by(assignment.values):
-        raise TuneError("solved assignment fails substitution check")
+    with stage(stages, "solve"):
+        if not solved.satisfied_by(assignment.values):
+            raise TuneError("solved assignment fails substitution check")
     report.nsb = {str(p): n for p, n in sorted(assignment.widths().items())}
     report.skipped_points = solved.skipped_points
     report.zero_ufp_points = solved.zero_ufp_points
     return assignment, report
 
 
-def tune(source: str | Program, cfg: TuningConfig | None = None):
+def tune(source: str | Program, cfg: TuningConfig | None = None,
+         stages: dict[str, float] | None = None):
     """Full pipeline on source text or a parsed program; returns
-    (NsbAssignment, TuningReport)."""
+    (NsbAssignment, TuningReport).  Stage times are added to stages,
+    which becomes report.stages."""
     cfg = cfg or TuningConfig()
     cfg.check()
+    stages = {} if stages is None else stages
     t0 = time.perf_counter()
-    prog = (parse_program(source, cfg.input_names())
-            if isinstance(source, str) else source)
+    if isinstance(source, str):
+        with stage(stages, "parse"):
+            prog = parse_program(source, cfg.input_names())
+    else:
+        prog = source
     if _require_count(prog) == 0:
         raise TuneError("program has no require_nsb statement; nothing to tune")
-    ref = reference_run(prog, cfg)
-    assignment, report = solve(prog, ref.ranges, cfg)
+    with stage(stages, "reference_run"):
+        ref = reference_run(prog, cfg)
+    assignment, report = solve(prog, ref.ranges, cfg, stages)
     report.analysis_seconds = round(time.perf_counter() - t0, 3)
 
-    tuned = run_tuned(prog, assignment.widths(), (cfg.bindings or (None,))[0],
-                      max_steps=cfg.max_steps)
+    with stage(stages, "tuned_run"):
+        tuned = run_tuned(prog, assignment.widths(),
+                          (cfg.bindings or (None,))[0],
+                          max_steps=cfg.max_steps)
     report.steps_reference = ref.steps
     report.steps_tuned = tuned.steps
     report.diverged = ref.steps != tuned.steps
-    report.verification = _verify_rows(prog, ref, tuned, cfg.tolerance_factor)
+    with stage(stages, "verify"):
+        report.verification = _verify_rows(prog, ref, tuned,
+                                           cfg.tolerance_factor)
     return assignment, report
 
 

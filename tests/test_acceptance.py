@@ -19,7 +19,6 @@ from fractions import Fraction
 import pytest
 
 from bittune.constraints import gen_ilp, gen_refined
-from bittune.flow import build_links
 from bittune.interp import analyze_ranges, run_reference, run_tuned
 from bittune.lpfile import export_lp
 from bittune.mpfloat import abs_, arith, round_to, sqrt, to_fraction, ufp
@@ -86,7 +85,7 @@ EXPECTED_PLAIN = {
 
 def _distance_system(refined=False):
     prog = parse_program(DISTANCE_SRC, tuple(sorted(DISTANCE_BINDINGS)))
-    links = build_links(prog)
+    links = prog.links
     ranges = analyze_ranges(prog, 100, [DISTANCE_BINDINGS])
     gen = gen_refined if refined else gen_ilp
     return prog, ranges, gen(prog, ranges, links, 53, 500)
@@ -354,7 +353,7 @@ def test_7_random_small_programs_meet_their_bit_requirement():
     for i in range(200):
         src = gen_straight_line(rng)
         prog = parse_program(src)
-        links = build_links(prog)
+        links = prog.links
         ranges = analyze_ranges(prog, 500)
         c1 = gen_ilp(prog, ranges, links, 53, 500)
         sol = solve_monotone(c1)

@@ -1,6 +1,7 @@
 """Command-line contract: artifacts, exit codes, determinism."""
 
 import csv
+import hashlib
 import itertools
 import json
 import os
@@ -60,6 +61,30 @@ class TestTuneCommand:
         assert "analysis_seconds" not in (workdir / "small.report.json").read_text()
         run_cli(capsys, "tune", "small.pop", "--timings")
         assert "analysis_seconds" in (workdir / "small.report.json").read_text()
+
+    # sha256 of small.pop's default report, recorded before the report
+    # had any field beside analysis_seconds to leave out.
+    REPORT_SHA256 = {
+        "ilp": "9ec54815d6bc3dda0da590cb40f674e5c0653e1a1a15bcf451590376de30ed2d",
+        "pi": "114604be4f26483a141b234f7f96aa1c97ec65c70a28525616c68f1d787dbf43",
+    }
+
+    @pytest.mark.parametrize("method", ["ilp", "pi"])
+    def test_default_report_bytes_are_pinned(self, workdir, capsys, method):
+        run_cli(capsys, "tune", "small.pop", "--method", method)
+        blob = (workdir / "small.report.json").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == self.REPORT_SHA256[method]
+
+    def test_timings_flag_adds_every_stage(self, workdir, capsys):
+        code, _, err = run_cli(capsys, "tune", "small.pop", "--method", "pi",
+                               "--emit-lp", "--timings")
+        assert code == 0, err
+        stages = json.loads((workdir / "small.report.json").read_text())["stages"]
+        assert set(stages) == {"parse", "reference_run", "generate", "solve",
+                               "tuned_run", "verify", "emit"}
+        assert all(isinstance(s, float) and s >= 0 for s in stages.values())
+        run_cli(capsys, "tune", "small.pop", "--method", "pi", "--emit-lp")
+        assert "stages" not in (workdir / "small.report.json").read_text()
 
     def test_report_path_override(self, workdir, capsys):
         code, _, _ = run_cli(capsys, "tune", "small.pop",

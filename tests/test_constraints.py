@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bittune.constraints import gen_ilp, gen_refined, nsb, nsbe, system_stats
-from bittune.flow import build_links
 from bittune.interp import analyze_ranges
 from bittune.parse import parse_program
 from bittune.program import Assign, BinOp, Num, Sqrt, Var
@@ -22,7 +21,7 @@ from helpers import gen_straight_line
 
 def systems_for(src, cond_nsb=53, pmax=500, inputs=(), binding_sets=None):
     prog = parse_program(src, inputs)
-    links = build_links(prog)
+    links = prog.links
     ranges = analyze_ranges(prog, 100, binding_sets)
     return (prog, ranges,
             gen_ilp(prog, ranges, links, cond_nsb, pmax),

@@ -1,11 +1,15 @@
 """Parser, control-point labeling, renderer, and def-use analysis."""
 
-import pytest
-from hypothesis import given, strategies as st
+import hashlib
+import random
 
-from bittune.flow import (
-    FlowError, build_links, check_defined_before_use,
-)
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bittune import flow
+from bittune.cli import main
+from bittune.flow import FlowError, check_defined_before_use
+from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import (
     MAX_BRACKETS, MAX_DEPTH, ParseError, parse_program, tokenize,
 )
@@ -171,14 +175,14 @@ class TestRender:
 class TestFlow:
     def test_straight_line_links(self):
         prog = parse_program("a = 1.0;\nb = a + a;\n")
-        links = build_links(prog)
+        links = prog.links
         d = _assign_point(prog, "a")
         assert sorted(l.use_point for l in links) == _read_points(prog, "a")
         assert all(l.def_point == d and not l.back_edge for l in links)
 
     def test_branch_join_sees_both_defs(self):
         prog = parse_program(BRANCH)
-        links = build_links(prog)
+        links = prog.links
         b_defs = {_assign_point(prog, "b", 0), _assign_point(prog, "b", 1)}
         first_b_read = _read_points(prog, "b")[0]
         incoming = {l.def_point for l in links if l.use_point == first_b_read}
@@ -186,7 +190,7 @@ class TestFlow:
 
     def test_loop_carried_defs_marked_back_edge(self):
         prog = parse_program(LOOP)
-        links = build_links(prog)
+        links = prog.links
         init = _assign_point(prog, "x", 0)
         carried = _assign_point(prog, "x", 1)
         x_read = _read_points(prog, "x")[0]         # the x in x * 0.5
@@ -196,19 +200,38 @@ class TestFlow:
 
     def test_loop_condition_uses_flagged(self):
         prog = parse_program(LOOP)
-        links = build_links(prog)
+        links = prog.links
         cond_reads = [l for l in links if l.loop_cond_use]
         assert cond_reads and all(l.var == "t" for l in cond_reads)
 
     def test_require_is_a_use(self):
         prog = parse_program("a = 1.0;\nrequire_nsb(a, 9);\n")
-        links = build_links(prog)
+        links = prog.links
         req = next(n for n in prog.points if isinstance(n, Require))
         assert any(l.use_point == req.point for l in links)
 
     def test_undefined_use_raises(self):
         with pytest.raises(FlowError):
             check_defined_before_use(parse_program("b = q + 1.0;\n"))
+
+    @pytest.mark.parametrize("src, message", [
+        ("a = 1.0;\nb = q + a;\nc = r;\n",
+         "variable 'q' is read (control point 2) before any definition"),
+        ("a = 1.0;\nif (a > 0.5) {\n    b = a * 2.0;\n} else {\n"
+         "    b = q;\n}\nc = b + r;\n",
+         "variable 'q' is read (control point 8) before any definition"),
+        ("t = 0.0;\nwhile (t < 3.0) {\n    s = t * r;\n    t = t + q;\n}\n",
+         "variable 'r' is read (control point 5) before any definition"),
+        # u is defined later in the body and reaches its read round the
+        # loop, so the first undefined read is q.
+        ("t = 0.0;\nwhile (t < 3.0) {\n    s = t * u;\n    u = 1.0;\n"
+         "    t = t + q;\n}\n",
+         "variable 'q' is read (control point 11) before any definition"),
+    ])
+    def test_first_undefined_read_is_named(self, src, message):
+        with pytest.raises(FlowError) as exc:
+            parse_program(src)
+        assert str(exc.value) == message
 
     def test_predefined_inputs_allowed(self):
         prog = parse_program("b = q + 1.0;\n", inputs=("q",))
@@ -218,16 +241,214 @@ class TestFlow:
         # A def on one path reaches the use; the analysis is a may-reach,
         # so this is legal even though the else path leaves c unset.
         src = "a = 1.0;\nif (a > 0.0) {\n    c = a;\n} else {\n    c = a + 1.0;\n}\nd = c;\n"
-        links = build_links(parse_program(src))
+        links = parse_program(src).links
         assert len([l for l in links if l.var == "c"]) == 2
 
     @given(st.integers(0, 2**32))
     def test_random_programs_have_total_link_cover(self, seed):
-        import random
         src = gen_straight_line(random.Random(seed), max_ops=4)
         prog = parse_program(src)
-        links = build_links(prog)
+        links = prog.links
         uses = {l.use_point for l in links}
         for node in prog.points:
             if isinstance(node, Var):
                 assert node.point in uses
+
+
+# --- the set-based analysis the variable-keyed pass replaced ---------------
+#
+# Kept here as the reference for the differential test: every node's in-set
+# is a full set of (var, def point) pairs, and a read scans the whole set.
+
+def _set_reaching(nodes, entry=frozenset()):
+    preds = [[] for _ in nodes]
+    for i, n in enumerate(nodes):
+        for s in n.succs:
+            preds[s].append(i)
+    ins = [set() for _ in nodes]
+    outs = [set() for _ in nodes]
+    work = list(range(len(nodes)))
+    queued = [True] * len(nodes)
+    while work:
+        i = work.pop(0)
+        queued[i] = False
+        inset = set(entry) if i == 0 else set()
+        for p in preds[i]:
+            inset |= outs[p]
+        ins[i] = inset
+        if nodes[i].define is not None:
+            var, pt = nodes[i].define
+            out = {(v, d) for (v, d) in inset if v != var}
+            out.add((var, pt))
+        else:
+            out = inset
+        if out != outs[i]:
+            outs[i] = out
+            for s in nodes[i].succs:
+                if not queued[s]:
+                    work.append(s)
+                    queued[s] = True
+    return ins
+
+
+def _set_based_def_use(prog, predefined=()):
+    """(inputs, link tuples) as the set-based analysis computes them, or
+    the FlowError message it raises."""
+    nodes = flow._build_cfg(prog.stmts)
+    ins = _set_reaching(nodes, frozenset((v, -1) for v in predefined))
+    free = set()
+    for i, n in enumerate(nodes):
+        for var, use_pt in n.reads:
+            if var in predefined:
+                if (var, -1) in ins[i]:
+                    free.add(var)
+            elif not any(v == var for (v, _) in ins[i]):
+                return (f"variable {var!r} is read (control point {use_pt}) "
+                        f"before any definition")
+    ins = _set_reaching(nodes)
+    links = []
+    for i, n in enumerate(nodes):
+        for var, use_pt in n.reads:
+            for d in sorted(d for (v, d) in ins[i] if v == var):
+                links.append((d, use_pt, var, d > use_pt,
+                              n.while_sid is not None
+                              and n.while_sid in prog.scopes[d]))
+    links.sort(key=lambda l: (l[1], l[0]))
+    return tuple(sorted(free)), links
+
+
+def _link_tuples(links):
+    return [(l.def_point, l.use_point, l.var, l.back_edge, l.loop_cond_use)
+            for l in links]
+
+
+_NAMES = ("a", "b", "c", "x", "y")
+
+
+def _random_flow_program(rng):
+    """Source and input names of a small program with nested while/if
+    blocks; reads mostly name variables assigned earlier in the text."""
+    inputs = tuple(sorted(rng.sample(_NAMES, rng.randint(0, 2))))
+    known = list(inputs)
+    lines = []
+
+    def read():
+        if not known:
+            return f"{rng.randint(1, 9)}.25"
+        return rng.choice(known if rng.random() < 0.95 else _NAMES)
+
+    def expr(depth=0):
+        k = rng.random()
+        if k < 0.3 or depth > 3:
+            return f"{rng.randint(1, 9)}.5"
+        if k < 0.65:
+            return read()
+        return f"{expr(depth + 1)} {rng.choice('+-*/')} {expr(depth + 1)}"
+
+    def block(indent, depth):
+        for _ in range(rng.randint(1, 6 - depth)):
+            pad = "    " * indent
+            k = rng.random()
+            if depth < 3 and k < 0.2:
+                lines.append(f"{pad}while ({read()} < {expr()}) {{")
+                block(indent + 1, depth + 1)
+                lines.append(pad + "}")
+            elif depth < 3 and k < 0.4:
+                lines.append(f"{pad}if ({expr()} >= {read()}) {{")
+                block(indent + 1, depth + 1)
+                if rng.random() < 0.5:
+                    lines.append(pad + "} else {")
+                    block(indent + 1, depth + 1)
+                lines.append(pad + "}")
+            elif k < 0.5 and known:
+                lines.append(f"{pad}require_nsb({rng.choice(known)}, 10);")
+            else:
+                name = rng.choice(_NAMES)
+                lines.append(f"{pad}{name} = {expr()};")
+                known.append(name)
+
+    block(0, 0)
+    return "\n".join(lines) + "\n", inputs
+
+
+def _wide_source(rng, n_stmts=1100):
+    """A closed straight-line program of single-operation statements over
+    earlier variables and literals, shaped like the benchmark's wide
+    programs."""
+    names = ["v0", "v1"]
+    lines = ["v0 = 1.5;", "v1 = 2.25;"]
+    for i in range(2, n_stmts):
+        a = rng.choice(names)
+        op = rng.choice("+-*/s")
+        if op == "s":
+            expr = f"sqrt({a})"
+        else:
+            b = (rng.choice(names) if rng.random() < 0.8
+                 else f"{rng.uniform(0.5, 2.0):.3f}")
+            expr = f"{a} {op} {b}"
+        lines.append(f"v{i} = {expr};")
+        names.append(f"v{i}")
+    lines.append(f"require_nsb({names[-1]}, 24);")
+    return "\n".join(lines) + "\n"
+
+
+def _pinned_sources():
+    yield _wide_source(random.Random(7))
+    rng = random.Random(0xD16)
+    for _ in range(50):
+        yield gen_straight_line(rng)
+    yield LOOP
+    yield BRANCH
+    yield build_nbody_program(t_max=horizon_t_max(0.05))
+
+
+def _links_digest(link_lists):
+    h = hashlib.sha256()
+    for links in link_lists:
+        for t in _link_tuples(links):
+            h.update(repr(t).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+class TestDefUsePass:
+    # sha256 of every link over _pinned_sources(), recorded with the
+    # set-based analysis.
+    PINNED = ("d9790c69f29127e43081898a4d1010bf"
+              "6f9a510cfc7d71dd62349a00df93e70a")
+
+    def test_links_match_the_pinned_digest(self):
+        digest = _links_digest(parse_program(src).links
+                               for src in _pinned_sources())
+        assert digest == self.PINNED
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32))
+    def test_matches_the_set_based_analysis(self, seed):
+        src, inputs = _random_flow_program(random.Random(seed))
+        # With every name bound no read is undefined, and labelling does
+        # not depend on the inputs: this is the program the reference reads.
+        want = _set_based_def_use(parse_program(src, _NAMES), inputs)
+        try:
+            prog = parse_program(src, inputs)
+        except FlowError as e:
+            assert str(e) == want
+        else:
+            assert (prog.inputs, _link_tuples(prog.links)) == want
+
+    def test_one_tune_runs_the_pass_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = flow._reaching
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "_reaching", counted)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "loop.pop").write_text(LOOP)
+        for argv in (["tune", "loop.pop", "--method", "pi", "--emit-lp"],
+                     ["export-lp", "loop.pop", "--refined"]):
+            calls.clear()
+            assert main(argv) == 0, capsys.readouterr().err
+            assert len(calls) == 1, argv

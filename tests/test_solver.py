@@ -14,7 +14,6 @@ import pytest
 from bittune.constraints import (
     ConstraintSystem, LinExpr, gen_ilp, gen_refined, nsb,
 )
-from bittune.flow import build_links
 from bittune.interp import analyze_ranges
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
@@ -188,7 +187,7 @@ class TestBranchAndBound:
     def test_policy_required_for_carry_definitions(self):
         src = "a = 8.0;\nb = 0.5;\nc = a + b;\nrequire_nsb(c, 12);\n"
         prog = parse_program(src)
-        c2 = gen_refined(prog, analyze_ranges(prog, 100), build_links(prog))
+        c2 = gen_refined(prog, analyze_ranges(prog, 100), prog.links)
         with pytest.raises(SolverError, match="policy"):
             solve_ilp(c2)
 
@@ -196,7 +195,7 @@ class TestBranchAndBound:
 class TestPolicyIteration:
     def _refined(self, src):
         prog = parse_program(src)
-        return gen_refined(prog, analyze_ranges(prog, 100), build_links(prog))
+        return gen_refined(prog, analyze_ranges(prog, 100), prog.links)
 
     def test_never_worse_than_always_carry(self, rng):
         for _ in range(20):
@@ -260,7 +259,7 @@ class TestPinnedOutput:
     def _systems(self, src):
         prog = parse_program(src)
         ranges = reference_run(prog, self.CFG).ranges
-        links = build_links(prog)
+        links = prog.links
         return (gen_ilp(prog, ranges, links, self.CFG.cond_nsb, self.CFG.pmax),
                 gen_refined(prog, ranges, links, self.CFG.cond_nsb,
                             self.CFG.pmax))
