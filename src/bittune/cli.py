@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from .interp import EvalError, run_tuned
 from .lpfile import export_lp
 from .mpfloat import MPDomainError
 from .nbody import ExperimentPlan, run_experiment
-from .parse import ParseError, parse_program
+from .parse import ParseError, check_literal, parse_program
 from .render import MissingWidthError, emit_annotated
 from .codegen import emit_mp_code
 from .solver import Policy, SolverError
@@ -112,12 +113,20 @@ def _load_bindings(path: str) -> tuple[dict, ...]:
         conv = {}
         for name, v in entry.items():
             if isinstance(v, str):
+                try:
+                    check_literal(v)
+                except ValueError as e:
+                    raise ValueError(f"samples set {i}, variable {name!r}: "
+                                     f"{e}") from None
                 conv[name] = v
             elif isinstance(v, bool):
                 raise ValueError(f"samples value for {name!r} is a boolean")
             elif isinstance(v, int):
                 conv[name] = str(v)
             elif isinstance(v, float):
+                if not math.isfinite(v):
+                    raise ValueError(f"samples set {i}, variable {name!r}: "
+                                     f"{v} is not a finite number")
                 conv[name] = mpfloat.from_float(v)
             else:
                 raise ValueError(f"samples value for {name!r} is not a number")

@@ -19,11 +19,17 @@ All ufp constants come from a recorded range map; a point whose
 observed values were all zero uses the sentinel ufp and is reported.
 Demands flow backward (operand width >= result width plus an alignment
 constant), error widths flow forward.
+
+Variables are named tuples, so the dicts and sets keyed by them hash
+and compare in C.  A generator builds the nsb and nsbe variables of
+every point once and every row it emits reuses them; nsb(), nsbe() and
+xi() build equal variables for other callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .flow import DefUseLink
 from .interp import UfpMap
@@ -40,8 +46,7 @@ class GenError(ValueError):
     """Constraint generation cannot proceed (e.g. requirement on dead code)."""
 
 
-@dataclass(frozen=True)
-class IntVar:
+class IntVar(NamedTuple):
     kind: str                   # nsb | nsbe | xi
     point: int
     operands: tuple[int, int] | None = None    # xi only: the two operand points
@@ -149,9 +154,14 @@ class ConstraintSystem:
                 self.variables.append(v)
 
     def add(self, lhs: IntVar | None, rhs: LinExpr, origin: str, site: int) -> None:
-        if lhs is not None:
-            self.declare(lhs)
-        self.declare(*(v for _, v in rhs.terms))
+        seen = self._seen
+        if lhs is not None and lhs not in seen:
+            seen.add(lhs)
+            self.variables.append(lhs)
+        for _, v in rhs.terms:
+            if v not in seen:
+                seen.add(v)
+                self.variables.append(v)
         self.constraints.append(LinearConstraint(lhs, rhs, origin, site))
 
     def objective_value(self, values) -> int:
@@ -187,6 +197,11 @@ class _Generator:
         self.cond_nsb = cond_nsb
         self.system = ConstraintSystem("c2" if refined else "c1", pmax)
         self.zero_points: set[int] = set()
+        # One variable object per point, shared by every row that names
+        # it, so dict and set lookups on it succeed on identity.
+        points = range(prog.n_points)
+        self.nsb = [nsb(p) for p in points]
+        self.nsbe = [nsbe(p) for p in points] if refined else []
 
     def ufp(self, point: int) -> int:
         u = self.ranges.ufp(point)
@@ -205,9 +220,8 @@ class _Generator:
 
     def run(self) -> ConstraintSystem:
         sys = self.system
-        for point in range(self.prog.n_points):
-            sys.declare(nsb(point))
-        sys.objective = [nsb(p) for p in range(self.prog.n_points)]
+        sys.declare(*self.nsb)
+        sys.objective = list(self.nsb)
         self.stmts(self.prog.stmts)
         self.emit_links()
         sys.skipped_points = sorted(p for p in range(self.prog.n_points)
@@ -220,13 +234,7 @@ class _Generator:
             if isinstance(st, Assign):
                 self.expr(st.expr)
                 if self.visited(st.point):
-                    root = st.expr.point
-                    self.system.add(nsb(root), _expr(0, (1, nsb(st.point))),
-                                    "copy", st.point)
-                    if self.refined:
-                        self.system.add(nsbe(st.point),
-                                        _expr(0, (1, nsbe(root))),
-                                        "copy", st.point)
+                    self.copy_like(st.expr.point, st.point)
             elif isinstance(st, While):
                 self.cond(st.cond)
                 self.stmts(st.body)
@@ -240,7 +248,7 @@ class _Generator:
                         f"require_nsb({st.name}, {st.bits}) at control point "
                         f"{st.point} has no range information: the statement "
                         f"was never executed")
-                self.system.add(nsb(st.point), _expr(st.bits),
+                self.system.add(self.nsb[st.point], _expr(st.bits),
                                 "require", st.point)
             else:
                 raise TypeError(f"unexpected statement {st!r}")
@@ -250,7 +258,7 @@ class _Generator:
         self.expr(c.right)
         for side in (c.left, c.right):
             if self.visited(side.point):
-                self.system.add(nsb(side.point), _expr(self.cond_nsb),
+                self.system.add(self.nsb[side.point], _expr(self.cond_nsb),
                                 "cond", side.point)
 
     def expr(self, e: Expr) -> None:
@@ -258,7 +266,7 @@ class _Generator:
             # One bit of representation error per literal, except a zero
             # literal, which every width stores exactly.
             if self.refined and self.visited(e.point) and not self.is_zero(e.point):
-                self.system.add(nsbe(e.point), _expr(1), "seed", e.point)
+                self.system.add(self.nsbe[e.point], _expr(1), "seed", e.point)
         elif isinstance(e, Var):
             pass                                    # handled via def-use links
         elif isinstance(e, Neg):
@@ -271,9 +279,10 @@ class _Generator:
                 r, a = e.point, e.arg.point
                 if not self.is_zero(a):
                     k = self.ufp(a) - 2 * self.ufp(r) - 2
-                    self.system.add(nsb(a), _expr(k, (1, nsb(r))), "operand", r)
+                    self.system.add(self.nsb[a], _expr(k, (1, self.nsb[r])),
+                                    "operand", r)
                 if self.refined:
-                    self.system.add(nsbe(r), _expr(0, (1, nsbe(a))),
+                    self.system.add(self.nsbe[r], _expr(0, (1, self.nsbe[a])),
                                     "operand", r)
         elif isinstance(e, BinOp):
             self.expr(e.left)
@@ -284,14 +293,17 @@ class _Generator:
             raise TypeError(f"unexpected expression node {e!r}")
 
     def copy_like(self, src: int, dst: int) -> None:
-        self.system.add(nsb(src), _expr(0, (1, nsb(dst))), "copy", dst)
+        self.system.add(self.nsb[src], _expr(0, (1, self.nsb[dst])),
+                        "copy", dst)
         if self.refined:
-            self.system.add(nsbe(dst), _expr(0, (1, nsbe(src))), "copy", dst)
+            self.system.add(self.nsbe[dst], _expr(0, (1, self.nsbe[src])),
+                            "copy", dst)
 
     def binop(self, e: BinOp) -> None:
         sys = self.system
         r, a, b = e.point, e.left.point, e.right.point
         ua, ub, ur = self.ufp(a), self.ufp(b), self.ufp(r)
+        na, nb, nr = self.nsb[a], self.nsb[b], self.nsb[r]
         x = xi(r, a, b)
         if e.op in ("+", "-"):
             ka, kb = ua - ur, ub - ur
@@ -299,37 +311,33 @@ class _Generator:
             ka = kb = ua + ub - ur
         else:                                       # division a / b
             ka = kb = ua - ub - ur
-        sys.add(nsb(a), _expr(ka, (1, nsb(r)), (1, x)), "operand", r)
-        sys.add(nsb(b), _expr(kb, (1, nsb(r)), (1, x)), "operand", r)
+        sys.add(na, _expr(ka, (1, nr), (1, x)), "operand", r)
+        sys.add(nb, _expr(kb, (1, nr), (1, x)), "operand", r)
         carried = e.op in ("*", "/") or not self.refined
         if carried:
             sys.add(x, _expr(1), "carry", r)
         if not self.refined:
             return
+        ea, eb, er = self.nsbe[a], self.nsbe[b], self.nsbe[r]
         if e.op in ("+", "-"):
-            sys.add(nsbe(r), _expr(0, (1, nsbe(a))), "operand", r)
-            sys.add(nsbe(r), _expr(0, (1, nsbe(b))), "operand", r)
+            sys.add(er, _expr(0, (1, ea)), "operand", r)
+            sys.add(er, _expr(0, (1, eb)), "operand", r)
             # Each cross row spans one operand's error top down to the
             # other's error floor.  An always-zero operand is exact, so
             # no error floor anchors to it; emitting the row anyway would
             # turn the zero sentinel into a huge positive constant.
             if not self.is_zero(b):
-                sys.add(nsbe(r), _expr(ua - ub, (1, nsb(b)), (-1, nsb(a)),
-                                       (1, nsbe(b)), (1, x)), "operand", r)
+                sys.add(er, _expr(ua - ub, (1, nb), (-1, na), (1, eb), (1, x)),
+                        "operand", r)
             if not self.is_zero(a):
-                sys.add(nsbe(r), _expr(ub - ua, (1, nsb(a)), (-1, nsb(b)),
-                                       (1, nsbe(a)), (1, x)), "operand", r)
+                sys.add(er, _expr(ub - ua, (1, na), (-1, nb), (1, ea), (1, x)),
+                        "operand", r)
             sys.declare(x)
-            sys.xi_defs.append(XiDef(
-                x,
-                _expr(ub - ua, (1, nsb(a)), (1, nsbe(a))),
-                _expr(ua - ub, (1, nsb(b)), (1, nsbe(b))),
-                r))
+            sys.xi_defs.append(XiDef(x, _expr(ub - ua, (1, na), (1, ea)),
+                                     _expr(ua - ub, (1, nb), (1, eb)), r))
         else:
-            sys.add(nsbe(r), _expr(-2, (1, nsb(a)), (1, nsbe(a)),
-                                   (1, nsbe(b))), "operand", r)
-            sys.add(nsbe(r), _expr(-2, (1, nsb(b)), (1, nsbe(b)),
-                                   (1, nsbe(a))), "operand", r)
+            sys.add(er, _expr(-2, (1, na), (1, ea), (1, eb)), "operand", r)
+            sys.add(er, _expr(-2, (1, nb), (1, eb), (1, ea)), "operand", r)
 
     def emit_links(self) -> None:
         carried = {l.def_point for l in self.links if l.back_edge}
@@ -351,9 +359,11 @@ class _Generator:
             # A temporary rewritten from scratch each iteration carries
             # a single rounding and needs no guard.
             margin = (self.ranges.visits(d) - 1).bit_length() if d in carried else 0
-            self.system.add(nsb(d), _expr(margin, (1, nsb(u))), "link", u)
+            self.system.add(self.nsb[d], _expr(margin, (1, self.nsb[u])),
+                            "link", u)
             if self.refined and not link.back_edge:
-                self.system.add(nsbe(u), _expr(0, (1, nsbe(d))), "link", u)
+                self.system.add(self.nsbe[u], _expr(0, (1, self.nsbe[d])),
+                                "link", u)
 
 
 def gen_ilp(prog: Program, ranges: UfpMap, links: list[DefUseLink],

@@ -25,6 +25,12 @@ per parenthesis and two per block; labelling, def-use analysis, the
 interpreter, constraint generation and rendering take one per block and
 one per operator.  A program at both limits needs about 810 frames,
 which leaves room for the callers.
+
+A numeric literal's decimal exponent, once its fraction digits are
+folded in (1.25e3 is 125e1), is at most MAX_EXPONENT in magnitude:
+reading the literal builds a power of ten or five that large, and the
+cost grows faster than linearly with it.  check_literal applies the
+same bound to the string values of input bindings.
 """
 
 from __future__ import annotations
@@ -42,11 +48,14 @@ KEYWORDS = {"while", "if", "else", "sqrt", "require_nsb"}
 
 MAX_BRACKETS = 100
 MAX_DEPTH = 700
+MAX_EXPONENT = 9999
 
+_NUMBER = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+_LITERAL_RE = re.compile(r"[+-]?" + _NUMBER)
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>      [ \t\r\n]+ | \#[^\n]* )
-    | (?P<number>  (?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)? )
+    | (?P<number>  """ + _NUMBER + r""" )
     | (?P<ident>   [A-Za-z_][A-Za-z_0-9]* )
     | (?P<cmp>     <=|>=|==|!=|<|> )
     | (?P<sym>     [-+*/=(){};,] )
@@ -101,6 +110,30 @@ def tokenize(src: str) -> list[Token]:
         pos = m.end()
     tokens.append(Token("end", "", line, len(src) - line_start + 1))
     return tokens
+
+
+def _shown(text: str) -> str:
+    return repr(text if len(text) <= 24 else text[:20] + "...")
+
+
+def check_literal(text: str) -> None:
+    """Raise ValueError unless text, with surrounding blanks and a sign
+    allowed, is a numeric literal whose folded decimal exponent is at
+    most MAX_EXPONENT in magnitude."""
+    body = text.strip()
+    if _LITERAL_RE.fullmatch(body) is None:
+        raise ValueError(f"malformed numeric literal {_shown(text)}")
+    mant, _, exp = body.lower().partition("e")
+    digits = exp.lstrip("+-").lstrip("0")
+    # No literal has more fraction digits than characters, so an exponent
+    # written with more digits than this is out of range whatever it
+    # says, and int() never reads a long string.
+    if (len(digits) > len(str(MAX_EXPONENT + len(body)))
+            or abs(int(exp or "0") - len(mant.partition(".")[2]))
+            > MAX_EXPONENT):
+        raise ValueError(f"numeric literal {_shown(text)} is out of range: "
+                         f"its decimal exponent is past the limit of "
+                         f"{MAX_EXPONENT} in magnitude")
 
 
 class _Parser:
@@ -249,6 +282,10 @@ class _Parser:
     def atom(self):
         t = self.peek()
         if t.kind == "number":
+            try:
+                check_literal(t.text)
+            except ValueError as e:
+                raise ParseError(str(e), t.line, t.col) from None
             self.next()
             return Num(t.text)
         if t.text == "sqrt":

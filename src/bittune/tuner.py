@@ -135,10 +135,13 @@ def stage(stages: dict[str, float], name: str):
 def _fraction_str(f: Fraction) -> str:
     if f == 0:
         return "0"
-    as_float = float(f)
+    try:
+        as_float = float(f)
+    except OverflowError:
+        as_float = 0.0
     if as_float != 0.0:
         return repr(as_float)
-    # Far below float range: report the binary order of magnitude.
+    # Outside float range: report the binary order of magnitude.
     return f"2^{f.numerator.bit_length() - f.denominator.bit_length()}"
 
 

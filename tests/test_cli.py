@@ -423,6 +423,79 @@ class TestExportAndRun:
         assert code == 1 and "not a number" in err
 
 
+class TestNumericLimits:
+    """A literal's folded decimal exponent is bounded, in the source and
+    in string sample values alike.  Unbounded, tune on 1e999999999 was
+    still running after a minute."""
+
+    def _tune(self, tmp_path, *argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
+        return subprocess.run(
+            [sys.executable, "-m", "bittune.cli", "tune", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=10)
+
+    @pytest.mark.parametrize("literal", ["1e999999999", "1e-999999999"])
+    def test_source_literal_past_the_limit(self, tmp_path, literal):
+        (tmp_path / "big.pop").write_text(
+            f"a = 2.0;\nx = a * {literal};\nrequire_nsb(x, 10);\n")
+        proc = self._tune(tmp_path, "big.pop")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            f"bittune: tune: line 2, column 9: numeric literal '{literal}' "
+            f"is out of range: its decimal exponent is past the limit of "
+            f"9999 in magnitude\n")
+
+    @pytest.mark.parametrize("literal", ["1e999999999", "-1e-999999999"])
+    def test_sample_value_past_the_limit(self, tmp_path, literal):
+        (tmp_path / "open.pop").write_text("y = x * x;\nrequire_nsb(y, 10);\n")
+        (tmp_path / "s.json").write_text(
+            f'[{{"x": "0.5"}}, {{"x": "{literal}"}}]')
+        proc = self._tune(tmp_path, "open.pop", "--samples", "s.json")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            f"bittune: tune: samples set 1, variable 'x': numeric literal "
+            f"'{literal}' is out of range: its decimal exponent is past the "
+            f"limit of 9999 in magnitude\n")
+
+    def test_long_literal_is_shortened(self, workdir, capsys):
+        (workdir / "long.pop").write_text("x = 1e" + "9" * 100_000 + ";\n")
+        code, out, err = run_cli(capsys, "tune", "long.pop")
+        assert (code, out) == (1, "")
+        assert err.startswith("bittune: tune: line 1, column 5: numeric "
+                              "literal '1e999999999999999999...' is out of")
+        assert len(err.splitlines()) == 1 and len(err) < 200
+
+    def test_literals_at_the_limit_pass_every_stage(self, workdir, capsys):
+        # 10^9999 squared is past float range, so the report gives its
+        # error as a power of two.
+        (workdir / "edge.pop").write_text(
+            "x = 1e9999;\ny = x * x;\nz = 0.1e-9998 * 3.0;\n"
+            "require_nsb(y, 10);\nrequire_nsb(z, 10);\n")
+        code, _, err = run_cli(capsys, "tune", "edge.pop")
+        assert code == 0, err
+        report = json.loads((workdir / "edge.report.json").read_text())
+        assert report["verification"][0]["error"].startswith("2^")
+
+    @pytest.mark.parametrize("value, message", [
+        ('"abc"', "malformed numeric literal 'abc'"),
+        ('"1.5.2"', "malformed numeric literal '1.5.2'"),
+        ("1e999", "inf is not a finite number"),
+        ("NaN", "nan is not a finite number"),
+    ])
+    def test_malformed_sample_refused_at_load(self, workdir, capsys, value,
+                                              message):
+        (workdir / "open.pop").write_text("y = x * x;\nrequire_nsb(y, 10);\n")
+        (workdir / "s.json").write_text(f'{{"x": {value}}}')
+        code, out, err = run_cli(capsys, "tune", "open.pop",
+                                 "--samples", "s.json")
+        assert (code, out) == (1, "")
+        assert err == f"bittune: tune: samples set 0, variable 'x': {message}\n"
+        assert not list(workdir.glob("open.*.*"))
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert run_cli(capsys, )[0] == 2

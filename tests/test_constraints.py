@@ -6,16 +6,22 @@ bit; the refined system adds error-width variables and turns the carry
 of each addition into a min/max definition.
 """
 
+import hashlib
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bittune.constraints import gen_ilp, gen_refined, nsb, nsbe, system_stats
+from bittune.constraints import (
+    IntVar, gen_ilp, gen_refined, nsb, nsbe, system_stats, xi,
+)
 from bittune.interp import analyze_ranges
+from bittune.lpfile import export_lp
+from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from bittune.program import Assign, BinOp, Num, Sqrt, Var
+from bittune.solver import Policy
 from helpers import gen_straight_line
 
 
@@ -239,3 +245,84 @@ class TestRefinedSystem:
         _, _, _, c2 = systems_for(src)
         assignment, _, _ = policy_iterate(c2)
         assert c2.satisfied_by(assignment.values)
+
+
+def _pinned_sources():
+    yield build_nbody_program(t_max=horizon_t_max(0.05))
+    rng = random.Random(0xC0DE)
+    for k in range(50):
+        yield gen_straight_line(rng, max_ops=(4, 12, 30)[k % 3])
+
+
+class TestPinnedBytes:
+    """The text of both systems and of their LP export, recorded once
+    and compared byte for byte over the 0.05-year five-body program and
+    50 random straight-line programs."""
+
+    PINNED = {
+        "c1.dump": "64f77dd899d65a0f236243dcdefb7b9f"
+                   "28f9b1b3cb3cf2796f56c7baa828aa1d",
+        "c2.dump": "e659f6d8e1512438292dfd8229539f2a"
+                   "13c4586fc83674a60712928e4eff35f9",
+        "c1.lp": "4f8ddec55c79221ce5ee120ea2065214"
+                 "8e76e5f4b950430db29a170b6f643f67",
+        "c2.lp": "34331883d2e49393d56e371cebacb121"
+                 "97ad0deece842c0fbc0c79c2be326898",
+    }
+
+    def test_dumps_and_lp_exports_match_the_pinned_digests(self):
+        digests = {name: hashlib.sha256() for name in self.PINNED}
+        for src in _pinned_sources():
+            _, _, c1, c2 = systems_for(src)
+            digests["c1.dump"].update(c1.dump().encode())
+            digests["c2.dump"].update(c2.dump().encode())
+            digests["c1.lp"].update(export_lp(c1).encode())
+            digests["c2.lp"].update(
+                export_lp(c2, Policy.const_one(c2)).encode())
+        assert {name: h.hexdigest() for name, h in digests.items()} == \
+            self.PINNED
+
+
+class TestIntVar:
+    def test_hashing_is_the_tuple_hash(self):
+        # A Python-level __hash__ or __eq__ would run on every dict and
+        # set lookup of the generator and the solver.
+        assert IntVar.__hash__ is tuple.__hash__
+        assert IntVar.__eq__ is tuple.__eq__
+
+    def test_text_forms(self):
+        assert (str(nsb(3)), nsb(3).name, repr(nsb(3))) == (
+            "nsb_3", "nsb_3", "IntVar(kind='nsb', point=3, operands=None)")
+        assert (str(nsbe(4)), nsbe(4).name, repr(nsbe(4))) == (
+            "nsbe_4", "nsbe_4", "IntVar(kind='nsbe', point=4, operands=None)")
+        assert (str(xi(7, 2, 5)), xi(7, 2, 5).name, repr(xi(7, 2, 5))) == (
+            "xi_7(2,5)", "xi_7",
+            "IntVar(kind='xi', point=7, operands=(2, 5))")
+
+    def test_fresh_variables_equal_the_generated_ones(self):
+        _, _, c1, c2 = systems_for("a = 2.0;\nb = 3.0;\nc = a + b * a;\n"
+                                   "require_nsb(c, 10);\n")
+        make = {"nsb": nsb, "nsbe": nsbe}
+        for system in (c1, c2):
+            for v in system.variables:
+                fresh = (xi(v.point, *v.operands) if v.kind == "xi"
+                         else make[v.kind](v.point))
+                assert fresh == v and hash(fresh) == hash(v)
+                assert fresh is not v
+
+    def test_one_object_per_variable(self):
+        # Every row, carry definition and objective entry names the
+        # object the system declared, so lookups succeed on identity.
+        _, _, c1, c2 = systems_for(build_nbody_program(
+            t_max=horizon_t_max(0.05)))
+        for system in (c1, c2):
+            declared = {v: v for v in system.variables}
+            assert len(declared) == len(system.variables)
+            named = list(system.objective)
+            for c in system.constraints:
+                named += [v for _, v in c.rhs.terms]
+                if c.lhs is not None:
+                    named.append(c.lhs)
+            for d in system.xi_defs:
+                named += [d.var] + [v for _, v in d.arg1.terms + d.arg2.terms]
+            assert all(declared[v] is v for v in named)

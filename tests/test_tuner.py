@@ -11,9 +11,10 @@ from bittune import mpfloat
 from bittune.codegen import ScriptNameError, emit_mp_code, mp, mp_sqrt
 from bittune.interp import run_tuned
 from bittune.lpfile import check_solution, export_lp, parse_solution
+from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from bittune.render import MissingWidthError, emit_annotated
-from bittune.solver import solve_monotone
+from bittune.solver import SolverError, solve_monotone
 from bittune.tuner import (
     TuneError, TuningConfig, TuningReport, tune, verify,
 )
@@ -73,6 +74,40 @@ class TestTune:
         _, report = tune("a = 0.5;\nb = a + a;\nrequire_nsb(b, 5);\n")
         errors = {r.var: r.error for r in report.verification}
         assert errors["b"] == "0"
+
+
+# A product chain whose error widths (nsbe) grow past the [0, pmax] box
+# they share with nsb: the plain solve gives 3154 bits.
+CHAIN = ("v0 = 1.25;\n"
+         + "".join(f"v{i} = v{i - 1} * 1.0001 + 0.5;\n" for i in range(1, 15))
+         + "require_nsb(v14, 24);\n")
+
+
+class TestPolicyIterationNeverLoses:
+    """Wherever the plain solve succeeds, PI must succeed too, with a
+    total no larger.  The strict xfails are known counterexamples: PI
+    ends in an infeasible system on them, and a fix has to flip them."""
+
+    def _assert_pi_not_worse(self, src):
+        _, report = tune(src, TuningConfig(method="pi"))
+        assert report.total_bits["pi"] <= report.total_bits["ilp"]
+
+    @pytest.mark.xfail(strict=True, raises=SolverError,
+                       reason="PI infeasible where the plain solve succeeds")
+    def test_product_chain(self):
+        _, plain = tune(CHAIN, TuningConfig(method="ilp"))
+        assert plain.total_bits == {"ilp": 3154}
+        self._assert_pi_not_worse(CHAIN)
+
+    @pytest.mark.xfail(strict=True, raises=SolverError,
+                       reason="PI infeasible where the plain solve succeeds")
+    def test_five_body_two_years_req_53(self):
+        self._assert_pi_not_worse(
+            build_nbody_program(t_max=horizon_t_max(2), req=53))
+
+    def test_five_body_short_horizon_req_53(self):
+        self._assert_pi_not_worse(
+            build_nbody_program(t_max=horizon_t_max(0.05), req=53))
 
 
 class TestReportSerialization:
