@@ -30,6 +30,7 @@ requires them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -351,10 +352,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process, as building it costs a sizeable
+    share of a small tune.  parse_args returns a fresh namespace each
+    call, so no option carries over between calls.  The command
+    functions are bound when the first main() call builds it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:

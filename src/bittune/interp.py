@@ -1,27 +1,31 @@
 """Program execution: one lowering to pre-bound closures, two modes.
 
 A pass lowers the program once, to one closure per control point and
-per statement, with the point's width bound when the closure is built.
-A visit then does no dispatch on node types and no width lookup, and a
-literal is parsed once per pass instead of once per visit.  The two
-modes differ only in the widths bound and in what a pass records:
+per statement, with the point's width and its arithmetic kernel
+(mpfloat.add, sub, mul, div or sqrt) bound when the closure is built.
+A visit then does no dispatch on node types or operators and no width
+lookup, and a literal is parsed once per pass instead of once per
+visit.  The two modes build different closures:
 
 * Reference mode (run_reference) evaluates everything at one working
-  precision and records, per control point, the largest ufp seen and
-  the visit count.  ufp is monotone in |x|, so the largest ufp is the
-  ufp of the largest magnitude, which is all the constraints read.
-  With several input binding sets, the run on the first gives the
-  trace and its ranges; the runs on the others only add ranges.
-  analyze_ranges is this mode with only the ranges kept.
-* Tuned mode (run_tuned) evaluates every point at its solved width:
-  literals parse to the literal point's width, reads re-round the
-  stored value to the read point's width, operations round correctly
-  to the result point's width, and stores round to the target point's
-  width.  With a uniform assignment it reproduces the reference bit
-  for bit.
+  precision.  Each of its closures also records, for its own control
+  point, the visit count and the largest ufp seen, inline in the
+  closure: ufp is monotone in |x|, so the largest ufp is the ufp of the
+  largest magnitude, which is all the constraints read.  With several
+  input binding sets, the run on the first gives the trace and its
+  ranges; the runs on the others only add ranges.  analyze_ranges is
+  this mode with only the ranges kept.
+* Tuned mode (run_tuned) evaluates every point at its solved width,
+  with closures that record nothing: literals parse to the literal
+  point's width, reads re-round the stored value to the read point's
+  width, operations round correctly to the result point's width, and
+  stores round to the target point's width.  With a uniform assignment
+  it reproduces the reference bit for bit.
 
-Both modes keep the step cap, the check against reading an unassigned
-variable and the arithmetic domain errors; an EvalError names the pass
+In both modes a read or store skips the rounding when the value already
+has the point's width, which makes it a no-op.  Both keep the step cap,
+the check against reading an unassigned variable and the arithmetic
+domain errors of division and square root; an EvalError names the pass
 (reference run or tuned run) it stopped.
 """
 
@@ -75,14 +79,6 @@ class UfpMap:
         u = self.top[point]
         return self.ufp_zero if u is None else u
 
-    def note(self, point: int, value: MPValue) -> None:
-        self.counts[point] += 1
-        if value.mant:
-            u = value.exp + value.prec - 1      # mpfloat.ufp(value)
-            top = self.top[point]
-            if top is None or u > top:
-                self.top[point] = u
-
 
 @dataclass
 class Trace:
@@ -94,6 +90,9 @@ class Trace:
 
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+# Division has a closure of its own, as it can fail.
+_KERNELS = {"+": mpfloat.add, "-": mpfloat.sub, "*": mpfloat.mul}
+
 
 class _Interp:
     """One pass over a program lowered to closures; widths[p] is bound
@@ -106,7 +105,6 @@ class _Interp:
         self.widths = widths
         self.max_steps = max_steps
         self.ranges = ranges
-        self.note = ranges.note if ranges is not None else None
         self.steps = 0
         self.env: dict[str, MPValue] = {}
         self.samples: dict[str, list[MPValue]] = {v: [] for v in track}
@@ -131,66 +129,106 @@ class _Interp:
 
     # --- expressions ---------------------------------------------------
 
+    # In reference mode a closure records its own value: it counts the
+    # visit in counts[p] and raises top[p] to the value's ufp, which is
+    # exp + n - 1 at width n.  Literals, reads, +, - and *, and stores
+    # are most of every step, so each has one closure per mode and the
+    # tuned one records nothing.  Negation, division, square root and
+    # require_nsb are rare enough to share one closure that tests the
+    # mode.
+
     def expr(self, e) -> Callable[[], MPValue]:
         # One closure per node and no wrappers, so evaluation nests no
         # deeper than the expression does.
         p = e.point
         n = self.widths[p]
-        fail, note = self.fail, self.note
+        fail, ranges = self.fail, self.ranges
+        if ranges is not None:
+            top, counts = ranges.top, ranges.counts
         if isinstance(e, Num):
             value = mpfloat.parse_decimal(e.text, n)
+            if ranges is None:
+                return lambda: value
+            u = value.exp + n - 1 if value.mant else None
 
             def lit():
-                if note is not None:
-                    note(p, value)
+                counts[p] += 1
+                top[p] = u                  # every visit sees the same value
                 return value
             return lit
         if isinstance(e, Var):
             env, name = self.env, e.name
+            if ranges is None:
+                def read():
+                    v = env.get(name)
+                    if v is None:
+                        raise fail(f"variable {name!r} read before assignment", p)
+                    return v if v.prec == n else round_to(v, n)
+                return read
 
-            def read():
-                raw = env.get(name)
-                if raw is None:
+            def read_noted():
+                v = env.get(name)
+                if v is None:
                     raise fail(f"variable {name!r} read before assignment", p)
-                v = round_to(raw, n)
-                if note is not None:
-                    note(p, v)
+                if v.prec != n:
+                    v = round_to(v, n)
+                counts[p] += 1
+                if v.mant and (top[p] is None or v.exp + n - 1 > top[p]):
+                    top[p] = v.exp + n - 1
                 return v
-            return read
-        if isinstance(e, BinOp):
-            op, a, b = e.op, self.expr(e.left), self.expr(e.right)
+            return read_noted
+        if isinstance(e, BinOp) and e.op in _KERNELS:
+            kernel, a, b = _KERNELS[e.op], self.expr(e.left), self.expr(e.right)
+            if ranges is None:
+                return lambda: kernel(a(), b(), n)
 
-            def binop():
-                x = a()
-                y = b()
-                try:
-                    v = mpfloat.arith(op, x, y, n)
-                except MPDomainError as err:
-                    raise fail(str(err), p) from err
-                if note is not None:
-                    note(p, v)
+            def binop_noted():
+                v = kernel(a(), b(), n)
+                counts[p] += 1
+                if v.mant and (top[p] is None or v.exp + n - 1 > top[p]):
+                    top[p] = v.exp + n - 1
                 return v
-            return binop
+            return binop_noted
         if isinstance(e, Neg):
             a = self.expr(e.operand)
 
             def neg():
-                v = mpfloat.arith("neg", a(), None, n)
-                if note is not None:
-                    note(p, v)
+                v = round_to(mpfloat.neg(a()), n)
+                if ranges is not None:
+                    counts[p] += 1
+                    if v.mant and (top[p] is None or v.exp + n - 1 > top[p]):
+                        top[p] = v.exp + n - 1
                 return v
             return neg
+        if isinstance(e, BinOp):                    # division
+            kernel, a, b = mpfloat.div, self.expr(e.left), self.expr(e.right)
+
+            def div():
+                x = a()
+                y = b()
+                try:
+                    v = kernel(x, y, n)
+                except MPDomainError as err:
+                    raise fail(str(err), p) from err
+                if ranges is not None:
+                    counts[p] += 1
+                    if v.mant and (top[p] is None or v.exp + n - 1 > top[p]):
+                        top[p] = v.exp + n - 1
+                return v
+            return div
         if isinstance(e, Sqrt):
-            a = self.expr(e.arg)
+            kernel, a = mpfloat.sqrt, self.expr(e.arg)
 
             def sqrt():
                 x = a()
                 try:
-                    v = mpfloat.sqrt(x, n)
+                    v = kernel(x, n)
                 except MPDomainError as err:
                     raise fail(str(err), p) from err
-                if note is not None:
-                    note(p, v)
+                if ranges is not None:
+                    counts[p] += 1
+                    if v.mant and (top[p] is None or v.exp + n - 1 > top[p]):
+                        top[p] = v.exp + n - 1
                 return v
             return sqrt
         raise TypeError(f"unexpected expression node {e!r}")
@@ -231,30 +269,47 @@ class _Interp:
             raise TypeError(f"unexpected statement {st!r}")
         env, name, p = self.env, st.name, st.point
         n = self.widths[p]
-        note = self.note
+        fail, ranges = self.fail, self.ranges
+        if ranges is not None:
+            top, counts = ranges.top, ranges.counts
         if isinstance(st, Assign):
             rhs = self.expr(st.expr)
             samples = self.samples.get(name)
+            if ranges is None:
+                def assign():
+                    tick()
+                    v = rhs()
+                    if v.prec != n:
+                        v = round_to(v, n)
+                    env[name] = v
+                    if samples is not None:
+                        samples.append(v)
+                return assign
 
-            def assign():
+            def assign_noted():
                 tick()
-                stored = round_to(rhs(), n)
-                if note is not None:
-                    note(p, stored)
-                env[name] = stored
+                v = rhs()
+                if v.prec != n:
+                    v = round_to(v, n)
+                counts[p] += 1
+                if v.mant and (top[p] is None or v.exp + n - 1 > top[p]):
+                    top[p] = v.exp + n - 1
+                env[name] = v
                 if samples is not None:
-                    samples.append(stored)
-            return assign
-        fail = self.fail
+                    samples.append(v)
+            return assign_noted
 
         def require():
             tick()
-            raw = env.get(name)
-            if raw is None:
+            v = env.get(name)
+            if v is None:
                 raise fail(f"require_nsb on unassigned variable {name!r}", p)
-            v = round_to(raw, n)
-            if note is not None:
-                note(p, v)
+            if ranges is not None:
+                if v.prec != n:
+                    v = round_to(v, n)
+                counts[p] += 1
+                if v.mant and (top[p] is None or v.exp + n - 1 > top[p]):
+                    top[p] = v.exp + n - 1
         return require
 
 

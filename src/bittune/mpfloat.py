@@ -151,29 +151,24 @@ def abs_(x: MPValue) -> MPValue:
     return x if x.sign > 0 else neg(x)
 
 
-def _round_shift(m: int, drop: int, sticky: int = 0) -> int:
-    """Round m to drop low bits, nearest-even; sticky marks bits below m."""
-    if drop <= 0:
-        return m << -drop
-    low = m & ((1 << drop) - 1)
-    q = m >> drop
-    half = 1 << (drop - 1)
-    if low > half or (low == half and (sticky or (q & 1))):
-        q += 1
-    return q
-
-
 def _normalize(sign: int, mant: int, exp: int, prec: int, sticky: int = 0) -> MPValue:
-    """Round (sign, mant, exp) to prec bits, nearest-even."""
+    """Round sign * mant * 2**exp to prec bits, nearest-even; sticky
+    marks nonzero bits below mant."""
     if mant == 0:
-        return zero(prec)
+        return MPValue(1, 0, 0, prec)
     drop = mant.bit_length() - prec
-    q = _round_shift(mant, drop, sticky)
-    exp += drop
-    if q.bit_length() > prec:
-        q >>= 1
-        exp += 1
-    return MPValue(sign, q, exp, prec)
+    if drop <= 0:
+        return MPValue(sign, mant << -drop, exp + drop, prec)
+    q = mant >> drop
+    # Up when the first dropped bit is set and the tie is broken by a
+    # lower dropped bit, the sticky bit or an odd q.
+    if mant >> (drop - 1) & 1 and (
+            q & 1 or sticky or mant & ((1 << (drop - 1)) - 1)):
+        q += 1
+        if q >> prec:                   # carried out: q == 2**prec
+            q >>= 1
+            drop += 1
+    return MPValue(sign, q, exp + drop, prec)
 
 
 def round_to(x: MPValue, p: int) -> MPValue:
@@ -247,9 +242,20 @@ def sub(a: MPValue, b: MPValue, p: int) -> MPValue:
 
 
 def mul(a: MPValue, b: MPValue, p: int) -> MPValue:
-    if a.mant == 0 or b.mant == 0:
-        return zero(p)
-    return _normalize(a.sign * b.sign, a.mant * b.mant, a.exp + b.exp, p)
+    # _normalize's rounding, inline: mul is the most frequent operation.
+    m = a.mant * b.mant
+    if m == 0:
+        return MPValue(1, 0, 0, p)
+    drop = m.bit_length() - p
+    if drop <= 0:
+        return MPValue(a.sign * b.sign, m << -drop, a.exp + b.exp + drop, p)
+    q = m >> drop
+    if m >> (drop - 1) & 1 and (q & 1 or m & ((1 << (drop - 1)) - 1)):
+        q += 1
+        if q >> p:
+            q >>= 1
+            drop += 1
+    return MPValue(a.sign * b.sign, q, a.exp + b.exp + drop, p)
 
 
 def div(a: MPValue, b: MPValue, p: int) -> MPValue:

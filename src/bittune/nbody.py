@@ -27,12 +27,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from decimal import Decimal
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .interp import Trace, run_reference, run_tuned
-from .mpfloat import to_float, to_fraction
+from .mpfloat import to_float
 from .parse import parse_program
 from .tuner import TuningConfig, reference_run, solve
 
@@ -208,14 +207,22 @@ def reference_energy_drift(years: float = 10.0, dt: str = "0.01",
     return abs(total_energy(end.env) - e0) / abs(e0)
 
 
-def _distance(ref_env, tuned_env, body: str) -> float:
-    """Euclidean distance between the two runs' positions of one body,
-    with the differences taken exactly before any float rounding."""
-    s = Fraction(0)
-    for d in COORDS:
-        diff = to_fraction(ref_env[f"{d}{body}"]) - to_fraction(tuned_env[f"{d}{body}"])
-        s += diff * diff
-    return math.sqrt(float(s))
+def _distance(ref, tuned) -> float:
+    """Euclidean distance between two positions of one body, each given
+    as its x, y and z values.
+
+    The sum of squared differences is taken exactly on integers, every
+    value aligned to the lowest exponent e among them, and rounded to a
+    float once: s * 2**(2e) through correctly rounded integer division
+    (or conversion when 2e >= 0), so the result is the exact sum's
+    nearest float before the square root."""
+    e = min(v.exp for v in (*ref, *tuned))
+    s = 0
+    for r, t in zip(ref, tuned):
+        d = ((r.sign * r.mant) << (r.exp - e)) \
+            - ((t.sign * t.mant) << (t.exp - e))
+        s += d * d
+    return math.sqrt(s / (1 << -2 * e) if e < 0 else float(s << 2 * e))
 
 
 @dataclass(frozen=True)
@@ -298,7 +305,9 @@ def _run_cell(plan: ExperimentPlan, c: BenchConstants, years: float,
     run_s = time.perf_counter() - t0
     _check_aligned(ref, tuned, coords)
 
-    distances = [(body, _distance(ref.env, tuned.env, body)) for body in bodies]
+    distances = [(body, _distance([ref.env[f"{d}{body}"] for d in COORDS],
+                                  [tuned.env[f"{d}{body}"] for d in COORDS]))
+                 for body in bodies]
     series = _series_rows(ref, tuned, bodies) if plan.write_series else None
     return distances, series, tune_s, run_s
 
@@ -381,14 +390,14 @@ def _check_aligned(ref: Trace, tuned: Trace, coords) -> None:
 def _series_rows(ref: Trace, tuned: Trace, bodies) -> list[tuple[int, str, float]]:
     """Per-step drift rows (k, body, distance); k = 0 is the state
     before the first step and k = n the state after step n."""
-    rows = []
+    per_body = [
+        (body,
+         list(zip(*(ref.samples[f"{d}{body}"] for d in COORDS))),
+         list(zip(*(tuned.samples[f"{d}{body}"] for d in COORDS))))
+        for body in bodies]
     steps = len(ref.samples[f"x{bodies[0]}"])
-    for k in range(steps):
-        for body in bodies:
-            env_r = {f"{d}{body}": ref.samples[f"{d}{body}"][k] for d in COORDS}
-            env_t = {f"{d}{body}": tuned.samples[f"{d}{body}"][k] for d in COORDS}
-            rows.append((k, body, _distance(env_r, env_t, body)))
-    return rows
+    return [(k, body, _distance(r[k], t[k]))
+            for k in range(steps) for body, r, t in per_body]
 
 
 def _write_series(path: Path, rows) -> None:

@@ -29,8 +29,10 @@ which leaves room for the callers.
 A numeric literal's decimal exponent, once its fraction digits are
 folded in (1.25e3 is 125e1), is at most MAX_EXPONENT in magnitude:
 reading the literal builds a power of ten or five that large, and the
-cost grows faster than linearly with it.  check_literal applies the
-same bound to the string values of input bindings.
+cost grows faster than linearly with it.  It has at most MAX_DIGITS
+digits, below the 4300 that Python's int() reads from a string.
+check_literal applies both bounds to the string values of input
+bindings.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ KEYWORDS = {"while", "if", "else", "sqrt", "require_nsb"}
 MAX_BRACKETS = 100
 MAX_DEPTH = 700
 MAX_EXPONENT = 9999
+MAX_DIGITS = 4000
 
 _NUMBER = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
 _LITERAL_RE = re.compile(r"[+-]?" + _NUMBER)
@@ -118,12 +121,17 @@ def _shown(text: str) -> str:
 
 def check_literal(text: str) -> None:
     """Raise ValueError unless text, with surrounding blanks and a sign
-    allowed, is a numeric literal whose folded decimal exponent is at
-    most MAX_EXPONENT in magnitude."""
+    allowed, is a numeric literal of at most MAX_DIGITS digits whose
+    folded decimal exponent is at most MAX_EXPONENT in magnitude."""
     body = text.strip()
     if _LITERAL_RE.fullmatch(body) is None:
         raise ValueError(f"malformed numeric literal {_shown(text)}")
     mant, _, exp = body.lower().partition("e")
+    n_digits = len(mant.lstrip("+-")) - ("." in mant)
+    if n_digits > MAX_DIGITS:
+        raise ValueError(f"numeric literal {_shown(text)} is too long: it "
+                         f"has {n_digits} digits, past the limit of "
+                         f"{MAX_DIGITS}")
     digits = exp.lstrip("+-").lstrip("0")
     # No literal has more fraction digits than characters, so an exponent
     # written with more digits than this is out of range whatever it

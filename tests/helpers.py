@@ -56,6 +56,28 @@ def random_mpv(rng: random.Random, max_prec: int = 120,
     return MPValue(sign, mant, exp, p)
 
 
+# A loop and a branch that several test modules run.
+LOOP = """\
+t = 0.0;
+x = 1.0;
+while (t < 4.0) {
+    x = x * 0.5;
+    t = t + 1.0;
+}
+require_nsb(x, 20);
+"""
+
+BRANCH = """\
+a = 2.0;
+if (a > 1.0) {
+    b = a + 1.0;
+} else {
+    b = a - 1.0;
+}
+c = b * b;
+"""
+
+
 _BINOPS = ("+", "-", "*", "/")
 
 

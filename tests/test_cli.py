@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bittune import nbody
+from bittune import cli, nbody
 from bittune.cli import main
 from bittune.tuner import TuningConfig, tune
 
@@ -424,9 +424,9 @@ class TestExportAndRun:
 
 
 class TestNumericLimits:
-    """A literal's folded decimal exponent is bounded, in the source and
-    in string sample values alike.  Unbounded, tune on 1e999999999 was
-    still running after a minute."""
+    """A literal's folded decimal exponent and its digit count are
+    bounded, in the source and in string sample values alike.
+    Unbounded, tune on 1e999999999 was still running after a minute."""
 
     def _tune(self, tmp_path, *argv):
         env = dict(os.environ)
@@ -459,6 +459,33 @@ class TestNumericLimits:
             f"bittune: tune: samples set 1, variable 'x': numeric literal "
             f"'{literal}' is out of range: its decimal exponent is past the "
             f"limit of 9999 in magnitude\n")
+
+    @pytest.mark.parametrize("literal, digits", [
+        ("1" + "0" * 5000 + ".0", 5002),
+        ("0." + "0" * 4100 + "1", 4102),
+    ], ids=["integer", "fraction"])
+    def test_literal_with_too_many_digits(self, tmp_path, literal, digits):
+        # Past 4300 digits Python's int() refuses the string; the
+        # message named no line and advised a setting out of reach.
+        (tmp_path / "long.pop").write_text(
+            f"a = 2.0;\nx = a * {literal};\nrequire_nsb(x, 10);\n")
+        (tmp_path / "open.pop").write_text("y = x * x;\nrequire_nsb(y, 10);\n")
+        (tmp_path / "s.json").write_text(f'[{{"x": "{literal}"}}]')
+        shown = literal[:20] + "..."
+        tail = (f"numeric literal '{shown}' is too long: it has {digits} "
+                f"digits, past the limit of 4000\n")
+        proc = self._tune(tmp_path, "long.pop")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"bittune: tune: line 2, column 9: {tail}"
+        proc = self._tune(tmp_path, "open.pop", "--samples", "s.json")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"bittune: tune: samples set 0, variable 'x': {tail}"
+
+    def test_literal_of_max_digits_passes_every_stage(self, workdir, capsys):
+        (workdir / "edge.pop").write_text(
+            "x = 0." + "3" * 3999 + ";\ny = x * 3.0;\nrequire_nsb(y, 10);\n")
+        code, _, err = run_cli(capsys, "tune", "edge.pop")
+        assert code == 0, err
 
     def test_long_literal_is_shortened(self, workdir, capsys):
         (workdir / "long.pop").write_text("x = 1e" + "9" * 100_000 + ";\n")
@@ -499,6 +526,20 @@ class TestNumericLimits:
 class TestUsage:
     def test_no_command(self, capsys):
         assert run_cli(capsys, )[0] == 2
+
+    def test_reused_parser_carries_no_option_over(self, workdir, capsys):
+        code, _, err = run_cli(capsys, "tune", "small.pop", "--method", "pi",
+                               "--emit-lp", "--timings", "--report", "r.json")
+        assert code == 0, err
+        assert json.loads((workdir / "r.json").read_text())["method"] == "pi"
+        (workdir / "small.lp").unlink()
+        code, _, err = run_cli(capsys, "tune", "small.pop")
+        assert code == 0, err
+        report = json.loads((workdir / "small.report.json").read_text())
+        assert report["method"] == "ilp" and "stages" not in report
+        assert not (workdir / "small.lp").exists()
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser().parse_args(["tune", "x.pop"]).method == "ilp"
 
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "optimize")[0] == 2

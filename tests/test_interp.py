@@ -1,5 +1,6 @@
 """Interpreter: reference runs, tuned runs, range recording, step caps."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -9,8 +10,10 @@ from hypothesis import given, strategies as st
 
 from bittune import mpfloat
 from bittune.interp import EvalError, analyze_ranges, run_reference, run_tuned
+from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
-from helpers import gen_straight_line
+from bittune.tuner import TuningConfig, reference_run, solve
+from helpers import BRANCH, LOOP, gen_straight_line
 
 GEOM = """\
 s = 0.0;
@@ -84,6 +87,16 @@ class TestReference:
         assert mpfloat.to_fraction(ref.env["s"]) == Fraction(700 * 699 + 700, 2)
         tuned = run_tuned(prog, _uniform(prog, 100))
         assert tuned.env["s"] == ref.env["s"]
+
+    def test_long_quotient_nests_no_deeper_than_the_expression(self):
+        # Division and square root have closures of their own; they too
+        # take one frame per level.
+        src = "s = 1.0" + " / 2.0" * 699 + ";\nr = sqrt(s);\n"
+        prog = parse_program(src)
+        ref = run_reference(prog, pref=100)
+        assert mpfloat.to_fraction(ref.env["s"]) == Fraction(1, 2**699)
+        tuned = run_tuned(prog, _uniform(prog, 100))
+        assert tuned.env == ref.env
 
     def test_errors_name_the_pass(self):
         prog = parse_program("a = 1.0;\nb = 0.0;\nc = a / b;\n")
@@ -252,3 +265,76 @@ class TestRanges:
                 if not v.is_zero():
                     assert ranges.ufp(node.point) >= mpfloat.ufp(v) or \
                         ranges.visits(node.point) > 1
+
+
+def _pinned_sources():
+    yield build_nbody_program(t_max=horizon_t_max(0.05))
+    rng = random.Random(0x1A7E)
+    for k in range(50):
+        yield gen_straight_line(rng, max_ops=(4, 12, 30)[k % 3])
+    yield LOOP
+    yield BRANCH
+
+
+def _env_text(env) -> str:
+    return "".join(f"{name}={v.sign},{v.mant},{v.exp},{v.prec}\n"
+                   for name, v in sorted(env.items()))
+
+
+class TestPinnedRuns:
+    """Every value a pass computes, recorded once and compared exactly:
+    the reference run's ranges, step count and final env, and the tuned
+    run's final env at the solved widths."""
+
+    PINNED = {
+        "reference": "8f2dcd7960a2887bd5e6530a38122ffe"
+                     "b33550a2792c2a0bfa228eb960f53380",
+        "tuned": "40f182058f311f0f5f0564e6c6bebccc"
+                 "9dc94714f46a2c944b9d04447bf37de5",
+    }
+
+    def test_runs_match_the_pinned_digests(self):
+        cfg = TuningConfig()
+        digests = {name: hashlib.sha256() for name in self.PINNED}
+        for src in _pinned_sources():
+            prog = parse_program(src)
+            ref = reference_run(prog, cfg)
+            digests["reference"].update(
+                f"{ref.ranges.top}\n{ref.ranges.counts}\n{ref.steps}\n"
+                f"{_env_text(ref.env)}".encode())
+            assignment, _ = solve(prog, ref.ranges, cfg)
+            tuned = run_tuned(prog, assignment.widths())
+            digests["tuned"].update(
+                f"{tuned.steps}\n{_env_text(tuned.env)}".encode())
+        assert {name: h.hexdigest() for name, h in digests.items()} == \
+            self.PINNED
+
+
+_UNSET = "a = 1.0;\nif (a > 2.0) {\n    b = 1.0;\n}\n"
+
+
+class TestErrorText:
+    """The exact EvalError text, the same in both modes but for the
+    pass named at its start."""
+
+    @pytest.mark.parametrize("src, max_steps, message", [
+        ("a = 1.0;\nb = 0.0;\nc = a / b;\n", None,
+         "division by zero (control point 6)"),
+        ("a = 1.0 - 5.0;\nb = sqrt(a);\n", None,
+         "square root of a negative value (control point 5)"),
+        (_UNSET + "c = b + a;\n", None,
+         "variable 'b' read before assignment (control point 6)"),
+        (_UNSET + "require_nsb(b, 10);\n", None,
+         "require_nsb on unassigned variable 'b' (control point 6)"),
+        (GEOM, 7, "iteration cap of 7 steps exceeded"),
+    ])
+    @pytest.mark.parametrize("mode", ["reference run", "tuned run"])
+    def test_message(self, src, max_steps, message, mode):
+        prog = parse_program(src)
+        kw = {} if max_steps is None else {"max_steps": max_steps}
+        with pytest.raises(EvalError) as exc:
+            if mode == "reference run":
+                run_reference(prog, pref=60, **kw)
+            else:
+                run_tuned(prog, _uniform(prog, 30), **kw)
+        assert str(exc.value) == f"{mode}: {message}"

@@ -101,6 +101,55 @@ class TestRounding:
         assert ufp(r) in (ufp(x), ufp(x) + 1)
 
 
+class TestRoundingEdges:
+    """The round-half-even step that _normalize and mul each do inline."""
+
+    def test_round_up_carries_out_of_the_top_bit(self):
+        # 7 * 9 = 63 = 111111b rounds up to 1000b at 3 bits, which needs
+        # a new leading bit: the result is 100b * 2**4.
+        r = mul(from_int(7, 3), from_int(9, 4), 3)
+        assert (r.sign, r.mant, r.exp, r.prec) == (1, 4, 4, 3)
+        r = add(from_int(-62, 6), from_int(-1, 1), 3)
+        assert (r.sign, r.mant, r.exp, r.prec) == (-1, 4, 4, 3)
+
+    def test_tie_to_even_carries_out_of_the_top_bit(self):
+        # 15 = 1111b ties between 111b and 1000b at 3 bits; 111b is odd.
+        for r in (mul(from_int(5, 3), from_int(3, 2), 3),
+                  round_to(from_int(15, 4), 3),
+                  div(from_int(15, 4), from_int(1, 1), 3)):
+            assert (r.mant, r.exp, r.prec) == (4, 2, 3)
+
+    def test_results_narrower_than_the_width_shift_up_exactly(self):
+        # drop < 0 and drop == 0: no bit is dropped, nothing rounds.
+        r = mul(from_int(3, 2), from_int(5, 3), 10)
+        assert (r.mant, r.exp, r.prec) == (15 << 6, -6, 10)
+        r = mul(from_int(3, 2), from_int(5, 3), 4)
+        assert (r.mant, r.exp, r.prec) == (15, 0, 4)
+        r = add(from_int(3, 2), from_int(5, 3), 10)
+        assert (r.mant, r.exp, r.prec) == (1 << 9, -6, 10)
+
+    def test_width_one(self):
+        # At one bit every nonzero value is a power of two, and its
+        # mantissa 1 is odd: every tie rounds up, into the next binade.
+        assert to_fraction(mul(from_int(3, 2), from_int(1, 1), 1)) == 4
+        assert to_fraction(mul(from_int(3, 2), from_int(2, 2), 1)) == 8
+        assert to_fraction(mul(from_int(5, 3), from_int(1, 1), 1)) == 4
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_small_integers_against_the_oracle(self, p):
+        for x in range(-40, 41):
+            for y in range(1, 9):
+                a, b = from_int(x, 7), from_int(y, 4)
+                for op, fn in (("+", add), ("-", sub), ("*", mul),
+                               ("/", div)):
+                    r = fn(a, b, p)
+                    assert r.prec == p
+                    assert r.mant == 0 or r.mant.bit_length() == p
+                    assert to_fraction(r) == \
+                        round_fraction(_exact(op, Fraction(x), Fraction(y)),
+                                       p), (x, op, y, p)
+
+
 def _exact(op, fa, fb):
     if op == "+":
         return fa + fb

@@ -1,19 +1,29 @@
 """Five-body benchmark: generated program, physics sanity, sweep output."""
 
 import csv
+import hashlib
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bittune import mpfloat
+from bittune.cli import main
 from bittune.interp import run_reference
 from bittune.nbody import (
-    BODY_ORDER, BenchConstants, ExperimentPlan, build_nbody_program,
+    BODY_ORDER, COORDS, BenchConstants, ExperimentPlan, build_nbody_program,
     horizon_t_max, load_bodies, planet_coord_names, reference_energy_drift,
-    run_experiment, total_energy,
+    _distance, run_experiment, total_energy,
 )
 from bittune.parse import parse_program
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestConstants:
@@ -212,18 +222,88 @@ class TestSweep:
         assert len(table) == 1 + 4                  # first cell only
 
 
+def _fraction_distance(ref, tuned) -> float:
+    """The drift formula on exact rationals, as a reference."""
+    s = Fraction(0)
+    for r, t in zip(ref, tuned):
+        diff = mpfloat.to_fraction(r) - mpfloat.to_fraction(t)
+        s += diff * diff
+    return math.sqrt(float(s))
+
+
+# Widths 1-500 with leading bits from 2^-1100 to 2^300, so the squared
+# sums span underflow to zero and exponent gaps far past any width, and
+# stay inside float range.
+_coords = st.one_of(
+    st.just(mpfloat.zero(500)),
+    st.builds(lambda p, bits, top, sign: mpfloat.MPValue(
+        sign, (bits % (1 << p)) | (1 << (p - 1)), top - p + 1, p),
+        st.integers(1, 500), st.integers(0, 2**500), st.integers(-1100, 300),
+        st.sampled_from((1, -1))),
+)
+
+
+@st.composite
+def _coordinate_pairs(draw):
+    ref = [draw(_coords) for _ in COORDS]
+    # A tuned coordinate is either unrelated to the reference one or the
+    # reference rounded to a narrower width, as in a tuned run.
+    tuned = [draw(st.one_of(_coords, st.integers(1, 500).map(
+        lambda p, r=r: mpfloat.round_to(r, p)))) for r in ref]
+    return ref, tuned
+
+
 class TestDistances:
     def test_distance_uses_exact_differences(self):
         # Positions differing by 1 ulp at 500 bits must yield a tiny
         # positive distance, not zero.
-        from bittune.nbody import _distance
         a = mpfloat.parse_decimal("4.8414316", 500)
         bumped = mpfloat.add(a, mpfloat.MPValue(1, 1, a.exp, 1), 500)
-        env_a = {f"{d}J": a for d in "xyz"}
-        env_b = {f"{d}J": bumped for d in "xyz"}
-        d = _distance(env_a, env_b, "J")
+        d = _distance([a] * 3, [bumped] * 3)
         assert 0 < d < 1e-140
+
+    @given(_coordinate_pairs())
+    def test_matches_the_exact_rational_formula(self, pair):
+        ref, tuned = pair
+        assert _distance(ref, tuned) == _fraction_distance(ref, tuned)
 
     def test_planet_coord_names_exclude_sun(self):
         names = planet_coord_names(load_bodies())
         assert "xSun" not in names and len(names) == 12
+
+
+class TestPinnedSweep:
+    # sha256 of the series files and of the summary's distance_au
+    # column, recorded with the drift taken on Fractions.
+    PINNED = {
+        "series": "5d3a655e05a61bceb0ed44595c2edb9e"
+                  "ed0a744e3583bc030e169f83271d8658",
+        "distance_au": "7253e8dc240b5b7a39c58470f33cdd12"
+                       "62a04623c4a76585910ee9870dfc3017",
+    }
+
+    def test_bench_output_matches_the_pinned_digests(self, tmp_path):
+        assert main(["bench", "--nsb", "11,24", "--years", "0.1",
+                     "--out", str(tmp_path)]) == 0
+        series = hashlib.sha256()
+        for path in sorted(tmp_path.glob("series_*.csv")):
+            series.update(path.name.encode() + b"\n" + path.read_bytes())
+        with open(tmp_path / "summary.csv") as fh:
+            column = "".join(row["distance_au"] + "\n"
+                             for row in csv.DictReader(fh))
+        assert {"series": series.hexdigest(),
+                "distance_au": hashlib.sha256(column.encode()).hexdigest()} \
+            == self.PINNED
+
+
+def test_tune_nbody_script_writes_its_artifacts(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "tune_nbody.py"),
+         "--years", "0.05"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("nbody.annotated.pop", "nbody.mp.txt", "nbody.report.json"):
+        assert (tmp_path / name).is_file(), name

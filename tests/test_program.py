@@ -15,27 +15,7 @@ from bittune.parse import (
 )
 from bittune.program import Assign, BinOp, Neg, Num, Require, Var, While
 from bittune.render import emit_annotated, emit_plain, strip_annotations
-from helpers import gen_straight_line
-
-LOOP = """\
-t = 0.0;
-x = 1.0;
-while (t < 4.0) {
-    x = x * 0.5;
-    t = t + 1.0;
-}
-require_nsb(x, 20);
-"""
-
-BRANCH = """\
-a = 2.0;
-if (a > 1.0) {
-    b = a + 1.0;
-} else {
-    b = a - 1.0;
-}
-c = b * b;
-"""
+from helpers import BRANCH, LOOP, gen_straight_line
 
 
 def _assign_point(prog, name, nth=0):
