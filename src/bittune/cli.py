@@ -17,8 +17,11 @@ Exit status is 0 on success, 1 when analysis or verification fails,
 2 on usage errors.  Error messages go to standard error prefixed with
 the command that raised them.
 
-tune, verify, bench and export-lp go through tuner's reference_run;
-export-lp then generates the system it writes, the others tuner.solve.
+Each command that reads a source parses it and hands the tuner the
+parsed program.  tune, verify, bench and export-lp go through tuner's
+reference_run; export-lp then writes the system tuner.generate builds,
+tune and bench go on to tuner.solve.  tune and verify check the tuned
+run with tuner.check_tuned and judge it by tuner.passed.
 
 Artifacts are deterministic: the same invocation writes byte-identical
 files.  The timing fields (analysis_seconds and the per-stage seconds,
@@ -37,23 +40,23 @@ import sys
 from pathlib import Path
 
 from . import mpfloat
-from .constraints import GenError, gen_ilp, gen_refined
-from .flow import FlowError
-from .interp import EvalError, run_tuned
+from .constraints import DEFAULT_COND_NSB, DEFAULT_PMAX
+from .interp import run_tuned
 from .lpfile import export_lp
 from .mpfloat import MPDomainError
 from .nbody import ExperimentPlan, run_experiment
-from .parse import ParseError, check_literal, parse_program
+from .parse import check_literal, parse_program
 from .render import MissingWidthError, emit_annotated
 from .codegen import emit_mp_code
-from .solver import Policy, SolverError
+from .solver import Policy
 from .tuner import (
-    TuneError, TuningConfig, reference_run, stage, tune, verify,
+    TuningConfig, generate, passed, reference_run, stage, tune, verify,
 )
 
-_ERRORS = (ParseError, FlowError, GenError, SolverError, EvalError,
-           TuneError, MPDomainError, MissingWidthError, OSError,
-           ValueError, RuntimeError)
+# The package's own errors derive from ValueError or RuntimeError, but
+# for the two named here; OSError covers the files.
+_ERRORS = (MPDomainError, MissingWidthError, OSError, ValueError,
+           RuntimeError)
 
 _SCHEMAS = """\
 file formats:
@@ -193,17 +196,17 @@ def cmd_verify(args) -> int:
     except (KeyError, AttributeError):
         raise ValueError(f"{report_path} has no nsb width map")
 
-    rows, ref, tuned = verify(source, widths, cfg)
+    prog = parse_program(source, cfg.input_names())
+    rows, ref, tuned = verify(prog, widths, cfg)
     print(f"{'variable':<16} {'bits':>4} {'error':>13} {'bound':>13}  result")
     for r in rows:
         status = "pass" if r.passed else "FAIL"
         print(f"{r.var:<16} {r.bits:>4} {r.error:>13} {r.bound:>13}  {status}")
-    ok = all(r.passed for r in rows) and ref.steps == tuned.steps
     if ref.steps != tuned.steps:
         print(f"control flow diverged: reference ran {ref.steps} steps, "
               f"tuned {tuned.steps}")
     print(f"{sum(r.passed for r in rows)}/{len(rows)} within tolerance")
-    return 0 if ok else 1
+    return 0 if passed(rows, ref.steps, tuned.steps) else 1
 
 
 def cmd_bench(args) -> int:
@@ -221,9 +224,8 @@ def cmd_bench(args) -> int:
         pref=args.pref,
         cond_nsb=args.cond_nsb,
         write_series=not args.no_series,
-        out_dir=args.out,
     )
-    rows = run_experiment(plan, jobs=args.jobs)
+    rows = run_experiment(plan, args.out, jobs=args.jobs)
     bodies = list(dict.fromkeys(r.body for r in rows))
     cells: dict[float, dict[int, dict]] = {}
     for r in rows:
@@ -244,9 +246,8 @@ def cmd_bench(args) -> int:
 def cmd_export_lp(args) -> int:
     cfg = _config(args)
     prog = parse_program(Path(args.source).read_text(), cfg.input_names())
-    gen = gen_refined if args.refined else gen_ilp
-    system = gen(prog, reference_run(prog, cfg).ranges, prog.links,
-                 cfg.cond_nsb, cfg.pmax)
+    system = generate(prog, reference_run(prog, cfg).ranges, cfg,
+                      refined=args.refined)
     text = export_lp(system, Policy.const_one(system))
     out_path = Path(args.out) if args.out else Path(args.source).with_suffix(".lp")
     out_path.write_text(text)
@@ -260,8 +261,7 @@ def cmd_run(args) -> int:
         raise _UsageError(f"--bits {args.bits} outside [1, {cfg.pmax}]")
     prog = parse_program(Path(args.source).read_text(), cfg.input_names())
     widths = dict.fromkeys(range(len(prog.points)), args.bits)
-    trace = run_tuned(prog, widths, cfg.bindings[0] if cfg.bindings else None,
-                      max_steps=cfg.max_steps)
+    trace = run_tuned(prog, widths, cfg.bindings[0] if cfg.bindings else None)
     for name in sorted(trace.env):
         print(f"{name} = {mpfloat.format_decimal_exact(trace.env[name])}")
     return 0
@@ -270,9 +270,9 @@ def cmd_run(args) -> int:
 def _add_precision_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pref", type=int, default=mpfloat.DEFAULT_PRECISION,
                    help="reference precision in bits (default %(default)s)")
-    p.add_argument("--cond-nsb", type=int, default=53,
+    p.add_argument("--cond-nsb", type=int, default=DEFAULT_COND_NSB,
                    help="width demanded of comparison operands (default %(default)s)")
-    p.add_argument("--pmax", type=int, default=500,
+    p.add_argument("--pmax", type=int, default=DEFAULT_PMAX,
                    help="upper bound of every solved width (default %(default)s)")
     p.add_argument("--samples", metavar="PATH",
                    help="JSON input bindings for programs with free variables")
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("ilp", "pi"), default="ilp")
     p.add_argument("--pref", type=int, default=mpfloat.DEFAULT_PRECISION,
                    help="reference precision in bits (default %(default)s)")
-    p.add_argument("--cond-nsb", type=int, default=53,
+    p.add_argument("--cond-nsb", type=int, default=DEFAULT_COND_NSB,
                    help="width demanded of comparison operands (default %(default)s)")
     p.add_argument("--out", default="bench-results", metavar="DIR",
                    help="output directory (default %(default)s)")

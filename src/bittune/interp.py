@@ -13,8 +13,7 @@ visit.  The two modes build different closures:
   closure: ufp is monotone in |x|, so the largest ufp is the ufp of the
   largest magnitude, which is all the constraints read.  With several
   input binding sets, the run on the first gives the trace and its
-  ranges; the runs on the others only add ranges.  analyze_ranges is
-  this mode with only the ranges kept.
+  ranges; the runs on the others only add ranges.
 * Tuned mode (run_tuned) evaluates every point at its solved width,
   with closures that record nothing: literals parse to the literal
   point's width, reads re-round the stored value to the read point's
@@ -313,31 +312,23 @@ class _Interp:
         return require
 
 
-def run_reference(prog: Program, pref: int = DEFAULT_PRECISION, bindings=None,
-                  track=(), max_steps: int = MAX_STEPS, *, more_bindings=(),
+def run_reference(prog: Program, pref: int = DEFAULT_PRECISION,
+                  binding_sets=(), track=(), max_steps: int = MAX_STEPS, *,
                   ufp_zero: int | None = None) -> Trace:
     """Execute every operation at pref bits and record per-point ranges.
 
-    env, samples and steps come from the run on bindings.  Each set in
-    more_bindings is run too, and only adds to trace.ranges.  ufp_zero
-    is the ufp the ranges give points that held only zero (default
-    -pref)."""
+    env, samples and steps come from the run on the first binding set
+    (on no bindings when binding_sets is empty).  Each other set is run
+    too, and only adds to trace.ranges.  ufp_zero is the ufp the ranges
+    give points that held only zero (default -pref)."""
     ranges = UfpMap.empty(prog.n_points, -pref if ufp_zero is None else ufp_zero)
     widths = [pref] * prog.n_points
-    trace = _Interp(REFERENCE, prog, widths, bindings, track, max_steps,
+    first, *rest = binding_sets or (None,)
+    trace = _Interp(REFERENCE, prog, widths, first, track, max_steps,
                     ranges).run()
-    for extra in more_bindings:
+    for extra in rest:
         _Interp(REFERENCE, prog, widths, extra, (), max_steps, ranges).run()
     return trace
-
-
-def analyze_ranges(prog: Program, pref: int = DEFAULT_PRECISION,
-                   binding_sets=None, ufp_zero: int | None = None,
-                   max_steps: int = MAX_STEPS) -> UfpMap:
-    """Per-point ranges over one reference run per binding set."""
-    first, *rest = list(binding_sets or ()) or [None]
-    return run_reference(prog, pref, first, (), max_steps, more_bindings=rest,
-                         ufp_zero=ufp_zero).ranges
 
 
 def run_tuned(prog: Program, widths: dict[int, int], bindings=None, track=(),

@@ -15,6 +15,7 @@ script can carry a copy of it and run where bittune is not installed.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 
 DEFAULT_PRECISION = 500
 
@@ -348,14 +349,17 @@ def parse_decimal(text: str, p: int) -> MPValue:
 
 
 def format_decimal_exact(x: MPValue) -> str:
-    """Exact decimal rendering (binary fractions are finite decimals)."""
+    """Exact decimal rendering (binary fractions are finite decimals).
+
+    The digits come from Decimal(int), which is exact and, unlike
+    str(int), has no limit on the number of digits."""
     if x.mant == 0:
         return "0"
     sign = "-" if x.sign < 0 else ""
     if x.exp >= 0:
-        return sign + str(x.mant << x.exp)
+        return sign + str(Decimal(x.mant << x.exp))
     n = x.mant * 5 ** -x.exp
-    digits = str(n)
+    digits = str(Decimal(n))
     point = -x.exp
     if len(digits) <= point:
         digits = "0" * (point - len(digits) + 1) + digits

@@ -16,7 +16,8 @@ t_max = H - dt/2; the half-step guard keeps the trip count identical
 between the reference run and every tuned run, however t rounds.
 
 The sweep tunes through `tuner`: one reference_run per horizon, shared
-by its requirements, and one solve per cell.
+by its requirements, and one solve per cell.  run_experiment writes its
+CSVs under the directory it is given.
 """
 
 from __future__ import annotations
@@ -229,21 +230,15 @@ def _distance(ref, tuned) -> float:
 class ExperimentPlan:
     """One precision sweep: every requirement in nsb_values at every
     horizon, sharing the reference run and range analysis per horizon.
-
-    t_max, when set, overrides the horizon-derived loop bound for every
-    cell (the horizon then only labels the output rows).  out_dir is
-    the default output directory; run_experiment's argument wins.
-    """
+    Each horizon's loop bound is horizon_t_max(years, dt)."""
 
     nsb_values: tuple[int, ...] = (11, 18, 24, 34, 43, 53)
     horizons_years: tuple[float, ...] = (10.0,)
     dt: str = "0.01"
-    t_max: str | None = None
     method: str = "ilp"
     pref: int = 500
     cond_nsb: int = 53
     write_series: bool = True
-    out_dir: str | None = None
 
     def __post_init__(self):
         for n in self.nsb_values:
@@ -266,15 +261,12 @@ class SummaryRow:
     run_seconds: float
 
 
-def _cell_t_max(plan: ExperimentPlan, years: float) -> str:
-    return plan.t_max if plan.t_max is not None else horizon_t_max(years, plan.dt)
-
-
 def _prepare_horizon(plan: ExperimentPlan, c: BenchConstants,
                      years: float) -> Trace:
     """The reference trace and its ranges, shared by every requirement
     at this horizon (neither depends on the require_nsb bit counts)."""
-    base_prog = parse_program(build_nbody_program(c, plan.dt, _cell_t_max(plan, years)))
+    base_prog = parse_program(build_nbody_program(
+        c, plan.dt, horizon_t_max(years, plan.dt)))
     return reference_run(base_prog, plan.tuning_config(),
                          track=planet_coord_names(c))
 
@@ -294,7 +286,7 @@ def _run_cell(plan: ExperimentPlan, c: BenchConstants, years: float,
     bodies = [b.name for b in c.planets()]
     ref = shared if shared is not None else _prepare_horizon(plan, c, years)
 
-    source = build_nbody_program(c, plan.dt, _cell_t_max(plan, years), req)
+    source = build_nbody_program(c, plan.dt, horizon_t_max(years, plan.dt), req)
     t0 = time.perf_counter()
     prog = parse_program(source)
     assignment, _ = solve(prog, ref.ranges, plan.tuning_config())
@@ -312,8 +304,7 @@ def _run_cell(plan: ExperimentPlan, c: BenchConstants, years: float,
     return distances, series, tune_s, run_s
 
 
-def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
-                   constants: BenchConstants | None = None,
+def run_experiment(plan: ExperimentPlan, out_dir: str | Path,
                    jobs: int = 1) -> list[SummaryRow]:
     """Run the sweep and write summary.csv (plus one series file per
     cell when write_series is set) under out_dir.
@@ -323,12 +314,8 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path | None = None,
     the sequential run.  On error, rows for the cells that finished
     are still flushed to summary.csv before the exception propagates.
     """
-    c = constants if constants is not None else load_bodies()
-    target = out_dir if out_dir is not None else plan.out_dir
-    if target is None:
-        raise ValueError("run_experiment needs an output directory "
-                         "(argument or plan.out_dir)")
-    out = Path(target)
+    c = load_bodies()
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     cells = [(years, req) for years in plan.horizons_years

@@ -36,7 +36,7 @@ by monotonicity or by exhausting the branch tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constraints import ConstraintSystem, IntVar, LinExpr, XiDef
 
@@ -55,8 +55,6 @@ class SolverError(RuntimeError):
 class NsbAssignment:
     values: dict[IntVar, int]
     total: int                       # objective value, the sum of nsb widths
-    subtotals: dict[str, int] = field(default_factory=dict)
-    optimal: bool = True
     converged: bool = True
     nodes: int = 0
 
@@ -221,11 +219,8 @@ def _finish(ix: _Indexed, values: list[int], order,
             raise SolverError(f"solver produced an infeasible point: "
                               f"{ix.system.constraints[r]}")
     named = {ix.vars[i]: values[i] for i in order}
-    subtotals: dict[str, int] = {}
-    for v, n in named.items():
-        subtotals[v.kind] = subtotals.get(v.kind, 0) + n
     total = sum(values[i] for i in ix.objective)
-    return NsbAssignment(named, total, subtotals, True, True, nodes)
+    return NsbAssignment(named, total, nodes=nodes)
 
 
 def _check_monotone(system: ConstraintSystem) -> None:

@@ -1,22 +1,27 @@
-"""The one tuning pipeline: parse, reference run, solve, verify, report.
+"""The one tuning pipeline: reference run, solve, check, report.
 
-Every caller goes through two stages: reference_run() runs at cfg.pref
-bits and records ranges over all binding sets, and solve() generates C1
-(and C2 for pi) from them, solves, and checks the assignment by
-substitution.  tune() chains them for one source text and returns the
-solved assignment together with a report carrying the per-point widths,
-system sizes, timings, and a verification table.  The timings are
-analysis_seconds and the stage timer's stages, seconds per stage: parse
-(def-use analysis included), reference_run, generate (C1 and C2), solve
-(the substitution check included), tuned_run, verify, and emit, which
-the command line adds for rendering the artifacts.
+Every stage has one entry point over a parsed Program; the caller
+parses (and times the parse).  reference_run() runs at cfg.pref bits
+and records ranges over all binding sets; generate() builds C1, or C2
+for pi, from them; solve() solves and checks the assignment by
+substitution; check_tuned() runs the tuned program against a given
+reference trace and builds the verification table.  tune() chains them
+and returns the solved assignment together with a report carrying the
+per-point widths, system sizes, timings, and the verification table;
+verify() re-checks a width map.  The timings are analysis_seconds
+(reference run, generation and solve) and the stage timer's stages,
+seconds per stage: parse (def-use analysis included), reference_run,
+generate (C1 and C2), solve (the substitution check included),
+tuned_run, verify, and emit, the first and last of which the command
+line adds.
 
 Verification compares the tuned execution against the high-precision
 reference: for each require_nsb(v, n) the absolute error
-|tuned - reference| must stay within tolerance_factor *
-2^(ufp(ref) - n + 1).  The factor (default 100) absorbs accumulation
-over long runs; the per-operation bound itself is what the constraints
-guarantee locally.
+|tuned - reference| must stay within TOLERANCE_FACTOR *
+2^(ufp(ref) - n + 1).  The factor absorbs accumulation over long runs;
+the per-operation bound itself is what the constraints guarantee
+locally.  A check passes when every row does and the tuned run took
+as many steps as the reference.
 """
 
 from __future__ import annotations
@@ -32,15 +37,12 @@ from .constraints import (
     DEFAULT_COND_NSB, DEFAULT_PMAX, ConstraintSystem, gen_ilp, gen_refined,
     system_stats,
 )
-from .interp import MAX_STEPS, Trace, UfpMap, run_reference, run_tuned
-from .parse import parse_program
+from .interp import Trace, UfpMap, run_reference, run_tuned
 from .program import Program, Require
-from .solver import (
-    DEFAULT_NODE_LIMIT, DEFAULT_PI_CAP, NsbAssignment, policy_iterate,
-    solve_monotone,
-)
+from .solver import policy_iterate, solve_monotone
 
 METHODS = ("ilp", "pi")
+TOLERANCE_FACTOR = 100
 
 
 class TuneError(ValueError):
@@ -53,10 +55,6 @@ class TuningConfig:
     pref: int = mpfloat.DEFAULT_PRECISION
     cond_nsb: int = DEFAULT_COND_NSB
     pmax: int = DEFAULT_PMAX
-    pi_cap: int = DEFAULT_PI_CAP
-    node_limit: int = DEFAULT_NODE_LIMIT
-    max_steps: int = MAX_STEPS
-    tolerance_factor: int = 100
     bindings: tuple = ()          # input-binding dicts for open programs
 
     def check(self) -> None:
@@ -103,7 +101,8 @@ class TuningReport:
     c1: ConstraintSystem | None = field(default=None, repr=False, compare=False)
 
     def all_passed(self) -> bool:
-        return not self.diverged and all(r.passed for r in self.verification)
+        return passed(self.verification, self.steps_reference,
+                      self.steps_tuned)
 
     def to_json(self, timings: bool = True) -> str:
         """The report as sorted JSON; without timings, the clock fields
@@ -145,57 +144,57 @@ def _fraction_str(f: Fraction) -> str:
     return f"2^{f.numerator.bit_length() - f.denominator.bit_length()}"
 
 
-def _verify_rows(prog: Program, ref: Trace, tuned: Trace,
-                 tolerance_factor: int) -> list[VerifyRow]:
+def _verify_rows(prog: Program, ref: Trace, tuned: Trace) -> list[VerifyRow]:
     rows = []
-
-    def walk(stmts):
-        for st in stmts:
-            if isinstance(st, Require):
-                ref_v = ref.env[st.name]
-                tuned_v = tuned.env.get(st.name)
-                err = (abs(mpfloat.to_fraction(ref_v) - mpfloat.to_fraction(tuned_v))
-                       if tuned_v is not None else None)
-                u = (mpfloat.ufp(ref_v) if not ref_v.is_zero()
-                     else -mpfloat.DEFAULT_PRECISION)
-                bound = Fraction(2) ** (u - st.bits + 1)
-                passed = err is not None and err <= tolerance_factor * bound
-                rows.append(VerifyRow(
-                    st.name, st.point, st.bits,
-                    _fraction_str(err) if err is not None else "unavailable",
-                    u, _fraction_str(bound), passed))
-            elif hasattr(st, "body"):
-                walk(st.body)
-            elif hasattr(st, "then_body"):
-                walk(st.then_body)
-                walk(st.else_body)
-
-    walk(prog.stmts)
+    for st in prog.points:
+        if not isinstance(st, Require):
+            continue
+        ref_v = ref.env[st.name]
+        tuned_v = tuned.env.get(st.name)
+        err = (abs(mpfloat.to_fraction(ref_v) - mpfloat.to_fraction(tuned_v))
+               if tuned_v is not None else None)
+        u = (mpfloat.ufp(ref_v) if not ref_v.is_zero()
+             else -mpfloat.DEFAULT_PRECISION)
+        bound = Fraction(2) ** (u - st.bits + 1)
+        rows.append(VerifyRow(
+            st.name, st.point, st.bits,
+            _fraction_str(err) if err is not None else "unavailable",
+            u, _fraction_str(bound),
+            err is not None and err <= TOLERANCE_FACTOR * bound))
     return rows
 
 
-def _require_count(prog: Program) -> int:
-    return sum(1 for node in prog.points if isinstance(node, Require))
+def passed(rows: list[VerifyRow], steps_reference: int,
+           steps_tuned: int) -> bool:
+    """The pass rule: every row within tolerance, and the tuned run took
+    the reference's number of steps (its control flow did not diverge)."""
+    return steps_reference == steps_tuned and all(r.passed for r in rows)
 
 
 def reference_run(prog: Program, cfg: TuningConfig, track=()) -> Trace:
     """The run at cfg.pref bits that every later stage reads: env, samples
     and steps from the first binding set, ranges over all of them."""
-    first, *rest = cfg.bindings or (None,)
-    return run_reference(prog, cfg.pref, first, track, max_steps=cfg.max_steps,
-                         more_bindings=rest, ufp_zero=-cfg.pmax)
+    return run_reference(prog, cfg.pref, cfg.bindings, track,
+                         ufp_zero=-cfg.pmax)
+
+
+def generate(prog: Program, ranges: UfpMap, cfg: TuningConfig,
+             refined: bool = False) -> ConstraintSystem:
+    """C1, or C2 when refined, over the ranges and prog.links."""
+    gen = gen_refined if refined else gen_ilp
+    return gen(prog, ranges, prog.links, cfg.cond_nsb, cfg.pmax)
 
 
 def solve(prog: Program, ranges: UfpMap, cfg: TuningConfig,
           stages: dict[str, float] | None = None):
-    """Generate C1 (and C2 for pi) from the ranges and prog.links, solve,
-    and check the assignment by substitution into the system it was
-    solved from.  Returns (NsbAssignment, TuningReport); the report's
-    run fields (steps, verification, analysis_seconds) are left to the
-    caller.  Generate and solve times are added to stages."""
+    """Generate C1 (and C2 for pi) from the ranges, solve, and check the
+    assignment by substitution into the system it was solved from.
+    Returns (NsbAssignment, TuningReport); the report's run fields
+    (steps, verification, analysis_seconds) are left to the caller.
+    Generate and solve times are added to stages."""
     stages = {} if stages is None else stages
     with stage(stages, "generate"):
-        c1 = gen_ilp(prog, ranges, prog.links, cfg.cond_nsb, cfg.pmax)
+        c1 = generate(prog, ranges, cfg)
     with stage(stages, "solve"):
         assignment = solve_monotone(c1)
     report = TuningReport(method=cfg.method,
@@ -205,11 +204,9 @@ def solve(prog: Program, ranges: UfpMap, cfg: TuningConfig,
     solved = c1
     if cfg.method == "pi":
         with stage(stages, "generate"):
-            solved = gen_refined(prog, ranges, prog.links, cfg.cond_nsb,
-                                 cfg.pmax)
+            solved = generate(prog, ranges, cfg, refined=True)
         with stage(stages, "solve"):
-            assignment, _policy, report.pi_iterations = policy_iterate(
-                solved, cfg.node_limit, cfg.pi_cap)
+            assignment, _policy, report.pi_iterations = policy_iterate(solved)
         report.systems["c2"] = dict(system_stats(solved),
                                     xi_defs=len(solved.xi_defs))
         report.total_bits["pi"] = assignment.total
@@ -222,50 +219,49 @@ def solve(prog: Program, ranges: UfpMap, cfg: TuningConfig,
     return assignment, report
 
 
-def tune(source: str | Program, cfg: TuningConfig | None = None,
+def check_tuned(prog: Program, widths: dict[int, int], ref: Trace,
+                cfg: TuningConfig, stages: dict[str, float] | None = None):
+    """Run the program at widths on the first binding set and check it
+    against ref, the reference trace of the same set.  Returns
+    (verification rows, tuned trace); tuned_run and verify times are
+    added to stages."""
+    stages = {} if stages is None else stages
+    with stage(stages, "tuned_run"):
+        tuned = run_tuned(prog, widths, (cfg.bindings or (None,))[0])
+    with stage(stages, "verify"):
+        rows = _verify_rows(prog, ref, tuned)
+    return rows, tuned
+
+
+def tune(prog: Program, cfg: TuningConfig | None = None,
          stages: dict[str, float] | None = None):
-    """Full pipeline on source text or a parsed program; returns
-    (NsbAssignment, TuningReport).  Stage times are added to stages,
-    which becomes report.stages."""
+    """Full pipeline on a parsed program; returns (NsbAssignment,
+    TuningReport).  Stage times are added to stages, which becomes
+    report.stages."""
     cfg = cfg or TuningConfig()
     cfg.check()
     stages = {} if stages is None else stages
-    t0 = time.perf_counter()
-    if isinstance(source, str):
-        with stage(stages, "parse"):
-            prog = parse_program(source, cfg.input_names())
-    else:
-        prog = source
-    if _require_count(prog) == 0:
+    if not any(isinstance(node, Require) for node in prog.points):
         raise TuneError("program has no require_nsb statement; nothing to tune")
+    t0 = time.perf_counter()
     with stage(stages, "reference_run"):
         ref = reference_run(prog, cfg)
     assignment, report = solve(prog, ref.ranges, cfg, stages)
     report.analysis_seconds = round(time.perf_counter() - t0, 3)
 
-    with stage(stages, "tuned_run"):
-        tuned = run_tuned(prog, assignment.widths(),
-                          (cfg.bindings or (None,))[0],
-                          max_steps=cfg.max_steps)
+    report.verification, tuned = check_tuned(prog, assignment.widths(), ref,
+                                             cfg, stages)
     report.steps_reference = ref.steps
     report.steps_tuned = tuned.steps
     report.diverged = ref.steps != tuned.steps
-    with stage(stages, "verify"):
-        report.verification = _verify_rows(prog, ref, tuned,
-                                           cfg.tolerance_factor)
     return assignment, report
 
 
-def verify(source: str | Program, assignment: NsbAssignment | dict,
+def verify(prog: Program, widths: dict[int, int],
            cfg: TuningConfig | None = None):
-    """Run reference vs tuned and build the verification table."""
+    """Re-run the reference and check widths against it; returns
+    (verification rows, reference trace, tuned trace)."""
     cfg = cfg or TuningConfig()
-    prog = (parse_program(source, cfg.input_names())
-            if isinstance(source, str) else source)
-    widths = (assignment.widths() if isinstance(assignment, NsbAssignment)
-              else dict(assignment))
     ref = reference_run(prog, cfg)
-    tuned = run_tuned(prog, widths, (cfg.bindings or (None,))[0],
-                      max_steps=cfg.max_steps)
-    rows = _verify_rows(prog, ref, tuned, cfg.tolerance_factor)
+    rows, tuned = check_tuned(prog, widths, ref, cfg)
     return rows, ref, tuned

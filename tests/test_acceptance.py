@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from bittune.constraints import gen_ilp, gen_refined
-from bittune.interp import analyze_ranges, run_reference, run_tuned
+from bittune.interp import run_reference, run_tuned
 from bittune.lpfile import export_lp
 from bittune.mpfloat import abs_, arith, round_to, sqrt, to_fraction, ufp
 from bittune.nbody import ExperimentPlan, build_nbody_program, horizon_t_max, run_experiment
@@ -86,7 +86,7 @@ EXPECTED_PLAIN = {
 def _distance_system(refined=False):
     prog = parse_program(DISTANCE_SRC, tuple(sorted(DISTANCE_BINDINGS)))
     links = prog.links
-    ranges = analyze_ranges(prog, 100, [DISTANCE_BINDINGS])
+    ranges = run_reference(prog, 100, [DISTANCE_BINDINGS]).ranges
     gen = gen_refined if refined else gen_ilp
     return prog, ranges, gen(prog, ranges, links, 53, 500)
 
@@ -246,7 +246,7 @@ def test_4_refinement_beats_plain_ilp_on_the_orbit_benchmark():
     source = build_nbody_program(req=11, dt="0.01",
                                  t_max=horizon_t_max(10.0))
     t0 = time.perf_counter()
-    _, report = tune(source, TuningConfig(method="pi"))
+    _, report = tune(parse_program(source), TuningConfig(method="pi"))
     elapsed = time.perf_counter() - t0
 
     plain, refined = report.total_bits["ilp"], report.total_bits["pi"]
@@ -354,7 +354,7 @@ def test_7_random_small_programs_meet_their_bit_requirement():
         src = gen_straight_line(rng)
         prog = parse_program(src)
         links = prog.links
-        ranges = analyze_ranges(prog, 500)
+        ranges = run_reference(prog, 500).ranges
         c1 = gen_ilp(prog, ranges, links, 53, 500)
         sol = solve_monotone(c1)
         widths = {v.point: n for v, n in sol.values.items()

@@ -7,13 +7,16 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from bittune import cli, nbody
+from bittune import cli, mpfloat, nbody, tuner
 from bittune.cli import main
-from bittune.tuner import TuningConfig, tune
+from bittune.parse import parse_program
+from bittune.tuner import TuningConfig, TuningReport, tune
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -110,17 +113,15 @@ class TestTuneCommand:
             (workdir / "exported.lp").read_bytes()
 
     def test_source_is_parsed_once(self, workdir, capsys, monkeypatch):
-        import bittune.cli
-        import bittune.tuner
+        # The tuner takes parsed programs only, so the CLI's parse is the
+        # only one.
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return parse_program(*args, **kwargs)
 
-        parse_program = bittune.cli.parse_program
-        monkeypatch.setattr(bittune.cli, "parse_program", counted)
-        monkeypatch.setattr(bittune.tuner, "parse_program", counted)
+        monkeypatch.setattr(cli, "parse_program", counted)
         code, _, err = run_cli(capsys, "tune", "small.pop", "--emit-lp")
         assert code == 0, err
         assert len(calls) == 1
@@ -302,6 +303,40 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
 
+    # Its one requirement lands 1.24x over the one-ulp bound, so at a
+    # tolerance factor of 1 its row fails.
+    OVERSHOOT = ("v0 = 3.98561;\nv1 = 8.055112;\nv2 = v1 * v1;\n"
+                 "v3 = sqrt(v0);\nv4 = v1 - v2;\nv5 = sqrt(v3);\n"
+                 "require_nsb(v5, 24);\n")
+
+    @pytest.mark.parametrize("source, samples, tolerance, passes", [
+        (SMALL, None, 100, True),
+        ("y = x * x + 1.0;\nz = sqrt(y);\nrequire_nsb(z, 20);\n"
+         "require_nsb(y, 12);\n", '[{"x": "3.0"}, {"x": "0.125"}]', 100,
+         True),
+        (OVERSHOOT, None, 1, False),
+    ], ids=["small", "samples", "failing"])
+    def test_repeats_the_check_tune_reported(self, workdir, capsys,
+                                             monkeypatch, source, samples,
+                                             tolerance, passes):
+        monkeypatch.setattr(tuner, "TOLERANCE_FACTOR", tolerance)
+        (workdir / "p.pop").write_text(source)
+        flags = []
+        if samples is not None:
+            (workdir / "s.json").write_text(samples)
+            flags = ["--samples", "s.json"]
+        code, _, err = run_cli(capsys, "tune", "p.pop", *flags)
+        assert code == 0, err
+        report = TuningReport.from_json(
+            (workdir / "p.report.json").read_text())
+        assert report.all_passed() is passes
+        code, out, _ = run_cli(capsys, "verify", "p.pop", *flags)
+        rows = report.verification
+        assert [line.split() for line in out.splitlines()[1:1 + len(rows)]] \
+            == [[r.var, str(r.bits), r.error, r.bound,
+                 "pass" if r.passed else "FAIL"] for r in rows]
+        assert (code == 0) is passes
+
     def test_report_without_widths_rejected(self, workdir, capsys):
         (workdir / "small.report.json").write_text("{}")
         code, _, err = run_cli(capsys, "verify", "small.pop")
@@ -333,7 +368,7 @@ class TestBenchCommand:
         t_max = nbody.horizon_t_max(0.05)
         for (method, req), widths in zip(cells, seen):
             source = nbody.build_nbody_program(t_max=t_max, req=req)
-            assignment, _ = tune(source, TuningConfig(method))
+            assignment, _ = tune(parse_program(source), TuningConfig(method))
             assert widths == assignment.widths(), (method, req)
 
     def test_row_grid_is_nsb_times_years_times_bodies(self, workdir, capsys):
@@ -421,6 +456,17 @@ class TestExportAndRun:
         code, _, err = run_cli(capsys, "run", "open.pop",
                                "--samples", "s.json")
         assert code == 1 and "not a number" in err
+
+    @pytest.mark.parametrize("literal", ["1e5000", "1e-2000"])
+    def test_run_prints_values_of_any_length(self, workdir, capsys, literal):
+        # Both print more than the 4300 digits str() converts an int to.
+        (workdir / "big.pop").write_text(f"x = {literal};\n")
+        code, out, err = run_cli(capsys, "run", "big.pop")
+        assert code == 0, err
+        name, value = out.strip().split(" = ")
+        assert name == "x" and len(value) > 4300
+        assert Fraction(Decimal(value)) == mpfloat.to_fraction(
+            mpfloat.parse_decimal(literal, 53))
 
 
 class TestNumericLimits:

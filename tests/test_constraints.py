@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from bittune.constraints import (
     IntVar, gen_ilp, gen_refined, nsb, nsbe, system_stats, xi,
 )
-from bittune.interp import analyze_ranges
+from bittune.interp import run_reference
 from bittune.lpfile import export_lp
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
@@ -28,7 +28,7 @@ from helpers import gen_straight_line
 def systems_for(src, cond_nsb=53, pmax=500, inputs=(), binding_sets=None):
     prog = parse_program(src, inputs)
     links = prog.links
-    ranges = analyze_ranges(prog, 100, binding_sets)
+    ranges = run_reference(prog, 100, binding_sets).ranges
     return (prog, ranges,
             gen_ilp(prog, ranges, links, cond_nsb, pmax),
             gen_refined(prog, ranges, links, cond_nsb, pmax))

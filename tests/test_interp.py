@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bittune import mpfloat
-from bittune.interp import EvalError, analyze_ranges, run_reference, run_tuned
+from bittune.interp import EvalError, run_reference, run_tuned
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from bittune.tuner import TuningConfig, reference_run, solve
@@ -64,7 +64,7 @@ class TestReference:
 
     def test_bindings_seed_free_variables(self):
         prog = parse_program("y = x * x;\n", inputs=("x",))
-        trace = run_reference(prog, pref=100, bindings={"x": "3.0"})
+        trace = run_reference(prog, pref=100, binding_sets=[{"x": "3.0"}])
         assert mpfloat.to_fraction(trace.env["y"]) == 9
 
     def test_step_cap_raises(self):
@@ -169,27 +169,27 @@ class TestTuned:
 class TestRanges:
     def test_single_run_records_exact_ufp(self):
         prog = parse_program("a = 6.0;\nb = a * a;\n")
-        ranges = analyze_ranges(prog, pref=100)
+        ranges = run_reference(prog, pref=100).ranges
         b_point = next(n.point for n in prog.points
                        if type(n).__name__ == "Assign" and n.name == "b")
         assert ranges.ufp(b_point) == 5                  # 36 in [32, 64)
 
     def test_zero_points_use_sentinel(self):
         prog = parse_program("z = 0.0;\n")
-        ranges = analyze_ranges(prog, pref=100)
+        ranges = run_reference(prog, pref=100).ranges
         assert ranges.ufp(0) == ranges.ufp_zero == -100
 
     def test_unvisited_branch_not_recorded(self):
         src = "a = 1.0;\nif (a > 2.0) {\n    b = a;\n} else {\n    c = a;\n}\n"
         prog = parse_program(src)
-        ranges = analyze_ranges(prog, pref=60)
+        ranges = run_reference(prog, pref=60).ranges
         then_assign = next(n.point for n in prog.points
                            if type(n).__name__ == "Assign" and n.name == "b")
         assert not ranges.visited(then_assign)
 
     def test_visit_counts_match_trip_count(self):
         prog = parse_program(GEOM)
-        ranges = analyze_ranges(prog, pref=100)
+        ranges = run_reference(prog, pref=100).ranges
         body_def = next(n.point for n in prog.points
                         if type(n).__name__ == "Assign" and n.name == "s"
                         and prog.scopes[n.point])
@@ -197,7 +197,7 @@ class TestRanges:
 
     def test_range_brackets_every_visit(self):
         prog = parse_program(GEOM)
-        ranges = analyze_ranges(prog, pref=100)
+        ranges = run_reference(prog, pref=100).ranges
         q_def = next(n.point for n in prog.points
                      if type(n).__name__ == "Assign" and n.name == "q"
                      and prog.scopes[n.point])
@@ -207,8 +207,8 @@ class TestRanges:
 
     def test_multiple_binding_sets_merge(self):
         prog = parse_program("y = x + 0.0;\n", inputs=("x",))
-        ranges = analyze_ranges(prog, pref=80,
-                                binding_sets=[{"x": "0.25"}, {"x": "8.0"}])
+        ranges = run_reference(prog, pref=80,
+                               binding_sets=[{"x": "0.25"}, {"x": "8.0"}]).ranges
         y_read = next(n.point for n in prog.points
                       if type(n).__name__ == "Var" and n.name == "x")
         assert ranges.ufp(y_read) == 3                   # 8 in [8, 16)
@@ -222,8 +222,8 @@ class TestRanges:
                "require_nsb(k, 10);\n")
         prog = parse_program(src, inputs=("x",))
         first, second = {"x": "2.0"}, {"x": "5.0"}
-        fused = run_reference(prog, 60, first, more_bindings=[second])
-        alone = run_reference(prog, 60, first)
+        fused = run_reference(prog, 60, [first, second])
+        alone = run_reference(prog, 60, [first])
         assert fused.env == alone.env
         assert mpfloat.to_fraction(fused.env["k"]) == 2
         assert fused.steps == alone.steps
@@ -233,8 +233,6 @@ class TestRanges:
         assert fused.ranges.visits(body_def) == 2 + 5
         assert fused.ranges.ufp(body_def) == 2          # 5 in [4, 8)
         assert alone.ranges.ufp(body_def) == 1
-        merged = analyze_ranges(prog, 60, [first, second])
-        assert merged == fused.ranges
 
     def test_literal_is_parsed_once_per_pass(self, monkeypatch):
         calls = []
@@ -257,7 +255,7 @@ class TestRanges:
     def test_recorded_ufp_brackets_final_value(self, seed):
         src = gen_straight_line(random.Random(seed), max_ops=4)
         prog = parse_program(src)
-        ranges = analyze_ranges(prog, pref=120)
+        ranges = run_reference(prog, pref=120).ranges
         trace = run_reference(prog, pref=120)
         for node in prog.points:
             if type(node).__name__ == "Assign":

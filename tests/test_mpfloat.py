@@ -78,9 +78,12 @@ class TestRounding:
         once = round_to(x, p)
         assert to_fraction(round_to(once, p)) == to_fraction(once)
 
-    @given(mpvalues, precisions)
-    def test_widening_is_exact(self, x, p):
-        assume(p >= x.prec)
+    @given(mpvalues, st.integers(0, 80))
+    def test_widening_is_exact(self, x, extra):
+        # The width is drawn relative to x's own: filtering a free draw
+        # with assume() discarded so many examples that hypothesis's
+        # health check failed the test now and then.
+        p = x.prec + extra
         assert to_fraction(round_to(x, p)) == to_fraction(x)
 
     def test_ties_go_to_even(self):

@@ -177,24 +177,6 @@ class TestSweep:
             assert 0.0 < drift[(24, body)] < 1e-5
             assert drift[(24, body)] < drift[(11, body)] < 1e-2
 
-    def test_explicit_t_max_override(self, tmp_path):
-        plan = ExperimentPlan(nsb_values=(11,), horizons_years=(10.0,),
-                              t_max="0.015", write_series=True)
-        run_experiment(plan, tmp_path)
-        with open(tmp_path / "series_nsb11_h10y.csv") as fh:
-            assert len(list(csv.reader(fh))) == 1 + (2 + 1) * 4
-
-    def test_out_dir_from_plan(self, tmp_path):
-        plan = ExperimentPlan(nsb_values=(11,), horizons_years=(0.05,),
-                              write_series=False,
-                              out_dir=str(tmp_path / "from_plan"))
-        run_experiment(plan)
-        assert (tmp_path / "from_plan" / "summary.csv").exists()
-
-    def test_no_out_dir_anywhere_rejected(self):
-        with pytest.raises(ValueError, match="output directory"):
-            run_experiment(ExperimentPlan())
-
     def test_requirements_validated(self):
         with pytest.raises(ValueError, match="outside"):
             ExperimentPlan(nsb_values=(0,))

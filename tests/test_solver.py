@@ -14,7 +14,7 @@ import pytest
 from bittune.constraints import (
     ConstraintSystem, LinExpr, gen_ilp, gen_refined, nsb,
 )
-from bittune.interp import analyze_ranges
+from bittune.interp import run_reference
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from bittune.solver import (
@@ -187,7 +187,7 @@ class TestBranchAndBound:
     def test_policy_required_for_carry_definitions(self):
         src = "a = 8.0;\nb = 0.5;\nc = a + b;\nrequire_nsb(c, 12);\n"
         prog = parse_program(src)
-        c2 = gen_refined(prog, analyze_ranges(prog, 100), prog.links)
+        c2 = gen_refined(prog, run_reference(prog, 100).ranges, prog.links)
         with pytest.raises(SolverError, match="policy"):
             solve_ilp(c2)
 
@@ -195,7 +195,7 @@ class TestBranchAndBound:
 class TestPolicyIteration:
     def _refined(self, src):
         prog = parse_program(src)
-        return gen_refined(prog, analyze_ranges(prog, 100), prog.links)
+        return gen_refined(prog, run_reference(prog, 100).ranges, prog.links)
 
     def test_never_worse_than_always_carry(self, rng):
         for _ in range(20):

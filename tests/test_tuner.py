@@ -1,5 +1,6 @@
 """End-to-end tuning pipeline, report serialization, generated scripts."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,16 +8,16 @@ from fractions import Fraction
 
 import pytest
 
-from bittune import mpfloat
+from bittune import mpfloat, tuner
 from bittune.codegen import ScriptNameError, emit_mp_code, mp, mp_sqrt
-from bittune.interp import run_tuned
+from bittune.interp import run_reference, run_tuned
 from bittune.lpfile import check_solution, export_lp, parse_solution
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from bittune.render import MissingWidthError, emit_annotated
 from bittune.solver import SolverError, solve_monotone
 from bittune.tuner import (
-    TuneError, TuningConfig, TuningReport, tune, verify,
+    TuneError, TuningConfig, TuningReport, VerifyRow, passed, tune, verify,
 )
 from helpers import gen_straight_line
 
@@ -31,7 +32,7 @@ require_nsb(d, 20);
 
 class TestTune:
     def test_widths_cover_all_points_and_meet_requirement(self):
-        assignment, report = tune(SMALL)
+        assignment, report = tune(parse_program(SMALL))
         prog = parse_program(SMALL)
         widths = assignment.widths()
         assert set(widths) == set(range(len(prog.points)))
@@ -40,24 +41,26 @@ class TestTune:
         assert report.all_passed()
 
     def test_pi_records_both_totals(self):
-        _, report = tune(SMALL, TuningConfig(method="pi"))
+        _, report = tune(parse_program(SMALL), TuningConfig(method="pi"))
         assert set(report.total_bits) == {"ilp", "pi"}
         assert report.total_bits["pi"] <= report.total_bits["ilp"]
         assert "c2" in report.systems and "xi_defs" in report.systems["c2"]
 
     def test_verification_rows_within_local_bound(self):
-        _, report = tune(SMALL)
+        _, report = tune(parse_program(SMALL))
         for row in report.verification:
             assert row.passed
             assert float(row.error) <= 100 * float(row.bound)
 
     def test_no_requirement_rejected(self):
         with pytest.raises(TuneError, match="require_nsb"):
-            tune("a = 1.0;\n")
+            tune(parse_program("a = 1.0;\n"))
 
     def test_open_program_needs_bindings(self):
         cfg = TuningConfig(bindings=({"x": "0.5"},))
-        assignment, report = tune("y = x + 1.0;\nrequire_nsb(y, 12);\n", cfg)
+        assignment, report = tune(
+            parse_program("y = x + 1.0;\nrequire_nsb(y, 12);\n",
+                          cfg.input_names()), cfg)
         assert report.all_passed()
 
     @pytest.mark.parametrize("bad", [
@@ -68,10 +71,10 @@ class TestTune:
     ])
     def test_config_validation(self, bad):
         with pytest.raises(TuneError):
-            tune(SMALL, bad)
+            tune(parse_program(SMALL), bad)
 
     def test_exactly_representable_output_has_zero_error(self):
-        _, report = tune("a = 0.5;\nb = a + a;\nrequire_nsb(b, 5);\n")
+        _, report = tune(parse_program("a = 0.5;\nb = a + a;\nrequire_nsb(b, 5);\n"))
         errors = {r.var: r.error for r in report.verification}
         assert errors["b"] == "0"
 
@@ -89,13 +92,13 @@ class TestPolicyIterationNeverLoses:
     ends in an infeasible system on them, and a fix has to flip them."""
 
     def _assert_pi_not_worse(self, src):
-        _, report = tune(src, TuningConfig(method="pi"))
+        _, report = tune(parse_program(src), TuningConfig(method="pi"))
         assert report.total_bits["pi"] <= report.total_bits["ilp"]
 
     @pytest.mark.xfail(strict=True, raises=SolverError,
                        reason="PI infeasible where the plain solve succeeds")
     def test_product_chain(self):
-        _, plain = tune(CHAIN, TuningConfig(method="ilp"))
+        _, plain = tune(parse_program(CHAIN), TuningConfig(method="ilp"))
         assert plain.total_bits == {"ilp": 3154}
         self._assert_pi_not_worse(CHAIN)
 
@@ -112,13 +115,13 @@ class TestPolicyIterationNeverLoses:
 
 class TestReportSerialization:
     def test_json_round_trip(self):
-        _, report = tune(SMALL, TuningConfig(method="pi"))
+        _, report = tune(parse_program(SMALL), TuningConfig(method="pi"))
         again = TuningReport.from_json(report.to_json())
         assert again == report
 
     def test_json_is_sorted_and_stable(self):
-        _, a = tune(SMALL)
-        _, b = tune(SMALL)
+        _, a = tune(parse_program(SMALL))
+        _, b = tune(parse_program(SMALL))
         assert a.to_json(timings=False) == b.to_json(timings=False)
 
     def test_text_rendition_mentions_failures(self):
@@ -129,8 +132,8 @@ class TestReportSerialization:
 
 class TestVerify:
     def test_lowered_widths_fail(self):
-        assignment, _ = tune(SMALL)
         prog = parse_program(SMALL)
+        assignment, _ = tune(prog)
         halved = {p: max(1, n // 4) for p, n in assignment.widths().items()}
         rows, _, _ = verify(prog, halved)
         assert any(not r.passed for r in rows)
@@ -141,12 +144,20 @@ class TestVerify:
         rows, ref, tuned = verify(prog, {i: 2 for i in range(len(prog.points))})
         assert ref.steps != tuned.steps
 
-    def test_tolerance_factor_scales_the_check(self):
+    def test_pass_rule_needs_every_row_and_equal_steps(self):
+        row = VerifyRow("d", 4, 20, "0", 1, "2^-18", True)
+        assert passed([row], 7, 7)
+        assert not passed([row], 7, 8)
+        assert not passed([dataclasses.replace(row, passed=False)], 7, 7)
+
+    def test_tolerance_factor_scales_the_check(self, monkeypatch):
         prog = parse_program(SMALL)
-        assignment, _ = tune(SMALL)
+        assignment, _ = tune(prog)
         widths = {p: max(1, n - 6) for p, n in assignment.widths().items()}
-        strict, _, _ = verify(prog, widths, TuningConfig(tolerance_factor=1))
-        loose, _, _ = verify(prog, widths, TuningConfig(tolerance_factor=10**9))
+        monkeypatch.setattr(tuner, "TOLERANCE_FACTOR", 1)
+        strict, _, _ = verify(prog, widths)
+        monkeypatch.setattr(tuner, "TOLERANCE_FACTOR", 10**9)
+        loose, _, _ = verify(prog, widths)
         assert all(r.passed for r in loose)
         assert sum(r.passed for r in strict) <= sum(r.passed for r in loose)
 
@@ -160,8 +171,8 @@ class TestGeneratedScript:
     def test_script_reproduces_tuned_run_bit_for_bit(self, rng):
         for _ in range(25):
             src = gen_straight_line(rng, max_ops=5)
-            assignment, _ = tune(src)
             prog = parse_program(src)
+            assignment, _ = tune(prog)
             trace = run_tuned(prog, assignment.widths())
             ns = self._run_script(emit_mp_code(prog, assignment.widths()))
             for name, val in trace.env.items():
@@ -215,8 +226,8 @@ print(json.dumps(out))
             "require_nsb(y, 20);\n")
         expected, paths = [], []
         for i, src in enumerate(sources):
-            assignment, _ = tune(src)
             prog = parse_program(src)
+            assignment, _ = tune(prog)
             expected.append(run_tuned(prog, assignment.widths()).env)
             path = tmp_path / f"p{i}.mp.txt"
             path.write_text(emit_mp_code(prog, assignment.widths()))
@@ -252,7 +263,7 @@ print(json.dumps(out))
 
 class TestAnnotatedRender:
     def test_all_points_tagged(self):
-        assignment, _ = tune(SMALL)
+        assignment, _ = tune(parse_program(SMALL))
         text = emit_annotated(parse_program(SMALL), assignment.widths())
         assert text.count("|") == 2 * (len(parse_program(SMALL).points) - 1)
         assert "require_nsb(d, 20);" in text
@@ -268,8 +279,7 @@ class TestLpRoundTrip:
         src = "a = 8.0;\nb = 0.5;\nc = a + b;\nrequire_nsb(c, 12);\n"
         prog = parse_program(src)
         from bittune.constraints import gen_ilp
-        from bittune.interp import analyze_ranges
-        return gen_ilp(prog, analyze_ranges(prog, 100), prog.links)
+        return gen_ilp(prog, run_reference(prog, 100).ranges, prog.links)
 
     def test_export_names_every_variable_and_row(self):
         system = self._system()
