@@ -139,13 +139,17 @@ def _load_bindings(path: str) -> tuple[dict, ...]:
 
 
 def _config(args) -> TuningConfig:
-    return TuningConfig(
+    """The command's TuningConfig, checked, so every command refuses the
+    settings tune refuses."""
+    cfg = TuningConfig(
         method=getattr(args, "method", "ilp"),
         pref=args.pref,
         cond_nsb=args.cond_nsb,
         pmax=args.pmax,
         bindings=_load_bindings(args.samples) if args.samples else (),
     )
+    cfg.check()
+    return cfg
 
 
 def cmd_tune(args) -> int:

@@ -28,7 +28,7 @@ xi() build equal variables for other callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .flow import DefUseLink
@@ -176,6 +176,26 @@ class ConstraintSystem:
         lines += [str(c) for c in self.constraints]
         lines += [str(d) for d in self.xi_defs]
         return "\n".join(lines) + "\n"
+
+
+def with_requirement(system: ConstraintSystem, bits: int) -> ConstraintSystem:
+    """A copy of system with bits as the constant of every require row.
+
+    Every other row, the variables and the carry definitions are shared
+    and kept in order, so the copy is what generation would build from
+    the program with each require_nsb set to bits."""
+    demand = _expr(bits)
+    return replace(
+        system,
+        variables=list(system.variables),
+        constraints=[LinearConstraint(c.lhs, demand, c.origin, c.site)
+                     if c.origin == "require" else c
+                     for c in system.constraints],
+        xi_defs=list(system.xi_defs),
+        objective=list(system.objective),
+        skipped_points=list(system.skipped_points),
+        zero_ufp_points=list(system.zero_ufp_points),
+        _seen=set(system._seen))
 
 
 def system_stats(system: ConstraintSystem) -> dict[str, int]:

@@ -15,9 +15,10 @@ prologue.  A sweep horizon of H years runs the loop up to
 t_max = H - dt/2; the half-step guard keeps the trip count identical
 between the reference run and every tuned run, however t rounds.
 
-The sweep tunes through `tuner`: one reference_run per horizon, shared
-by its requirements, and one solve per cell.  run_experiment writes its
-CSVs under the directory it is given.
+The sweep tunes through `tuner`: one parse, reference_run and
+generation per horizon, shared by its requirements, and one solve per
+cell, of the horizon's systems with the cell's requirement swapped in.
+run_experiment writes its CSVs under the directory it is given.
 """
 
 from __future__ import annotations
@@ -30,11 +31,14 @@ from dataclasses import dataclass
 from decimal import Decimal
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
+from .constraints import ConstraintSystem, with_requirement
 from .interp import Trace, run_reference, run_tuned
 from .mpfloat import to_float
 from .parse import parse_program
-from .tuner import TuningConfig, reference_run, solve
+from .program import Program
+from .tuner import TuningConfig, reference_run, solve, systems
 
 BODY_ORDER = ("Sun", "Jupiter", "Saturn", "Uranus", "Neptune")
 COORDS = ("x", "y", "z")
@@ -261,35 +265,49 @@ class SummaryRow:
     run_seconds: float
 
 
+class Horizon(NamedTuple):
+    """What every requirement at one horizon shares: the parsed program
+    (its require_nsb bit counts are never read by a tuned run), the
+    reference trace with its ranges, and the systems generated from
+    them, whose require rows each cell swaps for its own."""
+
+    prog: Program
+    ref: Trace
+    c1: ConstraintSystem
+    c2: ConstraintSystem | None
+
+
 def _prepare_horizon(plan: ExperimentPlan, c: BenchConstants,
-                     years: float) -> Trace:
-    """The reference trace and its ranges, shared by every requirement
-    at this horizon (neither depends on the require_nsb bit counts)."""
-    base_prog = parse_program(build_nbody_program(
+                     years: float) -> Horizon:
+    """Parse, run the reference and generate once for this horizon."""
+    cfg = plan.tuning_config()
+    prog = parse_program(build_nbody_program(
         c, plan.dt, horizon_t_max(years, plan.dt)))
-    return reference_run(base_prog, plan.tuning_config(),
-                         track=planet_coord_names(c))
+    ref = reference_run(prog, cfg, track=planet_coord_names(c))
+    return Horizon(prog, ref, *systems(prog, ref.ranges, cfg))
 
 
 def _run_cell(plan: ExperimentPlan, c: BenchConstants, years: float,
-              req: int, shared=None):
+              req: int, shared: Horizon | None = None):
     """Tune and run one (requirement, horizon) cell.
 
     Returns (distances, series, tune_seconds, run_seconds) where
     distances is [(body, final drift)] and series the per-step rows or
-    None.  tune_seconds covers parsing and tuner.solve only; the shared
-    reference stage is not charged to any cell (a worker recomputes it
-    when shared is None, e.g. under a process pool, but the attribution
-    stays the same).
+    None.  tune_seconds covers swapping the requirement into the
+    horizon's systems and tuner.solve only; the shared horizon stage
+    (parse, reference run, generation) is not charged to any cell (a
+    worker recomputes it when shared is None, e.g. under a process
+    pool, but the attribution stays the same).
     """
     coords = planet_coord_names(c)
     bodies = [b.name for b in c.planets()]
-    ref = shared if shared is not None else _prepare_horizon(plan, c, years)
+    prog, ref, c1, c2 = (shared if shared is not None
+                         else _prepare_horizon(plan, c, years))
 
-    source = build_nbody_program(c, plan.dt, horizon_t_max(years, plan.dt), req)
     t0 = time.perf_counter()
-    prog = parse_program(source)
-    assignment, _ = solve(prog, ref.ranges, plan.tuning_config())
+    assignment, _ = solve(with_requirement(c1, req),
+                          None if c2 is None else with_requirement(c2, req),
+                          plan.tuning_config())
     tune_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -310,9 +328,10 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path,
     cell when write_series is set) under out_dir.
 
     With jobs > 1 the cells run in separate processes, each redoing
-    the range/reference stage; results and row order are identical to
-    the sequential run.  On error, rows for the cells that finished
-    are still flushed to summary.csv before the exception propagates.
+    its horizon's parse, reference run and generation; results and row
+    order are identical to the sequential run.  On error, rows for the
+    cells that finished are still flushed to summary.csv before the
+    exception propagates.
     """
     c = load_bodies()
     out = Path(out_dir)

@@ -13,7 +13,9 @@ the relaxed point into a feasible incumbent.  policy_iterate drives the
 min-selections of the refined system's carry definitions, starting from
 the always-carry policy and switching any definition whose selected
 argument is not minimal at the current solution; each switch keeps the
-incumbent feasible, so the bit-sum never increases.
+incumbent feasible, so the bit-sum never increases.  Given the plain
+system's solution, its first iteration lifts that solution instead of
+branching (_lift).
 
 Every solve works on one indexed form of its system, built once per
 solve_monotone, solve_ilp or policy_iterate call and dropped when it
@@ -25,10 +27,13 @@ solve, the relaxation (negative terms frozen at the node's upper bounds
 as a per-row constant offset) and the repair pass.  A carry policy is
 substituted on the row form, once per policy iteration; apply_policy
 materialises the same rows back into a ConstraintSystem for the LP
-export.  The worklist starts with every row pending in row order and
-pops the last one first, and users lists are in row order: repair on
-mixed-sign rows, the rows named by an infeasibility message and so the
-solved widths depend on that order.
+export.  In the monotone solve and the repair pass the worklist starts
+with every row pending in row order and pops the last one first, and
+users lists are in row order: repair on mixed-sign rows, the rows named
+by an infeasibility message and so the solved widths depend on that
+order.  The relaxation, whose fixpoint is monotone and so independent of
+order, starts in dependency order instead (_dependency_order), so that
+each row off a cycle is evaluated once.
 
 Everything is exact integer arithmetic; optimality is certified either
 by monotonicity or by exhausting the branch tree.
@@ -262,6 +267,29 @@ def _kleene(lhs, const, terms, users, pending, values, upper,
     return -1
 
 
+def _dependency_order(lhs, kept, left, readers) -> list[int]:
+    """The left rows as a _kleene worklist: every row after the rows that
+    raise what its kept terms read, rows on cycles last, all reversed,
+    since _kleene pops from the end.  readers is _users(n, left, kept).
+    A monotone fixpoint then evaluates each acyclic row once."""
+    producers: list[list[int]] = [[] for _ in readers]
+    for r in left:
+        producers[lhs[r]].append(r)
+    waiting = [0] * len(lhs)
+    for r in left:
+        for _, i in kept[r]:
+            waiting[r] += len(producers[i])
+    order = [r for r in left if not waiting[r]]
+    for r in order:
+        for dep in readers[lhs[r]]:
+            waiting[dep] -= 1
+            if not waiting[dep]:
+                order.append(dep)
+    order += [r for r in left if waiting[r]]
+    order.reverse()
+    return order
+
+
 def _raising_rows(ix: _Indexed, start: int, raised_by: list[int]) -> str:
     """Walk the rows that raised start's variables backward, until a
     variable repeats (a cycle) or nothing raised them (a chain), and
@@ -345,6 +373,7 @@ def _branch_and_bound(n: int, rows: _Rows, objective: list[int], pmax: int,
               for r in left if len(kept[r]) < len(terms[r])]
     kept_users = _users(n, left, kept)
     all_users = _users(n, left, terms)
+    relax_order = _dependency_order(lhs, kept, left, kept_users)
     neg_vars = list(dict.fromkeys(i for ts in terms for coef, i in ts
                                   if coef < 0))
 
@@ -363,7 +392,8 @@ def _branch_and_bound(n: int, rows: _Rows, objective: list[int], pmax: int,
             for coef, i in ts:
                 offset[r] += coef * hi[i]
         relaxed = list(lo)
-        if _kleene(lhs, offset, kept, kept_users, left[:], relaxed, hi) >= 0:
+        if _kleene(lhs, offset, kept, kept_users, relax_order[:], relaxed,
+                   hi) >= 0:
             continue
         if any(const[r] + sum(c * (relaxed[i] if c > 0 else hi[i])
                               for c, i in terms[r]) > 0 for r in bounds):
@@ -417,20 +447,51 @@ def solve_ilp(system: ConstraintSystem, policy: Policy | None = None,
     return _finish(ix, best, ix.solved_order(), nodes)
 
 
+def _lift(ix: _Indexed, plain: NsbAssignment) -> NsbAssignment | None:
+    """The least-sum solution of the system under the always-carry
+    policy, built from plain, the least solution of the plain system
+    over the same program.
+
+    Under that policy the rows with an nsb on the left are the plain
+    system's rows with every carry at 1, and read no error width; the
+    other rows, with nsb fixed, are monotone.  So the nsb widths are
+    plain's and the rest is the least fixpoint above them: the point
+    branch and bound's root node relaxes and repairs to.  None when the
+    fixpoint leaves the box or a row has no left variable, and branch
+    and bound must decide."""
+    rows = ix.substitute([3] * len(ix.defs))
+    lhs, terms = rows.lhs, rows.terms
+    if -1 in lhs:
+        return None
+    n = len(ix.vars)
+    left = list(range(len(lhs)))
+    kept = [tuple(t for t in ts if t[0] >= 0) for ts in terms]
+    values = [plain.values.get(v, 0) for v in ix.vars]
+    order = _dependency_order(lhs, kept, left, _users(n, left, kept))
+    if _kleene(lhs, rows.const, terms, _users(n, left, terms), order,
+               values, [ix.system.pmax] * n) >= 0:
+        return None
+    return _finish(ix, values, ix.solved_order())
+
+
 def policy_iterate(system: ConstraintSystem,
                    node_limit: int = DEFAULT_NODE_LIMIT,
-                   max_iterations: int = DEFAULT_PI_CAP):
+                   max_iterations: int = DEFAULT_PI_CAP, *,
+                   plain: NsbAssignment | None = None):
     """Improve carry selections until every one is minimal at the solution.
 
     Returns (assignment, policy, iterations).  Starts from the
     always-carry policy, whose solution matches the plain system's, and
-    only ever lowers the bit-sum.
+    only ever lowers the bit-sum.  Given plain, the plain system's
+    least solution, the first iteration lifts it (_lift) and runs
+    branch and bound only where the lift does not fit.
     """
     ix = _Indexed(system)
     policy = Policy.const_one(system)
-    assignment = None
+    assignment = _lift(ix, plain) if plain is not None else None
     for iteration in range(1, max_iterations + 1):
-        assignment = solve_ilp(system, policy, node_limit, indexed=ix)
+        if assignment is None or iteration > 1:
+            assignment = solve_ilp(system, policy, node_limit, indexed=ix)
         values = [assignment.values[v] for v in ix.vars]
         switched = False
         for d, (_, (c1, t1), (c2, t2)) in zip(system.xi_defs, ix.defs):

@@ -2,18 +2,22 @@
 
 Every stage has one entry point over a parsed Program; the caller
 parses (and times the parse).  reference_run() runs at cfg.pref bits
-and records ranges over all binding sets; generate() builds C1, or C2
-for pi, from them; solve() solves and checks the assignment by
-substitution; check_tuned() runs the tuned program against a given
-reference trace and builds the verification table.  tune() chains them
-and returns the solved assignment together with a report carrying the
-per-point widths, system sizes, timings, and the verification table;
-verify() re-checks a width map.  The timings are analysis_seconds
-(reference run, generation and solve) and the stage timer's stages,
-seconds per stage: parse (def-use analysis included), reference_run,
-generate (C1 and C2), solve (the substitution check included),
-tuned_run, verify, and emit, the first and last of which the command
-line adds.
+and records ranges over all binding sets; generate() builds C1 or C2
+from them, and systems() the pair solve() takes, (C1, C2) for pi and
+(C1, None) for ilp; solve() solves those systems (pi by policy
+iteration from C1's solution) and checks the assignment by
+substitution.  solve() reads no program, so one generation can serve
+several solves: the sweep swaps each cell's requirement into its
+horizon's systems (constraints.with_requirement).  check_tuned() runs
+the tuned program against a given reference trace and builds the
+verification table.  tune() chains them and returns the solved
+assignment together with a report carrying the per-point widths,
+system sizes, timings, and the verification table; verify() re-checks
+a width map.  The timings are analysis_seconds (reference run,
+generation and solve) and the stage timer's stages, seconds per stage:
+parse (def-use analysis included), reference_run, generate (C1 and
+C2), solve (the substitution check included), tuned_run, verify, and
+emit, the first and last of which the command line adds.
 
 Verification compares the tuned execution against the high-precision
 reference: for each require_nsb(v, n) the absolute error
@@ -185,16 +189,24 @@ def generate(prog: Program, ranges: UfpMap, cfg: TuningConfig,
     return gen(prog, ranges, prog.links, cfg.cond_nsb, cfg.pmax)
 
 
-def solve(prog: Program, ranges: UfpMap, cfg: TuningConfig,
-          stages: dict[str, float] | None = None):
-    """Generate C1 (and C2 for pi) from the ranges, solve, and check the
-    assignment by substitution into the system it was solved from.
-    Returns (NsbAssignment, TuningReport); the report's run fields
-    (steps, verification, analysis_seconds) are left to the caller.
-    Generate and solve times are added to stages."""
+def systems(prog: Program, ranges: UfpMap, cfg: TuningConfig):
+    """What solve() takes for cfg.method: (C1, C2) for pi, else (C1, None)."""
+    return (generate(prog, ranges, cfg),
+            generate(prog, ranges, cfg, refined=True)
+            if cfg.method == "pi" else None)
+
+
+def solve(c1: ConstraintSystem, c2: ConstraintSystem | None,
+          cfg: TuningConfig, stages: dict[str, float] | None = None):
+    """Solve C1, then for pi C2 by policy iteration started from C1's
+    solution, and check the assignment by substitution into the system
+    it was solved from.  c1 and c2 are what systems() builds.  Returns
+    (NsbAssignment, TuningReport); the report's run fields (steps,
+    verification, analysis_seconds) are left to the caller.  The solve
+    time is added to stages."""
     stages = {} if stages is None else stages
-    with stage(stages, "generate"):
-        c1 = generate(prog, ranges, cfg)
+    if (c2 is None) == (cfg.method == "pi"):
+        raise TuneError("solve takes C2 exactly when the method is pi")
     with stage(stages, "solve"):
         assignment = solve_monotone(c1)
     report = TuningReport(method=cfg.method,
@@ -202,13 +214,12 @@ def solve(prog: Program, ranges: UfpMap, cfg: TuningConfig,
                           systems={"c1": system_stats(c1)}, stages=stages,
                           c1=c1)
     solved = c1
-    if cfg.method == "pi":
-        with stage(stages, "generate"):
-            solved = generate(prog, ranges, cfg, refined=True)
+    if c2 is not None:
+        solved = c2
         with stage(stages, "solve"):
-            assignment, _policy, report.pi_iterations = policy_iterate(solved)
-        report.systems["c2"] = dict(system_stats(solved),
-                                    xi_defs=len(solved.xi_defs))
+            assignment, _policy, report.pi_iterations = policy_iterate(
+                c2, plain=assignment)
+        report.systems["c2"] = dict(system_stats(c2), xi_defs=len(c2.xi_defs))
         report.total_bits["pi"] = assignment.total
     with stage(stages, "solve"):
         if not solved.satisfied_by(assignment.values):
@@ -246,7 +257,9 @@ def tune(prog: Program, cfg: TuningConfig | None = None,
     t0 = time.perf_counter()
     with stage(stages, "reference_run"):
         ref = reference_run(prog, cfg)
-    assignment, report = solve(prog, ref.ranges, cfg, stages)
+    with stage(stages, "generate"):
+        c1, c2 = systems(prog, ref.ranges, cfg)
+    assignment, report = solve(c1, c2, cfg, stages)
     report.analysis_seconds = round(time.perf_counter() - t0, 3)
 
     report.verification, tuned = check_tuned(prog, assignment.widths(), ref,

@@ -436,6 +436,17 @@ class TestExportAndRun:
         refined = (workdir / "refined.lp").read_text()
         assert "nsbe_" in refined and "nsbe_" not in plain
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--pref", "600"), "pref 600 exceeds pmax 500"),
+        (("--cond-nsb", "0"), "cond_nsb 0 outside [1, pmax=500]"),
+    ])
+    @pytest.mark.parametrize("command", ["tune", "export-lp", "verify", "run"])
+    def test_every_command_checks_the_config(self, workdir, capsys, command,
+                                             flags, message):
+        code, _, err = run_cli(capsys, command, "small.pop", *flags)
+        assert (code, err) == (1, f"bittune: {command}: {message}\n")
+        assert not (workdir / "small.lp").exists()
+
     def test_run_prints_exact_environment(self, workdir, capsys):
         code, out, _ = run_cli(capsys, "run", "small.pop", "--bits", "10")
         assert code == 0

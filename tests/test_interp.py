@@ -12,7 +12,7 @@ from bittune import mpfloat
 from bittune.interp import EvalError, run_reference, run_tuned
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
-from bittune.tuner import TuningConfig, reference_run, solve
+from bittune.tuner import TuningConfig, reference_run, solve, systems
 from helpers import BRANCH, LOOP, gen_straight_line
 
 GEOM = """\
@@ -300,7 +300,7 @@ class TestPinnedRuns:
             digests["reference"].update(
                 f"{ref.ranges.top}\n{ref.ranges.counts}\n{ref.steps}\n"
                 f"{_env_text(ref.env)}".encode())
-            assignment, _ = solve(prog, ref.ranges, cfg)
+            assignment, _ = solve(*systems(prog, ref.ranges, cfg), cfg)
             tuned = run_tuned(prog, assignment.widths())
             digests["tuned"].update(
                 f"{tuned.steps}\n{_env_text(tuned.env)}".encode())

@@ -13,15 +13,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from bittune import mpfloat
+from bittune import mpfloat, nbody as nbody_mod, tuner
 from bittune.cli import main
+from bittune.constraints import with_requirement
 from bittune.interp import run_reference
+from bittune.lpfile import export_lp
 from bittune.nbody import (
     BODY_ORDER, COORDS, BenchConstants, ExperimentPlan, build_nbody_program,
     horizon_t_max, load_bodies, planet_coord_names, reference_energy_drift,
-    _distance, run_experiment, total_energy,
+    _distance, _prepare_horizon, run_experiment, total_energy,
 )
 from bittune.parse import parse_program
+from bittune.solver import Policy
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -202,6 +205,65 @@ class TestSweep:
         with open(tmp_path / "summary.csv") as fh:
             table = list(csv.reader(fh))
         assert len(table) == 1 + 4                  # first cell only
+
+
+def _sweep_outputs(out: Path) -> tuple[str, dict[str, bytes]]:
+    """The summary's distance_au column and every series file's bytes."""
+    with open(out / "summary.csv") as fh:
+        column = "".join(row["distance_au"] + "\n"
+                         for row in csv.DictReader(fh))
+    return column, {p.name: p.read_bytes()
+                    for p in sorted(out.glob("series_*.csv"))}
+
+
+class TestSharedLowering:
+    """Each horizon is parsed, run and lowered once; every cell solves
+    the horizon's systems with its own requirement swapped in."""
+
+    @pytest.mark.parametrize("req", (11, 18, 24, 34, 43, 53))
+    def test_swapped_systems_match_generation_at_the_requirement(self, req):
+        plan = ExperimentPlan(horizons_years=(0.05,), method="pi")
+        cfg = plan.tuning_config()
+        c = load_bodies()
+        horizon = _prepare_horizon(plan, c, 0.05)
+        prog = parse_program(build_nbody_program(
+            c, plan.dt, horizon_t_max(0.05, plan.dt), req))
+        direct = tuner.systems(prog, tuner.reference_run(prog, cfg).ranges,
+                               cfg)
+        for shared, generated in zip((horizon.c1, horizon.c2), direct):
+            swapped = with_requirement(shared, req)
+            assert swapped.dump() == generated.dump()
+            assert export_lp(swapped, Policy.const_one(swapped)) == \
+                export_lp(generated, Policy.const_one(generated))
+
+    def test_one_parse_and_one_generation_per_horizon(self, tmp_path,
+                                                      monkeypatch):
+        calls = {"parse": 0, "c1": 0, "c2": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(nbody_mod, "parse_program",
+                            counted("parse", nbody_mod.parse_program))
+        monkeypatch.setattr(tuner, "gen_ilp", counted("c1", tuner.gen_ilp))
+        monkeypatch.setattr(tuner, "gen_refined",
+                            counted("c2", tuner.gen_refined))
+        plan = ExperimentPlan(nsb_values=(11, 18, 24),
+                              horizons_years=(0.05, 0.1), method="pi",
+                              write_series=False)
+        rows = run_experiment(plan, tmp_path)
+        assert len(rows) == 3 * 2 * 4
+        assert calls == {"parse": 2, "c1": 2, "c2": 2}
+
+    def test_worker_processes_write_what_one_process_writes(self, tmp_path):
+        plan = ExperimentPlan(nsb_values=(11, 24), horizons_years=(0.1,))
+        run_experiment(plan, tmp_path / "one")
+        run_experiment(plan, tmp_path / "two", jobs=2)
+        assert _sweep_outputs(tmp_path / "two") == \
+            _sweep_outputs(tmp_path / "one")
 
 
 def _fraction_distance(ref, tuned) -> float:

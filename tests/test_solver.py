@@ -17,9 +17,10 @@ from bittune.constraints import (
 from bittune.interp import run_reference
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
+from bittune import solver
 from bittune.solver import (
-    Policy, SolverError, apply_policy, policy_iterate, solve_ilp,
-    solve_monotone,
+    Policy, SolverError, _dependency_order, apply_policy, policy_iterate,
+    solve_ilp, solve_monotone,
 )
 from bittune.tuner import TuningConfig, reference_run
 from helpers import gen_straight_line
@@ -237,11 +238,42 @@ class TestPolicyIteration:
         assert not xi_vars & set(plain.variables)
         assert plain.objective == c2.objective
 
+    def test_plain_start_changes_no_result(self, rng):
+        # Lifting the plain solution replaces the first branch and bound;
+        # every later iteration, and so every output, stays the same.
+        lifted = 0
+        for k in range(40):
+            prog = parse_program(
+                gen_straight_line(rng, max_ops=(4, 12)[k % 2]))
+            ranges = run_reference(prog, 100).ranges
+            c1 = gen_ilp(prog, ranges, prog.links)
+            c2 = gen_refined(prog, ranges, prog.links)
+            plain = solve_monotone(c1)
+            first = policy_iterate(c2, max_iterations=1, plain=plain)[0]
+            assert first.values == \
+                solve_ilp(c2, Policy.const_one(c2)).values
+            lifted += first.nodes == 0
+            a, policy_a, n_a = policy_iterate(c2, plain=plain)
+            b, policy_b, n_b = policy_iterate(c2)
+            assert (list(a.values.items()), policy_a, n_a) == \
+                (list(b.values.items()), policy_b, n_b)
+        assert lifted == 40
+
     def test_converged_flag_set(self, rng):
         c2 = self._refined("a = 8.0;\nb = 0.5;\nc = a + b;\n"
                            "require_nsb(c, 12);\n")
         improved, _, _ = policy_iterate(c2)
         assert improved.converged
+
+
+def test_relaxation_worklist_runs_in_dependency_order():
+    # Rows 0-2 form the chain x0 -> x1 -> x2 listed backward; rows 3 and
+    # 4 form the cycle x3 <-> x4.  _kleene pops from the end.
+    lhs = [2, 1, 0, 3, 4]
+    kept = [((1, 1),), ((1, 0),), (), ((1, 4),), ((1, 3),)]
+    order = _dependency_order(lhs, kept, range(5),
+                              [[1], [0], [], [4], [3]])
+    assert order[::-1] == [2, 1, 0, 3, 4]
 
 
 def _digest(assignment) -> str:
@@ -270,6 +302,23 @@ class TestPinnedOutput:
         assignment, _, iterations = policy_iterate(c2)
         assert (assignment.total, iterations, len(assignment.values)) == \
             (13033, 2, 2115)
+        assert _digest(assignment) == (
+            "5dc53f47fea5cf9a438a7b039758a740a00f3d9daee9f823606048e6cc4b8a89")
+
+    def test_five_body_from_the_plain_solution(self, monkeypatch):
+        c1, c2 = self._systems(build_nbody_program(
+            dt="0.01", t_max=horizon_t_max(0.05), req=24))
+        branched = []
+        real = solver.solve_ilp
+
+        def counted(*args, **kwargs):
+            branched.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_ilp", counted)
+        assignment, _, iterations = policy_iterate(c2,
+                                                   plain=solve_monotone(c1))
+        assert (assignment.total, iterations, len(branched)) == (13033, 2, 1)
         assert _digest(assignment) == (
             "5dc53f47fea5cf9a438a7b039758a740a00f3d9daee9f823606048e6cc4b8a89")
 

@@ -73,6 +73,17 @@ class TestTune:
         with pytest.raises(TuneError):
             tune(parse_program(SMALL), bad)
 
+    @pytest.mark.parametrize("method, other", [("ilp", "pi"), ("pi", "ilp")])
+    def test_solve_takes_c2_exactly_for_pi(self, method, other):
+        prog = parse_program(SMALL)
+        cfg = TuningConfig(method=method)
+        c1, c2 = tuner.systems(prog, tuner.reference_run(prog, cfg).ranges,
+                               cfg)
+        assert (c2 is not None) == (method == "pi")
+        assert tuner.solve(c1, c2, cfg)[1].method == method
+        with pytest.raises(TuneError, match="exactly when"):
+            tuner.solve(c1, c2, TuningConfig(method=other))
+
     def test_exactly_representable_output_has_zero_error(self):
         _, report = tune(parse_program("a = 0.5;\nb = a + a;\nrequire_nsb(b, 5);\n"))
         errors = {r.var: r.error for r in report.verification}
