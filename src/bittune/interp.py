@@ -2,10 +2,13 @@
 
 A pass lowers the program once, to one closure per control point and
 per statement, with the point's width and its arithmetic kernel
-(mpfloat.add, sub, mul, div or sqrt) bound when the closure is built.
-A visit then does no dispatch on node types or operators and no width
-lookup, and a literal is parsed once per pass instead of once per
-visit.  The two modes build different closures:
+(mpfloat.add_t, sub_t, mul_t, div_t or sqrt_t) bound when the closure
+is built.  A visit then does no dispatch on node types or operators and
+no width lookup, and a literal is parsed once per pass instead of once
+per visit.  Inside a pass every value is an mpfloat triple (m, e, p);
+bindings are unboxed when the pass starts, and the trace's env and
+samples are boxed to MPValues when it ends.  The two modes build
+different closures:
 
 * Reference mode (run_reference) evaluates everything at one working
   precision.  Each of its closures also records, for its own control
@@ -30,12 +33,13 @@ domain errors of division and square root; an EvalError names the pass
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 from . import mpfloat
-from .mpfloat import DEFAULT_PRECISION, MPDomainError, MPValue, round_to
+from .mpfloat import (
+    DEFAULT_PRECISION, MPDomainError, MPValue, box, cmp_t, round_t, unbox,
+)
 from .program import (
     Assign, BinOp, Compare, If, Neg, Num, Program, Require, Sqrt, Var, While,
 )
@@ -87,10 +91,11 @@ class Trace:
     ranges: UfpMap | None = None      # reference mode only
 
 
-_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
-            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+# The cmp_t results for which each comparison holds.
+_COMPARE = {"<": (-1,), "<=": (-1, 0), ">": (1,), ">=": (0, 1),
+            "==": (0,), "!=": (-1, 1)}
 # Division has a closure of its own, as it can fail.
-_KERNELS = {"+": mpfloat.add, "-": mpfloat.sub, "*": mpfloat.mul}
+_KERNELS = {"+": mpfloat.add_t, "-": mpfloat.sub_t, "*": mpfloat.mul_t}
 
 
 class _Interp:
@@ -105,18 +110,20 @@ class _Interp:
         self.max_steps = max_steps
         self.ranges = ranges
         self.steps = 0
-        self.env: dict[str, MPValue] = {}
-        self.samples: dict[str, list[MPValue]] = {v: [] for v in track}
+        self.env: dict[str, tuple] = {}
+        self.samples: dict[str, list[tuple]] = {v: [] for v in track}
         for var, value in (bindings or {}).items():
             if isinstance(value, str):
                 value = mpfloat.parse_decimal(value, DEFAULT_PRECISION)
-            self.env[var] = value
+            self.env[var] = unbox(value)
         self.body = tuple(map(self.stmt, prog.stmts))
 
     def run(self) -> Trace:
         for step in self.body:
             step()
-        return Trace(self.env, self.samples, self.steps, self.ranges)
+        env = {name: box(v) for name, v in self.env.items()}
+        samples = {name: list(map(box, vs)) for name, vs in self.samples.items()}
+        return Trace(env, samples, self.steps, self.ranges)
 
     def fail(self, message: str, point: int | None = None) -> EvalError:
         return EvalError(f"{self.name}: {message}", point)
@@ -136,7 +143,7 @@ class _Interp:
     # require_nsb are rare enough to share one closure that tests the
     # mode.
 
-    def expr(self, e) -> Callable[[], MPValue]:
+    def expr(self, e) -> Callable[[], tuple]:
         # One closure per node and no wrappers, so evaluation nests no
         # deeper than the expression does.
         p = e.point
@@ -145,10 +152,10 @@ class _Interp:
         if ranges is not None:
             top, counts = ranges.top, ranges.counts
         if isinstance(e, Num):
-            value = mpfloat.parse_decimal(e.text, n)
+            value = unbox(mpfloat.parse_decimal(e.text, n))
             if ranges is None:
                 return lambda: value
-            u = value.exp + n - 1 if value.mant else None
+            u = value[1] + n - 1 if value[0] else None
 
             def lit():
                 counts[p] += 1
@@ -162,18 +169,18 @@ class _Interp:
                     v = env.get(name)
                     if v is None:
                         raise fail(f"variable {name!r} read before assignment", p)
-                    return v if v.prec == n else round_to(v, n)
+                    return v if v[2] == n else round_t(v[0], v[1], n)
                 return read
 
             def read_noted():
                 v = env.get(name)
                 if v is None:
                     raise fail(f"variable {name!r} read before assignment", p)
-                if v.prec != n:
-                    v = round_to(v, n)
+                if v[2] != n:
+                    v = round_t(v[0], v[1], n)
                 counts[p] += 1
-                if v.mant and (top[p] is None or v.exp + n - 1 > top[p]):
-                    top[p] = v.exp + n - 1
+                if v[0] and (top[p] is None or v[1] + n - 1 > top[p]):
+                    top[p] = v[1] + n - 1
                 return v
             return read_noted
         if isinstance(e, BinOp) and e.op in _KERNELS:
@@ -184,23 +191,23 @@ class _Interp:
             def binop_noted():
                 v = kernel(a(), b(), n)
                 counts[p] += 1
-                if v.mant and (top[p] is None or v.exp + n - 1 > top[p]):
-                    top[p] = v.exp + n - 1
+                if v[0] and (top[p] is None or v[1] + n - 1 > top[p]):
+                    top[p] = v[1] + n - 1
                 return v
             return binop_noted
         if isinstance(e, Neg):
             a = self.expr(e.operand)
 
             def neg():
-                v = round_to(mpfloat.neg(a()), n)
+                v = mpfloat.neg_t(a(), n)
                 if ranges is not None:
                     counts[p] += 1
-                    if v.mant and (top[p] is None or v.exp + n - 1 > top[p]):
-                        top[p] = v.exp + n - 1
+                    if v[0] and (top[p] is None or v[1] + n - 1 > top[p]):
+                        top[p] = v[1] + n - 1
                 return v
             return neg
         if isinstance(e, BinOp):                    # division
-            kernel, a, b = mpfloat.div, self.expr(e.left), self.expr(e.right)
+            kernel, a, b = mpfloat.div_t, self.expr(e.left), self.expr(e.right)
 
             def div():
                 x = a()
@@ -211,12 +218,12 @@ class _Interp:
                     raise fail(str(err), p) from err
                 if ranges is not None:
                     counts[p] += 1
-                    if v.mant and (top[p] is None or v.exp + n - 1 > top[p]):
-                        top[p] = v.exp + n - 1
+                    if v[0] and (top[p] is None or v[1] + n - 1 > top[p]):
+                        top[p] = v[1] + n - 1
                 return v
             return div
         if isinstance(e, Sqrt):
-            kernel, a = mpfloat.sqrt, self.expr(e.arg)
+            kernel, a = mpfloat.sqrt_t, self.expr(e.arg)
 
             def sqrt():
                 x = a()
@@ -226,15 +233,15 @@ class _Interp:
                     raise fail(str(err), p) from err
                 if ranges is not None:
                     counts[p] += 1
-                    if v.mant and (top[p] is None or v.exp + n - 1 > top[p]):
-                        top[p] = v.exp + n - 1
+                    if v[0] and (top[p] is None or v[1] + n - 1 > top[p]):
+                        top[p] = v[1] + n - 1
                 return v
             return sqrt
         raise TypeError(f"unexpected expression node {e!r}")
 
     def cond(self, c: Compare) -> Callable[[], bool]:
-        a, b, test = self.expr(c.left), self.expr(c.right), _COMPARE[c.op]
-        return lambda: test(a(), b())
+        a, b, holds = self.expr(c.left), self.expr(c.right), _COMPARE[c.op]
+        return lambda: cmp_t(a(), b()) in holds
 
     # --- statements ----------------------------------------------------
 
@@ -278,8 +285,8 @@ class _Interp:
                 def assign():
                     tick()
                     v = rhs()
-                    if v.prec != n:
-                        v = round_to(v, n)
+                    if v[2] != n:
+                        v = round_t(v[0], v[1], n)
                     env[name] = v
                     if samples is not None:
                         samples.append(v)
@@ -288,11 +295,11 @@ class _Interp:
             def assign_noted():
                 tick()
                 v = rhs()
-                if v.prec != n:
-                    v = round_to(v, n)
+                if v[2] != n:
+                    v = round_t(v[0], v[1], n)
                 counts[p] += 1
-                if v.mant and (top[p] is None or v.exp + n - 1 > top[p]):
-                    top[p] = v.exp + n - 1
+                if v[0] and (top[p] is None or v[1] + n - 1 > top[p]):
+                    top[p] = v[1] + n - 1
                 env[name] = v
                 if samples is not None:
                     samples.append(v)
@@ -304,11 +311,11 @@ class _Interp:
             if v is None:
                 raise fail(f"require_nsb on unassigned variable {name!r}", p)
             if ranges is not None:
-                if v.prec != n:
-                    v = round_to(v, n)
+                if v[2] != n:
+                    v = round_t(v[0], v[1], n)
                 counts[p] += 1
-                if v.mant and (top[p] is None or v.exp + n - 1 > top[p]):
-                    top[p] = v.exp + n - 1
+                if v[0] and (top[p] is None or v[1] + n - 1 > top[p]):
+                    top[p] = v[1] + n - 1
         return require
 
 

@@ -1,11 +1,20 @@
 """Arbitrary-precision binary floating point with an explicit significand width.
 
-Values are sign * mant * 2**exp with the significand normalized so that
-``mant.bit_length() == prec`` (top bit set) for nonzero values.  Every
-operation rounds to a caller-chosen width with round-to-nearest, ties to
-even.  Addition and multiplication are computed exactly on integers before
-rounding; division and square root run integer algorithms whose remainders
-give exact sticky information, so those are correctly rounded as well.
+The arithmetic is written once, on triples (m, e, p): the value m * 2**e
+held at width p, with m a signed int of exactly p bits (or m == 0 and
+e == 0).  Every operation rounds to a caller-chosen width with
+round-to-nearest, ties to even, in one routine (round_t; mul_t keeps an
+inline copy).  Addition and multiplication are computed exactly on
+integers before rounding; division and square root run integer
+algorithms whose remainders give exact sticky information, so those are
+correctly rounded as well.  The interpreter computes on triples inside a
+pass.
+
+MPValue is the boxed public value, sign * mant * 2**exp at width prec,
+that everything outside a pass reads: traces, the tuner, the emitted
+scripts.  Its functions (round_to, add, sub, mul, div, sqrt, arith and
+the comparisons) unbox their operands, call the triple kernel and box
+the result.
 
 The module also holds the runtime of the emitted mp scripts (``mp`` and
 ``mp_sqrt``, at the end).  It imports only the standard library, so a
@@ -96,10 +105,7 @@ def zero(prec: int = DEFAULT_PRECISION) -> MPValue:
 
 
 def from_int(n: int, prec: int) -> MPValue:
-    if n == 0:
-        return zero(prec)
-    sign = 1 if n > 0 else -1
-    return _normalize(sign, abs(n), 0, prec)
+    return box(round_t(n, 0, prec))
 
 
 def from_float(f: float) -> MPValue:
@@ -152,147 +158,183 @@ def abs_(x: MPValue) -> MPValue:
     return x if x.sign > 0 else neg(x)
 
 
-def _normalize(sign: int, mant: int, exp: int, prec: int, sticky: int = 0) -> MPValue:
-    """Round sign * mant * 2**exp to prec bits, nearest-even; sticky
-    marks nonzero bits below mant."""
-    if mant == 0:
-        return MPValue(1, 0, 0, prec)
-    drop = mant.bit_length() - prec
+# --- the arithmetic, on triples -------------------------------------------
+#
+# Each kernel takes and returns triples (m, e, p) and allocates one tuple
+# per result, so a pass that keeps its values as triples builds no MPValue.
+
+
+def box(t: tuple) -> MPValue:
+    m, e, p = t
+    return MPValue(-1, -m, e, p) if m < 0 else MPValue(1, m, e, p)
+
+
+def unbox(x: MPValue) -> tuple:
+    return (x.sign * x.mant, x.exp if x.mant else 0, x.prec)
+
+
+def round_t(m: int, e: int, p: int) -> tuple:
+    """Round m * 2**e (m any int) to p bits, nearest, ties to even.
+
+    Division and square root fold an inexact remainder into m as one
+    extra low bit (a sticky bit); they keep at least two more bits than
+    p, so that bit lies below the half-ulp bit and only breaks ties."""
+    drop = m.bit_length() - p
     if drop <= 0:
-        return MPValue(sign, mant << -drop, exp + drop, prec)
-    q = mant >> drop
+        if not m:
+            return (0, 0, p)
+        return (m << -drop, e + drop, p)
+    x = -m if m < 0 else m
+    q = x >> drop
     # Up when the first dropped bit is set and the tie is broken by a
-    # lower dropped bit, the sticky bit or an odd q.
-    if mant >> (drop - 1) & 1 and (
-            q & 1 or sticky or mant & ((1 << (drop - 1)) - 1)):
+    # lower dropped bit or an odd q.
+    if x >> (drop - 1) & 1 and (q & 1 or x & ((1 << (drop - 1)) - 1)):
         q += 1
-        if q >> prec:                   # carried out: q == 2**prec
+        if q >> p:                      # carried out: q == 2**p
             q >>= 1
             drop += 1
-    return MPValue(sign, q, exp + drop, prec)
+    return (-q if m < 0 else q, e + drop, p)
+
+
+def cmp_t(a: tuple, b: tuple) -> int:
+    """-1, 0 or 1 as a < b, a == b or a > b; exact at any widths."""
+    ma, ea, pa = a
+    mb, eb, pb = b
+    if ma and mb and (ma < 0) == (mb < 0):
+        ua, ub = ea + pa, eb + pb       # ufp + 1 of each
+        if ua != ub:
+            return 1 if (ua > ub) == (ma > 0) else -1
+        # Same leading-bit weight: align the last bits and compare exactly.
+        if ea > eb:
+            ma <<= ea - eb
+        elif eb > ea:
+            mb <<= eb - ea
+    # Otherwise a zero or opposite signs: the signs alone decide.
+    return (ma > mb) - (ma < mb)
+
+
+def neg_t(a: tuple, p: int) -> tuple:
+    return round_t(-a[0], a[1], p)
+
+
+def add_t(a: tuple, b: tuple, p: int, negate_b: bool = False) -> tuple:
+    """a + b (a - b when negate_b) correctly rounded to p bits."""
+    ma, ea, pa = a
+    mb, eb, pb = b
+    if negate_b:
+        mb = -mb
+    if not ma:
+        return (mb, eb, p) if pb == p else round_t(mb, eb, p)
+    if not mb:
+        return a if pa == p else round_t(ma, ea, p)
+    # Order by exponent so the shift is applied to the higher one.
+    if ea < eb:
+        ma, mb = mb, ma
+        ea, eb = eb, ea
+        pa, pb = pb, pa
+    gap = ea - eb
+    if gap <= p + pa + pb + 8:
+        return round_t((ma << gap) + mb, eb, p)
+    # b is far below any bit the rounding can keep: replace it with a
+    # one-ulp nudge that preserves ordering and tie direction.
+    g = p + 8
+    return round_t((ma << g) + (1 if mb > 0 else -1), ea - g, p)
+
+
+def sub_t(a: tuple, b: tuple, p: int) -> tuple:
+    return add_t(a, b, p, True)
+
+
+def mul_t(a: tuple, b: tuple, p: int) -> tuple:
+    # round_t's rounding, inline: mul is the most frequent operation.
+    m = a[0] * b[0]
+    e = a[1] + b[1]
+    drop = m.bit_length() - p
+    if drop <= 0:
+        if not m:
+            return (0, 0, p)
+        return (m << -drop, e + drop, p)
+    x = -m if m < 0 else m
+    q = x >> drop
+    if x >> (drop - 1) & 1 and (q & 1 or x & ((1 << (drop - 1)) - 1)):
+        q += 1
+        if q >> p:
+            q >>= 1
+            drop += 1
+    return (-q if m < 0 else q, e + drop, p)
+
+
+def div_t(a: tuple, b: tuple, p: int) -> tuple:
+    ma, ea, pa = a
+    mb, eb, pb = b
+    if not mb:
+        raise MPDomainError("division by zero")
+    if not ma:
+        return (0, 0, p)
+    if mb < 0:
+        ma, mb = -ma, -mb
+    # A quotient of p + 2 or p + 3 bits, floored; a sticky bit below it.
+    k = p + 2 - (pa - pb)
+    if k >= 0:
+        q, r = divmod(ma << k, mb)
+    else:
+        q, r = divmod(ma, mb << -k)
+    return round_t(q << 1 | (r != 0), ea - eb - k - 1, p)
+
+
+def sqrt_t(a: tuple, p: int) -> tuple:
+    m, e, _ = a
+    if not m:
+        return (0, 0, p)
+    if m < 0:
+        raise MPDomainError("square root of a negative value")
+    if e & 1:
+        m <<= 1
+        e -= 1
+    # A root of at least p + 2 bits, floored; a sticky bit below it.
+    t = p + 2 - (m.bit_length() + 1) // 2
+    if t < 0:
+        t = 0
+    M = m << (2 * t)
+    r = math.isqrt(M)
+    return round_t(r << 1 | (M != r * r), e // 2 - t - 1, p)
+
+
+# --- the same operations on MPValues ----------------------------------------
 
 
 def round_to(x: MPValue, p: int) -> MPValue:
     """Correctly round x to p significand bits."""
     if p < 1:
         raise ValueError(f"precision must be >= 1, got {p}")
-    if x.mant == 0:
-        return zero(p)
-    if x.prec == p:
-        return x
-    return _normalize(x.sign, x.mant, x.exp, p)
+    return box(round_t(x.sign * x.mant, x.exp, p))
 
 
 def _cmp(a: MPValue, b: MPValue) -> int:
-    if a.mant == 0 and b.mant == 0:
-        return 0
-    if a.mant == 0:
-        return -b.sign
-    if b.mant == 0:
-        return a.sign
-    if a.sign != b.sign:
-        return 1 if a.sign > b.sign else -1
-    ua, ub = ufp(a), ufp(b)
-    if ua != ub:
-        mag = 1 if ua > ub else -1
-        return mag * a.sign
-    # Same leading-bit weight: align the last bits and compare exactly.
-    ea, eb = a.exp, b.exp
-    ma, mb = a.mant, b.mant
-    if ea > eb:
-        ma <<= ea - eb
-    elif eb > ea:
-        mb <<= eb - ea
-    if ma == mb:
-        return 0
-    mag = 1 if ma > mb else -1
-    return mag * a.sign
+    return cmp_t(unbox(a), unbox(b))
 
 
 def add(a: MPValue, b: MPValue, p: int) -> MPValue:
-    if a.mant == 0:
-        return round_to(b, p)
-    if b.mant == 0:
-        return round_to(a, p)
-    # Order by exponent so the shift is applied to the higher one.
-    if a.exp < b.exp:
-        a, b = b, a
-    gap = a.exp - b.exp
-    limit = p + a.prec + b.prec + 8
-    A = a.sign * a.mant
-    B = b.sign * b.mant
-    if gap <= limit:
-        S = (A << gap) + B
-        e = b.exp
-        sticky = 0
-    else:
-        # b is far below any bit the rounding can keep: replace it with a
-        # one-ulp nudge that preserves ordering and tie direction.
-        g = p + 8
-        S = (A << g) + (1 if B > 0 else -1)
-        e = a.exp - g
-        sticky = 0
-    if S == 0:
-        return zero(p)
-    sign = 1 if S > 0 else -1
-    return _normalize(sign, abs(S), e, p, sticky)
+    return box(add_t(unbox(a), unbox(b), p))
 
 
 def sub(a: MPValue, b: MPValue, p: int) -> MPValue:
-    return add(a, neg(b), p)
+    return box(sub_t(unbox(a), unbox(b), p))
 
 
 def mul(a: MPValue, b: MPValue, p: int) -> MPValue:
-    # _normalize's rounding, inline: mul is the most frequent operation.
-    m = a.mant * b.mant
-    if m == 0:
-        return MPValue(1, 0, 0, p)
-    drop = m.bit_length() - p
-    if drop <= 0:
-        return MPValue(a.sign * b.sign, m << -drop, a.exp + b.exp + drop, p)
-    q = m >> drop
-    if m >> (drop - 1) & 1 and (q & 1 or m & ((1 << (drop - 1)) - 1)):
-        q += 1
-        if q >> p:
-            q >>= 1
-            drop += 1
-    return MPValue(a.sign * b.sign, q, a.exp + b.exp + drop, p)
+    return box(mul_t(unbox(a), unbox(b), p))
 
 
 def div(a: MPValue, b: MPValue, p: int) -> MPValue:
-    if b.mant == 0:
-        raise MPDomainError("division by zero")
-    if a.mant == 0:
-        return zero(p)
-    k = p + 2 - (a.prec - b.prec)
-    if k >= 0:
-        num, den = a.mant << k, b.mant
-    else:
-        num, den = a.mant, b.mant << -k
-    q, r = divmod(num, den)
-    e = a.exp - b.exp - k
-    return _normalize(a.sign * b.sign, q, e, p, sticky=1 if r else 0)
+    return box(div_t(unbox(a), unbox(b), p))
 
 
 def sqrt(a: MPValue, p: int) -> MPValue:
-    if a.mant == 0:
-        return zero(p)
-    if a.sign < 0:
-        raise MPDomainError("square root of a negative value")
-    m, e = a.mant, a.exp
-    if e & 1:
-        m <<= 1
-        e -= 1
-    t = p + 2 - (m.bit_length() + 1) // 2
-    if t < 0:
-        t = 0
-    M = m << (2 * t)
-    r = math.isqrt(M)
-    rem = M - r * r
-    return _normalize(1, r, e // 2 - t, p, sticky=1 if rem else 0)
+    return box(sqrt_t(unbox(a), p))
 
 
-_BINOPS = {"+": add, "-": sub, "*": mul, "/": div}
+_BINOPS = {"+": add_t, "-": sub_t, "*": mul_t, "/": div_t}
 
 
 def arith(op: str, a: MPValue, b: MPValue | None, p: int) -> MPValue:
@@ -300,12 +342,12 @@ def arith(op: str, a: MPValue, b: MPValue | None, p: int) -> MPValue:
     if op == "sqrt":
         return sqrt(a, p)
     if op == "neg":
-        return round_to(neg(a), p)
+        return box(neg_t(unbox(a), p))
     f = _BINOPS.get(op)
     if f is None:
         raise ValueError(f"unknown operation {op!r}")
     assert b is not None
-    return f(a, b, p)
+    return box(f(unbox(a), unbox(b), p))
 
 
 def parse_decimal(text: str, p: int) -> MPValue:
@@ -330,22 +372,13 @@ def parse_decimal(text: str, p: int) -> MPValue:
         digits = mant_part
     if not digits or not digits.isdigit():
         raise ValueError(f"malformed numeric literal {text!r}")
-    d = int(digits)
-    if d == 0:
-        return zero(p)
+    d = sign * int(digits)
     if exp10 >= 0:
-        return _normalize(sign, d * 10 ** exp10, 0, p)
-    # value = d / (2**f * 5**f): divide by 5**f exactly with a remainder
-    # for sticky bits, and fold the 2**f into the binary exponent.
+        return box(round_t(d * 10 ** exp10, 0, p))
+    # value = d / (5**f * 2**f), one correctly rounded division.
     f = -exp10
     den = 5 ** f
-    k = p + 2 - (d.bit_length() - den.bit_length())
-    if k >= 0:
-        num, dden = d << k, den
-    else:
-        num, dden = d, den << -k
-    q, r = divmod(num, dden)
-    return _normalize(sign, q, -f - k, p, sticky=1 if r else 0)
+    return box(div_t((d, 0, d.bit_length()), (den, f, den.bit_length()), p))
 
 
 def format_decimal_exact(x: MPValue) -> str:

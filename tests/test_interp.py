@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from bittune.interp import EvalError, run_reference, run_tuned
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from bittune.tuner import TuningConfig, reference_run, solve, systems
-from helpers import BRANCH, LOOP, gen_straight_line
+from helpers import BRANCH, LOOP, gen_straight_line, round_fraction
 
 GEOM = """\
 s = 0.0;
@@ -25,6 +26,10 @@ while (k < 20.0) {
     k = k + 1.0;
 }
 """
+
+
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+          ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 
 
 def _uniform(prog, bits):
@@ -164,6 +169,54 @@ class TestTuned:
         prog = parse_program(src)
         with pytest.raises(EvalError):
             run_tuned(prog, _uniform(prog, 2), max_steps=200)
+
+    # Comparisons whose two reads have different widths: equal values (1
+    # at 3 bits and at 50) and values that differ only below the narrower
+    # width (1 + 2**-20 at 50 bits against 1).  Either side is the narrow
+    # one, and the expected outcome is the exact rational comparison of
+    # the values as read.
+    ONE_AND_A_BIT = "1.00000095367431640625"            # 1 + 2**-20
+
+    @pytest.mark.parametrize("op", sorted(_ORDER))
+    @pytest.mark.parametrize("left, right", [
+        ("1.0", "1.0"), (ONE_AND_A_BIT, "1.0"), ("1.0", ONE_AND_A_BIT)])
+    @pytest.mark.parametrize("narrow", ["left", "right"])
+    def test_if_compares_reads_of_different_widths_exactly(
+            self, op, left, right, narrow):
+        src = (f"a = {left};\nb = {right};\n"
+               f"if (a {op} b) {{\n    c = 1.0;\n}} else {{\n    c = 2.0;\n}}\n")
+        prog = parse_program(src)
+        widths = _uniform(prog, 50)
+        cond = prog.stmts[2].cond
+        widths[getattr(cond, narrow).point] = 3
+        got = run_tuned(prog, widths).env["c"]
+        a = round_fraction(Fraction(left), widths[cond.left.point])
+        b = round_fraction(Fraction(right), widths[cond.right.point])
+        assert mpfloat.to_fraction(got) == (1 if _ORDER[op](a, b) else 2)
+
+    @pytest.mark.parametrize("op", ["<", "<=", "!="])
+    @pytest.mark.parametrize("bound", ["1.0", ONE_AND_A_BIT])
+    @pytest.mark.parametrize("narrow", ["left", "right"])
+    def test_while_trip_count_across_widths(self, op, bound, narrow):
+        # t steps by 1/4 and is exact at 3 bits up to 1.75; the bound is
+        # read at 3 bits or at 50.
+        src = ("t = 0.0;\nk = 0.0;\n"
+               f"while (t {op} {bound}) {{\n    t = t + 0.25;\n    k = k + 1.0;\n}}\n")
+        prog = parse_program(src)
+        widths = _uniform(prog, 50)
+        cond = prog.stmts[2].cond
+        widths[getattr(cond, narrow).point] = 3
+        b = round_fraction(Fraction(bound), widths[cond.right.point])
+        t, trips = Fraction(0), 0
+        while _ORDER[op](round_fraction(t, widths[cond.left.point]), b):
+            t += Fraction(1, 4)
+            trips += 1
+            if trips > 8:
+                with pytest.raises(EvalError, match="iteration cap"):
+                    run_tuned(prog, widths, max_steps=100)
+                return
+        got = run_tuned(prog, widths, max_steps=100).env["k"]
+        assert mpfloat.to_fraction(got) == trips
 
 
 class TestRanges:

@@ -105,7 +105,7 @@ class TestRounding:
 
 
 class TestRoundingEdges:
-    """The round-half-even step that _normalize and mul each do inline."""
+    """The round-half-even step of round_t and its inline copy in mul_t."""
 
     def test_round_up_carries_out_of_the_top_bit(self):
         # 7 * 9 = 63 = 111111b rounds up to 1000b at 3 bits, which needs
@@ -210,6 +210,115 @@ class TestArithmetic:
     def test_neg_and_abs(self, a, b):
         assert to_fraction(mpfloat.neg(a)) == -to_fraction(a)
         assert to_fraction(mpfloat.abs_(a)) == abs(to_fraction(a))
+
+
+# Triples (m, e, p), the form the kernels compute on: m * 2**e at width p.
+def _triple(p, bits, exp, sign):
+    return (sign * (bits & ((1 << p) - 1) | 1 << (p - 1)), exp, p)
+
+
+triples = st.builds(_triple, st.integers(1, 120), st.integers(0, 2**119),
+                    st.integers(-200, 200), st.sampled_from((1, -1)))
+zeros = st.builds(lambda p: (0, 0, p), st.integers(1, 120))
+_KERNELS = {"+": mpfloat.add_t, "-": mpfloat.sub_t, "*": mpfloat.mul_t,
+            "/": mpfloat.div_t}
+
+
+def _frac(t):
+    return Fraction(t[0]) * Fraction(2) ** t[1]
+
+
+def _check_triple(t, p, want):
+    """t is the canonical triple of want at width p."""
+    m, e, w = t
+    assert w == p
+    assert abs(m).bit_length() == p if m else e == 0
+    assert _frac(t) == want
+
+
+class TestTripleCore:
+    """The kernels on triples, where the MPValue strategy above rarely or
+    never goes: zeros, add's far-gap nudge, operands of unequal widths."""
+
+    @given(st.one_of(triples, zeros), zeros, precisions,
+           st.sampled_from("+-*/"))
+    def test_zero_operands(self, a, z, p, op):
+        kernel = _KERNELS[op]
+        if op == "/":
+            with pytest.raises(MPDomainError):
+                kernel(a, z, p)
+        else:
+            _check_triple(kernel(a, z, p), p,
+                          round_fraction(_exact(op, _frac(a), 0), p))
+        if op != "/" or a[0]:
+            _check_triple(kernel(z, a, p), p,
+                          round_fraction(_exact(op, 0, _frac(a)), p))
+
+    @given(triples, st.integers(0, 60), precisions)
+    def test_zero_results_carry_the_width(self, a, extra, p):
+        # The same value at a wider width, subtracted or negated and added.
+        m, e, w = a
+        wide = (m << extra, e - extra, w + extra)
+        for t in (mpfloat.sub_t(a, wide, p), mpfloat.sub_t(wide, a, p),
+                  mpfloat.add_t(a, mpfloat.neg_t(wide, w + extra), p),
+                  mpfloat.mul_t(a, (0, 0, w), p),
+                  mpfloat.div_t((0, 0, w), a, p),
+                  mpfloat.sqrt_t((0, 0, w), p)):
+            assert t == (0, 0, p)
+
+    @given(st.integers(1, 60), st.integers(1, 60), precisions,
+           st.integers(1, 40), st.integers(0, 2**59), st.integers(0, 2**59),
+           st.sampled_from((1, -1)), st.sampled_from((1, -1)),
+           st.sampled_from(("any", "power of two", "tie")))
+    def test_far_gap_nudge(self, pa, pb, p, past, abits, bbits, sa, sb,
+                           shape):
+        # b lies below every bit of the sum that rounding to p can keep:
+        # it only decides a tie (a then has p + 1 bits, the last one set)
+        # or pulls a power of two into the binade below.
+        if shape == "tie":
+            pa, abits = p + 1, abits | 1
+        a = _triple(pa, 0 if shape == "power of two" else abits, 0, sa)
+        gap = p + pa + pb + 8 + past
+        b = _triple(pb, bbits, -gap, sb)
+        for x, y in ((a, b), (b, a)):
+            for op in "+-":
+                _check_triple(_KERNELS[op](x, y, p), p, round_fraction(
+                    _exact(op, _frac(x), _frac(y)), p))
+
+    @given(triples, triples, st.integers(1, 80), precisions,
+           st.sampled_from("+-*/"))
+    def test_unequal_widths(self, a, b, extra, p, op):
+        # b widened exactly by extra bits: the same value, another width.
+        m, e, w = b
+        wide = (m << extra, e - extra, w + extra)
+        for y in (b, wide):
+            _check_triple(_KERNELS[op](a, y, p), p,
+                          round_fraction(_exact(op, _frac(a), _frac(b)), p))
+        assert mpfloat.cmp_t(b, wide) == mpfloat.cmp_t(wide, b) == 0
+        assert mpfloat.cmp_t(a, b) == (_frac(a) > _frac(b)) - (_frac(a) < _frac(b))
+
+    @given(st.one_of(mpvalues, st.builds(zero, st.integers(1, 120))),
+           st.one_of(mpvalues, st.builds(zero, st.integers(1, 120))),
+           precisions)
+    def test_mpvalue_adapters_agree_with_the_kernels(self, a, b, p):
+        ta, tb = mpfloat.unbox(a), mpfloat.unbox(b)
+
+        def same(x, t):
+            m, e, w = t
+            assert (x.sign, x.mant, x.exp, x.prec) == \
+                (-1 if m < 0 else 1, abs(m), e, w)
+
+        for op, fn in (("+", add), ("-", sub), ("*", mul), ("/", div)):
+            if op == "/" and not b.mant:
+                continue
+            same(fn(a, b, p), _KERNELS[op](ta, tb, p))
+            same(mpfloat.arith(op, a, b, p), _KERNELS[op](ta, tb, p))
+        same(round_to(a, p), mpfloat.round_t(ta[0], ta[1], p))
+        same(mpfloat.arith("neg", a, None, p), mpfloat.neg_t(ta, p))
+        if a.sign > 0 or not a.mant:
+            same(sqrt(a, p), mpfloat.sqrt_t(ta, p))
+        assert mpfloat._cmp(a, b) == mpfloat.cmp_t(ta, tb)
+        assert mpfloat.box(ta) == a and mpfloat.unbox(mpfloat.box(ta)) == ta
 
 
 class TestConversions:
