@@ -168,7 +168,10 @@ class ConstraintSystem:
         return sum(values[v] for v in self.objective)
 
     def satisfied_by(self, values) -> bool:
-        return all(c.holds(values) for c in self.constraints)
+        """Every row holds and every carry equals its definition."""
+        return (all(c.holds(values) for c in self.constraints)
+                and all(values[d.var] == d.evaluate(values)
+                        for d in self.xi_defs))
 
     def dump(self) -> str:
         lines = [f"minimize sum nsb over {len(self.objective)} points,"

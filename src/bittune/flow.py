@@ -1,18 +1,29 @@
-"""Reaching definitions and def-use links over the statement-level CFG.
+"""Reaching definitions and def-use links, by one walk over the tree.
 
-Each assignment, requirement, and condition occurrence is one flow node.
 check_defined_before_use() is the one def-use pass: parse_program runs
 it once per Program and stores its two results there, the free inputs
 as prog.inputs and the links as prog.links.  Every later stage reads
 prog.links; nothing recomputes them.
 
-Reaching definitions are computed by a worklist iteration over maps
-keyed by variable: a node's in-map sends each variable to the sorted
-tuple of definition points that reach the node.  A node that defines
-nothing passes its in-map on unchanged (the same object); a defining
-node copies it and replaces its own variable's entry; a join merges only
-the entries that differ between its predecessors.  A read looks up its
-own variable.
+The walk visits the statements in source order, which is control-point
+order, and carries one map that sends each variable to the sorted tuple
+of definition points that reach the statement at hand.  An assignment
+replaces its own variable's entry in place.  The map is copied only
+where the path forks: an if statement walks its else branch on a copy
+and merges it back after both branches, and a loop body runs on a copy
+of the loop head's map.  So no two paths ever share a map, and a read
+looks its variable up at the moment it is visited: changing the map in
+place cannot alter what an earlier read saw.
+
+A loop head is reached from before the loop and, round the back edge,
+from the end of the body.  Reaching definitions are a gen/kill problem,
+so the body sends any map it is entered with to what it defines when
+entered with an empty map, plus those entries of the entry map that
+some path through the body leaves alone.  The head's map, the least
+solution of that equation, is therefore the map from before the loop
+merged with the body's own summary: one walk of the body from an empty
+map, which checks no reads.  That map reaches the condition, the body
+and the statement after the loop.
 
 A def-use link connects every definition that reaches a read to that
 read.  Links where the definition's control point is numbered after the
@@ -25,11 +36,10 @@ constraints propagate through.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .program import (
-    Assign, Compare, Expr, If, Program, Require, Stmt, While, expr_reads,
+    Assign, Compare, If, Program, Require, Stmt, Var, While, expr_reads,
 )
 
 
@@ -50,127 +60,18 @@ class DefUseLink:
     loop_cond_use: bool
 
 
-@dataclass
-class _FlowNode:
-    reads: list[tuple[str, int]]          # (var, read point)
-    define: tuple[str, int] | None        # (var, def point)
-    while_sid: int | None = None
-    succs: list[int] = field(default_factory=list)
+def _merge(into: dict, other: dict) -> None:
+    """Add other's reaching definitions to into, in place."""
+    for var, defs in other.items():
+        have = into.get(var)
+        if have is None:
+            into[var] = defs
+        elif have != defs:
+            into[var] = tuple(sorted({*have, *defs}))
 
 
-def _expr_read_pairs(e: Expr) -> list[tuple[str, int]]:
-    return [(v.name, v.point) for v in expr_reads(e)]
-
-
-def _cond_read_pairs(c: Compare) -> list[tuple[str, int]]:
-    return _expr_read_pairs(c.left) + _expr_read_pairs(c.right)
-
-
-def _build_cfg(stmts: list[Stmt]) -> list[_FlowNode]:
-    """Flow nodes in source order, which is also control-point order."""
-    nodes: list[_FlowNode] = []
-
-    def new_node(reads, define, while_sid=None) -> int:
-        nodes.append(_FlowNode(reads, define, while_sid))
-        return len(nodes) - 1
-
-    def link(preds: list[int], target: int) -> None:
-        for p in preds:
-            if target not in nodes[p].succs:
-                nodes[p].succs.append(target)
-
-    def seq(body: list[Stmt], preds: list[int]) -> list[int]:
-        for st in body:
-            if isinstance(st, Assign):
-                i = new_node(_expr_read_pairs(st.expr), (st.name, st.point))
-                link(preds, i)
-                preds = [i]
-            elif isinstance(st, Require):
-                i = new_node([(st.name, st.point)], None)
-                link(preds, i)
-                preds = [i]
-            elif isinstance(st, While):
-                c = new_node(_cond_read_pairs(st.cond), None, while_sid=st.sid)
-                link(preds, c)
-                body_exits = seq(st.body, [c])
-                link(body_exits, c)
-                preds = [c]
-            elif isinstance(st, If):
-                c = new_node(_cond_read_pairs(st.cond), None)
-                link(preds, c)
-                t_exits = seq(st.then_body, [c])
-                e_exits = seq(st.else_body, [c])
-                merged = []
-                for x in t_exits + e_exits:
-                    if x not in merged:
-                        merged.append(x)
-                preds = merged
-            else:
-                raise TypeError(f"unexpected statement {st!r}")
-        return preds
-
-    seq(stmts, [])
-    return nodes
-
-
-def _join(maps: list[dict]) -> dict:
-    """Union of reaching-definition maps; the first map itself when the
-    others add nothing to it."""
-    out = base = maps[0]
-    for m in maps[1:]:
-        if m is base:
-            continue
-        for var, defs in m.items():
-            have = out.get(var)
-            if have is defs or have == defs:
-                continue
-            if out is base:
-                out = dict(base)
-            out[var] = defs if have is None else tuple(sorted({*have, *defs}))
-    return out
-
-
-def _reaching(nodes: list[_FlowNode], entry: dict) -> list[dict]:
-    """In-maps var -> sorted tuple of reaching def points; entry reaches
-    node 0.  In-maps are shared between nodes and must not be mutated."""
-    preds: list[list[int]] = [[] for _ in nodes]
-    for i, n in enumerate(nodes):
-        for s in n.succs:
-            preds[s].append(i)
-    ins: list[dict | None] = [None] * len(nodes)
-    outs: list[dict | None] = [None] * len(nodes)   # None: not yet visited
-    work = deque(range(len(nodes)))
-    queued = [True] * len(nodes)
-    while work:
-        i = work.popleft()
-        queued[i] = False
-        # The first visits go in index order, so a node always has a
-        # visited predecessor, or the entry for node 0.
-        maps = [outs[p] for p in preds[i] if outs[p] is not None]
-        if i == 0:
-            maps.append(entry)
-        new_in = _join(maps)
-        old_in = ins[i]
-        if new_in is old_in:
-            continue
-        if old_in is not None and new_in == old_in:
-            # A join rebuilt the same map: keep the old object, so that
-            # nodes after this one see no change.
-            continue
-        ins[i] = new_in
-        define = nodes[i].define
-        if define is None:
-            outs[i] = new_in
-        else:
-            var, pt = define
-            out = dict(new_in)
-            out[var] = (pt,)
-            outs[i] = out
-        for s in nodes[i].succs:
-            if not queued[s]:
-                work.append(s)
-                queued[s] = True
-    return ins
+def _cond_reads(c: Compare) -> list[Var]:
+    return expr_reads(c.left) + expr_reads(c.right)
 
 
 def check_defined_before_use(prog: Program, predefined=()):
@@ -183,28 +84,51 @@ def check_defined_before_use(prog: Program, predefined=()):
     free inputs, sorted), and every def-use link ordered by use point,
     then def point.  Entry definitions of inputs make no links.
     """
-    bound = set(predefined)
-    nodes = _build_cfg(prog.stmts)
-    ins = _reaching(nodes, dict.fromkeys(bound, (_ENTRY,)))
-    scopes = prog.scopes
     free: set[str] = set()
     links: list[DefUseLink] = []
-    # Nodes are in control-point order, and so are the reads of a node,
-    # so the links come out sorted by use point.
-    for n, inmap in zip(nodes, ins):
-        for var, use_pt in n.reads:
-            defs = inmap.get(var)
-            if not defs:
-                if var in bound:
-                    continue
-                raise FlowError(
-                    f"variable {var!r} is read (control point {use_pt}) "
-                    f"before any definition")
-            if defs[0] == _ENTRY:
-                free.add(var)
-                defs = defs[1:]
-            sid = n.while_sid
-            for d in defs:
-                links.append(DefUseLink(d, use_pt, var, d > use_pt,
-                                        sid is not None and sid in scopes[d]))
+
+    def read(reach: dict, var: str, use_pt: int, loop: While | None = None):
+        defs = reach.get(var)
+        if defs is None:
+            raise FlowError(f"variable {var!r} is read (control point "
+                            f"{use_pt}) before any definition")
+        if defs[0] == _ENTRY:
+            free.add(var)
+            defs = defs[1:]
+        body = loop.body_points if loop is not None else ()
+        for d in defs:
+            links.append(DefUseLink(d, use_pt, var, d > use_pt, d in body))
+
+    def walk(stmts: list[Stmt], reach: dict, check: bool) -> dict:
+        """Carry reach through stmts, in place, and return it; reads are
+        checked and linked only when check is set."""
+        for st in stmts:
+            if isinstance(st, Assign):
+                if check:
+                    for v in expr_reads(st.expr):
+                        read(reach, v.name, v.point)
+                reach[st.name] = (st.point,)
+            elif isinstance(st, Require):
+                if check:
+                    read(reach, st.name, st.point)
+            elif isinstance(st, While):
+                _merge(reach, walk(st.body, {}, False))
+                if check:
+                    for v in _cond_reads(st.cond):
+                        read(reach, v.name, v.point, st)
+                    walk(st.body, dict(reach), True)
+            elif isinstance(st, If):
+                if check:
+                    for v in _cond_reads(st.cond):
+                        read(reach, v.name, v.point)
+                other = dict(reach)
+                walk(st.then_body, reach, check)
+                _merge(reach, walk(st.else_body, other, check))
+            else:
+                raise TypeError(f"unexpected statement {st!r}")
+        return reach
+
+    # Reads are visited in control-point order, and each read's
+    # definitions are sorted, so the links come out sorted.
+    walk(prog.stmts, dict.fromkeys(predefined, (_ENTRY,)), True)
     return tuple(sorted(free)), links

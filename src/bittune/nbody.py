@@ -33,9 +33,9 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .constraints import ConstraintSystem, with_requirement
+from .constraints import DEFAULT_COND_NSB, ConstraintSystem, with_requirement
 from .interp import Trace, run_reference, run_tuned
-from .mpfloat import to_float
+from .mpfloat import DEFAULT_PRECISION, to_float
 from .parse import parse_program
 from .program import Program
 from .tuner import TuningConfig, reference_run, solve, systems
@@ -240,8 +240,8 @@ class ExperimentPlan:
     horizons_years: tuple[float, ...] = (10.0,)
     dt: str = "0.01"
     method: str = "ilp"
-    pref: int = 500
-    cond_nsb: int = 53
+    pref: int = DEFAULT_PRECISION
+    cond_nsb: int = DEFAULT_COND_NSB
     write_series: bool = True
 
     def __post_init__(self):

@@ -21,10 +21,11 @@ Nesting is bounded so that no pass runs out of Python's default
 recursion limit of 1000 frames: at most MAX_BRACKETS brackets (round
 or curly) open at once, and at most MAX_DEPTH operators on any path
 from an expression's root to a leaf.  The parser recurses four frames
-per parenthesis and two per block; labelling, def-use analysis, the
-interpreter, constraint generation and rendering take one per block and
-one per operator.  A program at both limits needs about 810 frames,
-which leaves room for the callers.
+per parenthesis and two per block, and numbers control points as it
+builds the nodes, with no labelling pass of its own.  The def-use walk
+takes one frame per block; the interpreter, constraint generation and
+rendering take one per block and one per operator.  A program at both
+limits needs about 810 frames, which leaves room for the callers.
 
 A numeric literal's decimal exponent, once its fraction digits are
 folded in (1.25e3 is 125e1), is at most MAX_EXPONENT in magnitude:
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from . import flow
 from .program import (
     Assign, BinOp, Compare, If, Neg, Num, Program, Require, Sqrt, Stmt, Var,
-    While, label_program,
+    While,
 )
 
 KEYWORDS = {"while", "if", "else", "sqrt", "require_nsb"}
@@ -145,9 +146,19 @@ def check_literal(text: str) -> None:
 
 
 class _Parser:
+    """Builds the tree; each node that carries a control point gets the
+    next one as it is built and is appended to points."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.points: list[object] = []
+
+    def take(self, node):
+        """Give node the next control point; returns node."""
+        node.point = len(self.points)
+        self.points.append(node)
+        return node
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -186,8 +197,9 @@ class _Parser:
             self.expect("(")
             cond = self.condition()
             self.expect(")")
+            start = len(self.points)
             body = self.block()
-            return While(cond, body)
+            return While(cond, body, range(start, len(self.points)))
         if t.text == "if":
             self.next()
             self.expect("(")
@@ -210,13 +222,13 @@ class _Parser:
             self.next()
             self.expect(")")
             self.expect(";")
-            return Require(name, int(bits_tok.text))
+            return self.take(Require(name, int(bits_tok.text)))
         if self.at_ident():
             name = self.ident()
             self.expect("=")
             expr = self.bounded_expr()
             self.expect(";")
-            return Assign(name, expr)
+            return self.take(Assign(name, expr))
         raise self.fail("expected a statement")
 
     def ident(self) -> str:
@@ -264,14 +276,14 @@ class _Parser:
         node = self.term()
         while self.peek().text in ("+", "-"):
             op = self.next().text
-            node = BinOp(op, node, self.term())
+            node = self.take(BinOp(op, node, self.term()))
         return node
 
     def term(self):
         node = self.factor()
         while self.peek().text in ("*", "/"):
             op = self.next().text
-            node = BinOp(op, node, self.factor())
+            node = self.take(BinOp(op, node, self.factor()))
         return node
 
     def factor(self):
@@ -284,7 +296,7 @@ class _Parser:
             if isinstance(node, Num) and not node.text.startswith("-"):
                 node.text = "-" + node.text
             else:
-                node = Neg(node)
+                node = self.take(Neg(node))
         return node
 
     def atom(self):
@@ -295,13 +307,13 @@ class _Parser:
             except ValueError as e:
                 raise ParseError(str(e), t.line, t.col) from None
             self.next()
-            return Num(t.text)
+            return self.take(Num(t.text))
         if t.text == "sqrt":
             self.next()
             self.expect("(")
             arg = self.expr()
             self.expect(")")
-            return Sqrt(arg)
+            return self.take(Sqrt(arg))
         if t.text == "(":
             self.next()
             node = self.expr()
@@ -309,7 +321,7 @@ class _Parser:
             return node
         if self.at_ident():
             self.next()
-            return Var(t.text)
+            return self.take(Var(t.text))
         raise self.fail("expected a value")
 
 
@@ -331,17 +343,16 @@ def _operator_depth(e) -> int:
 
 
 def parse_program(src: str, inputs=()) -> Program:
-    """Parse and label source text, then run the def-use pass once;
-    raises ParseError on malformed input and FlowError on a read that no
-    definition reaches.
+    """Parse source text, numbering its control points as the tree is
+    built, then run the def-use pass once; raises ParseError on malformed
+    input and FlowError on a read that no definition reaches.
 
     Variable names listed in inputs are treated as externally bound, so
     reading them before any assignment is not an error; those that some
     read can see unassigned become prog.inputs.  The def-use links become
     prog.links.
     """
-    stmts = _Parser(tokenize(src)).program()
-    prog = Program(stmts, source=src)
-    label_program(prog)
+    parser = _Parser(tokenize(src))
+    prog = Program(parser.program(), parser.points)
     prog.inputs, prog.links = flow.check_defined_before_use(prog, inputs)
     return prog

@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from bittune.mpfloat import MPValue
+from bittune.program import If, While
 
 
 def round_fraction(f: Fraction, p: int) -> Fraction:
@@ -54,6 +55,23 @@ def random_mpv(rng: random.Random, max_prec: int = 120,
     exp = rng.randint(-exp_span, exp_span)
     sign = rng.choice((1, -1))
     return MPValue(sign, mant, exp, p)
+
+
+def loops(stmts):
+    """Every while statement in stmts, nested ones included, outermost
+    first."""
+    for st in stmts:
+        if isinstance(st, While):
+            yield st
+            yield from loops(st.body)
+        elif isinstance(st, If):
+            yield from loops(st.then_body)
+            yield from loops(st.else_body)
+
+
+def in_loop(prog, point: int) -> bool:
+    """Whether the control point lies in the body of some while loop."""
+    return any(point in w.body_points for w in loops(prog.stmts))
 
 
 # A loop and a branch that several test modules run.

@@ -24,7 +24,7 @@ from bittune.lpfile import export_lp
 from bittune.mpfloat import abs_, arith, round_to, sqrt, to_fraction, ufp
 from bittune.nbody import ExperimentPlan, build_nbody_program, horizon_t_max, run_experiment
 from bittune.parse import parse_program
-from bittune.program import Require, op_symbol
+from bittune.program import BinOp, Require
 from bittune.solver import SolverError, solve_ilp, solve_monotone
 from bittune.tuner import TuningConfig, tune
 from helpers import fraction_ufp, gen_straight_line, random_mpv
@@ -112,7 +112,8 @@ def test_1_plain_system_golden_on_the_distance_statement():
     # the (+7,-7) pair appears once per sum.
     adds = [c for c in c1.constraints
             if c.origin == "operand"
-            and op_symbol(prog.points[c.site]) == "+"]
+            and isinstance(prog.points[c.site], BinOp)
+            and prog.points[c.site].op == "+"]
     pairs = Counter((DISTANCE_UFP[c.lhs.point], -DISTANCE_UFP[c.site])
                     for c in adds)
     assert pairs == Counter({(7, -7): 2, (6, -7): 1, (-3, -7): 1})

@@ -269,14 +269,17 @@ class TestTuneCommand:
                        "1198 operators deep, over the limit of 700\n")
         assert not list(workdir.glob("deep.*.*"))
 
+    @pytest.mark.parametrize("block", ["if", "while"])
     def test_program_at_both_parse_limits_passes_every_stage(self, workdir,
-                                                             capsys):
-        # 100 nested branches around a sum nested 700 additions deep:
-        # parse, labelling, def-use links, both runs and both systems fit
-        # in the recursion limit; the solve then fails on its own terms.
+                                                             capsys, block):
+        # 100 nested branches or loops around a sum nested 700 additions
+        # deep: parse, def-use links (which summarize each loop body on
+        # a further frame), both runs and both systems fit in the
+        # recursion limit; the solve then fails on its own terms.  The
+        # sum is past 1.0, so each loop runs its body once.
         terms = " + ".join(f"{i}.5" for i in range(701))
         (workdir / "edge.pop").write_text(
-            "s = 0.5;\n" + "if (s < 1.0) {" * 100 + f"s = {terms};"
+            "s = 0.5;\n" + f"{block} (s < 1.0) {{" * 100 + f"s = {terms};"
             + "}" * 100 + "\nrequire_nsb(s, 8);\n")
         for argv in (("run", "edge.pop"), ("export-lp", "edge.pop"),
                      ("export-lp", "edge.pop", "--refined")):

@@ -22,7 +22,7 @@ from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from bittune.program import Assign, BinOp, Num, Sqrt, Var
 from bittune.solver import Policy
-from helpers import gen_straight_line
+from helpers import gen_straight_line, in_loop
 
 
 def systems_for(src, cond_nsb=53, pmax=500, inputs=(), binding_sets=None):
@@ -128,7 +128,7 @@ class TestLinkMargins:
         # value each trip, so its links carry ceil(log2 16) = 4 bits.
         prog, ranges, c1, _ = systems_for(self.LOOP)
         carried = [n.point for n in prog.points if isinstance(n, Assign)
-                   and prog.scopes[n.point]]
+                   and in_loop(prog, n.point)]
         margins = {c.rhs.const for c in rows(c1, "link")
                    if c.lhs.point in carried}
         assert margins == {4}
@@ -136,7 +136,7 @@ class TestLinkMargins:
     def test_initial_defs_get_no_margin(self):
         prog, ranges, c1, _ = systems_for(self.LOOP)
         init = [n.point for n in prog.points if isinstance(n, Assign)
-                and not prog.scopes[n.point]]
+                and not in_loop(prog, n.point)]
         margins = {c.rhs.const for c in rows(c1, "link")
                    if c.lhs.point in init}
         assert margins == {0}
@@ -245,6 +245,22 @@ class TestRefinedSystem:
         _, _, _, c2 = systems_for(src)
         assignment, _, _ = policy_iterate(c2)
         assert c2.satisfied_by(assignment.values)
+
+    def test_carry_that_contradicts_its_definition_fails_the_check(self):
+        # Every linear row still holds with a carry lowered from 1 to 0:
+        # only the carry's own definition rules the assignment out.
+        from bittune.solver import policy_iterate
+        _, _, _, c2 = systems_for("a = 1.5;\nb = 2.25;\nc = a + b;\n"
+                                  "d = c * c + a;\nrequire_nsb(d, 20);\n")
+        assignment, _, _ = policy_iterate(c2)
+        assert c2.satisfied_by(assignment.values)
+        assert len(c2.xi_defs) == 2
+        for d in c2.xi_defs:
+            assert assignment.values[d.var] == 1
+            lowered = dict(assignment.values)
+            lowered[d.var] = 0
+            assert all(c.holds(lowered) for c in c2.constraints)
+            assert not c2.satisfied_by(lowered)
 
 
 def _pinned_sources():

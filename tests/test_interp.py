@@ -14,7 +14,7 @@ from bittune.interp import EvalError, run_reference, run_tuned
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from bittune.tuner import TuningConfig, reference_run, solve, systems
-from helpers import BRANCH, LOOP, gen_straight_line, round_fraction
+from helpers import BRANCH, LOOP, gen_straight_line, in_loop, round_fraction
 
 GEOM = """\
 s = 0.0;
@@ -245,7 +245,7 @@ class TestRanges:
         ranges = run_reference(prog, pref=100).ranges
         body_def = next(n.point for n in prog.points
                         if type(n).__name__ == "Assign" and n.name == "s"
-                        and prog.scopes[n.point])
+                        and in_loop(prog, n.point))
         assert ranges.visits(body_def) == 20
 
     def test_range_brackets_every_visit(self):
@@ -253,7 +253,7 @@ class TestRanges:
         ranges = run_reference(prog, pref=100).ranges
         q_def = next(n.point for n in prog.points
                      if type(n).__name__ == "Assign" and n.name == "q"
-                     and prog.scopes[n.point])
+                     and in_loop(prog, n.point))
         # q runs 1/2, 1/4, ..., 1/2**20 in the loop: the largest is 1/2.
         assert ranges.ufp(q_def) == -1
         assert ranges.visits(q_def) == 20
@@ -282,7 +282,7 @@ class TestRanges:
         assert fused.steps == alone.steps
         body_def = next(n.point for n in prog.points
                         if type(n).__name__ == "Assign"
-                        and prog.scopes[n.point])
+                        and in_loop(prog, n.point))
         assert fused.ranges.visits(body_def) == 2 + 5
         assert fused.ranges.ufp(body_def) == 2          # 5 in [4, 8)
         assert alone.ranges.ufp(body_def) == 1

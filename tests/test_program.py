@@ -1,7 +1,8 @@
-"""Parser, control-point labeling, renderer, and def-use analysis."""
+"""Parser, control-point numbering, renderer, and def-use analysis."""
 
 import hashlib
 import random
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +14,11 @@ from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import (
     MAX_BRACKETS, MAX_DEPTH, ParseError, parse_program, tokenize,
 )
-from bittune.program import Assign, BinOp, Neg, Num, Require, Var, While
+from bittune.program import (
+    Assign, BinOp, If, Neg, Num, Require, Sqrt, Var, While,
+)
 from bittune.render import emit_annotated, emit_plain, strip_annotations
-from helpers import BRANCH, LOOP, gen_straight_line
+from helpers import BRANCH, LOOP, gen_straight_line, loops
 
 
 def _assign_point(prog, name, nth=0):
@@ -52,12 +55,13 @@ class TestParser:
         lits = [n for n in prog.points if isinstance(n, Num)]
         assert len(lits) == 1 and lits[0].text == "-0.5"
 
-    def test_scopes_track_loop_nesting(self):
+    def test_body_points_track_loop_nesting(self):
         prog = parse_program(LOOP)
         inner = _assign_point(prog, "x", nth=1)
         outer = _assign_point(prog, "x", nth=0)
-        assert len(prog.scopes[inner]) == 1
-        assert prog.scopes[outer] == ()
+        around = [w.body_points for w in loops(prog.stmts)]
+        assert sum(inner in body for body in around) == 1
+        assert not any(outer in body for body in around)
 
     def test_comments_and_exponent_literals(self):
         prog = parse_program("# setup\nv = 6.9046E-5;  # AU/day\n")
@@ -235,10 +239,134 @@ class TestFlow:
                 assert node.point in uses
 
 
-# --- the set-based analysis the variable-keyed pass replaced ---------------
+# --- the labelling pass the parser's numbering replaced ---------------------
 #
-# Kept here as the reference for the differential test: every node's in-set
-# is a full set of (var, def point) pairs, and a read scans the whole set.
+# Kept here as the reference for the numbering test and for the set-based
+# analysis below.
+
+def _old_labels(stmts):
+    """(points, scopes, sids) as the separate labelling pass assigned them:
+    the nodes in point order, the ids of the while loops enclosing each
+    point, and each while or if statement's structure id, keyed by id()."""
+    points, scopes, sids, stack = [], {}, {}, []
+
+    def take(node):
+        scopes[len(points)] = tuple(stack)
+        points.append(node)
+
+    def visit_expr(e):
+        if isinstance(e, (Num, Var)):
+            take(e)
+        elif isinstance(e, BinOp):
+            visit_expr(e.left)
+            visit_expr(e.right)
+            take(e)
+        elif isinstance(e, Neg):
+            visit_expr(e.operand)
+            take(e)
+        elif isinstance(e, Sqrt):
+            visit_expr(e.arg)
+            take(e)
+        else:
+            raise TypeError(f"unexpected expression node {e!r}")
+
+    def visit_stmts(body):
+        for st in body:
+            if isinstance(st, Assign):
+                visit_expr(st.expr)
+                take(st)
+            elif isinstance(st, (While, If)):
+                sids[id(st)] = len(sids)
+                visit_expr(st.cond.left)
+                visit_expr(st.cond.right)
+                if isinstance(st, While):
+                    stack.append(sids[id(st)])
+                    visit_stmts(st.body)
+                    stack.pop()
+                else:
+                    visit_stmts(st.then_body)
+                    visit_stmts(st.else_body)
+            elif isinstance(st, Require):
+                take(st)
+            else:
+                raise TypeError(f"unexpected statement {st!r}")
+
+    visit_stmts(stmts)
+    return points, scopes, sids
+
+
+# --- the CFG and set-based analysis the syntax-driven pass replaced ---------
+#
+# Kept here as the reference for the differential test: a statement-level
+# CFG, every node's in-set is a full set of (var, def point) pairs, and a
+# read scans the whole set.
+
+@dataclass
+class _FlowNode:
+    reads: list                 # (var, read point)
+    define: tuple | None        # (var, def point)
+    while_sid: int | None = None
+    succs: list = field(default_factory=list)
+
+
+def _read_pairs(e):
+    if isinstance(e, Var):
+        return [(e.name, e.point)]
+    if isinstance(e, BinOp):
+        return _read_pairs(e.left) + _read_pairs(e.right)
+    if isinstance(e, Neg):
+        return _read_pairs(e.operand)
+    if isinstance(e, Sqrt):
+        return _read_pairs(e.arg)
+    return []
+
+
+def _build_cfg(stmts, sids):
+    """Flow nodes in source order, which is also control-point order."""
+    nodes = []
+
+    def new_node(reads, define, while_sid=None):
+        nodes.append(_FlowNode(reads, define, while_sid))
+        return len(nodes) - 1
+
+    def link(preds, target):
+        for p in preds:
+            if target not in nodes[p].succs:
+                nodes[p].succs.append(target)
+
+    def cond_reads(c):
+        return _read_pairs(c.left) + _read_pairs(c.right)
+
+    def seq(body, preds):
+        for st in body:
+            if isinstance(st, Assign):
+                i = new_node(_read_pairs(st.expr), (st.name, st.point))
+                link(preds, i)
+                preds = [i]
+            elif isinstance(st, Require):
+                i = new_node([(st.name, st.point)], None)
+                link(preds, i)
+                preds = [i]
+            elif isinstance(st, While):
+                c = new_node(cond_reads(st.cond), None, sids[id(st)])
+                link(preds, c)
+                link(seq(st.body, [c]), c)
+                preds = [c]
+            elif isinstance(st, If):
+                c = new_node(cond_reads(st.cond), None)
+                link(preds, c)
+                merged = []
+                for x in seq(st.then_body, [c]) + seq(st.else_body, [c]):
+                    if x not in merged:
+                        merged.append(x)
+                preds = merged
+            else:
+                raise TypeError(f"unexpected statement {st!r}")
+        return preds
+
+    seq(stmts, [])
+    return nodes
+
 
 def _set_reaching(nodes, entry=frozenset()):
     preds = [[] for _ in nodes]
@@ -274,7 +402,8 @@ def _set_reaching(nodes, entry=frozenset()):
 def _set_based_def_use(prog, predefined=()):
     """(inputs, link tuples) as the set-based analysis computes them, or
     the FlowError message it raises."""
-    nodes = flow._build_cfg(prog.stmts)
+    _, scopes, sids = _old_labels(prog.stmts)
+    nodes = _build_cfg(prog.stmts, sids)
     ins = _set_reaching(nodes, frozenset((v, -1) for v in predefined))
     free = set()
     for i, n in enumerate(nodes):
@@ -292,7 +421,7 @@ def _set_based_def_use(prog, predefined=()):
             for d in sorted(d for (v, d) in ins[i] if v == var):
                 links.append((d, use_pt, var, d > use_pt,
                               n.while_sid is not None
-                              and n.while_sid in prog.scopes[d]))
+                              and n.while_sid in scopes[d]))
     links.sort(key=lambda l: (l[1], l[0]))
     return tuple(sorted(free)), links
 
@@ -406,7 +535,7 @@ class TestDefUsePass:
     @given(st.integers(0, 2**32))
     def test_matches_the_set_based_analysis(self, seed):
         src, inputs = _random_flow_program(random.Random(seed))
-        # With every name bound no read is undefined, and labelling does
+        # With every name bound no read is undefined, and numbering does
         # not depend on the inputs: this is the program the reference reads.
         want = _set_based_def_use(parse_program(src, _NAMES), inputs)
         try:
@@ -418,13 +547,13 @@ class TestDefUsePass:
 
     def test_one_tune_runs_the_pass_once(self, tmp_path, monkeypatch, capsys):
         calls = []
-        real = flow._reaching
+        real = flow.check_defined_before_use
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(flow, "_reaching", counted)
+        monkeypatch.setattr(flow, "check_defined_before_use", counted)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "loop.pop").write_text(LOOP)
         for argv in (["tune", "loop.pop", "--method", "pi", "--emit-lp"],
@@ -432,3 +561,19 @@ class TestDefUsePass:
             calls.clear()
             assert main(argv) == 0, capsys.readouterr().err
             assert len(calls) == 1, argv
+
+
+class TestNumbering:
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_parser_numbers_as_the_labelling_pass_did(self, seed, nested):
+        rng = random.Random(seed)
+        src = (_random_flow_program(rng)[0] if nested
+               else gen_straight_line(rng))
+        prog = parse_program(src, _NAMES)
+        points, scopes, sids = _old_labels(prog.stmts)
+        assert len(prog.points) == len(points)
+        assert all(a is b for a, b in zip(prog.points, points))
+        for w in loops(prog.stmts):
+            assert set(w.body_points) == {
+                p for p, around in scopes.items() if sids[id(w)] in around}
