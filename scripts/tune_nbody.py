@@ -13,7 +13,9 @@ import sys
 from pathlib import Path
 
 from bittune import cli
-from bittune.nbody import build_nbody_program, horizon_t_max
+from bittune.nbody import (
+    ExperimentPlan, PlanError, build_nbody_program, horizon_t_max,
+)
 
 
 def main() -> int:
@@ -26,6 +28,13 @@ def main() -> int:
     ap.add_argument("--out", default="nbody.pop",
                     help="where to write the source; artifacts land beside it")
     args = ap.parse_args()
+    try:
+        ExperimentPlan(nsb_values=(args.req,), horizons_years=(args.years,),
+                       dt=args.dt, method=args.method)
+    except PlanError as e:
+        flag = {"nsb_values": "req", "horizons_years": "years"}.get(e.field,
+                                                                   e.field)
+        ap.error(f"--{flag}: {e}")
 
     Path(args.out).write_text(build_nbody_program(
         dt=args.dt, t_max=horizon_t_max(args.years, args.dt), req=args.req))

@@ -44,7 +44,7 @@ from .constraints import DEFAULT_COND_NSB, DEFAULT_PMAX
 from .interp import run_tuned
 from .lpfile import export_lp
 from .mpfloat import MPDomainError
-from .nbody import ExperimentPlan, run_experiment
+from .nbody import ExperimentPlan, PlanError, run_experiment
 from .parse import check_literal, parse_program
 from .render import MissingWidthError, emit_annotated
 from .codegen import emit_mp_code
@@ -194,11 +194,11 @@ def cmd_verify(args) -> int:
     cfg = _config(args)
     report_path = Path(args.report) if args.report else \
         Path(args.source).with_suffix(".report.json")
-    raw = json.loads(report_path.read_text())
+    text = report_path.read_text()
     try:
-        widths = {int(p): int(n) for p, n in raw["nsb"].items()}
-    except (KeyError, AttributeError):
-        raise ValueError(f"{report_path} has no nsb width map")
+        widths = {int(p): int(n) for p, n in json.loads(text)["nsb"].items()}
+    except (KeyError, AttributeError, TypeError, ValueError):
+        raise ValueError(f"{report_path} has no nsb width map") from None
 
     prog = parse_program(source, cfg.input_names())
     rows, ref, tuned = verify(prog, widths, cfg)
@@ -214,21 +214,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    for n in args.nsb:
-        if not 1 <= n <= args.pref:
-            raise _UsageError(f"--nsb value {n} outside [1, {args.pref}]")
-    for y in args.years:
-        if y < 0:
-            raise _UsageError(f"--years value {y:g} is negative")
-    plan = ExperimentPlan(
-        nsb_values=args.nsb,
-        horizons_years=args.years,
-        dt=args.dt,
-        method=args.method,
-        pref=args.pref,
-        cond_nsb=args.cond_nsb,
-        write_series=not args.no_series,
-    )
+    try:
+        plan = ExperimentPlan(
+            nsb_values=args.nsb,
+            horizons_years=args.years,
+            dt=args.dt,
+            method=args.method,
+            pref=args.pref,
+            cond_nsb=args.cond_nsb,
+            write_series=not args.no_series,
+        )
+    except PlanError as e:
+        flag = {"nsb_values": "nsb", "horizons_years": "years"}.get(e.field,
+                                                                   e.field)
+        raise _UsageError(f"--{flag}: {e}") from None
     rows = run_experiment(plan, args.out, jobs=args.jobs)
     bodies = list(dict.fromkeys(r.body for r in rows))
     cells: dict[float, dict[int, dict]] = {}

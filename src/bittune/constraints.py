@@ -20,14 +20,17 @@ observed values were all zero uses the sentinel ufp and is reported.
 Demands flow backward (operand width >= result width plus an alignment
 constant), error widths flow forward.
 
-Variables are named tuples, so the dicts and sets keyed by them hash
-and compare in C.  A generator builds the nsb and nsbe variables of
-every point once and every row it emits reuses them; nsb(), nsbe() and
-xi() build equal variables for other callers.
+A system is stored as the solver reads it: variables numbered as
+declared (nsb(p) is index p, then nsbe and xi in order of appearance,
+left side before terms) and rows as Rows' parallel index lists, which
+the generator appends to.  system.constraints is a read-only view that
+builds a LinearConstraint per row read.  Variables are named tuples
+(hashing in C), built once per point and shared by rows and XiDefs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -107,10 +110,6 @@ class LinearConstraint:
     origin: str                 # operand | carry | copy | link | require | cond | seed | error
     site: int                   # control point the row is attributed to
 
-    def holds(self, values) -> bool:
-        left = values[self.lhs] if self.lhs is not None else 0
-        return left >= self.rhs.evaluate(values)
-
     def __str__(self) -> str:
         left = str(self.lhs) if self.lhs is not None else "0"
         return f"{left} >= {self.rhs}"
@@ -134,44 +133,83 @@ class XiDef:
                 f"max({self.arg2}, 0), 1)")
 
 
+@dataclass(slots=True)
+class Rows:
+    """Rows as parallel lists: left variable index (-1 for the constant
+    0), constant, ((coef, index), ...) terms, origin and site."""
+
+    lhs: list[int] = field(default_factory=list)
+    const: list[int] = field(default_factory=list)
+    terms: list[tuple[tuple[int, int], ...]] = field(default_factory=list)
+    origin: list[str] = field(default_factory=list)
+    site: list[int] = field(default_factory=list)
+
+    def append(self, lhs: int, const: int, terms, origin, site) -> None:
+        self.lhs.append(lhs)
+        self.const.append(const)
+        self.terms.append(terms)
+        self.origin.append(origin)
+        self.site.append(site)
+
+
+class _RowView(Sequence):
+    """A system's rows as LinearConstraints, each built when read."""
+
+    def __init__(self, system: ConstraintSystem):
+        self._system = system
+
+    def __len__(self) -> int:
+        return len(self._system.rows.lhs)
+
+    def __getitem__(self, r: int) -> LinearConstraint:
+        rows, vs = self._system.rows, self._system.variables
+        left = rows.lhs[r]
+        return LinearConstraint(
+            vs[left] if left >= 0 else None,
+            LinExpr(rows.const[r], tuple((c, vs[i]) for c, i in rows.terms[r])),
+            rows.origin[r], rows.site[r])
+
+
 @dataclass
 class ConstraintSystem:
     kind: str                              # "c1" | "c2" | "policy"
     pmax: int
     variables: list[IntVar] = field(default_factory=list)
-    constraints: list[LinearConstraint] = field(default_factory=list)
+    index: dict[IntVar, int] = field(default_factory=dict, repr=False)
+    rows: Rows = field(default_factory=Rows, repr=False)
     xi_defs: list[XiDef] = field(default_factory=list)
     objective: list[IntVar] = field(default_factory=list)   # minimized sum
     skipped_points: list[int] = field(default_factory=list)
     zero_ufp_points: list[int] = field(default_factory=list)
 
-    _seen: set = field(default_factory=set, repr=False)
+    @property
+    def constraints(self) -> _RowView:
+        return _RowView(self)
+
+    def number(self, v: IntVar) -> int:
+        """v's index, declaring it first if it is new."""
+        i = self.index.get(v)
+        if i is None:
+            i = self.index[v] = len(self.variables)
+            self.variables.append(v)
+        return i
 
     def declare(self, *vars_: IntVar) -> None:
         for v in vars_:
-            if v not in self._seen:
-                self._seen.add(v)
-                self.variables.append(v)
-
-    def add(self, lhs: IntVar | None, rhs: LinExpr, origin: str, site: int) -> None:
-        seen = self._seen
-        if lhs is not None and lhs not in seen:
-            seen.add(lhs)
-            self.variables.append(lhs)
-        for _, v in rhs.terms:
-            if v not in seen:
-                seen.add(v)
-                self.variables.append(v)
-        self.constraints.append(LinearConstraint(lhs, rhs, origin, site))
+            self.number(v)
 
     def objective_value(self, values) -> int:
         return sum(values[v] for v in self.objective)
 
     def satisfied_by(self, values) -> bool:
         """Every row holds and every carry equals its definition."""
-        return (all(c.holds(values) for c in self.constraints)
-                and all(values[d.var] == d.evaluate(values)
-                        for d in self.xi_defs))
+        vals, rows = [values[v] for v in self.variables], self.rows
+        for left, k, terms in zip(rows.lhs, rows.const, rows.terms):
+            for c, i in terms:
+                k += c * vals[i]
+            if (vals[left] if left >= 0 else 0) < k:
+                return False
+        return all(values[d.var] == d.evaluate(values) for d in self.xi_defs)
 
     def dump(self) -> str:
         lines = [f"minimize sum nsb over {len(self.objective)} points,"
@@ -184,30 +222,18 @@ class ConstraintSystem:
 def with_requirement(system: ConstraintSystem, bits: int) -> ConstraintSystem:
     """A copy of system with bits as the constant of every require row.
 
-    Every other row, the variables and the carry definitions are shared
-    and kept in order, so the copy is what generation would build from
-    the program with each require_nsb set to bits."""
-    demand = _expr(bits)
-    return replace(
-        system,
-        variables=list(system.variables),
-        constraints=[LinearConstraint(c.lhs, demand, c.origin, c.site)
-                     if c.origin == "require" else c
-                     for c in system.constraints],
-        xi_defs=list(system.xi_defs),
-        objective=list(system.objective),
-        skipped_points=list(system.skipped_points),
-        zero_ufp_points=list(system.zero_ufp_points),
-        _seen=set(system._seen))
+    Only the constants list is new; the copy shares everything else with
+    system, so it is what generation would build from the program with
+    each require_nsb set to bits, and neither may be extended after."""
+    rows = system.rows
+    const = [bits if o == "require" else k
+             for o, k in zip(rows.origin, rows.const)]
+    return replace(system, rows=replace(rows, const=const))
 
 
 def system_stats(system: ConstraintSystem) -> dict[str, int]:
     return {"num_vars": len(system.variables),
-            "num_constraints": len(system.constraints)}
-
-
-def _expr(const: int, *terms: tuple[int, IntVar]) -> LinExpr:
-    return LinExpr(const, tuple(terms))
+            "num_constraints": len(system.rows.lhs)}
 
 
 class _Generator:
@@ -219,12 +245,17 @@ class _Generator:
         self.refined = refined
         self.cond_nsb = cond_nsb
         self.system = ConstraintSystem("c2" if refined else "c1", pmax)
+        self.row = self.system.rows.append
         self.zero_points: set[int] = set()
-        # One variable object per point, shared by every row that names
-        # it, so dict and set lookups on it succeed on identity.
+        # One variable object per point, declared once and named by
+        # every carry definition, so lookups succeed on identity.
         points = range(prog.n_points)
         self.nsb = [nsb(p) for p in points]
         self.nsbe = [nsbe(p) for p in points] if refined else []
+
+    def e(self, point: int) -> int:
+        """The index of nsbe(point)."""
+        return self.system.number(self.nsbe[point])
 
     def ufp(self, point: int) -> int:
         u = self.ranges.ufp(point)
@@ -271,8 +302,7 @@ class _Generator:
                         f"require_nsb({st.name}, {st.bits}) at control point "
                         f"{st.point} has no range information: the statement "
                         f"was never executed")
-                self.system.add(self.nsb[st.point], _expr(st.bits),
-                                "require", st.point)
+                self.row(st.point, st.bits, (), "require", st.point)
             else:
                 raise TypeError(f"unexpected statement {st!r}")
 
@@ -281,15 +311,14 @@ class _Generator:
         self.expr(c.right)
         for side in (c.left, c.right):
             if self.visited(side.point):
-                self.system.add(self.nsb[side.point], _expr(self.cond_nsb),
-                                "cond", side.point)
+                self.row(side.point, self.cond_nsb, (), "cond", side.point)
 
     def expr(self, e: Expr) -> None:
         if isinstance(e, Num):
             # One bit of representation error per literal, except a zero
             # literal, which every width stores exactly.
             if self.refined and self.visited(e.point) and not self.is_zero(e.point):
-                self.system.add(self.nsbe[e.point], _expr(1), "seed", e.point)
+                self.row(self.e(e.point), 1, (), "seed", e.point)
         elif isinstance(e, Var):
             pass                                    # handled via def-use links
         elif isinstance(e, Neg):
@@ -302,11 +331,9 @@ class _Generator:
                 r, a = e.point, e.arg.point
                 if not self.is_zero(a):
                     k = self.ufp(a) - 2 * self.ufp(r) - 2
-                    self.system.add(self.nsb[a], _expr(k, (1, self.nsb[r])),
-                                    "operand", r)
+                    self.row(a, k, ((1, r),), "operand", r)
                 if self.refined:
-                    self.system.add(self.nsbe[r], _expr(0, (1, self.nsbe[a])),
-                                    "operand", r)
+                    self.row(self.e(r), 0, ((1, self.e(a)),), "operand", r)
         elif isinstance(e, BinOp):
             self.expr(e.left)
             self.expr(e.right)
@@ -316,51 +343,49 @@ class _Generator:
             raise TypeError(f"unexpected expression node {e!r}")
 
     def copy_like(self, src: int, dst: int) -> None:
-        self.system.add(self.nsb[src], _expr(0, (1, self.nsb[dst])),
-                        "copy", dst)
+        self.row(src, 0, ((1, dst),), "copy", dst)
         if self.refined:
-            self.system.add(self.nsbe[dst], _expr(0, (1, self.nsbe[src])),
-                            "copy", dst)
+            self.row(self.e(dst), 0, ((1, self.e(src)),), "copy", dst)
 
     def binop(self, e: BinOp) -> None:
-        sys = self.system
+        row = self.row
         r, a, b = e.point, e.left.point, e.right.point
         ua, ub, ur = self.ufp(a), self.ufp(b), self.ufp(r)
-        na, nb, nr = self.nsb[a], self.nsb[b], self.nsb[r]
-        x = xi(r, a, b)
+        xv = xi(r, a, b)
+        x = self.system.number(xv)
         if e.op in ("+", "-"):
             ka, kb = ua - ur, ub - ur
         elif e.op == "*":
             ka = kb = ua + ub - ur
         else:                                       # division a / b
             ka = kb = ua - ub - ur
-        sys.add(na, _expr(ka, (1, nr), (1, x)), "operand", r)
-        sys.add(nb, _expr(kb, (1, nr), (1, x)), "operand", r)
+        row(a, ka, ((1, r), (1, x)), "operand", r)
+        row(b, kb, ((1, r), (1, x)), "operand", r)
         carried = e.op in ("*", "/") or not self.refined
         if carried:
-            sys.add(x, _expr(1), "carry", r)
+            row(x, 1, (), "carry", r)
         if not self.refined:
             return
-        ea, eb, er = self.nsbe[a], self.nsbe[b], self.nsbe[r]
+        er, ea, eb = self.e(r), self.e(a), self.e(b)
         if e.op in ("+", "-"):
-            sys.add(er, _expr(0, (1, ea)), "operand", r)
-            sys.add(er, _expr(0, (1, eb)), "operand", r)
+            row(er, 0, ((1, ea),), "operand", r)
+            row(er, 0, ((1, eb),), "operand", r)
             # Each cross row spans one operand's error top down to the
             # other's error floor.  An always-zero operand is exact, so
             # no error floor anchors to it; emitting the row anyway would
             # turn the zero sentinel into a huge positive constant.
             if not self.is_zero(b):
-                sys.add(er, _expr(ua - ub, (1, nb), (-1, na), (1, eb), (1, x)),
-                        "operand", r)
+                row(er, ua - ub, ((1, b), (-1, a), (1, eb), (1, x)),
+                    "operand", r)
             if not self.is_zero(a):
-                sys.add(er, _expr(ub - ua, (1, na), (-1, nb), (1, ea), (1, x)),
-                        "operand", r)
-            sys.declare(x)
-            sys.xi_defs.append(XiDef(x, _expr(ub - ua, (1, na), (1, ea)),
-                                     _expr(ua - ub, (1, nb), (1, eb)), r))
+                row(er, ub - ua, ((1, a), (-1, b), (1, ea), (1, x)),
+                    "operand", r)
+            self.system.xi_defs.append(XiDef(
+                xv, LinExpr(ub - ua, ((1, self.nsb[a]), (1, self.nsbe[a]))),
+                LinExpr(ua - ub, ((1, self.nsb[b]), (1, self.nsbe[b]))), r))
         else:
-            sys.add(er, _expr(-2, (1, na), (1, ea), (1, eb)), "operand", r)
-            sys.add(er, _expr(-2, (1, nb), (1, eb), (1, ea)), "operand", r)
+            row(er, -2, ((1, a), (1, ea), (1, eb)), "operand", r)
+            row(er, -2, ((1, b), (1, eb), (1, ea)), "operand", r)
 
     def emit_links(self) -> None:
         carried = {l.def_point for l in self.links if l.back_edge}
@@ -382,11 +407,9 @@ class _Generator:
             # A temporary rewritten from scratch each iteration carries
             # a single rounding and needs no guard.
             margin = (self.ranges.visits(d) - 1).bit_length() if d in carried else 0
-            self.system.add(self.nsb[d], _expr(margin, (1, self.nsb[u])),
-                            "link", u)
+            self.row(d, margin, ((1, u),), "link", u)
             if self.refined and not link.back_edge:
-                self.system.add(self.nsbe[u], _expr(0, (1, self.nsbe[d])),
-                                "link", u)
+                self.row(self.e(u), 0, ((1, self.e(d)),), "link", u)
 
 
 def gen_ilp(prog: Program, ranges: UfpMap, links: list[DefUseLink],

@@ -36,6 +36,7 @@ def export_lp(system: ConstraintSystem, policy=None) -> str:
                 "system has carry definitions; export requires a policy")
         system = apply_policy(system, policy)
 
+    names = [v.name for v in system.variables]
     out: list[str] = ["\\ precision-demand constraint system"]
     out.append("Minimize")
     obj_parts = []
@@ -44,32 +45,33 @@ def export_lp(system: ConstraintSystem, policy=None) -> str:
     out += _wrap(obj_parts, " obj:")
 
     out.append("Subject To")
-    for i, c in enumerate(system.constraints):
-        coeffs: dict[str, int] = {}
-        if c.lhs is not None:
-            coeffs[c.lhs.name] = 1
-        for coef, v in c.rhs.terms:
-            coeffs[v.name] = coeffs.get(v.name, 0) - coef
+    rows = system.rows
+    for i, left in enumerate(rows.lhs):
+        coeffs: dict[int, int] = {}
+        if left >= 0:
+            coeffs[left] = 1
+        for coef, v in rows.terms[i]:
+            coeffs[v] = coeffs.get(v, 0) - coef
         parts = []
-        for name, k in coeffs.items():
+        for v, k in coeffs.items():
             if k == 0:
                 continue
             sign = "+" if k > 0 else "-"
             mag = "" if abs(k) == 1 else f"{abs(k)} "
-            parts.append(f"{sign} {mag}{name}")
+            parts.append(f"{sign} {mag}{names[v]}")
         if not parts:
             # Degenerate row with no variables left: keep it as a comment so
             # row numbering in the file matches the system.
-            out.append(f" \\ c{i}: 0 >= {c.rhs.const}")
+            out.append(f" \\ c{i}: 0 >= {rows.const[i]}")
             continue
-        parts.append(f">= {c.rhs.const}")
+        parts.append(f">= {rows.const[i]}")
         out += _wrap(parts, f" c{i}:")
 
     out.append("Bounds")
-    for v in system.variables:
-        out.append(f" 0 <= {v.name} <= {system.pmax}")
+    for name in names:
+        out.append(f" 0 <= {name} <= {system.pmax}")
     out.append("General")
-    out += _wrap([v.name for v in system.variables], " ")
+    out += _wrap(names, " ")
     out.append("End")
     return "\n".join(out) + "\n"
 

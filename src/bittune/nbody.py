@@ -36,7 +36,7 @@ from typing import NamedTuple
 from .constraints import DEFAULT_COND_NSB, ConstraintSystem, with_requirement
 from .interp import Trace, run_reference, run_tuned
 from .mpfloat import DEFAULT_PRECISION, to_float
-from .parse import parse_program
+from .parse import check_literal, parse_program
 from .program import Program
 from .tuner import TuningConfig, reference_run, solve, systems
 
@@ -230,6 +230,14 @@ def _distance(ref, tuned) -> float:
     return math.sqrt(s / (1 << -2 * e) if e < 0 else float(s << 2 * e))
 
 
+class PlanError(ValueError):
+    """A sweep that cannot run; field names the ExperimentPlan field."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """One precision sweep: every requirement in nsb_values at every
@@ -245,9 +253,24 @@ class ExperimentPlan:
     write_series: bool = True
 
     def __post_init__(self):
+        if not self.nsb_values or not self.horizons_years:
+            raise PlanError("nsb_values" if not self.nsb_values
+                            else "horizons_years", "the list is empty")
         for n in self.nsb_values:
             if not 1 <= n <= self.pref:
-                raise ValueError(f"requirement {n} outside [1, {self.pref}]")
+                raise PlanError("nsb_values",
+                                f"requirement {n} outside [1, {self.pref}]")
+        for y in self.horizons_years:
+            if not (math.isfinite(y) and y >= 0):
+                raise PlanError("horizons_years", f"horizon {y} is not a "
+                                f"finite number of years >= 0")
+        try:
+            check_literal(self.dt)
+            if self.dt.strip()[0] in "+-" or Decimal(self.dt) <= 0:
+                raise ValueError(f"time step {self.dt} is not an unsigned "
+                                 f"positive number")
+        except ValueError as e:
+            raise PlanError("dt", str(e)) from None
 
     def tuning_config(self) -> TuningConfig:
         """What every cell is tuned with; widths are capped at pref."""

@@ -17,16 +17,15 @@ incumbent feasible, so the bit-sum never increases.  Given the plain
 system's solution, its first iteration lifts that solution instead of
 branching (_lift).
 
-Every solve works on one indexed form of its system, built once per
-solve_monotone, solve_ilp or policy_iterate call and dropped when it
-returns: variables are numbered, values are a list of ints, and rows
-are parallel lists of left index (-1 for the constant 0), constant and
-((coef, index), ...) terms, with a users list of row indices per
-variable.  One worklist fixpoint over that form serves the monotone
-solve, the relaxation (negative terms frozen at the node's upper bounds
-as a per-row constant offset) and the repair pass.  A carry policy is
-substituted on the row form, once per policy iteration; apply_policy
-materialises the same rows back into a ConstraintSystem for the LP
+Every solve reads the system's own index rows (constraints.Rows) and
+never mutates them; values are a list of ints in the system's variable
+numbering.  _Indexed holds what one call derives beside them: the carry
+definitions by index and each row's split into plain terms and carries.
+One worklist fixpoint, with a users list of row indices per variable,
+serves the monotone solve, the relaxation (negative terms frozen at the
+node's upper bounds as a per-row constant offset) and the repair pass.
+A carry policy is substituted into new Rows, once per policy iteration;
+apply_policy wraps the same rows in a ConstraintSystem for the LP
 export.  In the monotone solve and the repair pass the worklist starts
 with every row pending in row order and pops the last one first, and
 users lists are in row order: repair on mixed-sign rows, the rows named
@@ -43,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import ConstraintSystem, IntVar, LinExpr, XiDef
+from .constraints import ConstraintSystem, IntVar, LinExpr, Rows, XiDef
 
 DEFAULT_NODE_LIMIT = 200_000
 DEFAULT_PI_CAP = 100
@@ -85,26 +84,6 @@ class Policy:
         return self.selections[d]
 
 
-class _Rows:
-    """Rows as parallel lists: left variable index (-1 for the constant
-    0), constant, ((coef, index), ...) terms, and the index of the
-    system row each one came from."""
-
-    __slots__ = ("lhs", "const", "terms", "src")
-
-    def __init__(self):
-        self.lhs: list[int] = []
-        self.const: list[int] = []
-        self.terms: list[tuple[tuple[int, int], ...]] = []
-        self.src: list[int] = []
-
-    def append(self, lhs: int, const: int, terms, src: int) -> None:
-        self.lhs.append(lhs)
-        self.const.append(const)
-        self.terms.append(terms)
-        self.src.append(src)
-
-
 def _users(n: int, rows, terms) -> list[list[int]]:
     """Per variable, the rows (from rows, in order) whose terms read it."""
     users: list[list[int]] = [[] for _ in range(n)]
@@ -136,34 +115,22 @@ def _combine(lhs: int, const: int, terms) -> tuple:
 
 
 class _Indexed:
-    """A system over numbered variables: its rows, its carry definitions
-    ((var, (const, terms), (const, terms)) per definition) and its
-    objective.  Lives for one solver call."""
+    """For one solver call, what a system's rows (read, never copied or
+    changed) lack: carry definitions over indices ((var, (const, terms),
+    (const, terms)) each), each variable's definition number (-1 for
+    none), each row's carry split, and the objective."""
 
     def __init__(self, system: ConstraintSystem):
         self.system = system
-        self.vars: list[IntVar] = list(system.variables)
-        index = {v: i for i, v in enumerate(self.vars)}
-
-        def number(v: IntVar) -> int:
-            i = index.get(v)
-            if i is None:
-                i = index[v] = len(self.vars)
-                self.vars.append(v)
-            return i
+        index = system.index
 
         def indexed(e: LinExpr) -> tuple[int, tuple]:
-            return e.const, tuple((c, number(v)) for c, v in e.terms)
+            return e.const, tuple((c, index[v]) for c, v in e.terms)
 
-        self.rows = _Rows()
-        for r, c in enumerate(system.constraints):
-            const, terms = indexed(c.rhs)
-            self.rows.append(number(c.lhs) if c.lhs is not None else -1,
-                             const, terms, r)
-        self.defs = [(number(d.var), indexed(d.arg1), indexed(d.arg2))
+        self.defs = [(index[d.var], indexed(d.arg1), indexed(d.arg2))
                      for d in system.xi_defs]
         self.objective = [index[v] for v in system.objective]
-        def_of = [-1] * len(self.vars)
+        def_of = [-1] * len(system.variables)
         for k, (var, _, _) in enumerate(self.defs):
             def_of[var] = k
         self.def_of = def_of
@@ -173,21 +140,20 @@ class _Indexed:
             (tuple(t for t in terms if def_of[t[1]] < 0),
              [def_of[i] for _, i in terms if def_of[i] >= 0])
             if any(def_of[i] >= 0 for _, i in terms) else None
-            for terms in self.rows.terms]
+            for terms in system.rows.terms] if self.defs \
+            else [None] * len(system.rows.lhs)
 
-    def selections(self, policy: Policy) -> list[int]:
-        return [policy[d] for d in self.system.xi_defs]
-
-    def substitute(self, selections: list[int]) -> _Rows:
+    def substitute(self, selections: list[int]) -> Rows:
         """The rows with every carry replaced per its selection.
 
         Selection 3 replaces the carry with the constant 1.  Selection 1
         or 2 replaces max(e, 0) by emitting the row twice, once without
         the carry term and once with e added."""
-        rows, out = self.rows, _Rows()
+        rows, out = self.system.rows, Rows()
         for r, split in enumerate(self.splits):
             if split is None:
-                out.append(rows.lhs[r], rows.const[r], rows.terms[r], r)
+                out.append(rows.lhs[r], rows.const[r], rows.terms[r],
+                           rows.origin[r], rows.site[r])
                 continue
             plain, carries = split
             variants = [(rows.const[r], plain)]
@@ -200,7 +166,8 @@ class _Indexed:
                     variants = [v for k, t in variants
                                 for v in ((k, t), (k + ac, t + at))]
             for k, t in variants:
-                out.append(*_combine(rows.lhs[r], k, t), r)
+                out.append(*_combine(rows.lhs[r], k, t), rows.origin[r],
+                           rows.site[r])
         return out
 
     def solved_order(self) -> list[int]:
@@ -217,25 +184,27 @@ def _finish(ix: _Indexed, values: list[int], order,
     for var, (c1, t1), (c2, t2) in ix.defs:
         values[var] = min(max(_eval(c1, t1, values), 0),
                           max(_eval(c2, t2, values), 0), 1)
-    rows = ix.rows
+    rows = ix.system.rows
     for r, left in enumerate(rows.lhs):
         if ((values[left] if left >= 0 else 0)
                 < _eval(rows.const[r], rows.terms[r], values)):
             raise SolverError(f"solver produced an infeasible point: "
                               f"{ix.system.constraints[r]}")
-    named = {ix.vars[i]: values[i] for i in order}
+    named = {ix.system.variables[i]: values[i] for i in order}
     total = sum(values[i] for i in ix.objective)
     return NsbAssignment(named, total, nodes=nodes)
 
 
 def _check_monotone(system: ConstraintSystem) -> None:
-    for c in system.constraints:
-        if c.lhs is None:
-            raise SolverError(f"constraint without a left-hand variable: {c}")
-        for coef, _ in c.rhs.terms:
+    rows = system.rows
+    for r, left in enumerate(rows.lhs):
+        if left < 0:
+            raise SolverError(f"constraint without a left-hand variable: "
+                              f"{system.constraints[r]}")
+        for coef, _ in rows.terms[r]:
             if coef != 1:
                 raise SolverError(
-                    f"non-unit coefficient {coef} in {c}; "
+                    f"non-unit coefficient {coef} in {system.constraints[r]}; "
                     f"not a monotone-shaped system")
 
 
@@ -300,7 +269,7 @@ def _raising_rows(ix: _Indexed, start: int, raised_by: list[int]) -> str:
     r = start
     while True:
         rows.append(r)
-        drivers = [i for _, i in ix.rows.terms[r] if raised_by[i] >= 0]
+        drivers = [i for _, i in ix.system.rows.terms[r] if raised_by[i] >= 0]
         if not drivers:
             break
         i = drivers[0]
@@ -320,7 +289,7 @@ def solve_monotone(system: ConstraintSystem) -> NsbAssignment:
     """Least solution of a +1-coefficient system; minimizes the bit-sum."""
     _check_monotone(system)
     ix = _Indexed(system)
-    rows, n = ix.rows, len(ix.vars)
+    rows, n = system.rows, len(system.variables)
     values = [0] * n
     raised_by = [-1] * n
     bad = _kleene(rows.lhs, rows.const, rows.terms,
@@ -344,22 +313,23 @@ def apply_policy(system: ConstraintSystem, policy: Policy) -> ConstraintSystem:
     e becomes a pure upper-bound row (left side None).
     """
     ix = _Indexed(system)
-    rows = ix.substitute(ix.selections(policy))
+    rows = ix.substitute([policy[d] for d in system.xi_defs])
     out = ConstraintSystem("policy", system.pmax)
-    out.declare(*(v for i, v in enumerate(system.variables)
-                  if ix.def_of[i] < 0))
+    variables = system.variables
+    out.declare(*(v for i, v in enumerate(variables) if ix.def_of[i] < 0))
     out.objective = list(system.objective)
     out.skipped_points = list(system.skipped_points)
     out.zero_ufp_points = list(system.zero_ufp_points)
+    number = out.number
     for r, left in enumerate(rows.lhs):
-        c = system.constraints[rows.src[r]]
-        rhs = LinExpr(rows.const[r],
-                      tuple((k, ix.vars[i]) for k, i in rows.terms[r]))
-        out.add(ix.vars[left] if left >= 0 else None, rhs, c.origin, c.site)
+        out.rows.append(-1 if left < 0 else number(variables[left]),
+                        rows.const[r], tuple((k, number(variables[i]))
+                                             for k, i in rows.terms[r]),
+                        rows.origin[r], rows.site[r])
     return out
 
 
-def _branch_and_bound(n: int, rows: _Rows, objective: list[int], pmax: int,
+def _branch_and_bound(n: int, rows: Rows, objective: list[int], pmax: int,
                       node_limit: int) -> tuple[list[int], int]:
     """The least-objective integer point of rows over [0, pmax]^n, and
     the number of nodes opened."""
@@ -439,10 +409,10 @@ def solve_ilp(system: ConstraintSystem, policy: Policy | None = None,
     if system.xi_defs:
         if policy is None:
             raise SolverError("system has carry definitions; a policy is required")
-        work = ix.substitute(ix.selections(policy))
+        work = ix.substitute([policy[d] for d in system.xi_defs])
     else:
-        work = ix.rows
-    best, nodes = _branch_and_bound(len(ix.vars), work, ix.objective,
+        work = system.rows
+    best, nodes = _branch_and_bound(len(system.variables), work, ix.objective,
                                     system.pmax, node_limit)
     return _finish(ix, best, ix.solved_order(), nodes)
 
@@ -463,10 +433,11 @@ def _lift(ix: _Indexed, plain: NsbAssignment) -> NsbAssignment | None:
     lhs, terms = rows.lhs, rows.terms
     if -1 in lhs:
         return None
-    n = len(ix.vars)
+    variables = ix.system.variables
+    n = len(variables)
     left = list(range(len(lhs)))
     kept = [tuple(t for t in ts if t[0] >= 0) for ts in terms]
-    values = [plain.values.get(v, 0) for v in ix.vars]
+    values = [plain.values.get(v, 0) for v in variables]
     order = _dependency_order(lhs, kept, left, _users(n, left, kept))
     if _kleene(lhs, rows.const, terms, _users(n, left, terms), order,
                values, [ix.system.pmax] * n) >= 0:
@@ -492,7 +463,7 @@ def policy_iterate(system: ConstraintSystem,
     for iteration in range(1, max_iterations + 1):
         if assignment is None or iteration > 1:
             assignment = solve_ilp(system, policy, node_limit, indexed=ix)
-        values = [assignment.values[v] for v in ix.vars]
+        values = [assignment.values[v] for v in system.variables]
         switched = False
         for d, (_, (c1, t1), (c2, t2)) in zip(system.xi_defs, ix.defs):
             args = (max(_eval(c1, t1, values), 0),

@@ -42,6 +42,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _bittune(cwd, *argv):
+    """The command line in a fresh interpreter, stopped after 20 s."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
+    return subprocess.run([sys.executable, "-m", "bittune.cli", *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=20)
+
+
 class TestTuneCommand:
     def test_writes_three_artifacts(self, workdir, capsys):
         code, out, err = run_cli(capsys, "tune", "small.pop")
@@ -345,6 +355,15 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "small.pop")
         assert code == 1 and "nsb" in err
 
+    @pytest.mark.parametrize("body", [
+        "[]", "7", '{"nsb": {"0": null}}', '{"nsb": {"0": [1]}}',
+    ], ids=["list", "number", "null-width", "list-width"])
+    def test_malformed_report_is_one_staged_line(self, workdir, body):
+        (workdir / "bad.json").write_text(body)
+        proc = _bittune(workdir, "verify", "small.pop", "--report", "bad.json")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "bittune: verify: bad.json has no nsb width map\n")
+
 
 class TestBenchCommand:
     def test_tiny_sweep(self, workdir, capsys, monkeypatch):
@@ -397,6 +416,27 @@ class TestBenchCommand:
         code, _, err = run_cli(capsys, "bench", "--years", "-3")
         assert code == 2
 
+    # Unchecked, a zero or negative step looped to the interpreter's step
+    # cap, "abc" ended in a decimal traceback, a NaN horizon failed in
+    # the def-use check, and an empty list wrote a summary of no rows.
+    @pytest.mark.parametrize("flags, message", [
+        (("--dt", "0"), "--dt: time step 0 is not an unsigned positive "
+                        "number"),
+        (("--dt", "-0.01"), "--dt: time step -0.01 is not an unsigned "
+                            "positive number"),
+        (("--dt", "abc"), "--dt: malformed numeric literal 'abc'"),
+        (("--years", "nan"), "--years: horizon nan is not a finite number "
+                             "of years >= 0"),
+        (("--nsb", ","), "--nsb: the list is empty"),
+        (("--years", ","), "--years: the list is empty"),
+    ], ids=["dt-zero", "dt-negative", "dt-text", "years-nan", "nsb-empty",
+            "years-empty"])
+    def test_unrunnable_sweep_is_usage_error(self, workdir, flags, message):
+        proc = _bittune(workdir, "bench", *flags, "--out", "out")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"bittune: bench: {message}\n")
+        assert not (workdir / "out").exists()
+
 
 class TestScripts:
     def test_tune_nbody_writes_what_tune_writes(self, tmp_path, capsys,
@@ -423,6 +463,20 @@ class TestScripts:
                      "nbody.report.json"):
             assert (script_dir / name).read_bytes() == \
                 (cli_dir / name).read_bytes(), name
+
+
+    def test_tune_nbody_refuses_a_step_it_cannot_run(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "tune_nbody.py"),
+             "--dt", "0", "--out", str(tmp_path / "nbody.pop")],
+            capture_output=True, text=True, env=env, timeout=20)
+        assert proc.returncode == 2
+        assert proc.stderr.endswith(
+            "error: --dt: time step 0 is not an unsigned positive number\n")
+        assert not (tmp_path / "nbody.pop").exists()
 
 
 class TestExportAndRun:

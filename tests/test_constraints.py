@@ -6,6 +6,7 @@ bit; the refined system adds error-width variables and turns the carry
 of each addition into a min/max definition.
 """
 
+import functools
 import hashlib
 import random
 from collections import Counter
@@ -21,8 +22,8 @@ from bittune.lpfile import export_lp
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from bittune.program import Assign, BinOp, Num, Sqrt, Var
-from bittune.solver import Policy
-from helpers import gen_straight_line, in_loop
+from bittune.solver import Policy, policy_iterate, solve_monotone
+from helpers import BRANCH, LOOP, gen_straight_line, in_loop
 
 
 def systems_for(src, cond_nsb=53, pmax=500, inputs=(), binding_sets=None):
@@ -259,7 +260,7 @@ class TestRefinedSystem:
             assert assignment.values[d.var] == 1
             lowered = dict(assignment.values)
             lowered[d.var] = 0
-            assert all(c.holds(lowered) for c in c2.constraints)
+            assert _dict_keyed_check(c2.constraints, (), lowered)
             assert not c2.satisfied_by(lowered)
 
 
@@ -297,6 +298,59 @@ class TestPinnedBytes:
                 export_lp(c2, Policy.const_one(c2)).encode())
         assert {name: h.hexdigest() for name, h in digests.items()} == \
             self.PINNED
+
+
+FIVE_BODY = build_nbody_program(t_max=horizon_t_max(0.05))
+
+
+@functools.cache
+def _solved_systems(src):
+    """C1 and C2 of src, each with its solved assignment and its rows as
+    the constraints view yields them."""
+    _, _, c1, c2 = systems_for(src)
+    return [(c1, solve_monotone(c1).values, list(c1.constraints)),
+            (c2, policy_iterate(c2)[0].values, list(c2.constraints))]
+
+
+def _dict_keyed_check(rows, xi_defs, values):
+    """Every row and carry definition, evaluated through variable keys."""
+    def value(e):
+        return e.const + sum(k * values[v] for k, v in e.terms)
+
+    return (all((values[c.lhs] if c.lhs is not None else 0) >= value(c.rhs)
+                for c in rows)
+            and all(values[d.var] == min(max(value(d.arg1), 0),
+                                         max(value(d.arg2), 0), 1)
+                    for d in xi_defs))
+
+
+class TestRowForm:
+    """The index rows satisfied_by reads say what the rows the
+    constraints view builds say."""
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_satisfied_by_matches_a_dict_keyed_evaluation(self, data):
+        src = data.draw(st.one_of(
+            st.sampled_from((LOOP, BRANCH, FIVE_BODY)),
+            st.integers(0, 2**32).map(
+                lambda seed: gen_straight_line(random.Random(seed),
+                                               max_ops=6))))
+        for system, solved, rows in _solved_systems(src):
+            assert len(system.constraints) == len(rows)
+            lowered = dict(solved)
+            lowered[data.draw(st.sampled_from(system.variables))] -= 1
+            checked = [solved, lowered]
+            carries = [v for v in system.variables if v.kind == "xi"]
+            if carries:
+                flipped = dict(solved)
+                carry = data.draw(st.sampled_from(carries))
+                flipped[carry] = 1 - flipped[carry]
+                checked.append(flipped)
+            for values in checked:
+                assert system.satisfied_by(values) == \
+                    _dict_keyed_check(rows, system.xi_defs, values)
+            assert system.satisfied_by(solved)
 
 
 class TestIntVar:

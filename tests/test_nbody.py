@@ -236,6 +236,38 @@ class TestSharedLowering:
             assert export_lp(swapped, Policy.const_one(swapped)) == \
                 export_lp(generated, Policy.const_one(generated))
 
+    @pytest.mark.parametrize("method", ("ilp", "pi"))
+    def test_cells_share_rows_and_leave_the_horizon_unchanged(
+            self, method, monkeypatch):
+        plan = ExperimentPlan(horizons_years=(0.05,), method=method,
+                              write_series=False)
+        c = load_bodies()
+        horizon = _prepare_horizon(plan, c, 0.05)
+        shared = [s for s in (horizon.c1, horizon.c2) if s is not None]
+
+        def digests():
+            return [hashlib.sha256((s.dump() + export_lp(
+                s, Policy.const_one(s))).encode()).hexdigest()
+                for s in shared]
+
+        before = digests()
+        copies = []
+
+        def recorded(system, bits):
+            copies.append((system, with_requirement(system, bits)))
+            return copies[-1][1]
+
+        monkeypatch.setattr(nbody_mod, "with_requirement", recorded)
+        for req in plan.nsb_values:
+            nbody_mod._run_cell(plan, c, 0.05, req, horizon)
+        assert len(copies) == len(plan.nsb_values) * len(shared)
+        for system, copy in copies:
+            assert any(system is s for s in shared)
+            assert copy.rows.terms is system.rows.terms
+            assert copy.rows.lhs is system.rows.lhs
+            assert copy.rows.const is not system.rows.const
+        assert digests() == before
+
     def test_one_parse_and_one_generation_per_horizon(self, tmp_path,
                                                       monkeypatch):
         calls = {"parse": 0, "c1": 0, "c2": 0}

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from bittune.constraints import (
-    ConstraintSystem, LinExpr, gen_ilp, gen_refined, nsb,
+    ConstraintSystem, gen_ilp, gen_refined, nsb,
 )
 from bittune.interp import run_reference
 from bittune.nbody import build_nbody_program, horizon_t_max
@@ -33,8 +33,8 @@ def make_system(rows, n_vars, pmax):
     sys_.declare(*vars_)
     sys_.objective = list(vars_)
     for lhs_i, const, terms in rows:
-        expr = LinExpr(const, tuple((c, vars_[i]) for c, i in terms))
-        sys_.add(vars_[lhs_i] if lhs_i is not None else None, expr, "test", 0)
+        sys_.rows.append(-1 if lhs_i is None else lhs_i, const, tuple(terms),
+                         "test", 0)
     return sys_, vars_
 
 
