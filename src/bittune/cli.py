@@ -48,7 +48,6 @@ from .nbody import ExperimentPlan, PlanError, run_experiment
 from .parse import check_literal, parse_program
 from .render import MissingWidthError, emit_annotated
 from .codegen import emit_mp_code
-from .solver import Policy
 from .tuner import (
     TuningConfig, generate, passed, reference_run, stage, tune, verify,
 )
@@ -196,9 +195,15 @@ def cmd_verify(args) -> int:
         Path(args.source).with_suffix(".report.json")
     text = report_path.read_text()
     try:
-        widths = {int(p): int(n) for p, n in json.loads(text)["nsb"].items()}
-    except (KeyError, AttributeError, TypeError, ValueError):
+        nsb = json.loads(text)["nsb"]
+        widths = {int(p): int(n) for p, n in nsb.items()}
+    except (KeyError, AttributeError, TypeError, ValueError, OverflowError):
         raise ValueError(f"{report_path} has no nsb width map") from None
+    for p, n in nsb.items():
+        # tune writes an integer in [0, pmax], 0 where nothing is demanded.
+        if type(n) is not int or not 0 <= n <= cfg.pmax:
+            raise ValueError(f"{report_path}: width {json.dumps(n)} at point "
+                             f"{p} is not an integer in [0, {cfg.pmax}]")
 
     prog = parse_program(source, cfg.input_names())
     rows, ref, tuned = verify(prog, widths, cfg)
@@ -251,7 +256,7 @@ def cmd_export_lp(args) -> int:
     prog = parse_program(Path(args.source).read_text(), cfg.input_names())
     system = generate(prog, reference_run(prog, cfg).ranges, cfg,
                       refined=args.refined)
-    text = export_lp(system, Policy.const_one(system))
+    text = export_lp(system, [3] * len(system.xi_defs))
     out_path = Path(args.out) if args.out else Path(args.source).with_suffix(".lp")
     out_path.write_text(text)
     print(f"wrote {out_path}")

@@ -17,15 +17,20 @@ and divisions keep the constant carry bound in both systems.
 
 All ufp constants come from a recorded range map; a point whose
 observed values were all zero uses the sentinel ufp and is reported.
+Zero is read from the map's missing top, not from the ufp, since a
+nonzero value can have the sentinel's ufp.
 Demands flow backward (operand width >= result width plus an alignment
 constant), error widths flow forward.
 
 A system is stored as the solver reads it: variables numbered as
 declared (nsb(p) is index p, then nsbe and xi in order of appearance,
 left side before terms) and rows as Rows' parallel index lists, which
-the generator appends to.  system.constraints is a read-only view that
-builds a LinearConstraint per row read.  Variables are named tuples
-(hashing in C), built once per point and shared by rows and XiDefs.
+the generator appends to.  A solution is a list of ints in the same
+numbering; satisfied_by checks one against the rows, and against the
+carry definitions through system.index.  system.constraints is a
+read-only view that builds a LinearConstraint per row read.  Variables
+are named tuples (hashing in C), built once per point and shared by rows
+and XiDefs.
 """
 
 from __future__ import annotations
@@ -83,9 +88,6 @@ class LinExpr:
     const: int
     terms: tuple[tuple[int, IntVar], ...] = ()
 
-    def evaluate(self, values) -> int:
-        return self.const + sum(c * values[v] for c, v in self.terms)
-
     def __str__(self) -> str:
         parts = []
         for c, v in self.terms:
@@ -123,10 +125,6 @@ class XiDef:
     arg1: LinExpr
     arg2: LinExpr
     site: int
-
-    def evaluate(self, values) -> int:
-        return min(max(self.arg1.evaluate(values), 0),
-                   max(self.arg2.evaluate(values), 0), 1)
 
     def __str__(self) -> str:
         return (f"{self.var} = min(max({self.arg1}, 0), "
@@ -172,7 +170,6 @@ class _RowView(Sequence):
 
 @dataclass
 class ConstraintSystem:
-    kind: str                              # "c1" | "c2" | "policy"
     pmax: int
     variables: list[IntVar] = field(default_factory=list)
     index: dict[IntVar, int] = field(default_factory=dict, repr=False)
@@ -198,18 +195,22 @@ class ConstraintSystem:
         for v in vars_:
             self.number(v)
 
-    def objective_value(self, values) -> int:
-        return sum(values[v] for v in self.objective)
-
-    def satisfied_by(self, values) -> bool:
-        """Every row holds and every carry equals its definition."""
-        vals, rows = [values[v] for v in self.variables], self.rows
+    def satisfied_by(self, values: list[int]) -> bool:
+        """Every row holds and every carry equals its definition, at
+        values in the system's numbering."""
+        rows, index = self.rows, self.index
         for left, k, terms in zip(rows.lhs, rows.const, rows.terms):
             for c, i in terms:
-                k += c * vals[i]
-            if (vals[left] if left >= 0 else 0) < k:
+                k += c * values[i]
+            if (values[left] if left >= 0 else 0) < k:
                 return False
-        return all(values[d.var] == d.evaluate(values) for d in self.xi_defs)
+
+        def arg(e: LinExpr) -> int:
+            return max(e.const + sum(c * values[index[v]] for c, v in e.terms),
+                       0)
+
+        return all(values[index[d.var]] == min(arg(d.arg1), arg(d.arg2), 1)
+                   for d in self.xi_defs)
 
     def dump(self) -> str:
         lines = [f"minimize sum nsb over {len(self.objective)} points,"
@@ -244,7 +245,7 @@ class _Generator:
         self.links = links
         self.refined = refined
         self.cond_nsb = cond_nsb
-        self.system = ConstraintSystem("c2" if refined else "c1", pmax)
+        self.system = ConstraintSystem(pmax)
         self.row = self.system.rows.append
         self.zero_points: set[int] = set()
         # One variable object per point, declared once and named by
@@ -258,10 +259,9 @@ class _Generator:
         return self.system.number(self.nsbe[point])
 
     def ufp(self, point: int) -> int:
-        u = self.ranges.ufp(point)
-        if u == self.ranges.ufp_zero:
+        if self.ranges.top[point] is None:
             self.zero_points.add(point)
-        return u
+        return self.ranges.ufp(point)
 
     def visited(self, point: int) -> bool:
         return self.ranges.visited(point)
@@ -269,8 +269,7 @@ class _Generator:
     def is_zero(self, point: int) -> bool:
         """The point held zero on every recorded visit, so its stored
         value is exact at any width and it contributes no error terms."""
-        return (self.ranges.visited(point)
-                and self.ranges.ufp(point) == self.ranges.ufp_zero)
+        return self.ranges.visited(point) and self.ranges.top[point] is None
 
     def run(self) -> ConstraintSystem:
         sys = self.system

@@ -4,7 +4,8 @@ The export lets any external ILP solver cross-check the built-in ones:
 variables keep their deterministic nsb_p / nsbe_p / xi_p names, every
 row is rewritten as ``lhs - rhs-terms >= constant``, and all variables
 are declared integer over [0, pmax].  Systems with carry definitions
-must be exported under a policy, which resolves them into linear rows.
+must be exported under a policy (one selection per carry definition,
+as the solver takes it), which resolves them into linear rows.
 
 Solutions come back as ``name = value`` lines (one per variable, '#'
 comments allowed) and can be checked against the system directly.
@@ -28,7 +29,8 @@ def _wrap(parts: list[str], head: str, limit: int = 72) -> list[str]:
     return lines
 
 
-def export_lp(system: ConstraintSystem, policy=None) -> str:
+def export_lp(system: ConstraintSystem,
+              policy: list[int] | None = None) -> str:
     """Render the system (resolved under policy if needed) as LP text."""
     if system.xi_defs:
         if policy is None:
@@ -91,17 +93,17 @@ def parse_solution(text: str) -> dict[str, int]:
 
 
 def check_solution(system: ConstraintSystem, named: dict[str, int],
-                   policy=None) -> tuple[bool, int]:
+                   policy: list[int] | None = None) -> tuple[bool, int]:
     """(feasible, objective total) of an external solution for the system."""
     if system.xi_defs:
         if policy is None:
             raise ValueError("carry definitions present; a policy is required")
         system = apply_policy(system, policy)
-    values = {}
+    values = []
     for v in system.variables:
         if v.name not in named:
             raise ValueError(f"solution is missing variable {v.name}")
-        values[v] = named[v.name]
+        values.append(named[v.name])
     feasible = system.satisfied_by(values) and all(
-        0 <= n <= system.pmax for n in values.values())
-    return feasible, system.objective_value(values)
+        0 <= n <= system.pmax for n in values)
+    return feasible, sum(values[system.index[v]] for v in system.objective)

@@ -26,10 +26,12 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import partial
 from importlib import resources
+from multiprocessing import get_context
 from pathlib import Path
 from typing import NamedTuple
 
@@ -310,22 +312,19 @@ def _prepare_horizon(plan: ExperimentPlan, c: BenchConstants,
     return Horizon(prog, ref, *systems(prog, ref.ranges, cfg))
 
 
-def _run_cell(plan: ExperimentPlan, c: BenchConstants, years: float,
-              req: int, shared: Horizon | None = None):
+def _run_cell(plan: ExperimentPlan, c: BenchConstants, horizon: Horizon,
+              req: int):
     """Tune and run one (requirement, horizon) cell.
 
     Returns (distances, series, tune_seconds, run_seconds) where
     distances is [(body, final drift)] and series the per-step rows or
     None.  tune_seconds covers swapping the requirement into the
-    horizon's systems and tuner.solve only; the shared horizon stage
-    (parse, reference run, generation) is not charged to any cell (a
-    worker recomputes it when shared is None, e.g. under a process
-    pool, but the attribution stays the same).
+    horizon's systems and tuner.solve only; the horizon's shared stage
+    (parse, reference run, generation) is not charged to any cell.
     """
     coords = planet_coord_names(c)
     bodies = [b.name for b in c.planets()]
-    prog, ref, c1, c2 = (shared if shared is not None
-                         else _prepare_horizon(plan, c, years))
+    prog, ref, c1, c2 = horizon
 
     t0 = time.perf_counter()
     assignment, _ = solve(with_requirement(c1, req),
@@ -350,47 +349,34 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path,
     """Run the sweep and write summary.csv (plus one series file per
     cell when write_series is set) under out_dir.
 
-    With jobs > 1 the cells run in separate processes, each redoing
-    its horizon's parse, reference run and generation; results and row
-    order are identical to the sequential run.  On error, rows for the
-    cells that finished are still flushed to summary.csv before the
-    exception propagates.
+    Each horizon is prepared once, here; with jobs > 1 its cells then
+    run in that many worker processes, which get the prepared horizon
+    and return what the sequential run computes, in the same order.  On
+    error, rows for the cells before the failing one are still flushed
+    to summary.csv before the exception propagates.
     """
     c = load_bodies()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    cells = [(years, req) for years in plan.horizons_years
-             for req in plan.nsb_values]
-    results: dict[tuple[float, int], tuple] = {}
-    try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = {pool.submit(_run_cell, plan, c, years, req): (years, req)
-                           for years, req in cells}
-                for fut in as_completed(futures):
-                    results[futures[fut]] = fut.result()
-        else:
-            for years in plan.horizons_years:
-                shared = _prepare_horizon(plan, c, years)
-                for req in plan.nsb_values:
-                    results[(years, req)] = _run_cell(plan, c, years, req, shared)
-    finally:
-        rows = _collect_rows(plan, cells, results, out)
-        _write_summary(out / "summary.csv", rows)
-    return rows
-
-
-def _collect_rows(plan, cells, results, out: Path) -> list[SummaryRow]:
     rows: list[SummaryRow] = []
-    for years, req in cells:
-        if (years, req) not in results:
-            continue
-        distances, series, tune_s, run_s = results[(years, req)]
-        for body, dist in distances:
-            rows.append(SummaryRow(req, years, body, dist, tune_s, run_s))
-        if series is not None:
-            _write_series(out / _series_name(req, years), series)
+    pool = (ProcessPoolExecutor(jobs, mp_context=get_context("spawn"))
+            if jobs > 1 else None)
+    try:
+        for years in plan.horizons_years:
+            cell = partial(_run_cell, plan, c,
+                           _prepare_horizon(plan, c, years))
+            results = (pool.map if pool else map)(cell, plan.nsb_values)
+            for req, (distances, series, tune_s, run_s) in zip(
+                    plan.nsb_values, results):
+                rows += [SummaryRow(req, years, body, dist, tune_s, run_s)
+                         for body, dist in distances]
+                if series is not None:
+                    _write_series(out / _series_name(req, years), series)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        _write_summary(out / "summary.csv", rows)
     return rows
 
 

@@ -18,9 +18,12 @@ system's solution, its first iteration lifts that solution instead of
 branching (_lift).
 
 Every solve reads the system's own index rows (constraints.Rows) and
-never mutates them; values are a list of ints in the system's variable
-numbering.  _Indexed holds what one call derives beside them: the carry
-definitions by index and each row's split into plain terms and carries.
+never mutates them.  Values are a list of ints in the system's variable
+numbering, and an NsbAssignment keeps them so.  A carry policy is a list
+with one selection per system.xi_defs entry: 1 or 2 picks that argument
+of the min, 3 the constant 1.  _Indexed holds what one call derives
+beside the rows: the carry definitions by index and each row's split
+into plain terms and carries.
 One worklist fixpoint, with a users list of row indices per variable,
 serves the monotone solve, the relaxation (negative terms frozen at the
 node's upper bounds as a per-row constant offset) and the repair pass.
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import ConstraintSystem, IntVar, LinExpr, Rows, XiDef
+from .constraints import ConstraintSystem, LinExpr, Rows
 
 DEFAULT_NODE_LIMIT = 200_000
 DEFAULT_PI_CAP = 100
@@ -57,31 +60,15 @@ class SolverError(RuntimeError):
 
 @dataclass
 class NsbAssignment:
-    values: dict[IntVar, int]
+    values: list[int]                # in the solved system's numbering
+    points: int                      # nsb(p) is variable p for p < points
     total: int                       # objective value, the sum of nsb widths
     converged: bool = True
     nodes: int = 0
 
-    def __getitem__(self, var: IntVar) -> int:
-        return self.values[var]
-
     def widths(self) -> dict[int, int]:
         """Control point -> nsb width, for execution and rendering."""
-        return {v.point: n for v, n in self.values.items() if v.kind == "nsb"}
-
-
-@dataclass
-class Policy:
-    """Selected argument (1, 2, or 3 = the constant 1) per carry definition."""
-
-    selections: dict[XiDef, int]
-
-    @classmethod
-    def const_one(cls, system: ConstraintSystem) -> "Policy":
-        return cls({d: 3 for d in system.xi_defs})
-
-    def __getitem__(self, d: XiDef) -> int:
-        return self.selections[d]
+        return dict(enumerate(self.values[:self.points]))
 
 
 def _users(n: int, rows, terms) -> list[list[int]]:
@@ -170,17 +157,10 @@ class _Indexed:
                            rows.site[r])
         return out
 
-    def solved_order(self) -> list[int]:
-        """Assignment order of a policy solve: non-carry variables as
-        numbered, then carries in definition order."""
-        return ([i for i, d in enumerate(self.def_of) if d < 0]
-                + [var for var, _, _ in self.defs])
 
-
-def _finish(ix: _Indexed, values: list[int], order,
-            nodes: int = 0) -> NsbAssignment:
+def _finish(ix: _Indexed, values: list[int], nodes: int = 0) -> NsbAssignment:
     """Fill carry values from their definitions, verify every row of the
-    system, and package the variables in order."""
+    system, and package the values as they are numbered."""
     for var, (c1, t1), (c2, t2) in ix.defs:
         values[var] = min(max(_eval(c1, t1, values), 0),
                           max(_eval(c2, t2, values), 0), 1)
@@ -190,9 +170,9 @@ def _finish(ix: _Indexed, values: list[int], order,
                 < _eval(rows.const[r], rows.terms[r], values)):
             raise SolverError(f"solver produced an infeasible point: "
                               f"{ix.system.constraints[r]}")
-    named = {ix.system.variables[i]: values[i] for i in order}
     total = sum(values[i] for i in ix.objective)
-    return NsbAssignment(named, total, nodes=nodes)
+    # The objective is nsb(p) for every point p, variables 0 to points-1.
+    return NsbAssignment(values, len(ix.objective), total, nodes=nodes)
 
 
 def _check_monotone(system: ConstraintSystem) -> None:
@@ -300,10 +280,11 @@ def solve_monotone(system: ConstraintSystem) -> NsbAssignment:
         raise SolverError(
             f"infeasible: {system.constraints[bad].lhs} is driven past "
             f"the cap {system.pmax}" + _raising_rows(ix, bad, raised_by))
-    return _finish(ix, values, range(n))
+    return _finish(ix, values)
 
 
-def apply_policy(system: ConstraintSystem, policy: Policy) -> ConstraintSystem:
+def apply_policy(system: ConstraintSystem,
+                 policy: list[int]) -> ConstraintSystem:
     """The system with each carry variable substituted per the policy,
     row for row as the solver substitutes it.
 
@@ -313,8 +294,8 @@ def apply_policy(system: ConstraintSystem, policy: Policy) -> ConstraintSystem:
     e becomes a pure upper-bound row (left side None).
     """
     ix = _Indexed(system)
-    rows = ix.substitute([policy[d] for d in system.xi_defs])
-    out = ConstraintSystem("policy", system.pmax)
+    rows = ix.substitute(policy)
+    out = ConstraintSystem(system.pmax)
     variables = system.variables
     out.declare(*(v for i, v in enumerate(variables) if ix.def_of[i] < 0))
     out.objective = list(system.objective)
@@ -398,7 +379,7 @@ def _branch_and_bound(n: int, rows: Rows, objective: list[int], pmax: int,
     return best, nodes
 
 
-def solve_ilp(system: ConstraintSystem, policy: Policy | None = None,
+def solve_ilp(system: ConstraintSystem, policy: list[int] | None = None,
               node_limit: int = DEFAULT_NODE_LIMIT, *,
               indexed: _Indexed | None = None) -> NsbAssignment:
     """Minimize the bit-sum over the integer box, branch and bound.
@@ -409,12 +390,12 @@ def solve_ilp(system: ConstraintSystem, policy: Policy | None = None,
     if system.xi_defs:
         if policy is None:
             raise SolverError("system has carry definitions; a policy is required")
-        work = ix.substitute([policy[d] for d in system.xi_defs])
+        work = ix.substitute(policy)
     else:
         work = system.rows
     best, nodes = _branch_and_bound(len(system.variables), work, ix.objective,
                                     system.pmax, node_limit)
-    return _finish(ix, best, ix.solved_order(), nodes)
+    return _finish(ix, best, nodes)
 
 
 def _lift(ix: _Indexed, plain: NsbAssignment) -> NsbAssignment | None:
@@ -433,16 +414,15 @@ def _lift(ix: _Indexed, plain: NsbAssignment) -> NsbAssignment | None:
     lhs, terms = rows.lhs, rows.terms
     if -1 in lhs:
         return None
-    variables = ix.system.variables
-    n = len(variables)
+    n = len(ix.system.variables)
     left = list(range(len(lhs)))
     kept = [tuple(t for t in ts if t[0] >= 0) for ts in terms]
-    values = [plain.values.get(v, 0) for v in variables]
+    values = plain.values[:plain.points] + [0] * (n - plain.points)
     order = _dependency_order(lhs, kept, left, _users(n, left, kept))
     if _kleene(lhs, rows.const, terms, _users(n, left, terms), order,
                values, [ix.system.pmax] * n) >= 0:
         return None
-    return _finish(ix, values, ix.solved_order())
+    return _finish(ix, values)
 
 
 def policy_iterate(system: ConstraintSystem,
@@ -458,20 +438,19 @@ def policy_iterate(system: ConstraintSystem,
     branch and bound only where the lift does not fit.
     """
     ix = _Indexed(system)
-    policy = Policy.const_one(system)
+    policy = [3] * len(ix.defs)
     assignment = _lift(ix, plain) if plain is not None else None
     for iteration in range(1, max_iterations + 1):
         if assignment is None or iteration > 1:
             assignment = solve_ilp(system, policy, node_limit, indexed=ix)
-        values = [assignment.values[v] for v in system.variables]
+        values = assignment.values
         switched = False
-        for d, (_, (c1, t1), (c2, t2)) in zip(system.xi_defs, ix.defs):
+        for k, (_, (c1, t1), (c2, t2)) in enumerate(ix.defs):
             args = (max(_eval(c1, t1, values), 0),
                     max(_eval(c2, t2, values), 0),
                     1)
-            current = policy[d]
-            if args[current - 1] > min(args):
-                policy.selections[d] = args.index(min(args)) + 1
+            if args[policy[k] - 1] > min(args):
+                policy[k] = args.index(min(args)) + 1
                 switched = True
         if not switched:
             return assignment, policy, iteration
@@ -480,6 +459,6 @@ def policy_iterate(system: ConstraintSystem,
 
 
 __all__ = [
-    "NsbAssignment", "Policy", "SolverError", "apply_policy",
+    "NsbAssignment", "SolverError", "apply_policy",
     "policy_iterate", "solve_ilp", "solve_monotone",
 ]

@@ -192,10 +192,10 @@ def test_3_solver_minima_match_independent_oracles():
                 solve_monotone(sys_)
             continue
         sol = solve_monotone(sys_)
-        assert [sol.values[v] for v in vars_] == want
-        for v in vars_:
+        assert sol.values == want
+        for v in range(len(vars_)):
             if sol.values[v]:
-                lowered = dict(sol.values)
+                lowered = list(sol.values)
                 lowered[v] -= 1
                 assert not sys_.satisfied_by(lowered)
         solved += 1
@@ -358,7 +358,7 @@ def test_7_random_small_programs_meet_their_bit_requirement():
         ranges = run_reference(prog, 500).ranges
         c1 = gen_ilp(prog, ranges, links, 53, 500)
         sol = solve_monotone(c1)
-        widths = {v.point: n for v, n in sol.values.items()
+        widths = {v.point: n for v, n in zip(c1.variables, sol.values)
                   if v.kind == "nsb"}
         ref = run_reference(prog, 500)
         tuned = run_tuned(prog, widths)
@@ -452,6 +452,7 @@ def test_8_lp_export_agrees_with_external_milp_solver():
     assert res.status == 0
 
     sol = solve_monotone(c1)
-    ours = {f"{v.kind}_{v.point}": n for v, n in sol.values.items()}
+    ours = {f"{v.kind}_{v.point}": n for v, n in zip(c1.variables,
+                                                      sol.values)}
     assert {n: round(res.x[i]) for n, i in index.items()} == ours
     assert round(res.fun) == sol.total

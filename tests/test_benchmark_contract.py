@@ -13,15 +13,17 @@ import collections
 import importlib
 import importlib.util
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
-from bittune import tuner
+from bittune import solver, tuner
 from bittune.constraints import system_stats
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from helpers import LOOP
+from test_solver import make_system, random_mixed_rows
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
@@ -117,3 +119,20 @@ def test_traced_system_counts_match_system_stats():
                 "constraints.rows": stats["num_constraints"],
                 "constraints.vars": stats["num_vars"],
                 "constraints.xi_defs": len(system.xi_defs)}
+
+
+def test_traced_solver_counts_read_the_solver_results():
+    # The tracer takes policy_iterate's iteration count from result[2]
+    # and solve_ilp's node count from result.nodes.
+    tracing = _tracing()
+    cfg = tuner.TuningConfig(method="pi")
+    prog = parse_program(build_nbody_program(t_max=horizon_t_max(0.05)))
+    c2 = tuner.generate(prog, tuner.reference_run(prog, cfg).ranges, cfg,
+                        refined=True)
+    mixed, _ = make_system(random_mixed_rows(random.Random(2), 6, 10, 8), 6,
+                           25)
+    counts = collections.defaultdict(int)
+    tracing._count(counts, "solver.pi", solver.policy_iterate(c2))
+    tracing._count(counts, "solver.bb", solver.solve_ilp(mixed))
+    assert dict(counts) == {"solver.pi_iterations": 2,
+                            "solver.bb_nodes": 11}

@@ -364,6 +364,30 @@ class TestVerifyCommand:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             1, "", "bittune: verify: bad.json has no nsb width map\n")
 
+    @staticmethod
+    def _tune_and_set_point_0(workdir, capsys, width):
+        run_cli(capsys, "tune", "small.pop")
+        path = workdir / "small.report.json"
+        report = json.loads(path.read_text())
+        report["nsb"]["0"] = width
+        path.write_text(json.dumps(report))
+
+    @pytest.mark.parametrize("width", ["-3", "1.5", "true", '"7"', "9999"])
+    def test_width_tune_never_writes_is_one_staged_line(self, workdir, capsys,
+                                                       width):
+        self._tune_and_set_point_0(workdir, capsys, json.loads(width))
+        proc = _bittune(workdir, "verify", "small.pop")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"bittune: verify: small.report.json: width {width} at "
+                   f"point 0 is not an integer in [0, 500]\n")
+
+    @pytest.mark.parametrize("width", [0, 500])
+    def test_widths_at_either_end_of_the_range_run(self, workdir, capsys,
+                                                  width):
+        self._tune_and_set_point_0(workdir, capsys, width)
+        _, out, err = run_cli(capsys, "verify", "small.pop")
+        assert "within tolerance" in out and err == ""
+
 
 class TestBenchCommand:
     def test_tiny_sweep(self, workdir, capsys, monkeypatch):

@@ -22,7 +22,7 @@ from bittune.lpfile import export_lp
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from bittune.program import Assign, BinOp, Num, Sqrt, Var
-from bittune.solver import Policy, policy_iterate, solve_monotone
+from bittune.solver import policy_iterate, solve_monotone
 from helpers import BRANCH, LOOP, gen_straight_line, in_loop
 
 
@@ -257,10 +257,11 @@ class TestRefinedSystem:
         assert c2.satisfied_by(assignment.values)
         assert len(c2.xi_defs) == 2
         for d in c2.xi_defs:
-            assert assignment.values[d.var] == 1
-            lowered = dict(assignment.values)
-            lowered[d.var] = 0
-            assert _dict_keyed_check(c2.constraints, (), lowered)
+            assert assignment.values[c2.index[d.var]] == 1
+            lowered = list(assignment.values)
+            lowered[c2.index[d.var]] = 0
+            assert _dict_keyed_check(c2.constraints, (),
+                                     dict(zip(c2.variables, lowered)))
             assert not c2.satisfied_by(lowered)
 
 
@@ -295,7 +296,7 @@ class TestPinnedBytes:
             digests["c2.dump"].update(c2.dump().encode())
             digests["c1.lp"].update(export_lp(c1).encode())
             digests["c2.lp"].update(
-                export_lp(c2, Policy.const_one(c2)).encode())
+                export_lp(c2, [3] * len(c2.xi_defs)).encode())
         assert {name: h.hexdigest() for name, h in digests.items()} == \
             self.PINNED
 
@@ -338,18 +339,19 @@ class TestRowForm:
                                                max_ops=6))))
         for system, solved, rows in _solved_systems(src):
             assert len(system.constraints) == len(rows)
-            lowered = dict(solved)
-            lowered[data.draw(st.sampled_from(system.variables))] -= 1
+            lowered = list(solved)
+            lowered[data.draw(st.sampled_from(range(len(solved))))] -= 1
             checked = [solved, lowered]
-            carries = [v for v in system.variables if v.kind == "xi"]
+            carries = [i for i, v in enumerate(system.variables)
+                       if v.kind == "xi"]
             if carries:
-                flipped = dict(solved)
+                flipped = list(solved)
                 carry = data.draw(st.sampled_from(carries))
                 flipped[carry] = 1 - flipped[carry]
                 checked.append(flipped)
             for values in checked:
-                assert system.satisfied_by(values) == \
-                    _dict_keyed_check(rows, system.xi_defs, values)
+                assert system.satisfied_by(values) == _dict_keyed_check(
+                    rows, system.xi_defs, dict(zip(system.variables, values)))
             assert system.satisfied_by(solved)
 
 

@@ -24,7 +24,6 @@ from bittune.nbody import (
     _distance, _prepare_horizon, run_experiment, total_energy,
 )
 from bittune.parse import parse_program
-from bittune.solver import Policy
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -191,11 +190,11 @@ class TestSweep:
         real = nbody_mod._run_cell
         calls = []
 
-        def flaky(plan, c, years, req, shared=None):
+        def flaky(plan, c, horizon, req):
             if len(calls) == 1:
                 raise RuntimeError("cell exploded")
             calls.append(req)
-            return real(plan, c, years, req, shared)
+            return real(plan, c, horizon, req)
 
         monkeypatch.setattr(nbody_mod, "_run_cell", flaky)
         plan = ExperimentPlan(nsb_values=(11, 24), horizons_years=(0.05,),
@@ -233,8 +232,8 @@ class TestSharedLowering:
         for shared, generated in zip((horizon.c1, horizon.c2), direct):
             swapped = with_requirement(shared, req)
             assert swapped.dump() == generated.dump()
-            assert export_lp(swapped, Policy.const_one(swapped)) == \
-                export_lp(generated, Policy.const_one(generated))
+            assert export_lp(swapped, [3] * len(swapped.xi_defs)) == \
+                export_lp(generated, [3] * len(generated.xi_defs))
 
     @pytest.mark.parametrize("method", ("ilp", "pi"))
     def test_cells_share_rows_and_leave_the_horizon_unchanged(
@@ -247,7 +246,7 @@ class TestSharedLowering:
 
         def digests():
             return [hashlib.sha256((s.dump() + export_lp(
-                s, Policy.const_one(s))).encode()).hexdigest()
+                s, [3] * len(s.xi_defs))).encode()).hexdigest()
                 for s in shared]
 
         before = digests()
@@ -259,7 +258,7 @@ class TestSharedLowering:
 
         monkeypatch.setattr(nbody_mod, "with_requirement", recorded)
         for req in plan.nsb_values:
-            nbody_mod._run_cell(plan, c, 0.05, req, horizon)
+            nbody_mod._run_cell(plan, c, horizon, req)
         assert len(copies) == len(plan.nsb_values) * len(shared)
         for system, copy in copies:
             assert any(system is s for s in shared)
@@ -289,6 +288,22 @@ class TestSharedLowering:
         rows = run_experiment(plan, tmp_path)
         assert len(rows) == 3 * 2 * 4
         assert calls == {"parse": 2, "c1": 2, "c2": 2}
+
+    def test_worker_processes_share_the_parent_s_horizons(self, tmp_path,
+                                                          monkeypatch):
+        prepared = []
+        real = nbody_mod._prepare_horizon
+
+        def counted(plan, c, years):
+            prepared.append(years)
+            return real(plan, c, years)
+
+        monkeypatch.setattr(nbody_mod, "_prepare_horizon", counted)
+        plan = ExperimentPlan(nsb_values=(11, 24), horizons_years=(0.05, 0.1),
+                              write_series=False)
+        rows = run_experiment(plan, tmp_path, jobs=2)
+        assert prepared == [0.05, 0.1]
+        assert len(rows) == 2 * 2 * 4
 
     def test_worker_processes_write_what_one_process_writes(self, tmp_path):
         plan = ExperimentPlan(nsb_values=(11, 24), horizons_years=(0.1,))

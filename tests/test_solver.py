@@ -19,8 +19,8 @@ from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from bittune import solver
 from bittune.solver import (
-    Policy, SolverError, _dependency_order, apply_policy, policy_iterate,
-    solve_ilp, solve_monotone,
+    SolverError, _dependency_order, apply_policy, policy_iterate, solve_ilp,
+    solve_monotone,
 )
 from bittune.tuner import TuningConfig, reference_run
 from helpers import gen_straight_line
@@ -28,7 +28,7 @@ from helpers import gen_straight_line
 
 def make_system(rows, n_vars, pmax):
     """rows: list of (lhs_index, const, ((coef, var_index), ...))."""
-    sys_ = ConstraintSystem("test", pmax)
+    sys_ = ConstraintSystem(pmax)
     vars_ = [nsb(i) for i in range(n_vars)]
     sys_.declare(*vars_)
     sys_.objective = list(vars_)
@@ -106,7 +106,7 @@ class TestMonotone:
                     solve_monotone(sys_)
                 continue
             got = solve_monotone(sys_)
-            assert [got.values[v] for v in vars_] == want
+            assert got.values == want
 
     def test_least_point_decrement_breaks_feasibility(self, rng):
         # Every feasible point dominates the least fixed point, so
@@ -119,10 +119,10 @@ class TestMonotone:
             sys_, vars_ = make_system(rows, n, pmax=500)
             sol = solve_monotone(sys_)
             assert sys_.satisfied_by(sol.values)
-            for v in vars_:
+            for v in range(len(vars_)):
                 if sol.values[v] == 0:
                     continue
-                lowered = dict(sol.values)
+                lowered = list(sol.values)
                 lowered[v] -= 1
                 assert not sys_.satisfied_by(lowered)
 
@@ -172,7 +172,7 @@ class TestBranchAndBound:
         # A None left side is a standing requirement 0 >= const + terms.
         sys_, vars_ = make_system([(0, 5, ()), (None, 3, ((-1, 0),))], 1, 50)
         sol = solve_ilp(sys_)
-        assert sol.values[vars_[0]] == 5
+        assert sol.values[0] == 5
 
     def test_infeasible_upper_bound(self):
         sys_, _ = make_system([(0, 10, ()), (None, 1, ((1, 0),))], 1, 50)
@@ -201,7 +201,7 @@ class TestPolicyIteration:
     def test_never_worse_than_always_carry(self, rng):
         for _ in range(20):
             c2 = self._refined(gen_straight_line(rng, max_ops=5))
-            base = solve_ilp(c2, Policy.const_one(c2))
+            base = solve_ilp(c2, [3] * len(c2.xi_defs))
             improved, _, iterations = policy_iterate(c2)
             assert improved.total <= base.total
             assert iterations >= 1
@@ -215,10 +215,10 @@ class TestPolicyIteration:
         c2 = self._refined("a = 512.0;\nb = 0.000000000001;\nc = a + b;\n"
                            "require_nsb(c, 30);\n")
         improved, policy, iterations = policy_iterate(c2)
-        base = solve_ilp(c2, Policy.const_one(c2))
+        base = solve_ilp(c2, [3] * len(c2.xi_defs))
         assert improved.total < base.total
         assert iterations == 2
-        assert any(sel != 3 for sel in policy.selections.values())
+        assert any(sel != 3 for sel in policy)
 
     def test_balanced_addition_keeps_const_one(self):
         # With comparable magnitudes both carry arguments exceed 1, so
@@ -227,13 +227,13 @@ class TestPolicyIteration:
                            "require_nsb(c, 30);\n")
         improved, policy, iterations = policy_iterate(c2)
         assert iterations == 1
-        assert all(sel == 3 for sel in policy.selections.values())
-        assert improved.total == solve_ilp(c2, Policy.const_one(c2)).total
+        assert all(sel == 3 for sel in policy)
+        assert improved.total == solve_ilp(c2, [3] * len(c2.xi_defs)).total
 
     def test_policy_substitution_preserves_variables(self):
         c2 = self._refined("a = 8.0;\nb = 0.5;\nc = a + b;\n"
                            "require_nsb(c, 12);\n")
-        plain = apply_policy(c2, Policy.const_one(c2))
+        plain = apply_policy(c2, [3] * len(c2.xi_defs))
         xi_vars = {d.var for d in c2.xi_defs}
         assert not xi_vars & set(plain.variables)
         assert plain.objective == c2.objective
@@ -251,12 +251,11 @@ class TestPolicyIteration:
             plain = solve_monotone(c1)
             first = policy_iterate(c2, max_iterations=1, plain=plain)[0]
             assert first.values == \
-                solve_ilp(c2, Policy.const_one(c2)).values
+                solve_ilp(c2, [3] * len(c2.xi_defs)).values
             lifted += first.nodes == 0
             a, policy_a, n_a = policy_iterate(c2, plain=plain)
             b, policy_b, n_b = policy_iterate(c2)
-            assert (list(a.values.items()), policy_a, n_a) == \
-                (list(b.values.items()), policy_b, n_b)
+            assert (a.values, policy_a, n_a) == (b.values, policy_b, n_b)
         assert lifted == 40
 
     def test_converged_flag_set(self, rng):
@@ -276,9 +275,14 @@ def test_relaxation_worklist_runs_in_dependency_order():
     assert order[::-1] == [2, 1, 0, 3, 4]
 
 
-def _digest(assignment) -> str:
-    """sha256 of every variable's value, in the assignment's order."""
-    text = "".join(f"{v}={n}\n" for v, n in assignment.values.items())
+def _digest(system, assignment) -> str:
+    """sha256 of every variable's value, in the order the digests were
+    recorded in: variables without a carry definition as numbered, then
+    the defined carries in definition order."""
+    carries = [system.index[d.var] for d in system.xi_defs]
+    order = sorted(set(range(len(system.variables))) - set(carries)) + carries
+    text = "".join(f"{system.variables[i]}={assignment.values[i]}\n"
+                   for i in order)
     return hashlib.sha256(f"{text}total={assignment.total}\n".encode()).hexdigest()
 
 
@@ -302,7 +306,7 @@ class TestPinnedOutput:
         assignment, _, iterations = policy_iterate(c2)
         assert (assignment.total, iterations, len(assignment.values)) == \
             (13033, 2, 2115)
-        assert _digest(assignment) == (
+        assert _digest(c2, assignment) == (
             "5dc53f47fea5cf9a438a7b039758a740a00f3d9daee9f823606048e6cc4b8a89")
 
     def test_five_body_from_the_plain_solution(self, monkeypatch):
@@ -319,7 +323,7 @@ class TestPinnedOutput:
         assignment, _, iterations = policy_iterate(c2,
                                                    plain=solve_monotone(c1))
         assert (assignment.total, iterations, len(branched)) == (13033, 2, 1)
-        assert _digest(assignment) == (
+        assert _digest(c2, assignment) == (
             "5dc53f47fea5cf9a438a7b039758a740a00f3d9daee9f823606048e6cc4b8a89")
 
     def test_random_programs_monotone_and_policy_iteration(self):
@@ -328,8 +332,8 @@ class TestPinnedOutput:
         for k in range(50):
             c1, c2 = self._systems(
                 gen_straight_line(rng, max_ops=(4, 12, 30)[k % 3]))
-            monotone.update(_digest(solve_monotone(c1)).encode())
-            iterated.update(_digest(policy_iterate(c2)[0]).encode())
+            monotone.update(_digest(c1, solve_monotone(c1)).encode())
+            iterated.update(_digest(c2, policy_iterate(c2)[0]).encode())
         assert monotone.hexdigest() == (
             "9fde85902e1321c1d71d47de3238de7c087a679c0135599796059ffd288b26bc")
         assert iterated.hexdigest() == (

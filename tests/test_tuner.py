@@ -89,6 +89,19 @@ class TestTune:
         errors = {r.var: r.error for r in report.verification}
         assert errors["b"] == "0"
 
+    @pytest.mark.parametrize("method", ("ilp", "pi"))
+    def test_nonzero_value_at_the_zero_sentinel_ufp_is_not_zero(self,
+                                                                 method):
+        # a's ufp is -500, the ufp tune gives all-zero points at pmax 500;
+        # taking a for zero drops the sqrt's operand row.
+        prog = parse_program("a = 3.1e-151;\nb = sqrt(a);\nc = b * 1e75;\n"
+                             "require_nsb(c, 30);\n")
+        cfg = TuningConfig(method=method)
+        assert tuner.reference_run(prog, cfg).ranges.ufp(0) == -cfg.pmax
+        _, report = tune(prog, cfg)
+        assert report.zero_ufp_points == []
+        assert report.all_passed()
+
 
 # A product chain whose error widths (nsbe) grow past the [0, pmax] box
 # they share with nsb: the plain solve gives 3154 bits.
@@ -305,7 +318,7 @@ class TestLpRoundTrip:
         system = self._system()
         sol = solve_monotone(system)
         text = "# solver output\n" + "\n".join(
-            f"{v.name} = {n}" for v, n in sol.values.items())
+            f"{v.name} = {n}" for v, n in zip(system.variables, sol.values))
         named = parse_solution(text)
         feasible, total = check_solution(system, named)
         assert feasible and total == sol.total
@@ -313,7 +326,7 @@ class TestLpRoundTrip:
     def test_check_rejects_below_minimum(self):
         system = self._system()
         sol = solve_monotone(system)
-        named = {v.name: n for v, n in sol.values.items()}
+        named = {v.name: n for v, n in zip(system.variables, sol.values)}
         victim = next(name for name, n in named.items() if n > 0)
         named[victim] -= 1
         feasible, _ = check_solution(system, named)
