@@ -196,7 +196,7 @@ def cmd_verify(args) -> int:
     text = report_path.read_text()
     try:
         nsb = json.loads(text)["nsb"]
-        widths = {int(p): int(n) for p, n in nsb.items()}
+        widths = {p: int(n) for p, n in nsb.items()}
     except (KeyError, AttributeError, TypeError, ValueError, OverflowError):
         raise ValueError(f"{report_path} has no nsb width map") from None
     for p, n in nsb.items():
@@ -206,6 +206,15 @@ def cmd_verify(args) -> int:
                              f"{p} is not an integer in [0, {cfg.pmax}]")
 
     prog = parse_program(source, cfg.input_names())
+    # A key must name a point of the program, in the decimal form tune
+    # writes.
+    points = {str(p): p for p in range(prog.n_points)}
+    for p in nsb:
+        if p not in points:
+            raise ValueError(f"{report_path}: width key {json.dumps(p)} is "
+                             f"not one of the program's {prog.n_points} "
+                             f"control points")
+    widths = {points[p]: n for p, n in widths.items()}
     rows, ref, tuned = verify(prog, widths, cfg)
     print(f"{'variable':<16} {'bits':>4} {'error':>13} {'bound':>13}  result")
     for r in rows:

@@ -74,6 +74,38 @@ def _cond_reads(c: Compare) -> list[Var]:
     return expr_reads(c.left) + expr_reads(c.right)
 
 
+def _walk(stmts: list[Stmt], reach: dict, check: bool, read) -> dict:
+    """Carry reach through stmts, in place, and return it; reads are
+    checked and passed to read(reach, var, use_pt, loop) only when check
+    is set.  A module function rather than a closure that calls itself,
+    so the walk leaves no reference cycle holding read and its links."""
+    for st in stmts:
+        if isinstance(st, Assign):
+            if check:
+                for v in expr_reads(st.expr):
+                    read(reach, v.name, v.point)
+            reach[st.name] = (st.point,)
+        elif isinstance(st, Require):
+            if check:
+                read(reach, st.name, st.point)
+        elif isinstance(st, While):
+            _merge(reach, _walk(st.body, {}, False, read))
+            if check:
+                for v in _cond_reads(st.cond):
+                    read(reach, v.name, v.point, st)
+                _walk(st.body, dict(reach), True, read)
+        elif isinstance(st, If):
+            if check:
+                for v in _cond_reads(st.cond):
+                    read(reach, v.name, v.point)
+            other = dict(reach)
+            _walk(st.then_body, reach, check, read)
+            _merge(reach, _walk(st.else_body, other, check, read))
+        else:
+            raise TypeError(f"unexpected statement {st!r}")
+    return reach
+
+
 def check_defined_before_use(prog: Program, predefined=()):
     """Run the def-use analysis; raise FlowError if some read has no
     reaching definition at all.
@@ -99,36 +131,7 @@ def check_defined_before_use(prog: Program, predefined=()):
         for d in defs:
             links.append(DefUseLink(d, use_pt, var, d > use_pt, d in body))
 
-    def walk(stmts: list[Stmt], reach: dict, check: bool) -> dict:
-        """Carry reach through stmts, in place, and return it; reads are
-        checked and linked only when check is set."""
-        for st in stmts:
-            if isinstance(st, Assign):
-                if check:
-                    for v in expr_reads(st.expr):
-                        read(reach, v.name, v.point)
-                reach[st.name] = (st.point,)
-            elif isinstance(st, Require):
-                if check:
-                    read(reach, st.name, st.point)
-            elif isinstance(st, While):
-                _merge(reach, walk(st.body, {}, False))
-                if check:
-                    for v in _cond_reads(st.cond):
-                        read(reach, v.name, v.point, st)
-                    walk(st.body, dict(reach), True)
-            elif isinstance(st, If):
-                if check:
-                    for v in _cond_reads(st.cond):
-                        read(reach, v.name, v.point)
-                other = dict(reach)
-                walk(st.then_body, reach, check)
-                _merge(reach, walk(st.else_body, other, check))
-            else:
-                raise TypeError(f"unexpected statement {st!r}")
-        return reach
-
     # Reads are visited in control-point order, and each read's
     # definitions are sorted, so the links come out sorted.
-    walk(prog.stmts, dict.fromkeys(predefined, (_ENTRY,)), True)
+    _walk(prog.stmts, dict.fromkeys(predefined, (_ENTRY,)), True, read)
     return tuple(sorted(free)), links

@@ -1,14 +1,14 @@
 """Program execution: one lowering to pre-bound closures, two modes.
 
-A pass lowers the program once, to one closure per control point and
-per statement, with the point's width and its arithmetic kernel
-(mpfloat.add_t, sub_t, mul_t, div_t or sqrt_t) bound when the closure
-is built.  A visit then does no dispatch on node types or operators and
-no width lookup, and a literal is parsed once per pass instead of once
-per visit.  Inside a pass every value is an mpfloat triple (m, e, p);
-bindings are unboxed when the pass starts, and the trace's env and
-samples are boxed to MPValues when it ends.  The two modes build
-different closures:
+A pass lowers the program once, when its run() starts, to one closure
+per control point and per statement, with the point's width and its
+arithmetic kernel (mpfloat.add_t, sub_t, mul_t, div_t or sqrt_t) bound
+when the closure is built.  A visit then does no dispatch on node types
+or operators and no width lookup, and a literal is parsed once per pass
+instead of once per visit.  Inside a pass every value is an mpfloat
+triple (m, e, p); bindings are unboxed when the pass starts, and the
+trace's env and samples are boxed to MPValues when it ends.  The two
+modes build different closures:
 
 * Reference mode (run_reference) evaluates everything at one working
   precision.  Each of its closures also records, for its own control
@@ -29,6 +29,12 @@ has the point's width, which makes it a no-op.  Both keep the step cap,
 the check against reading an unassigned variable and the arithmetic
 domain errors of division and square root; an EvalError names the pass
 (reference run or tuned run) it stopped.
+
+The closures reach their pass, through its fail and tick methods, but
+the pass holds no reference to its closures: the lowered body is a
+local of run().  So nothing a pass builds forms a reference cycle, and
+the closures, their cells and the pass are freed by reference counting
+as soon as the run returns, with no work left to the cyclic collector.
 """
 
 from __future__ import annotations
@@ -100,7 +106,9 @@ _KERNELS = {"+": mpfloat.add_t, "-": mpfloat.sub_t, "*": mpfloat.mul_t}
 
 class _Interp:
     """One pass over a program lowered to closures; widths[p] is bound
-    into the closure of point p when the pass is built."""
+    into the closure of point p when run() lowers the program.  The pass
+    keeps the statements, not the closures built from them, so it never
+    reaches its own closures."""
 
     def __init__(self, name: str, prog: Program, widths: list[int],
                  bindings=None, track=(), max_steps: int = MAX_STEPS,
@@ -116,10 +124,10 @@ class _Interp:
             if isinstance(value, str):
                 value = mpfloat.parse_decimal(value, DEFAULT_PRECISION)
             self.env[var] = unbox(value)
-        self.body = tuple(map(self.stmt, prog.stmts))
+        self.stmts = prog.stmts
 
     def run(self) -> Trace:
-        for step in self.body:
+        for step in tuple(map(self.stmt, self.stmts)):
             step()
         env = {name: box(v) for name, v in self.env.items()}
         samples = {name: list(map(box, vs)) for name, vs in self.samples.items()}

@@ -1,4 +1,4 @@
-"""CPLEX-LP text export for constraint systems, plus solution import.
+"""CPLEX-LP text export for constraint systems.
 
 The export lets any external ILP solver cross-check the built-in ones:
 variables keep their deterministic nsb_p / nsbe_p / xi_p names, every
@@ -6,9 +6,6 @@ row is rewritten as ``lhs - rhs-terms >= constant``, and all variables
 are declared integer over [0, pmax].  Systems with carry definitions
 must be exported under a policy (one selection per carry definition,
 as the solver takes it), which resolves them into linear rows.
-
-Solutions come back as ``name = value`` lines (one per variable, '#'
-comments allowed) and can be checked against the system directly.
 """
 
 from __future__ import annotations
@@ -76,34 +73,3 @@ def export_lp(system: ConstraintSystem,
     out += _wrap(names, " ")
     out.append("End")
     return "\n".join(out) + "\n"
-
-
-def parse_solution(text: str) -> dict[str, int]:
-    """Read 'name = value' lines; '#' starts a comment."""
-    values: dict[str, int] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed solution line {raw!r}")
-        name, _, val = line.partition("=")
-        values[name.strip()] = int(val.strip())
-    return values
-
-
-def check_solution(system: ConstraintSystem, named: dict[str, int],
-                   policy: list[int] | None = None) -> tuple[bool, int]:
-    """(feasible, objective total) of an external solution for the system."""
-    if system.xi_defs:
-        if policy is None:
-            raise ValueError("carry definitions present; a policy is required")
-        system = apply_policy(system, policy)
-    values = []
-    for v in system.variables:
-        if v.name not in named:
-            raise ValueError(f"solution is missing variable {v.name}")
-        values.append(named[v.name])
-    feasible = system.satisfied_by(values) and all(
-        0 <= n <= system.pmax for n in values)
-    return feasible, sum(values[system.index[v]] for v in system.objective)

@@ -36,8 +36,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .constraints import DEFAULT_COND_NSB, ConstraintSystem, with_requirement
+# run_reference is not called here; it stays importable under this name
+# for the benchmark tracer (perfbench/tracing.py), which wraps it.
 from .interp import Trace, run_reference, run_tuned
-from .mpfloat import DEFAULT_PRECISION, to_float
+from .mpfloat import DEFAULT_PRECISION
 from .parse import check_literal, parse_program
 from .program import Program
 from .tuner import TuningConfig, reference_run, solve, systems
@@ -173,45 +175,6 @@ def horizon_t_max(years: float | str, dt: str = "0.01") -> str:
 def planet_coord_names(constants: BenchConstants | None = None) -> tuple[str, ...]:
     c = constants if constants is not None else load_bodies()
     return tuple(f"{d}{b.name}" for b in c.planets() for d in COORDS)
-
-
-def total_energy(env) -> float:
-    """Kinetic plus pairwise potential energy of a program environment.
-
-    env maps variable names to interpreter values; masses, positions
-    and velocities are read back under the same names the builder
-    emits.  With the benchmark's units the result is in
-    solar-mass AU^2 / year^2 and G = 1.
-    """
-
-    def f(name: str) -> float:
-        return to_float(env[name])
-
-    names = [b for b in BODY_ORDER]
-    e = 0.0
-    for b in names:
-        if f"vx{b}" in env:
-            v2 = f(f"vx{b}") ** 2 + f(f"vy{b}") ** 2 + f(f"vz{b}") ** 2
-            e += 0.5 * f(f"mass{b}") * v2
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            dx = f(f"x{names[i]}") - f(f"x{names[j]}")
-            dy = f(f"y{names[i]}") - f(f"y{names[j]}")
-            dz = f(f"z{names[i]}") - f(f"z{names[j]}")
-            r = math.sqrt(dx * dx + dy * dy + dz * dz)
-            e -= f(f"mass{names[i]}") * f(f"mass{names[j]}") / r
-    return e
-
-
-def reference_energy_drift(years: float = 10.0, dt: str = "0.01",
-                           pref: int = 200,
-                           constants: BenchConstants | None = None) -> float:
-    """|E(end) - E(start)| / |E(start)| for the reference integrator."""
-    c = constants if constants is not None else load_bodies()
-    start = run_reference(parse_program(build_nbody_program(c, dt, horizon_t_max(0, dt))), pref)
-    end = run_reference(parse_program(build_nbody_program(c, dt, horizon_t_max(years, dt))), pref)
-    e0 = total_energy(start.env)
-    return abs(total_energy(end.env) - e0) / abs(e0)
 
 
 def _distance(ref, tuned) -> float:

@@ -1,4 +1,4 @@
-"""Source rendering, plain or with |nsb| width annotations.
+"""Source rendering with |nsb| width annotations.
 
 The annotated form suffixes every literal, variable occurrence, and
 operator with the solved width, e.g. ``distance|44| = sqrt(dx|46| *|46|
@@ -10,21 +10,12 @@ makes the annotated file a faithful exchange format.
 
 from __future__ import annotations
 
-import re
-
 from .program import (
     Assign, BinOp, Compare, Expr, If, Neg, Num, Program, Require, Sqrt, Stmt,
     Var, While,
 )
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-_ANNOT_RE = re.compile(r"\|\d+\|")
-
-
-def strip_annotations(text: str) -> str:
-    return _ANNOT_RE.sub("", text)
-
 
 class MissingWidthError(KeyError):
     def __init__(self, point: int):
@@ -92,15 +83,9 @@ def _render_stmts(stmts: list[Stmt], widths, indent: int, out: list[str]) -> Non
             raise TypeError(f"unexpected statement {st!r}")
 
 
-def emit_plain(prog: Program) -> str:
-    """Render the AST back to bare source text."""
-    out: list[str] = []
-    _render_stmts(prog.stmts, None, 0, out)
-    return "\n".join(out) + "\n"
-
-
-def emit_annotated(prog: Program, widths: dict[int, int]) -> str:
-    """Render source with |nsb| width suffixes from a solved assignment."""
+def emit_annotated(prog: Program, widths: dict[int, int] | None) -> str:
+    """Render source with |nsb| width suffixes from a solved assignment;
+    with widths None, the bare source."""
     out: list[str] = []
     _render_stmts(prog.stmts, widths, 0, out)
     return "\n".join(out) + "\n"

@@ -117,12 +117,6 @@ class TuningReport:
         raw["verification"] = [asdict(r) for r in self.verification]
         return json.dumps(raw, sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "TuningReport":
-        raw = json.loads(text)
-        rows = [VerifyRow(**r) for r in raw.pop("verification")]
-        return cls(verification=rows, **raw)
-
 
 @contextmanager
 def stage(stages: dict[str, float], name: str):

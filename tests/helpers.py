@@ -1,18 +1,34 @@
-"""Shared generators and independent oracles for the test suite.
+"""Shared generators, independent oracles and test-only readers for the
+test suite.
 
 The rounding oracle here deliberately repeats none of the library's
 code: it rounds exact rationals with divmod arithmetic so that the two
-implementations can only agree by both being right.
+implementations can only agree by both being right.  The readers
+(report_from_json, parse_solution, check_solution, strip_annotations)
+and the energy check read what the commands write; no command needs
+them, so they live here rather than in the package.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 from fractions import Fraction
 
-from bittune.mpfloat import MPValue
-from bittune.program import If, While
+from bittune.constraints import ConstraintSystem
+from bittune.interp import run_reference
+from bittune.mpfloat import MPValue, to_float
+from bittune.nbody import (
+    BODY_ORDER, BenchConstants, build_nbody_program, horizon_t_max,
+    load_bodies,
+)
+from bittune.parse import parse_program
+from bittune.program import If, Program, While
+from bittune.render import emit_annotated
+from bittune.solver import apply_policy
+from bittune.tuner import TuningReport, VerifyRow
 
 
 def round_fraction(f: Fraction, p: int) -> Fraction:
@@ -159,3 +175,97 @@ def gen_straight_line(rng: random.Random, max_ops: int = 6,
     req = rng.randint(*req_range)
     src.append(f"require_nsb({names[-1]}, {req});")
     return "\n".join(src) + "\n"
+
+
+# --- readers of what the commands write ------------------------------
+
+def report_from_json(text: str) -> TuningReport:
+    """The TuningReport that to_json wrote as text."""
+    raw = json.loads(text)
+    rows = [VerifyRow(**r) for r in raw.pop("verification")]
+    return TuningReport(verification=rows, **raw)
+
+
+def parse_solution(text: str) -> dict[str, int]:
+    """Read 'name = value' lines, one per LP variable; '#' starts a
+    comment."""
+    values: dict[str, int] = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"malformed solution line {raw!r}")
+        name, _, val = line.partition("=")
+        values[name.strip()] = int(val.strip())
+    return values
+
+
+def check_solution(system: ConstraintSystem, named: dict[str, int],
+                   policy: list[int] | None = None) -> tuple[bool, int]:
+    """(feasible, objective total) of an external solution for the system."""
+    if system.xi_defs:
+        if policy is None:
+            raise ValueError("carry definitions present; a policy is required")
+        system = apply_policy(system, policy)
+    values = []
+    for v in system.variables:
+        if v.name not in named:
+            raise ValueError(f"solution is missing variable {v.name}")
+        values.append(named[v.name])
+    feasible = system.satisfied_by(values) and all(
+        0 <= n <= system.pmax for n in values)
+    return feasible, sum(values[system.index[v]] for v in system.objective)
+
+
+_ANNOT_RE = re.compile(r"\|\d+\|")
+
+
+def strip_annotations(text: str) -> str:
+    return _ANNOT_RE.sub("", text)
+
+
+def emit_plain(prog: Program) -> str:
+    """Render the AST back to bare source text."""
+    return emit_annotated(prog, None)
+
+
+# --- five-body energy ------------------------------------------------
+
+def total_energy(env) -> float:
+    """Kinetic plus pairwise potential energy of a program environment.
+
+    env maps variable names to interpreter values; masses, positions
+    and velocities are read back under the same names the builder
+    emits.  With the benchmark's units the result is in
+    solar-mass AU^2 / year^2 and G = 1.
+    """
+
+    def f(name: str) -> float:
+        return to_float(env[name])
+
+    names = [b for b in BODY_ORDER]
+    e = 0.0
+    for b in names:
+        if f"vx{b}" in env:
+            v2 = f(f"vx{b}") ** 2 + f(f"vy{b}") ** 2 + f(f"vz{b}") ** 2
+            e += 0.5 * f(f"mass{b}") * v2
+    for i in range(len(names)):
+        for j in range(i + 1, len(names)):
+            dx = f(f"x{names[i]}") - f(f"x{names[j]}")
+            dy = f(f"y{names[i]}") - f(f"y{names[j]}")
+            dz = f(f"z{names[i]}") - f(f"z{names[j]}")
+            r = math.sqrt(dx * dx + dy * dy + dz * dz)
+            e -= f(f"mass{names[i]}") * f(f"mass{names[j]}") / r
+    return e
+
+
+def reference_energy_drift(years: float = 10.0, dt: str = "0.01",
+                           pref: int = 200,
+                           constants: BenchConstants | None = None) -> float:
+    """|E(end) - E(start)| / |E(start)| for the reference integrator."""
+    c = constants if constants is not None else load_bodies()
+    start = run_reference(parse_program(build_nbody_program(c, dt, horizon_t_max(0, dt))), pref)
+    end = run_reference(parse_program(build_nbody_program(c, dt, horizon_t_max(years, dt))), pref)
+    e0 = total_energy(start.env)
+    return abs(total_energy(end.env) - e0) / abs(e0)

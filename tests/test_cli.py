@@ -1,12 +1,15 @@
 """Command-line contract: artifacts, exit codes, determinism."""
 
+import collections
 import csv
+import gc
 import hashlib
 import itertools
 import json
 import os
 import subprocess
 import sys
+import types
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +19,8 @@ import pytest
 from bittune import cli, mpfloat, nbody, tuner
 from bittune.cli import main
 from bittune.parse import parse_program
-from bittune.tuner import TuningConfig, TuningReport, tune
+from bittune.tuner import TuningConfig, tune
+from helpers import report_from_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -340,7 +344,7 @@ class TestVerifyCommand:
             flags = ["--samples", "s.json"]
         code, _, err = run_cli(capsys, "tune", "p.pop", *flags)
         assert code == 0, err
-        report = TuningReport.from_json(
+        report = report_from_json(
             (workdir / "p.report.json").read_text())
         assert report.all_passed() is passes
         code, out, _ = run_cli(capsys, "verify", "p.pop", *flags)
@@ -380,6 +384,23 @@ class TestVerifyCommand:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             1, "", f"bittune: verify: small.report.json: width {width} at "
                    f"point 0 is not an integer in [0, 500]\n")
+
+    # Each width was checked, but not its key: 9999 and -1 verified with
+    # exit 0, 07 and " 1" replaced the widths of points 7 and 1, and x
+    # was taken for a missing width map.
+    @pytest.mark.parametrize("key", ["9999", "-1", "x", "07", " 1"])
+    def test_key_that_is_no_control_point_is_one_staged_line(
+            self, workdir, capsys, key):
+        run_cli(capsys, "tune", "small.pop")
+        path = workdir / "small.report.json"
+        report = json.loads(path.read_text())
+        report["nsb"][key] = 5
+        path.write_text(json.dumps(report))
+        proc = _bittune(workdir, "verify", "small.pop")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"bittune: verify: small.report.json: width key "
+                   f"{json.dumps(key)} is not one of the program's 14 "
+                   f"control points\n")
 
     @pytest.mark.parametrize("width", [0, 500])
     def test_widths_at_either_end_of_the_range_run(self, workdir, capsys,
@@ -689,3 +710,64 @@ class TestUsage:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "file formats" in out and "summary CSV" in out
+
+
+class TestNoReferenceCycles:
+    """Everything a command builds is freed by reference counting: run
+    with the cyclic collector off, a command leaves nothing of bittune's
+    for the collector to find."""
+
+    # A loop, a branch, division and a square root, so that every kind
+    # of lowered closure and every branch of the def-use walk is built.
+    SOURCE = """\
+t = 0.0;
+x = 2.0;
+while (t < 3.0) {
+    if (x > 1.0) {
+        x = sqrt(x) / 1.5;
+    } else {
+        x = x * 1.25 + 0.5;
+    }
+    t = t + 1.0;
+}
+require_nsb(x, 20);
+"""
+    COMMANDS = (
+        ("tune", "loop.pop", "--method", "pi", "--emit-lp"),
+        ("bench", "--years", "0.05", "--jobs", "1", "--out", "bench"),
+        ("verify", "loop.pop"),
+        ("export-lp", "loop.pop", "--refined", "--out", "refined.lp"),
+    )
+
+    @staticmethod
+    def _in_bittune(obj) -> bool:
+        if isinstance(obj, (types.FunctionType, types.MethodType)):
+            module = obj.__module__
+        else:
+            module = type(obj).__module__
+        return (module or "").startswith("bittune")
+
+    def test_commands_leave_no_cycles(self, workdir, capsys):
+        (workdir / "loop.pop").write_text(self.SOURCE)
+        for argv in self.COMMANDS:              # warm every cache first
+            assert run_cli(capsys, *argv)[0] == 0, argv
+        leftover = {}
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in self.COMMANDS:
+                assert run_cli(capsys, *argv)[0] == 0, argv
+                gc.set_debug(gc.DEBUG_SAVEALL)
+                gc.collect()
+                found = [o for o in gc.garbage if self._in_bittune(o)]
+                if found:
+                    leftover[argv[0]] = collections.Counter(
+                        type(o).__qualname__ for o in found)
+                gc.set_debug(0)
+                gc.garbage.clear()
+                gc.collect()                # free them for the next count
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leftover == {}

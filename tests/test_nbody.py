@@ -20,10 +20,11 @@ from bittune.interp import run_reference
 from bittune.lpfile import export_lp
 from bittune.nbody import (
     BODY_ORDER, COORDS, BenchConstants, ExperimentPlan, build_nbody_program,
-    horizon_t_max, load_bodies, planet_coord_names, reference_energy_drift,
-    _distance, _prepare_horizon, run_experiment, total_energy,
+    horizon_t_max, load_bodies, planet_coord_names, _distance,
+    _prepare_horizon, run_experiment,
 )
 from bittune.parse import parse_program
+from helpers import reference_energy_drift, total_energy
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -17,8 +17,10 @@ from bittune.parse import (
 from bittune.program import (
     Assign, BinOp, If, Neg, Num, Require, Sqrt, Var, While,
 )
-from bittune.render import emit_annotated, emit_plain, strip_annotations
-from helpers import BRANCH, LOOP, gen_straight_line, loops
+from bittune.render import emit_annotated
+from helpers import (
+    BRANCH, LOOP, emit_plain, gen_straight_line, loops, strip_annotations,
+)
 
 
 def _assign_point(prog, name, nth=0):

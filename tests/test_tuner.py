@@ -11,15 +11,17 @@ import pytest
 from bittune import mpfloat, tuner
 from bittune.codegen import ScriptNameError, emit_mp_code, mp, mp_sqrt
 from bittune.interp import run_reference, run_tuned
-from bittune.lpfile import check_solution, export_lp, parse_solution
+from bittune.lpfile import export_lp
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from bittune.render import MissingWidthError, emit_annotated
 from bittune.solver import SolverError, solve_monotone
 from bittune.tuner import (
-    TuneError, TuningConfig, TuningReport, VerifyRow, passed, tune, verify,
+    TuneError, TuningConfig, VerifyRow, passed, tune, verify,
 )
-from helpers import gen_straight_line
+from helpers import (
+    check_solution, gen_straight_line, parse_solution, report_from_json,
+)
 
 SMALL = """\
 a = 0.1;
@@ -140,7 +142,7 @@ class TestPolicyIterationNeverLoses:
 class TestReportSerialization:
     def test_json_round_trip(self):
         _, report = tune(parse_program(SMALL), TuningConfig(method="pi"))
-        again = TuningReport.from_json(report.to_json())
+        again = report_from_json(report.to_json())
         assert again == report
 
     def test_json_is_sorted_and_stable(self):
