@@ -17,8 +17,9 @@ Exit status is 0 on success, 1 when analysis or verification fails,
 2 on usage errors.  Error messages go to standard error prefixed with
 the command that raised them.
 
-Each command that reads a source parses it and hands the tuner the
-parsed program.  tune, verify, bench and export-lp go through tuner's
+Each command that reads a source parses it, refuses a samples set that
+leaves one of its free inputs unbound, and hands the tuner the parsed
+program.  tune, verify, bench and export-lp go through tuner's
 reference_run; export-lp then writes the system tuner.generate builds,
 tune and bench go on to tuner.solve.  tune and verify check the tuned
 run with tuner.check_tuned and judge it by tuner.passed.
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
@@ -46,6 +48,7 @@ from .lpfile import export_lp
 from .mpfloat import MPDomainError
 from .nbody import ExperimentPlan, PlanError, run_experiment
 from .parse import check_literal, parse_program
+from .program import Program
 from .render import MissingWidthError, emit_annotated
 from .codegen import emit_mp_code
 from .tuner import (
@@ -75,9 +78,9 @@ file formats:
   bench summary CSV  nsb, horizon_years, body, distance_au, tune_seconds,
                      run_seconds
   bench series CSV   step, body, distance_au (step 0 = initial state)
-  samples JSON       object {name: value} or list of such objects binding
-                     the program's free inputs; strings are exact decimals,
-                     numbers are taken at double precision
+  samples JSON       object {name: value} or list of such objects, each
+                     binding every free input of the program; strings are
+                     exact decimals, numbers are taken at double precision
 """
 
 
@@ -151,12 +154,24 @@ def _config(args) -> TuningConfig:
     return cfg
 
 
+def _parse(source: str, cfg: TuningConfig) -> Program:
+    """The program, with the names cfg's samples bind as its inputs.
+    Every samples set must bind every free input the program reads."""
+    prog = parse_program(source, cfg.input_names())
+    for i, binding in enumerate(cfg.bindings):
+        for name in prog.inputs:
+            if name not in binding:
+                raise ValueError(f"samples set {i} does not bind input "
+                                 f"{name!r}")
+    return prog
+
+
 def cmd_tune(args) -> int:
     cfg = _config(args)
     source = Path(args.source).read_text()
     stages: dict[str, float] = {}
     with stage(stages, "parse"):
-        prog = parse_program(source, cfg.input_names())
+        prog = _parse(source, cfg)
     assignment, report = tune(prog, cfg, stages)
     widths = assignment.widths()
 
@@ -205,7 +220,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"{report_path}: width {json.dumps(n)} at point "
                              f"{p} is not an integer in [0, {cfg.pmax}]")
 
-    prog = parse_program(source, cfg.input_names())
+    prog = _parse(source, cfg)
     # A key must name a point of the program, in the decimal form tune
     # writes.
     points = {str(p): p for p in range(prog.n_points)}
@@ -262,7 +277,7 @@ def cmd_bench(args) -> int:
 
 def cmd_export_lp(args) -> int:
     cfg = _config(args)
-    prog = parse_program(Path(args.source).read_text(), cfg.input_names())
+    prog = _parse(Path(args.source).read_text(), cfg)
     system = generate(prog, reference_run(prog, cfg).ranges, cfg,
                       refined=args.refined)
     text = export_lp(system, [3] * len(system.xi_defs))
@@ -276,7 +291,7 @@ def cmd_run(args) -> int:
     cfg = _config(args)
     if not 1 <= args.bits <= cfg.pmax:
         raise _UsageError(f"--bits {args.bits} outside [1, {cfg.pmax}]")
-    prog = parse_program(Path(args.source).read_text(), cfg.input_names())
+    prog = _parse(Path(args.source).read_text(), cfg)
     widths = dict.fromkeys(range(len(prog.points)), args.bits)
     trace = run_tuned(prog, widths, cfg.bindings[0] if cfg.bindings else None)
     for name in sorted(trace.env):
@@ -378,7 +393,7 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as e:
@@ -391,6 +406,24 @@ def main(argv=None) -> int:
     except _ERRORS as e:
         print(f"bittune: {args.command}: {e}", file=sys.stderr)
         return 1
+
+
+def main(argv=None) -> int:
+    """Run one command; returns its exit status.
+
+    A command leaves no reference cycle behind (test_cli.py's
+    TestNoReferenceCycles), so reference counting frees everything it
+    builds.  The cyclic collector would still start a collection every
+    few hundred allocations and find nothing, so it is paused for the
+    whole call, the first call's parser build included, and left as the
+    caller had it on every exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -78,7 +78,9 @@ def _walk(stmts: list[Stmt], reach: dict, check: bool, read) -> dict:
     """Carry reach through stmts, in place, and return it; reads are
     checked and passed to read(reach, var, use_pt, loop) only when check
     is set.  A module function rather than a closure that calls itself,
-    so the walk leaves no reference cycle holding read and its links."""
+    so the walk leaves no reference cycle holding read and its links:
+    reference counting frees them, which lets cli.main pause the cyclic
+    collector (test_cli.py's TestNoReferenceCycles keeps that safe)."""
     for st in stmts:
         if isinstance(st, Assign):
             if check:

@@ -84,16 +84,17 @@ class Token:
 
 
 def tokenize(src: str) -> list[Token]:
+    """The tokens of src, in one scan.  Every token begins where the one
+    before it ended, so a match that starts further on means the regular
+    expression skipped a character no token begins with."""
     tokens = []
     pos = 0
     line = 1
     line_start = 0
     depth = 0                       # brackets open
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}",
-                             line, pos - line_start + 1)
+    for m in _TOKEN_RE.finditer(src):
+        if m.start() != pos:
+            break
         kind = m.lastgroup
         text = m.group()
         if kind != "ws":
@@ -112,6 +113,9 @@ def tokenize(src: str) -> list[Token]:
             line += nl
             line_start = pos + text.rindex("\n") + 1
         pos = m.end()
+    if pos < len(src):
+        raise ParseError(f"unexpected character {src[pos]!r}",
+                         line, pos - line_start + 1)
     tokens.append(Token("end", "", line, len(src) - line_start + 1))
     return tokens
 

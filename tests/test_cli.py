@@ -582,6 +582,52 @@ class TestExportAndRun:
             mpfloat.parse_decimal(literal, 53))
 
 
+class TestSamplesBindEveryInput:
+    """Every samples set binds every free input the program reads, or the
+    command refuses the set by number before any pass runs."""
+
+    SOURCE = "y = x * 2.0;\nrequire_nsb(y, 20);\n"
+    # The artifacts of two well-formed sets, pinned before the check
+    # below was added.
+    SHA256 = {
+        "open.annotated.pop":
+            "5f2a031990ba29799cc4af033f1749faa6fa9a2de7d514a24968fbdf825ee297",
+        "open.lp":
+            "c385f25efdb7c89fc32b59b55fa7f5ce7ae2a294396c06d1e79665922c9f8c4a",
+        "open.mp.txt":
+            "cd40e9d09cc739d67a8b4099065ba83eeb33682a485604b762584737a7e016fa",
+        "open.report.json":
+            "1c21e6ab20a91caab240edb75a58c992b87af51ec7bf46dc3331686239a9e61c",
+    }
+
+    @pytest.fixture
+    def tuned(self, workdir, capsys):
+        (workdir / "open.pop").write_text(self.SOURCE)
+        (workdir / "good.json").write_text('[{"x": 1.5}, {"x": "-0.75"}]')
+        code, _, err = run_cli(capsys, "tune", "open.pop", "--samples",
+                               "good.json", "--emit-lp")
+        assert code == 0, err
+        return workdir
+
+    def test_well_formed_sets_keep_their_artifacts(self, tuned):
+        assert {name: hashlib.sha256((tuned / name).read_bytes()).hexdigest()
+                for name in self.SHA256} == self.SHA256
+
+    @pytest.mark.parametrize("command", ["tune", "verify", "export-lp", "run"])
+    @pytest.mark.parametrize("sets, message", [
+        ('[{"x": 1.5}, {}]', "samples set 1 does not bind input 'x'"),
+        ('[{"w": 1.5}, {"x": 1.5}]', "samples set 0 does not bind input 'x'"),
+    ], ids=["empty-set", "other-name"])
+    def test_set_missing_an_input_is_one_staged_line(self, tuned, capsys,
+                                                     command, sets, message):
+        (tuned / "s.json").write_text(sets)
+        before = {f: f.read_bytes() for f in tuned.iterdir()}
+        code, out, err = run_cli(capsys, command, "open.pop",
+                                 "--samples", "s.json")
+        assert (code, out, err) == (1, "", f"bittune: {command}: {message}\n")
+        assert {f: f.read_bytes() for f in tuned.iterdir()} == before
+
+
 class TestNumericLimits:
     """A literal's folded decimal exponent and its digit count are
     bounded, in the source and in string sample values alike.
@@ -732,12 +778,32 @@ while (t < 3.0) {
 }
 require_nsb(x, 20);
 """
+    # With the collector paused while a command runs, a cycle on a
+    # failing exit would live as long as the caller's collector stays
+    # off, so the failing exits are covered too: exit status, argv.
     COMMANDS = (
-        ("tune", "loop.pop", "--method", "pi", "--emit-lp"),
-        ("bench", "--years", "0.05", "--jobs", "1", "--out", "bench"),
-        ("verify", "loop.pop"),
-        ("export-lp", "loop.pop", "--refined", "--out", "refined.lp"),
+        (0, ("tune", "loop.pop", "--method", "pi", "--emit-lp")),
+        (0, ("bench", "--years", "0.05", "--jobs", "1", "--out", "bench")),
+        (0, ("verify", "loop.pop")),
+        (0, ("export-lp", "loop.pop", "--refined", "--out", "refined.lp")),
+        (0, ("run", "loop.pop", "--bits", "24")),
+        (1, ("tune", "cancel.pop")),
+        (1, ("tune", "divisor.pop", "--samples", "divisor.json")),
+        (1, ("tune", "bad.pop")),
     )
+    FILES = {
+        "loop.pop": SOURCE,
+        # Exact cancellation: the zero difference's operand rows carry
+        # +pmax, so the system is infeasible.
+        "cancel.pop": "a = 1.5;\nb = 1.5;\nd = a - b;\ne = d + 1.0;\n"
+                      "require_nsb(e, 10);\n",
+        # Ranges over both sets leave the divisor too few bits for the
+        # first, where it rounds to zero in the tuned run.
+        "divisor.pop": "d = x - 1.0;\ny = 1.0 / d;\nz = x * 2.0;\n"
+                       "require_nsb(z, 10);\n",
+        "divisor.json": '[{"x": "1.25"}, {"x": "8"}]',
+        "bad.pop": "a = (1.0;\n",
+    }
 
     @staticmethod
     def _in_bittune(obj) -> bool:
@@ -747,21 +813,36 @@ require_nsb(x, 20);
             module = type(obj).__module__
         return (module or "").startswith("bittune")
 
+    def test_failing_exits_fail_where_expected(self, workdir, capsys):
+        for name, text in self.FILES.items():
+            (workdir / name).write_text(text)
+        errors = [run_cli(capsys, *argv)[2] for code, argv in self.COMMANDS
+                  if code]
+        assert errors == [
+            "bittune: tune: infeasible: nsb_5 is driven past the cap 500\n"
+            "  raising chain of 2 rows:\n"
+            "    nsb_5 >= nsb_6 + xi_6(4,5) + 500\n"
+            "    xi_6(4,5) >= 1\n",
+            "bittune: tune: tuned run: division by zero (control point 6)\n",
+            "bittune: tune: line 1, column 9: expected ')', got ';'\n",
+        ]
+
     def test_commands_leave_no_cycles(self, workdir, capsys):
-        (workdir / "loop.pop").write_text(self.SOURCE)
-        for argv in self.COMMANDS:              # warm every cache first
-            assert run_cli(capsys, *argv)[0] == 0, argv
+        for name, text in self.FILES.items():
+            (workdir / name).write_text(text)
+        for code, argv in self.COMMANDS:        # warm every cache first
+            assert run_cli(capsys, *argv)[0] == code, argv
         leftover = {}
         gc.collect()
         gc.disable()
         try:
-            for argv in self.COMMANDS:
-                assert run_cli(capsys, *argv)[0] == 0, argv
+            for code, argv in self.COMMANDS:
+                assert run_cli(capsys, *argv)[0] == code, argv
                 gc.set_debug(gc.DEBUG_SAVEALL)
                 gc.collect()
                 found = [o for o in gc.garbage if self._in_bittune(o)]
                 if found:
-                    leftover[argv[0]] = collections.Counter(
+                    leftover[" ".join(argv)] = collections.Counter(
                         type(o).__qualname__ for o in found)
                 gc.set_debug(0)
                 gc.garbage.clear()
@@ -771,3 +852,77 @@ require_nsb(x, 20);
             gc.garbage.clear()
             gc.enable()
         assert leftover == {}
+
+
+class TestCollectorPaused:
+    """cli.main pauses the cyclic collector while a command runs, since
+    nothing is left for it to find, and leaves it as the caller had it."""
+
+    # 1,100 straight-line statements.  Each reads v{i // 2}, so no chain
+    # of reads is over ten long and the widths stay small.
+    WIDE = "v0 = 1.5;\n" + "".join(
+        f"v{i} = v{i // 2} * 0.5 + 1.0;\n" for i in range(1, 1100)) + \
+        "require_nsb(v1099, 20);\n"
+
+    @staticmethod
+    def _collections_in(argv) -> tuple[int, list]:
+        """main(argv)'s exit status and the generation of each collection
+        started while it ran."""
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            code = main(list(argv))
+        finally:
+            gc.callbacks.remove(count)
+        return code, started
+
+    @pytest.mark.parametrize("argv", [
+        ("tune", "wide.pop"),
+        ("bench", "--years", "0.05", "--jobs", "1", "--out", "bench"),
+    ], ids=["tune-wide", "bench"])
+    def test_no_collection_while_a_command_runs(self, workdir, capsys, argv):
+        (workdir / "wide.pop").write_text(self.WIDE)
+        assert gc.isenabled()
+        assert self._collections_in(argv) == (0, [])
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("argv, code", [
+        (("tune", "small.pop"), 0),
+        (("tune", "unchecked.pop"), 1),
+        (("run", "small.pop", "--bits", "501"), 2),
+        (("tune", "small.pop", "--fast"), 2),
+    ], ids=["exit-0", "exit-1", "exit-2", "usage"])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, workdir, capsys, argv, code,
+                                         enabled):
+        # No require_nsb, so there is nothing to tune.
+        (workdir / "unchecked.pop").write_text("y = 0.5 * 3.0;\n")
+        if not enabled:
+            gc.disable()
+        try:
+            assert run_cli(capsys, *argv)[0] == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored_on_an_escaping_exception(
+            self, workdir, capsys, monkeypatch, enabled):
+        # As the benchmark's time limit does, with SIGALRM.
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_tuned", interrupted)
+        if not enabled:
+            gc.disable()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                main(["run", "small.pop"])
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()

@@ -12,7 +12,8 @@ from bittune.cli import main
 from bittune.flow import FlowError, check_defined_before_use
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import (
-    MAX_BRACKETS, MAX_DEPTH, ParseError, parse_program, tokenize,
+    _TOKEN_RE, MAX_BRACKETS, MAX_DEPTH, ParseError, Token, parse_program,
+    tokenize,
 )
 from bittune.program import (
     Assign, BinOp, If, Neg, Num, Require, Sqrt, Var, While,
@@ -109,6 +110,12 @@ class TestParser:
         assert str(exc.value).endswith(
             f": brackets nested over the limit of {MAX_BRACKETS}")
 
+    def test_tokenizer_positions(self):
+        toks = tokenize("a = 1.0;\nbb = a;\n")
+        assert toks[0].line == 1
+        assert toks[-1].kind == "end"
+        assert toks[-2].line == 2          # the second statement's semicolon
+
     def test_signs_fold_into_the_innermost_literal_only(self):
         prog = parse_program("a = - - 0.5;\nb = - -x;\n", ("x",))
         a, b = prog.stmts[0].expr, prog.stmts[1].expr
@@ -121,11 +128,79 @@ class TestParser:
             parse_program("a = 1.0;\nb = ;\n")
         assert "line 2" in str(exc.value)
 
-    def test_tokenizer_positions(self):
-        toks = tokenize("a = 1.0;\nbb = a;\n")
-        assert toks[0].line == 1
-        assert toks[-1].kind == "end"
-        assert toks[-2].line == 2          # the second statement's semicolon
+
+def _tokenize_by_match(src):
+    """The tokenizer before it scanned with one finditer: a match at
+    each position in turn.  The reference for the differential test."""
+    tokens = []
+    pos = 0
+    line = 1
+    line_start = 0
+    depth = 0
+    while pos < len(src):
+        m = _TOKEN_RE.match(src, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {src[pos]!r}",
+                             line, pos - line_start + 1)
+        kind = m.lastgroup
+        text = m.group()
+        if kind != "ws":
+            tokens.append(Token(kind, text, line, pos - line_start + 1))
+            if kind == "sym":
+                if text in "({":
+                    depth += 1
+                    if depth > MAX_BRACKETS:
+                        raise ParseError(
+                            f"brackets nested over the limit of {MAX_BRACKETS}",
+                            line, pos - line_start + 1)
+                elif text in ")}":
+                    depth -= 1
+        nl = text.count("\n")
+        if nl:
+            line += nl
+            line_start = pos + text.rindex("\n") + 1
+        pos = m.end()
+    tokens.append(Token("end", "", line, len(src) - line_start + 1))
+    return tokens
+
+
+# Pieces of source: every token kind, comments, line breaks and brackets
+# that do not balance (runs of openers now and then pass MAX_BRACKETS),
+# and characters no token begins with.
+_GOOD_PIECES = ["x", "v12", "_a", "while", "sqrt", "1.5", ".5", "2.", "1e-3",
+                "3E+4", "7", "<=", ">=", "==", "!=", "<", ">", "=", "+", "-",
+                "*", "/", ";", ",", "(", ")", "{", "}", " ", "\t", "\r\n",
+                "\n", "# note ( @\n", "#", "(" * 8, "{" * 12]
+_BAD_PIECES = ["@", "$", "!", "&", "'", "\"", "\u00e9", "\\", "[", "~", "\x00"]
+
+
+def _outcome(tokenizer, src):
+    try:
+        return tokenizer(src)
+    except ParseError as e:
+        return (str(e), e.line, e.col)
+
+
+class TestTokenizer:
+    def test_same_tokens_and_errors_as_a_match_per_position(self):
+        rng = random.Random(0x70C)
+        for i in range(600):
+            # One source in three may hold any piece, run together.  The
+            # others hold only good pieces, spaced apart, so most run to
+            # the end.
+            pieces, gap = ((_GOOD_PIECES + _BAD_PIECES, "") if i % 3 == 0
+                           else (_GOOD_PIECES, " "))
+            src = gap.join(rng.choice(pieces)
+                           for _ in range(rng.randint(0, 200)))
+            assert _outcome(tokenize, src) == \
+                _outcome(_tokenize_by_match, src), src
+
+    @pytest.mark.parametrize("src", [
+        "", "@", "a = 1.0;@", "a\n  $", "#@\n@", "x = 1.0; # ok\n!",
+        "(" * (MAX_BRACKETS + 1) + "@", "@" + "(" * (MAX_BRACKETS + 1),
+    ])
+    def test_edges(self, src):
+        assert _outcome(tokenize, src) == _outcome(_tokenize_by_match, src)
 
 
 class TestRender:
