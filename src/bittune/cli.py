@@ -25,10 +25,10 @@ tune and bench go on to tuner.solve.  tune and verify check the tuned
 run with tuner.check_tuned and judge it by tuner.passed.
 
 Artifacts are deterministic: the same invocation writes byte-identical
-files.  The timing fields (analysis_seconds and the per-stage seconds,
-stages) are therefore left out of tune's report unless --timings is
-given; the bench summary keeps its timing columns because its schema
-requires them.
+files.  The timing field (stages, the seconds of each stage) is
+therefore left out of tune's report unless --timings is given; the
+bench summary keeps its timing columns because its schema requires
+them.
 """
 
 from __future__ import annotations
@@ -230,6 +230,10 @@ def cmd_verify(args) -> int:
                              f"not one of the program's {prog.n_points} "
                              f"control points")
     widths = {points[p]: n for p, n in widths.items()}
+    missing = next((p for p in range(prog.n_points) if p not in widths), None)
+    if missing is not None:
+        raise ValueError(f"{report_path}: no width for control point "
+                         f"{missing}")
     rows, ref, tuned = verify(prog, widths, cfg)
     print(f"{'variable':<16} {'bits':>4} {'error':>13} {'bound':>13}  result")
     for r in rows:
@@ -254,8 +258,8 @@ def cmd_bench(args) -> int:
             write_series=not args.no_series,
         )
     except PlanError as e:
-        flag = {"nsb_values": "nsb", "horizons_years": "years"}.get(e.field,
-                                                                   e.field)
+        flag = {"nsb_values": "nsb", "horizons_years": "years"}.get(
+            e.field, e.field.replace("_", "-"))
         raise _UsageError(f"--{flag}: {e}") from None
     rows = run_experiment(plan, args.out, jobs=args.jobs)
     bodies = list(dict.fromkeys(r.body for r in rows))
@@ -280,7 +284,7 @@ def cmd_export_lp(args) -> int:
     prog = _parse(Path(args.source).read_text(), cfg)
     system = generate(prog, reference_run(prog, cfg).ranges, cfg,
                       refined=args.refined)
-    text = export_lp(system, [3] * len(system.xi_defs))
+    text = export_lp(system)
     out_path = Path(args.out) if args.out else Path(args.source).with_suffix(".lp")
     out_path.write_text(text)
     print(f"wrote {out_path}")
@@ -331,9 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the plain system the widths were "
                         "solved from as SOURCE.lp")
     p.add_argument("--timings", action="store_true",
-                   help="keep analysis_seconds and the per-stage seconds "
-                        "(stages) in the report (breaks byte-identical "
-                        "reruns)")
+                   help="keep the per-stage seconds (stages) in the "
+                        "report (breaks byte-identical reruns)")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("verify", help="check a solved width map")

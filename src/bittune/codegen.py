@@ -15,7 +15,7 @@ instead of computing, and the enclosing mp() call evaluates it with a
 single correct rounding at the target width; using an operator result
 without wrapping it in mp() is an error by construction.
 
-The runtime lives in ``mpfloat`` and is re-exported here.  A script
+The runtime lives in ``mpfloat`` (``mp`` and ``mp_sqrt``).  A script
 needs only the standard library: it imports ``bittune.mpfloat`` when
 bittune is importable, and otherwise runs the compressed copy of
 ``mpfloat.py`` (docstrings dropped) that its header carries.  That copy
@@ -36,7 +36,6 @@ import zlib
 from pathlib import Path
 
 from . import mpfloat
-from .mpfloat import mp, mp_sqrt  # noqa: F401  (re-exported runtime)
 from .program import (
     Assign, BinOp, Compare, Expr, If, Neg, Num, Program, Require, Sqrt, Stmt,
     Var, While,

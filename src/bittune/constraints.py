@@ -22,15 +22,18 @@ nonzero value can have the sentinel's ufp.
 Demands flow backward (operand width >= result width plus an alignment
 constant), error widths flow forward.
 
-A system is stored as the solver reads it: variables numbered as
-declared (nsb(p) is index p, then nsbe and xi in order of appearance,
-left side before terms) and rows as Rows' parallel index lists, which
-the generator appends to.  A solution is a list of ints in the same
-numbering; satisfied_by checks one against the rows, and against the
-carry definitions through system.index.  system.constraints is a
-read-only view that builds a LinearConstraint per row read.  Variables
-are named tuples (hashing in C), built once per point and shared by rows
-and XiDefs.
+The generator reads the def-use links from prog.links.  A system is
+stored as the solver reads it: variables numbered as declared (nsb(p)
+is index p for each of the program's system.points points, then nsbe
+and xi in order of appearance, left side before terms) and rows as
+Rows' parallel index lists, which the generator appends to.  The
+objective is the sum of the nsb widths, the first system.points
+variables.  A solution is a list of ints in the same numbering;
+satisfied_by checks one against the rows, and against the carry
+definitions through system.index.  system.constraints is a read-only
+view that builds a LinearConstraint per row read.  Variables are named
+tuples (hashing in C), built once per point and shared by rows and
+XiDefs.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from .flow import DefUseLink
 from .interp import UfpMap
 from .program import (
     Assign, BinOp, Compare, Expr, If, Neg, Num, Program, Require, Sqrt, Stmt,
@@ -171,11 +173,11 @@ class _RowView(Sequence):
 @dataclass
 class ConstraintSystem:
     pmax: int
+    points: int = 0             # nsb(p) is variable p for p < points
     variables: list[IntVar] = field(default_factory=list)
     index: dict[IntVar, int] = field(default_factory=dict, repr=False)
     rows: Rows = field(default_factory=Rows, repr=False)
     xi_defs: list[XiDef] = field(default_factory=list)
-    objective: list[IntVar] = field(default_factory=list)   # minimized sum
     skipped_points: list[int] = field(default_factory=list)
     zero_ufp_points: list[int] = field(default_factory=list)
 
@@ -213,7 +215,7 @@ class ConstraintSystem:
                    for d in self.xi_defs)
 
     def dump(self) -> str:
-        lines = [f"minimize sum nsb over {len(self.objective)} points,"
+        lines = [f"minimize sum nsb over {self.points} points,"
                  f" bounds [0, {self.pmax}]"]
         lines += [str(c) for c in self.constraints]
         lines += [str(d) for d in self.xi_defs]
@@ -238,14 +240,13 @@ def system_stats(system: ConstraintSystem) -> dict[str, int]:
 
 
 class _Generator:
-    def __init__(self, prog: Program, ranges: UfpMap, links: list[DefUseLink],
-                 refined: bool, cond_nsb: int, pmax: int):
+    def __init__(self, prog: Program, ranges: UfpMap, refined: bool,
+                 cond_nsb: int, pmax: int):
         self.prog = prog
         self.ranges = ranges
-        self.links = links
         self.refined = refined
         self.cond_nsb = cond_nsb
-        self.system = ConstraintSystem(pmax)
+        self.system = ConstraintSystem(pmax, prog.n_points)
         self.row = self.system.rows.append
         self.zero_points: set[int] = set()
         # One variable object per point, declared once and named by
@@ -274,7 +275,6 @@ class _Generator:
     def run(self) -> ConstraintSystem:
         sys = self.system
         sys.declare(*self.nsb)
-        sys.objective = list(self.nsb)
         self.stmts(self.prog.stmts)
         self.emit_links()
         sys.skipped_points = sorted(p for p in range(self.prog.n_points)
@@ -387,8 +387,9 @@ class _Generator:
             row(er, -2, ((1, b), (1, eb), (1, ea)), "operand", r)
 
     def emit_links(self) -> None:
-        carried = {l.def_point for l in self.links if l.back_edge}
-        for link in self.links:
+        links = self.prog.links
+        carried = {l.def_point for l in links if l.back_edge}
+        for link in links:
             d, u = link.def_point, link.use_point
             if not (self.visited(d) and self.visited(u)):
                 continue
@@ -411,15 +412,14 @@ class _Generator:
                 self.row(self.e(u), 0, ((1, self.e(d)),), "link", u)
 
 
-def gen_ilp(prog: Program, ranges: UfpMap, links: list[DefUseLink],
-            cond_nsb: int = DEFAULT_COND_NSB,
+def gen_ilp(prog: Program, ranges: UfpMap, cond_nsb: int = DEFAULT_COND_NSB,
             pmax: int = DEFAULT_PMAX) -> ConstraintSystem:
     """The plain system C1: constant carry bit at every binary operation."""
-    return _Generator(prog, ranges, links, False, cond_nsb, pmax).run()
+    return _Generator(prog, ranges, False, cond_nsb, pmax).run()
 
 
-def gen_refined(prog: Program, ranges: UfpMap, links: list[DefUseLink],
+def gen_refined(prog: Program, ranges: UfpMap,
                 cond_nsb: int = DEFAULT_COND_NSB,
                 pmax: int = DEFAULT_PMAX) -> ConstraintSystem:
     """The refined system C2: carry bits at additions become min-definitions."""
-    return _Generator(prog, ranges, links, True, cond_nsb, pmax).run()
+    return _Generator(prog, ranges, True, cond_nsb, pmax).run()

@@ -111,13 +111,13 @@ _KERNELS = {"+": mpfloat.add_t, "-": mpfloat.sub_t, "*": mpfloat.mul_t}
 class _Interp:
     """One pass over a program lowered to closures; widths[p] is bound
     into the closure of point p when run() lowers the program.  The pass
-    keeps the statements, not the closures built from them, so it never
-    reaches its own closures."""
+    records into ranges when given them, in reference mode, and is
+    named after its mode in its errors.  It keeps the statements, not
+    the closures built from them, so it never reaches its own closures."""
 
-    def __init__(self, name: str, prog: Program, widths: list[int],
-                 bindings=None, track=(), max_steps: int = MAX_STEPS,
+    def __init__(self, prog: Program, widths: list[int], bindings=None,
+                 track=(), max_steps: int = MAX_STEPS,
                  ranges: UfpMap | None = None):
-        self.name = name
         self.widths = widths
         self.max_steps = max_steps
         self.ranges = ranges
@@ -138,7 +138,8 @@ class _Interp:
         return Trace(env, samples, self.steps, self.ranges)
 
     def fail(self, message: str, point: int | None = None) -> EvalError:
-        return EvalError(f"{self.name}: {message}", point)
+        name = TUNED if self.ranges is None else REFERENCE
+        return EvalError(f"{name}: {message}", point)
 
     def tick(self) -> None:
         self.steps += 1
@@ -343,10 +344,9 @@ def run_reference(prog: Program, pref: int = DEFAULT_PRECISION,
     ranges = UfpMap.empty(prog.n_points, -pref if ufp_zero is None else ufp_zero)
     widths = [pref] * prog.n_points
     first, *rest = binding_sets or (None,)
-    trace = _Interp(REFERENCE, prog, widths, first, track, max_steps,
-                    ranges).run()
+    trace = _Interp(prog, widths, first, track, max_steps, ranges).run()
     for extra in rest:
-        _Interp(REFERENCE, prog, widths, extra, (), max_steps, ranges).run()
+        _Interp(prog, widths, extra, (), max_steps, ranges).run()
     return trace
 
 
@@ -357,4 +357,4 @@ def run_tuned(prog: Program, widths: dict[int, int], bindings=None, track=(),
     if missing is not None:
         raise EvalError(f"{TUNED}: no width assigned", missing)
     bound = [max(widths[p], 1) for p in range(prog.n_points)]
-    return _Interp(TUNED, prog, bound, bindings, track, max_steps).run()
+    return _Interp(prog, bound, bindings, track, max_steps).run()

@@ -3,9 +3,10 @@
 The export lets any external ILP solver cross-check the built-in ones:
 variables keep their deterministic nsb_p / nsbe_p / xi_p names, every
 row is rewritten as ``lhs - rhs-terms >= constant``, and all variables
-are declared integer over [0, pmax].  Systems with carry definitions
-must be exported under a policy (one selection per carry definition,
-as the solver takes it), which resolves them into linear rows.
+are declared integer over [0, pmax].  The objective is the sum of the
+nsb widths, the first system.points variables.  A system with carry
+definitions is exported under the always-carry policy
+(solver.apply_policy), which sets every carry to 1.
 """
 
 from __future__ import annotations
@@ -26,21 +27,16 @@ def _wrap(parts: list[str], head: str, limit: int = 72) -> list[str]:
     return lines
 
 
-def export_lp(system: ConstraintSystem,
-              policy: list[int] | None = None) -> str:
-    """Render the system (resolved under policy if needed) as LP text."""
+def export_lp(system: ConstraintSystem) -> str:
+    """Render the system, every carry at 1, as LP text."""
     if system.xi_defs:
-        if policy is None:
-            raise ValueError(
-                "system has carry definitions; export requires a policy")
-        system = apply_policy(system, policy)
+        system = apply_policy(system)
 
     names = [v.name for v in system.variables]
     out: list[str] = ["\\ precision-demand constraint system"]
     out.append("Minimize")
-    obj_parts = []
-    for i, v in enumerate(system.objective):
-        obj_parts.append(("+ " if i else "") + v.name)
+    obj_parts = [("+ " if i else "") + name
+                 for i, name in enumerate(names[:system.points])]
     out += _wrap(obj_parts, " obj:")
 
     out.append("Subject To")

@@ -12,9 +12,8 @@ pass.
 
 MPValue is the boxed public value, sign * mant * 2**exp at width prec,
 that everything outside a pass reads: traces, the tuner, the emitted
-scripts.  Its functions (round_to, add, sub, mul, div, sqrt, arith and
-the comparisons) unbox their operands, call the triple kernel and box
-the result.
+scripts.  Its functions (round_to, sqrt, arith and the comparisons)
+unbox their operands, call the triple kernel and box the result.
 
 The module also holds the runtime of the emitted mp scripts (``mp`` and
 ``mp_sqrt``, at the end).  It imports only the standard library, so a
@@ -121,13 +120,6 @@ def from_float(f: float) -> MPValue:
     return MPValue(1 if f > 0 else -1, mant, exp, mant.bit_length())
 
 
-def to_float(x: MPValue) -> float:
-    if x.mant == 0:
-        return 0.0
-    r = round_to(x, 53)
-    return math.ldexp(r.sign * r.mant, r.exp)
-
-
 def to_fraction(x: MPValue):
     from fractions import Fraction
     if x.mant == 0:
@@ -143,19 +135,10 @@ def ufp(x: MPValue) -> int:
     return x.exp + x.prec - 1
 
 
-def ulp_exponent(x: MPValue) -> int:
-    """ufp(x) - prec + 1, the weight of the last stored bit."""
-    return ufp(x) - x.prec + 1
-
-
 def neg(x: MPValue) -> MPValue:
     if x.mant == 0:
         return x
     return MPValue(-x.sign, x.mant, x.exp, x.prec)
-
-
-def abs_(x: MPValue) -> MPValue:
-    return x if x.sign > 0 else neg(x)
 
 
 # --- the arithmetic, on triples -------------------------------------------
@@ -312,22 +295,6 @@ def round_to(x: MPValue, p: int) -> MPValue:
 
 def _cmp(a: MPValue, b: MPValue) -> int:
     return cmp_t(unbox(a), unbox(b))
-
-
-def add(a: MPValue, b: MPValue, p: int) -> MPValue:
-    return box(add_t(unbox(a), unbox(b), p))
-
-
-def sub(a: MPValue, b: MPValue, p: int) -> MPValue:
-    return box(sub_t(unbox(a), unbox(b), p))
-
-
-def mul(a: MPValue, b: MPValue, p: int) -> MPValue:
-    return box(mul_t(unbox(a), unbox(b), p))
-
-
-def div(a: MPValue, b: MPValue, p: int) -> MPValue:
-    return box(div_t(unbox(a), unbox(b), p))
 
 
 def sqrt(a: MPValue, p: int) -> MPValue:

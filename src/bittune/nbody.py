@@ -42,7 +42,7 @@ from .interp import Trace, run_reference, run_tuned
 from .mpfloat import DEFAULT_PRECISION
 from .parse import check_literal, parse_program
 from .program import Program
-from .tuner import TuningConfig, reference_run, solve, systems
+from .tuner import TuneError, TuningConfig, reference_run, solve, systems
 
 BODY_ORDER = ("Sun", "Jupiter", "Saturn", "Uranus", "Neptune")
 COORDS = ("x", "y", "z")
@@ -236,6 +236,10 @@ class ExperimentPlan:
                                  f"positive number")
         except ValueError as e:
             raise PlanError("dt", str(e)) from None
+        try:
+            self.tuning_config().check()
+        except TuneError as e:
+            raise PlanError(e.field, str(e)) from None
 
     def tuning_config(self) -> TuningConfig:
         """What every cell is tuned with; widths are capped at pref."""
@@ -291,8 +295,7 @@ def _run_cell(plan: ExperimentPlan, c: BenchConstants, horizon: Horizon,
 
     t0 = time.perf_counter()
     assignment, _ = solve(with_requirement(c1, req),
-                          None if c2 is None else with_requirement(c2, req),
-                          plan.tuning_config())
+                          None if c2 is None else with_requirement(c2, req))
     tune_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()

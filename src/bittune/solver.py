@@ -19,7 +19,8 @@ branching (_lift).
 
 Every solve reads the system's own index rows (constraints.Rows) and
 never mutates them.  Values are a list of ints in the system's variable
-numbering, and an NsbAssignment keeps them so.  A carry policy is a list
+numbering, and an NsbAssignment keeps them so; the bit-sum is the sum
+of the first system.points values, the nsb widths.  A carry policy is a list
 with one selection per system.xi_defs entry: 1 or 2 picks that argument
 of the min, 3 the constant 1.  _Indexed holds what one call derives
 beside the rows: the carry definitions by index and each row's split
@@ -28,8 +29,8 @@ One worklist fixpoint, with a users list of row indices per variable,
 serves the monotone solve, the relaxation (negative terms frozen at the
 node's upper bounds as a per-row constant offset) and the repair pass.
 A carry policy is substituted into new Rows, once per policy iteration;
-apply_policy wraps the same rows in a ConstraintSystem for the LP
-export.  In the monotone solve and the repair pass the worklist starts
+apply_policy wraps the always-carry policy's rows in a ConstraintSystem
+for the LP export.  In the monotone solve and the repair pass the worklist starts
 with every row pending in row order and pops the last one first, and
 users lists are in row order: repair on mixed-sign rows, the rows named
 by an infeasibility message and so the solved widths depend on that
@@ -105,7 +106,7 @@ class _Indexed:
     """For one solver call, what a system's rows (read, never copied or
     changed) lack: carry definitions over indices ((var, (const, terms),
     (const, terms)) each), each variable's definition number (-1 for
-    none), each row's carry split, and the objective."""
+    none) and each row's carry split."""
 
     def __init__(self, system: ConstraintSystem):
         self.system = system
@@ -116,7 +117,6 @@ class _Indexed:
 
         self.defs = [(index[d.var], indexed(d.arg1), indexed(d.arg2))
                      for d in system.xi_defs]
-        self.objective = [index[v] for v in system.objective]
         def_of = [-1] * len(system.variables)
         for k, (var, _, _) in enumerate(self.defs):
             def_of[var] = k
@@ -170,9 +170,8 @@ def _finish(ix: _Indexed, values: list[int], nodes: int = 0) -> NsbAssignment:
                 < _eval(rows.const[r], rows.terms[r], values)):
             raise SolverError(f"solver produced an infeasible point: "
                               f"{ix.system.constraints[r]}")
-    total = sum(values[i] for i in ix.objective)
-    # The objective is nsb(p) for every point p, variables 0 to points-1.
-    return NsbAssignment(values, len(ix.objective), total, nodes=nodes)
+    points = ix.system.points
+    return NsbAssignment(values, points, sum(values[:points]), nodes=nodes)
 
 
 def _check_monotone(system: ConstraintSystem) -> None:
@@ -283,22 +282,14 @@ def solve_monotone(system: ConstraintSystem) -> NsbAssignment:
     return _finish(ix, values)
 
 
-def apply_policy(system: ConstraintSystem,
-                 policy: list[int]) -> ConstraintSystem:
-    """The system with each carry variable substituted per the policy,
-    row for row as the solver substitutes it.
-
-    Selection 3 replaces the carry with the constant 1.  Selection 1 or 2
-    replaces max(e, 0) by emitting the row twice, once without the carry
-    term and once with e added; a row whose left variable cancels against
-    e becomes a pure upper-bound row (left side None).
-    """
+def apply_policy(system: ConstraintSystem) -> ConstraintSystem:
+    """The system with every carry variable replaced by the constant 1
+    (the always-carry policy), row for row as the solver substitutes it."""
     ix = _Indexed(system)
-    rows = ix.substitute(policy)
-    out = ConstraintSystem(system.pmax)
+    rows = ix.substitute([3] * len(ix.defs))
+    out = ConstraintSystem(system.pmax, system.points)
     variables = system.variables
     out.declare(*(v for i, v in enumerate(variables) if ix.def_of[i] < 0))
-    out.objective = list(system.objective)
     out.skipped_points = list(system.skipped_points)
     out.zero_ufp_points = list(system.zero_ufp_points)
     number = out.number
@@ -310,10 +301,10 @@ def apply_policy(system: ConstraintSystem,
     return out
 
 
-def _branch_and_bound(n: int, rows: Rows, objective: list[int], pmax: int,
+def _branch_and_bound(n: int, rows: Rows, points: int, pmax: int,
                       node_limit: int) -> tuple[list[int], int]:
-    """The least-objective integer point of rows over [0, pmax]^n, and
-    the number of nodes opened."""
+    """The integer point of rows over [0, pmax]^n with the least sum of
+    its first points values, and the number of nodes opened."""
     lhs, const, terms = rows.lhs, rows.const, rows.terms
     left = [r for r, v in enumerate(lhs) if v >= 0]
     bounds = [r for r, v in enumerate(lhs) if v < 0]
@@ -349,7 +340,7 @@ def _branch_and_bound(n: int, rows: Rows, objective: list[int], pmax: int,
         if any(const[r] + sum(c * (relaxed[i] if c > 0 else hi[i])
                               for c, i in terms[r]) > 0 for r in bounds):
             continue
-        bound = sum(relaxed[i] for i in objective)
+        bound = sum(relaxed[:points])
         if best_obj is not None and bound >= best_obj:
             continue
         # Repair: raise the relaxed point against the true rows.
@@ -357,7 +348,7 @@ def _branch_and_bound(n: int, rows: Rows, objective: list[int], pmax: int,
         if (_kleene(lhs, const, terms, all_users, left[:], candidate, hi) < 0
                 and all(_eval(const[r], terms[r], candidate) <= 0
                         for r in bounds)):
-            cand_obj = sum(candidate[i] for i in objective)
+            cand_obj = sum(candidate[:points])
             if best_obj is None or cand_obj < best_obj:
                 best, best_obj = candidate, cand_obj
             if cand_obj == bound:
@@ -393,8 +384,8 @@ def solve_ilp(system: ConstraintSystem, policy: list[int] | None = None,
         work = ix.substitute(policy)
     else:
         work = system.rows
-    best, nodes = _branch_and_bound(len(system.variables), work, ix.objective,
-                                    system.pmax, node_limit)
+    best, nodes = _branch_and_bound(len(system.variables), work,
+                                    system.points, system.pmax, node_limit)
     return _finish(ix, best, nodes)
 
 

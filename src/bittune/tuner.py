@@ -4,20 +4,21 @@ Every stage has one entry point over a parsed Program; the caller
 parses (and times the parse).  reference_run() runs at cfg.pref bits
 and records ranges over all binding sets; generate() builds C1 or C2
 from them, and systems() the pair solve() takes, (C1, C2) for pi and
-(C1, None) for ilp; solve() solves those systems (pi by policy
-iteration from C1's solution) and checks the assignment by
-substitution.  solve() reads no program, so one generation can serve
-several solves: the sweep swaps each cell's requirement into its
-horizon's systems (constraints.with_requirement).  check_tuned() runs
-the tuned program against a given reference trace and builds the
-verification table.  tune() chains them and returns the solved
-assignment together with a report carrying the per-point widths,
-system sizes, timings, and the verification table; verify() re-checks
-a width map.  The timings are analysis_seconds (reference run,
-generation and solve) and the stage timer's stages, seconds per stage:
-parse (def-use analysis included), reference_run, generate (C1 and
-C2), solve (the substitution check included), tuned_run, verify, and
-emit, the first and last of which the command line adds.
+(C1, None) for ilp; solve() solves those systems (pi, by policy
+iteration from C1's solution, exactly when it is given C2) and checks
+the assignment by substitution.  solve() reads no program and no
+config, so one generation can serve several solves: the sweep swaps
+each cell's requirement into its horizon's systems
+(constraints.with_requirement), and times each solve itself.
+check_tuned() runs the tuned program against a given reference trace
+and builds the verification table.  tune() chains them and returns the
+solved assignment together with a report carrying the per-point
+widths, system sizes, timings, and the verification table; verify()
+re-checks a width map.  The timings are the stage timer's stages,
+seconds per stage: parse (def-use analysis included), reference_run,
+generate (C1 and C2), solve (the substitution check included),
+tuned_run, verify, and emit, the first and last of which the command
+line adds.
 
 Verification compares the tuned execution against the high-precision
 reference: for each require_nsb(v, n) the absolute error
@@ -50,7 +51,11 @@ TOLERANCE_FACTOR = 100
 
 
 class TuneError(ValueError):
-    pass
+    """field, when set, names the TuningConfig field check() refused."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass
@@ -63,12 +68,14 @@ class TuningConfig:
 
     def check(self) -> None:
         if self.method not in METHODS:
-            raise TuneError(f"method must be one of {METHODS}, got {self.method!r}")
+            raise TuneError(f"method must be one of {METHODS}, got "
+                            f"{self.method!r}", "method")
         if not (1 <= self.cond_nsb <= self.pmax):
-            raise TuneError(
-                f"cond_nsb {self.cond_nsb} outside [1, pmax={self.pmax}]")
+            raise TuneError(f"cond_nsb {self.cond_nsb} outside "
+                            f"[1, pmax={self.pmax}]", "cond_nsb")
         if self.pref > self.pmax:
-            raise TuneError(f"pref {self.pref} exceeds pmax {self.pmax}")
+            raise TuneError(f"pref {self.pref} exceeds pmax {self.pmax}",
+                            "pref")
 
     def input_names(self) -> tuple[str, ...]:
         """Every name some binding set binds: the program's free inputs."""
@@ -93,7 +100,6 @@ class TuningReport:
     nsb: dict[str, int]           # control point (as str, for JSON) -> width
     systems: dict[str, dict[str, int]]
     pi_iterations: int = 0
-    analysis_seconds: float = 0.0
     stages: dict[str, float] = field(default_factory=dict)
     skipped_points: list[int] = field(default_factory=list)
     zero_ufp_points: list[int] = field(default_factory=list)
@@ -109,9 +115,9 @@ class TuningReport:
                       self.steps_tuned)
 
     def to_json(self, timings: bool = True) -> str:
-        """The report as sorted JSON; without timings, the clock fields
-        (analysis_seconds, stages) are left out, so reruns match."""
-        skip = {"c1"} if timings else {"c1", "analysis_seconds", "stages"}
+        """The report as sorted JSON; without timings, the clock field
+        stages is left out, so reruns match."""
+        skip = {"c1"} if timings else {"c1", "stages"}
         raw = {f.name: getattr(self, f.name) for f in fields(self)
                if f.name not in skip}
         raw["verification"] = [asdict(r) for r in self.verification]
@@ -180,7 +186,7 @@ def generate(prog: Program, ranges: UfpMap, cfg: TuningConfig,
              refined: bool = False) -> ConstraintSystem:
     """C1, or C2 when refined, over the ranges and prog.links."""
     gen = gen_refined if refined else gen_ilp
-    return gen(prog, ranges, prog.links, cfg.cond_nsb, cfg.pmax)
+    return gen(prog, ranges, cfg.cond_nsb, cfg.pmax)
 
 
 def systems(prog: Program, ranges: UfpMap, cfg: TuningConfig):
@@ -190,34 +196,26 @@ def systems(prog: Program, ranges: UfpMap, cfg: TuningConfig):
             if cfg.method == "pi" else None)
 
 
-def solve(c1: ConstraintSystem, c2: ConstraintSystem | None,
-          cfg: TuningConfig, stages: dict[str, float] | None = None):
-    """Solve C1, then for pi C2 by policy iteration started from C1's
-    solution, and check the assignment by substitution into the system
-    it was solved from.  c1 and c2 are what systems() builds.  Returns
-    (NsbAssignment, TuningReport); the report's run fields (steps,
-    verification, analysis_seconds) are left to the caller.  The solve
-    time is added to stages."""
-    stages = {} if stages is None else stages
-    if (c2 is None) == (cfg.method == "pi"):
-        raise TuneError("solve takes C2 exactly when the method is pi")
-    with stage(stages, "solve"):
-        assignment = solve_monotone(c1)
-    report = TuningReport(method=cfg.method,
+def solve(c1: ConstraintSystem, c2: ConstraintSystem | None = None):
+    """Solve C1, then, given C2, C2 by policy iteration started from
+    C1's solution, and check the assignment by substitution into the
+    system it was solved from.  c1 and c2 are what systems() builds; the
+    method is pi exactly when c2 is given.  Returns (NsbAssignment,
+    TuningReport); the report's run fields (stages, steps, verification)
+    are left to the caller."""
+    assignment = solve_monotone(c1)
+    report = TuningReport(method="ilp" if c2 is None else "pi",
                           total_bits={"ilp": assignment.total}, nsb={},
-                          systems={"c1": system_stats(c1)}, stages=stages,
-                          c1=c1)
+                          systems={"c1": system_stats(c1)}, c1=c1)
     solved = c1
     if c2 is not None:
         solved = c2
-        with stage(stages, "solve"):
-            assignment, _policy, report.pi_iterations = policy_iterate(
-                c2, plain=assignment)
+        assignment, _policy, report.pi_iterations = policy_iterate(
+            c2, plain=assignment)
         report.systems["c2"] = dict(system_stats(c2), xi_defs=len(c2.xi_defs))
         report.total_bits["pi"] = assignment.total
-    with stage(stages, "solve"):
-        if not solved.satisfied_by(assignment.values):
-            raise TuneError("solved assignment fails substitution check")
+    if not solved.satisfied_by(assignment.values):
+        raise TuneError("solved assignment fails substitution check")
     report.nsb = {str(p): n for p, n in sorted(assignment.widths().items())}
     report.skipped_points = solved.skipped_points
     report.zero_ufp_points = solved.zero_ufp_points
@@ -248,14 +246,13 @@ def tune(prog: Program, cfg: TuningConfig | None = None,
     stages = {} if stages is None else stages
     if not any(isinstance(node, Require) for node in prog.points):
         raise TuneError("program has no require_nsb statement; nothing to tune")
-    t0 = time.perf_counter()
     with stage(stages, "reference_run"):
         ref = reference_run(prog, cfg)
     with stage(stages, "generate"):
         c1, c2 = systems(prog, ref.ranges, cfg)
-    assignment, report = solve(c1, c2, cfg, stages)
-    report.analysis_seconds = round(time.perf_counter() - t0, 3)
-
+    with stage(stages, "solve"):
+        assignment, report = solve(c1, c2)
+    report.stages = stages
     report.verification, tuned = check_tuned(prog, assignment.widths(), ref,
                                              cfg, stages)
     report.steps_reference = ref.steps

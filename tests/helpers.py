@@ -5,8 +5,9 @@ The rounding oracle here deliberately repeats none of the library's
 code: it rounds exact rationals with divmod arithmetic so that the two
 implementations can only agree by both being right.  The readers
 (report_from_json, parse_solution, check_solution, strip_annotations)
-and the energy check read what the commands write; no command needs
-them, so they live here rather than in the package.
+and the energy check read what the commands write, and to_float and
+abs_mpv are MPValue conveniences; no command needs them, so they live
+here rather than in the package.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from bittune.constraints import ConstraintSystem
 from bittune.interp import run_reference
-from bittune.mpfloat import MPValue, to_float
+from bittune.mpfloat import MPValue, to_fraction
 from bittune.nbody import (
     BODY_ORDER, BenchConstants, build_nbody_program, horizon_t_max,
     load_bodies,
@@ -71,6 +72,15 @@ def random_mpv(rng: random.Random, max_prec: int = 120,
     exp = rng.randint(-exp_span, exp_span)
     sign = rng.choice((1, -1))
     return MPValue(sign, mant, exp, p)
+
+
+def to_float(x: MPValue) -> float:
+    """x as the nearest double, through its exact rational value."""
+    return float(to_fraction(x))
+
+
+def abs_mpv(x: MPValue) -> MPValue:
+    return x if x.sign > 0 else -x
 
 
 def loops(stmts):
@@ -201,13 +211,12 @@ def parse_solution(text: str) -> dict[str, int]:
     return values
 
 
-def check_solution(system: ConstraintSystem, named: dict[str, int],
-                   policy: list[int] | None = None) -> tuple[bool, int]:
-    """(feasible, objective total) of an external solution for the system."""
+def check_solution(system: ConstraintSystem,
+                   named: dict[str, int]) -> tuple[bool, int]:
+    """(feasible, objective total) of an external solution for the
+    system, every carry at 1 (the LP export's policy)."""
     if system.xi_defs:
-        if policy is None:
-            raise ValueError("carry definitions present; a policy is required")
-        system = apply_policy(system, policy)
+        system = apply_policy(system)
     values = []
     for v in system.variables:
         if v.name not in named:
@@ -215,7 +224,7 @@ def check_solution(system: ConstraintSystem, named: dict[str, int],
         values.append(named[v.name])
     feasible = system.satisfied_by(values) and all(
         0 <= n <= system.pmax for n in values)
-    return feasible, sum(values[system.index[v]] for v in system.objective)
+    return feasible, sum(values[:system.points])
 
 
 _ANNOT_RE = re.compile(r"\|\d+\|")

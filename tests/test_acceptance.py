@@ -21,13 +21,13 @@ import pytest
 from bittune.constraints import gen_ilp, gen_refined
 from bittune.interp import run_reference, run_tuned
 from bittune.lpfile import export_lp
-from bittune.mpfloat import abs_, arith, round_to, sqrt, to_fraction, ufp
+from bittune.mpfloat import arith, round_to, sqrt, to_fraction, ufp
 from bittune.nbody import ExperimentPlan, build_nbody_program, horizon_t_max, run_experiment
 from bittune.parse import parse_program
 from bittune.program import BinOp, Require
 from bittune.solver import SolverError, solve_ilp, solve_monotone
 from bittune.tuner import TuningConfig, tune
-from helpers import fraction_ufp, gen_straight_line, random_mpv
+from helpers import abs_mpv, fraction_ufp, gen_straight_line, random_mpv
 from test_solver import (
     chaotic_fixpoint, enumerate_optimum, make_system, random_mixed_rows,
     random_monotone_rows,
@@ -85,10 +85,9 @@ EXPECTED_PLAIN = {
 
 def _distance_system(refined=False):
     prog = parse_program(DISTANCE_SRC, tuple(sorted(DISTANCE_BINDINGS)))
-    links = prog.links
     ranges = run_reference(prog, 100, [DISTANCE_BINDINGS]).ranges
     gen = gen_refined if refined else gen_ilp
-    return prog, ranges, gen(prog, ranges, links, 53, 500)
+    return prog, ranges, gen(prog, ranges, 53, 500)
 
 
 def _row_key(c):
@@ -326,7 +325,7 @@ def test_6_rounding_and_correct_rounding_battery():
         b = round_to(random_mpv(rng), p)
         op = rng.choice(("+", "-", "*", "/", "sqrt"))
         if op == "sqrt":
-            a = abs_(a)
+            a = abs_mpv(a)
             direct, wide = sqrt(a, p), sqrt(a, 2 * p + 2)
         else:
             direct, wide = arith(op, a, b, p), arith(op, a, b, 2 * p + 2)
@@ -354,9 +353,8 @@ def test_7_random_small_programs_meet_their_bit_requirement():
     for i in range(200):
         src = gen_straight_line(rng)
         prog = parse_program(src)
-        links = prog.links
         ranges = run_reference(prog, 500).ranges
-        c1 = gen_ilp(prog, ranges, links, 53, 500)
+        c1 = gen_ilp(prog, ranges, 53, 500)
         sol = solve_monotone(c1)
         widths = {v.point: n for v, n in zip(c1.variables, sol.values)
                   if v.kind == "nsb"}

@@ -20,7 +20,7 @@ from bittune import cli, mpfloat, nbody, tuner
 from bittune.cli import main
 from bittune.parse import parse_program
 from bittune.tuner import TuningConfig, tune
-from helpers import report_from_json
+from helpers import report_from_json, to_float
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,9 +75,11 @@ class TestTuneCommand:
 
     def test_timings_flag_gates_the_clock_field(self, workdir, capsys):
         run_cli(capsys, "tune", "small.pop")
-        assert "analysis_seconds" not in (workdir / "small.report.json").read_text()
+        report = json.loads((workdir / "small.report.json").read_text())
+        assert "stages" not in report and "analysis_seconds" not in report
         run_cli(capsys, "tune", "small.pop", "--timings")
-        assert "analysis_seconds" in (workdir / "small.report.json").read_text()
+        report = json.loads((workdir / "small.report.json").read_text())
+        assert "stages" in report and "analysis_seconds" not in report
 
     # sha256 of small.pop's default report, recorded before the report
     # had any field beside analysis_seconds to leave out.
@@ -184,7 +186,7 @@ class TestTuneCommand:
             exec(compile(script, "open.mp.txt", "exec"), ns)
         ns = {"x": mpfloat.from_float(0.5), "w": mpfloat.from_float(3.0)}
         exec(compile(script, "open.mp.txt", "exec"), ns)
-        assert mpfloat.to_float(ns["y"]) == 2.5
+        assert to_float(ns["y"]) == 2.5
 
     @pytest.mark.parametrize("name", ["lambda", "mp", "mp_sqrt"])
     def test_script_name_refused_before_any_artifact(self, workdir, capsys,
@@ -402,6 +404,23 @@ class TestVerifyCommand:
                    f"{json.dumps(key)} is not one of the program's 14 "
                    f"control points\n")
 
+    # A report missing a point's width ran the whole reference pass and
+    # then blamed the tuned run: "tuned run: no width assigned".
+    def test_report_without_a_width_is_refused_before_any_run(
+            self, workdir, capsys, monkeypatch):
+        (workdir / "w.pop").write_text(
+            "a = 0.1; b = a * 2.0; require_nsb(b, 20);\n")
+        run_cli(capsys, "tune", "w.pop")
+        path = workdir / "w.report.json"
+        report = json.loads(path.read_text())
+        del report["nsb"]["2"]
+        path.write_text(json.dumps(report))
+        monkeypatch.setattr(cli, "verify",
+                            lambda *args: pytest.fail("verify ran a pass"))
+        assert run_cli(capsys, "verify", "w.pop") == (
+            1, "", "bittune: verify: w.report.json: no width for control "
+                   "point 2\n")
+
     @pytest.mark.parametrize("width", [0, 500])
     def test_widths_at_either_end_of_the_range_run(self, workdir, capsys,
                                                   width):
@@ -480,6 +499,22 @@ class TestBenchCommand:
         proc = _bittune(workdir, "bench", *flags, "--out", "out")
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", f"bittune: bench: {message}\n")
+        assert not (workdir / "out").exists()
+
+    # bench took any --cond-nsb: 0 swept and exited 0, and 900 ran the
+    # reference pass before the solver hit the width cap.  The cap is
+    # --pref, so the default 53 is refused at --pref 30 as well.
+    @pytest.mark.parametrize("flags, message", [
+        (("--cond-nsb", "0"), "cond_nsb 0 outside [1, pmax=500]"),
+        (("--cond-nsb", "900"), "cond_nsb 900 outside [1, pmax=500]"),
+        (("--pref", "30"), "cond_nsb 53 outside [1, pmax=30]"),
+    ], ids=["zero", "past-the-cap", "default-past-pref"])
+    def test_cond_nsb_outside_the_width_cap_is_usage_error(
+            self, workdir, flags, message):
+        proc = _bittune(workdir, "bench", "--years", "0.01", "--nsb", "11",
+                        *flags, "--out", "out")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"bittune: bench: --cond-nsb: {message}\n")
         assert not (workdir / "out").exists()
 
 
@@ -588,14 +623,16 @@ class TestSamplesBindEveryInput:
 
     SOURCE = "y = x * 2.0;\nrequire_nsb(y, 20);\n"
     # The artifacts of two well-formed sets, pinned before the check
-    # below was added.
+    # below was added.  open.mp.txt was re-pinned when mpfloat, which it
+    # bundles, lost the functions only tests called; only that bundled
+    # copy changed.
     SHA256 = {
         "open.annotated.pop":
             "5f2a031990ba29799cc4af033f1749faa6fa9a2de7d514a24968fbdf825ee297",
         "open.lp":
             "c385f25efdb7c89fc32b59b55fa7f5ce7ae2a294396c06d1e79665922c9f8c4a",
         "open.mp.txt":
-            "cd40e9d09cc739d67a8b4099065ba83eeb33682a485604b762584737a7e016fa",
+            "cc3903f4bf3ca2c26de14a76a3c4650a770df85d9e32169ba9d085fd56493db2",
         "open.report.json":
             "1c21e6ab20a91caab240edb75a58c992b87af51ec7bf46dc3331686239a9e61c",
     }

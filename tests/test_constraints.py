@@ -28,11 +28,10 @@ from helpers import BRANCH, LOOP, gen_straight_line, in_loop
 
 def systems_for(src, cond_nsb=53, pmax=500, inputs=(), binding_sets=None):
     prog = parse_program(src, inputs)
-    links = prog.links
     ranges = run_reference(prog, 100, binding_sets).ranges
     return (prog, ranges,
-            gen_ilp(prog, ranges, links, cond_nsb, pmax),
-            gen_refined(prog, ranges, links, cond_nsb, pmax))
+            gen_ilp(prog, ranges, cond_nsb, pmax),
+            gen_refined(prog, ranges, cond_nsb, pmax))
 
 
 def by_origin(system):
@@ -104,10 +103,15 @@ class TestPlainSystem:
         assert req.rhs.const == 31 and not req.rhs.terms
 
     def test_objective_counts_only_nsb_vars(self):
-        _, _, c1, c2 = systems_for("a = 2.0;\nb = a + a;\n")
-        assert all(v.kind == "nsb" for v in c1.objective)
-        assert all(v.kind == "nsb" for v in c2.objective)
-        assert len(c2.objective) == len(c1.objective)
+        # The objective sums the first points variables: nsb(p) is
+        # variable p for every point p, and no other variable is nsb.
+        prog, _, c1, c2 = systems_for("a = 2.0;\nb = a + a;\n")
+        for system in (c1, c2):
+            assert system.points == prog.n_points
+            assert system.variables[:system.points] == \
+                [nsb(p) for p in range(prog.n_points)]
+            assert all(v.kind != "nsb"
+                       for v in system.variables[system.points:])
 
     def test_unvisited_points_skipped_and_listed(self):
         src = ("a = 1.0;\nif (a > 2.0) {\n    b = a * a;\n} else {\n"
@@ -295,8 +299,7 @@ class TestPinnedBytes:
             digests["c1.dump"].update(c1.dump().encode())
             digests["c2.dump"].update(c2.dump().encode())
             digests["c1.lp"].update(export_lp(c1).encode())
-            digests["c2.lp"].update(
-                export_lp(c2, [3] * len(c2.xi_defs)).encode())
+            digests["c2.lp"].update(export_lp(c2).encode())
         assert {name: h.hexdigest() for name, h in digests.items()} == \
             self.PINNED
 
@@ -383,14 +386,14 @@ class TestIntVar:
                 assert fresh is not v
 
     def test_one_object_per_variable(self):
-        # Every row, carry definition and objective entry names the
-        # object the system declared, so lookups succeed on identity.
+        # Every row and carry definition names the object the system
+        # declared, so lookups succeed on identity.
         _, _, c1, c2 = systems_for(build_nbody_program(
             t_max=horizon_t_max(0.05)))
         for system in (c1, c2):
             declared = {v: v for v in system.variables}
             assert len(declared) == len(system.variables)
-            named = list(system.objective)
+            named = []
             for c in system.constraints:
                 named += [v for _, v in c.rhs.terms]
                 if c.lhs is not None:

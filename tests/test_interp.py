@@ -14,7 +14,9 @@ from bittune.interp import EvalError, run_reference, run_tuned
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from bittune.tuner import TuningConfig, reference_run, solve, systems
-from helpers import BRANCH, LOOP, gen_straight_line, in_loop, round_fraction
+from helpers import (
+    BRANCH, LOOP, gen_straight_line, in_loop, round_fraction, to_float,
+)
 
 GEOM = """\
 s = 0.0;
@@ -51,7 +53,7 @@ class TestReference:
                 name, expr = line.rstrip(";").split(" = ", 1)
                 want[name] = eval(expr, {"sqrt": math.sqrt}, dict(want))
             for name, v in want.items():
-                assert mpfloat.to_float(trace.env[name]) == v, src
+                assert to_float(trace.env[name]) == v, src
 
     def test_geometric_sum_closed_form(self):
         trace = run_reference(parse_program(GEOM), pref=200)
@@ -65,7 +67,7 @@ class TestReference:
     def test_branching_on_exact_compare(self):
         src = "a = 1.0;\nif (a >= 1.0) {\n    b = 2.0;\n} else {\n    b = 3.0;\n}\n"
         trace = run_reference(parse_program(src), pref=50)
-        assert mpfloat.to_float(trace.env["b"]) == 2.0
+        assert to_float(trace.env["b"]) == 2.0
 
     def test_bindings_seed_free_variables(self):
         prog = parse_program("y = x * x;\n", inputs=("x",))
@@ -113,7 +115,7 @@ class TestReference:
     def test_track_records_initial_state_and_each_step(self):
         src = "x = 1.0;\nt = 0.0;\nwhile (t < 3.0) {\n    x = x * 2.0;\n    t = t + 1.0;\n}\n"
         trace = run_reference(parse_program(src), pref=60, track=("x",))
-        vals = [mpfloat.to_float(v) for v in trace.samples["x"]]
+        vals = [to_float(v) for v in trace.samples["x"]]
         assert vals == [1.0, 2.0, 4.0, 8.0]
 
 
@@ -143,7 +145,7 @@ class TestTuned:
                           if type(n).__name__ == "Var" and n.name == "p")
         widths[read_point] = 4
         trace = run_tuned(prog, widths)
-        assert mpfloat.to_float(trace.env["q"]) == 3.25
+        assert to_float(trace.env["q"]) == 3.25
 
     def test_narrow_width_rounds_the_loop_bound_itself(self):
         # At 2 bits the literal 5.0 (101b) ties down to 4, so the loop
@@ -152,7 +154,7 @@ class TestTuned:
         src = "t = 0.0;\nwhile (t < 5.0) {\n    t = t + 1.0;\n}\n"
         prog = parse_program(src)
         trace = run_tuned(prog, _uniform(prog, 2))
-        assert mpfloat.to_float(trace.env["t"]) == 4.0
+        assert to_float(trace.env["t"]) == 4.0
 
     def test_missing_width_of_an_unvisited_point_rejected(self):
         src = "a = 1.0;\nif (a > 2.0) {\n    b = a;\n}\n"
@@ -353,7 +355,7 @@ class TestPinnedRuns:
             digests["reference"].update(
                 f"{ref.ranges.top}\n{ref.ranges.counts}\n{ref.steps}\n"
                 f"{_env_text(ref.env)}".encode())
-            assignment, _ = solve(*systems(prog, ref.ranges, cfg), cfg)
+            assignment, _ = solve(*systems(prog, ref.ranges, cfg))
             tuned = run_tuned(prog, assignment.widths())
             digests["tuned"].update(
                 f"{tuned.steps}\n{_env_text(tuned.env)}".encode())

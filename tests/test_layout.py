@@ -1,0 +1,76 @@
+"""Layout of the package: src/ holds no code that only tests call.
+
+Every module-level function and class of src/bittune must be referenced
+from the code that ships or measures it: src/bittune, scripts/ or
+perfbench/, and the header codegen writes into every mp script, which
+imports the script runtime.  A reference is an import of the name, an
+attribute module.name, a use of the name in its own module outside its
+own definition, or a (module, name) pair in perfbench/tracing.py, which
+patches the names it traces.  Code that only tests call belongs in
+tests/helpers.py.
+"""
+
+import ast
+from pathlib import Path
+
+from bittune import codegen
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bittune"
+
+
+def _trees(*dirs):
+    """(path, parsed tree) of every Python file under dirs."""
+    return [(path, ast.parse(path.read_text(), str(path)))
+            for d in dirs for path in sorted(d.rglob("*.py"))]
+
+
+def _definitions(trees):
+    """(module, name) -> the definition node, for every module-level
+    function and class of the package."""
+    return {(path.stem, node.name): node
+            for path, tree in trees if path.parent == PACKAGE
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))}
+
+
+def _references(trees, modules, definitions):
+    """The (module, name) pairs the trees reference."""
+    found = set()
+    for path, tree in trees:
+        own = path.stem if path.parent == PACKAGE else None
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module.rpartition(".")[2]
+                found.update((module, a.name) for a in node.names)
+            elif isinstance(node, ast.Attribute):
+                value = node.value
+                owner = (value.id if isinstance(value, ast.Name)
+                         else value.attr if isinstance(value, ast.Attribute)
+                         else None)
+                if owner in modules:
+                    found.add((owner, node.attr))
+            elif isinstance(node, ast.Name) and own is not None:
+                target = definitions.get((own, node.id))
+                if target is not None and not (
+                        target.lineno <= node.lineno <= target.end_lineno):
+                    found.add((own, node.id))
+            elif (isinstance(node, ast.Tuple) and path.name == "tracing.py"
+                  and len(node.elts) >= 2
+                  and all(isinstance(e, ast.Constant)
+                          and isinstance(e.value, str)
+                          for e in node.elts[:2])):
+                found.add((node.elts[0].value, node.elts[1].value))
+    return found
+
+
+def test_every_package_function_and_class_is_used_outside_tests():
+    trees = _trees(PACKAGE, ROOT / "scripts", ROOT / "perfbench")
+    trees.append((Path("mp script header"), ast.parse(codegen._header())))
+    definitions = _definitions(trees)
+    modules = {module for module, _ in definitions}
+    used = _references(trees, modules, definitions)
+    unused = sorted(f"{module}.{name}" for module, name in definitions
+                    if (module, name) not in used)
+    assert unused == []

@@ -28,10 +28,9 @@ from helpers import gen_straight_line
 
 def make_system(rows, n_vars, pmax):
     """rows: list of (lhs_index, const, ((coef, var_index), ...))."""
-    sys_ = ConstraintSystem(pmax)
+    sys_ = ConstraintSystem(pmax, n_vars)
     vars_ = [nsb(i) for i in range(n_vars)]
     sys_.declare(*vars_)
-    sys_.objective = list(vars_)
     for lhs_i, const, terms in rows:
         sys_.rows.append(-1 if lhs_i is None else lhs_i, const, tuple(terms),
                          "test", 0)
@@ -188,7 +187,7 @@ class TestBranchAndBound:
     def test_policy_required_for_carry_definitions(self):
         src = "a = 8.0;\nb = 0.5;\nc = a + b;\nrequire_nsb(c, 12);\n"
         prog = parse_program(src)
-        c2 = gen_refined(prog, run_reference(prog, 100).ranges, prog.links)
+        c2 = gen_refined(prog, run_reference(prog, 100).ranges)
         with pytest.raises(SolverError, match="policy"):
             solve_ilp(c2)
 
@@ -196,7 +195,7 @@ class TestBranchAndBound:
 class TestPolicyIteration:
     def _refined(self, src):
         prog = parse_program(src)
-        return gen_refined(prog, run_reference(prog, 100).ranges, prog.links)
+        return gen_refined(prog, run_reference(prog, 100).ranges)
 
     def test_never_worse_than_always_carry(self, rng):
         for _ in range(20):
@@ -233,10 +232,11 @@ class TestPolicyIteration:
     def test_policy_substitution_preserves_variables(self):
         c2 = self._refined("a = 8.0;\nb = 0.5;\nc = a + b;\n"
                            "require_nsb(c, 12);\n")
-        plain = apply_policy(c2, [3] * len(c2.xi_defs))
+        plain = apply_policy(c2)
         xi_vars = {d.var for d in c2.xi_defs}
         assert not xi_vars & set(plain.variables)
-        assert plain.objective == c2.objective
+        assert plain.points == c2.points
+        assert plain.variables[:plain.points] == c2.variables[:c2.points]
 
     def test_plain_start_changes_no_result(self, rng):
         # Lifting the plain solution replaces the first branch and bound;
@@ -246,8 +246,8 @@ class TestPolicyIteration:
             prog = parse_program(
                 gen_straight_line(rng, max_ops=(4, 12)[k % 2]))
             ranges = run_reference(prog, 100).ranges
-            c1 = gen_ilp(prog, ranges, prog.links)
-            c2 = gen_refined(prog, ranges, prog.links)
+            c1 = gen_ilp(prog, ranges)
+            c2 = gen_refined(prog, ranges)
             plain = solve_monotone(c1)
             first = policy_iterate(c2, max_iterations=1, plain=plain)[0]
             assert first.values == \
@@ -295,10 +295,8 @@ class TestPinnedOutput:
     def _systems(self, src):
         prog = parse_program(src)
         ranges = reference_run(prog, self.CFG).ranges
-        links = prog.links
-        return (gen_ilp(prog, ranges, links, self.CFG.cond_nsb, self.CFG.pmax),
-                gen_refined(prog, ranges, links, self.CFG.cond_nsb,
-                            self.CFG.pmax))
+        return (gen_ilp(prog, ranges, self.CFG.cond_nsb, self.CFG.pmax),
+                gen_refined(prog, ranges, self.CFG.cond_nsb, self.CFG.pmax))
 
     def test_five_body_policy_iteration(self):
         _, c2 = self._systems(build_nbody_program(
