@@ -48,7 +48,7 @@ from .lpfile import export_lp
 from .mpfloat import MPDomainError
 from .nbody import ExperimentPlan, PlanError, run_experiment
 from .parse import check_literal, parse_program
-from .program import Program
+from .program import Program, shown
 from .render import MissingWidthError, emit_annotated
 from .codegen import emit_mp_code
 from .tuner import (
@@ -122,20 +122,23 @@ def _load_bindings(path: str) -> tuple[dict, ...]:
                 try:
                     check_literal(v)
                 except ValueError as e:
-                    raise ValueError(f"samples set {i}, variable {name!r}: "
-                                     f"{e}") from None
+                    raise ValueError(f"samples set {i}, variable "
+                                     f"{shown(name)}: {e}") from None
                 conv[name] = v
             elif isinstance(v, bool):
-                raise ValueError(f"samples value for {name!r} is a boolean")
+                raise ValueError(f"samples value for {shown(name)} is a "
+                                 f"boolean")
             elif isinstance(v, int):
                 conv[name] = str(v)
             elif isinstance(v, float):
                 if not math.isfinite(v):
-                    raise ValueError(f"samples set {i}, variable {name!r}: "
-                                     f"{v} is not a finite number")
+                    raise ValueError(f"samples set {i}, variable "
+                                     f"{shown(name)}: {v} is not a finite "
+                                     f"number")
                 conv[name] = mpfloat.from_float(v)
             else:
-                raise ValueError(f"samples value for {name!r} is not a number")
+                raise ValueError(f"samples value for {shown(name)} is not "
+                                 f"a number")
         out.append(conv)
     return tuple(out)
 
@@ -162,7 +165,7 @@ def _parse(source: str, cfg: TuningConfig) -> Program:
         for name in prog.inputs:
             if name not in binding:
                 raise ValueError(f"samples set {i} does not bind input "
-                                 f"{name!r}")
+                                 f"{shown(name)}")
     return prog
 
 

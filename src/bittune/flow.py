@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .program import (
-    Assign, Compare, If, Program, Require, Stmt, Var, While, expr_reads,
+    Assign, Compare, If, Program, Require, Stmt, Var, While, expr_reads, shown,
 )
 
 
@@ -124,7 +124,7 @@ def check_defined_before_use(prog: Program, predefined=()):
     def read(reach: dict, var: str, use_pt: int, loop: While | None = None):
         defs = reach.get(var)
         if defs is None:
-            raise FlowError(f"variable {var!r} is read (control point "
+            raise FlowError(f"variable {shown(var)} is read (control point "
                             f"{use_pt}) before any definition")
         if defs[0] == _ENTRY:
             free.add(var)

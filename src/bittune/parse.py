@@ -1,4 +1,4 @@
-"""Lexer and recursive-descent parser for the tuning language.
+"""Scanner and recursive-descent parser for the tuning language.
 
 Grammar:
 
@@ -17,6 +17,14 @@ Grammar:
 directly to a numeral folds into the literal, so -0.5 is one control
 point, not two.
 
+scan() reads the whole source with one regular expression, one match per
+token: the blanks and comments before it, then the token, a character no
+token begins with, or the end.  It returns the tokens as three parallel
+lists, kinds, texts and start offsets, ending with one "end" token whose
+text is empty.  The parser reads those lists by index.  Only an error
+turns an offset into a line and column, so a program that parses never
+counts lines.
+
 Nesting is bounded so that no pass runs out of Python's default
 recursion limit of 1000 frames: at most MAX_BRACKETS brackets (round
 or curly) open at once, and at most MAX_DEPTH operators on any path
@@ -31,20 +39,21 @@ A numeric literal's decimal exponent, once its fraction digits are
 folded in (1.25e3 is 125e1), is at most MAX_EXPONENT in magnitude:
 reading the literal builds a power of ten or five that large, and the
 cost grows faster than linearly with it.  It has at most MAX_DIGITS
-digits, below the 4300 that Python's int() reads from a string.
-check_literal applies both bounds to the string values of input
+digits, below the 4300 that Python's int() reads from a string, and so
+does a require_nsb bit count.  The scanner's number group is the literal
+syntax, so the parser checks a literal's bounds only; check_literal
+checks the syntax and both bounds of the string values of input
 bindings.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import flow
 from .program import (
     Assign, BinOp, Compare, If, Neg, Num, Program, Require, Sqrt, Stmt, Var,
-    While,
+    While, shown,
 )
 
 KEYWORDS = {"while", "if", "else", "sqrt", "require_nsb"}
@@ -56,16 +65,24 @@ MAX_DIGITS = 4000
 
 _NUMBER = r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
 _LITERAL_RE = re.compile(r"[+-]?" + _NUMBER)
-_TOKEN_RE = re.compile(
+# cmp comes before sym, so that '==' is one token; no other two groups
+# share a first character, so their order only decides how soon a token
+# is found, and names, the most common tokens, come first.  A character
+# no token begins with takes the rest of the source with it: the scan
+# ends there, with that character as the last token before the end.
+_SCAN_RE = re.compile(
     r"""
-      (?P<ws>      [ \t\r\n]+ | \#[^\n]* )
-    | (?P<number>  """ + _NUMBER + r""" )
-    | (?P<ident>   [A-Za-z_][A-Za-z_0-9]* )
-    | (?P<cmp>     <=|>=|==|!=|<|> )
-    | (?P<sym>     [-+*/=(){};,] )
+    [ \t\r\n]* (?: \#[^\n]* [ \t\r\n]* )*
+    (?: (?P<ident>   [A-Za-z_][A-Za-z_0-9]* )
+      | (?P<number>  """ + _NUMBER + r""" )
+      | (?P<cmp>     <=|>=|==|!=|<|> )
+      | (?P<sym>     [-+*/=(){};,] )
+      | (?P<bad>     . ) .*
+      | (?P<end>     \Z ) )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
+_DEPTH = {"(": 1, "{": 1, ")": -1, "}": -1}
 
 
 class ParseError(ValueError):
@@ -75,66 +92,50 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass
-class Token:
-    kind: str      # number | ident | cmp | sym | end
-    text: str
-    line: int
-    col: int
+def _error(message: str, src: str, offset: int) -> ParseError:
+    """A ParseError at offset, counting its line and column from 1."""
+    line_start = src.rfind("\n", 0, offset) + 1
+    return ParseError(message, src.count("\n", 0, offset) + 1,
+                      offset - line_start + 1)
 
 
-def tokenize(src: str) -> list[Token]:
-    """The tokens of src, in one scan.  Every token begins where the one
-    before it ended, so a match that starts further on means the regular
-    expression skipped a character no token begins with."""
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    depth = 0                       # brackets open
-    for m in _TOKEN_RE.finditer(src):
-        if m.start() != pos:
-            break
+def scan(src: str) -> tuple[list[str], list[str], list[int]]:
+    """The tokens of src as parallel lists of kinds (number, ident, cmp,
+    sym, end), texts and start offsets.  Raises ParseError at the first
+    character no token begins with or the first bracket past
+    MAX_BRACKETS open, whichever comes first in the source."""
+    kinds, texts, starts = [], [], []
+    for m in _SCAN_RE.finditer(src):
         kind = m.lastgroup
-        text = m.group()
-        if kind != "ws":
-            tokens.append(Token(kind, text, line, pos - line_start + 1))
-            if kind == "sym":
-                if text in "({":
-                    depth += 1
-                    if depth > MAX_BRACKETS:
-                        raise ParseError(
-                            f"brackets nested over the limit of {MAX_BRACKETS}",
-                            line, pos - line_start + 1)
-                elif text in ")}":
-                    depth -= 1
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            line_start = pos + text.rindex("\n") + 1
-        pos = m.end()
-    if pos < len(src):
-        raise ParseError(f"unexpected character {src[pos]!r}",
-                         line, pos - line_start + 1)
-    tokens.append(Token("end", "", line, len(src) - line_start + 1))
-    return tokens
+        kinds.append(kind)
+        texts.append(m[kind])
+        starts.append(m.start(kind))
+    # Blanks that run to the end make a match that ends with the end
+    # token, and finditer then finds the empty end match once more.
+    if kinds[-2:] == ["end", "end"]:
+        del kinds[-1], texts[-1], starts[-1]
+    # Only a source with more openers than the limit can pass it.
+    if src.count("(") + src.count("{") > MAX_BRACKETS:
+        depth = 0
+        for i, text in enumerate(texts):
+            if text in _DEPTH:
+                depth += _DEPTH[text]
+                if depth > MAX_BRACKETS:
+                    raise _error(f"brackets nested over the limit of "
+                                 f"{MAX_BRACKETS}", src, starts[i])
+    if kinds[-2:-1] == ["bad"]:
+        raise _error(f"unexpected character {texts[-2]!r}", src, starts[-2])
+    return kinds, texts, starts
 
 
-def _shown(text: str) -> str:
-    return repr(text if len(text) <= 24 else text[:20] + "...")
-
-
-def check_literal(text: str) -> None:
-    """Raise ValueError unless text, with surrounding blanks and a sign
-    allowed, is a numeric literal of at most MAX_DIGITS digits whose
-    folded decimal exponent is at most MAX_EXPONENT in magnitude."""
-    body = text.strip()
-    if _LITERAL_RE.fullmatch(body) is None:
-        raise ValueError(f"malformed numeric literal {_shown(text)}")
+def _check_size(body: str, text: str) -> None:
+    """Raise ValueError, quoting text, unless the literal body has at most
+    MAX_DIGITS digits and a folded decimal exponent at most MAX_EXPONENT
+    in magnitude."""
     mant, _, exp = body.lower().partition("e")
     n_digits = len(mant.lstrip("+-")) - ("." in mant)
     if n_digits > MAX_DIGITS:
-        raise ValueError(f"numeric literal {_shown(text)} is too long: it "
+        raise ValueError(f"numeric literal {shown(text)} is too long: it "
                          f"has {n_digits} digits, past the limit of "
                          f"{MAX_DIGITS}")
     digits = exp.lstrip("+-").lstrip("0")
@@ -144,17 +145,30 @@ def check_literal(text: str) -> None:
     if (len(digits) > len(str(MAX_EXPONENT + len(body)))
             or abs(int(exp or "0") - len(mant.partition(".")[2]))
             > MAX_EXPONENT):
-        raise ValueError(f"numeric literal {_shown(text)} is out of range: "
+        raise ValueError(f"numeric literal {shown(text)} is out of range: "
                          f"its decimal exponent is past the limit of "
                          f"{MAX_EXPONENT} in magnitude")
 
 
-class _Parser:
-    """Builds the tree; each node that carries a control point gets the
-    next one as it is built and is appended to points."""
+def check_literal(text: str) -> None:
+    """Raise ValueError unless text, with surrounding blanks and a sign
+    allowed, is a numeric literal of at most MAX_DIGITS digits whose
+    folded decimal exponent is at most MAX_EXPONENT in magnitude."""
+    body = text.strip()
+    if _LITERAL_RE.fullmatch(body) is None:
+        raise ValueError(f"malformed numeric literal {shown(text)}")
+    _check_size(body, text)
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+
+class _Parser:
+    """Builds the tree from scan()'s lists, reading the token at index i;
+    each node that carries a control point gets the next one as it is
+    built and is appended to points.  A token is consumed only once it is
+    known not to be the end, so i never passes the end token."""
+
+    def __init__(self, src: str):
+        self.src = src
+        self.kinds, self.texts, self.starts = scan(src)
         self.i = 0
         self.points: list[object] = []
 
@@ -164,137 +178,137 @@ class _Parser:
         self.points.append(node)
         return node
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def error(self, message: str, i: int) -> ParseError:
+        return _error(message, self.src, self.starts[i])
 
-    def next(self) -> Token:
-        t = self.tokens[self.i]
-        if t.kind != "end":
-            self.i += 1
-        return t
+    def fail(self, message: str) -> ParseError:
+        t = self.texts[self.i]
+        return self.error(message + (f", got {shown(t)}" if t
+                                     else ", got end of input"), self.i)
 
-    def fail(self, message: str) -> "ParseError":
-        t = self.peek()
-        return ParseError(message + (f", got {t.text!r}" if t.text else ", got end of input"),
-                          t.line, t.col)
-
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text:
+    def expect(self, text: str) -> None:
+        if self.texts[self.i] != text:
             raise self.fail(f"expected {text!r}")
-        return self.next()
+        self.i += 1
 
     def at_ident(self) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text not in KEYWORDS
+        return (self.kinds[self.i] == "ident"
+                and self.texts[self.i] not in KEYWORDS)
 
     def program(self) -> list[Stmt]:
         stmts = []
-        while self.peek().kind != "end":
+        while self.kinds[self.i] != "end":
             stmts.append(self.statement())
         return stmts
 
     def statement(self) -> Stmt:
-        t = self.peek()
-        if t.text == "while":
-            self.next()
+        text = self.texts[self.i]
+        if text == "while":
+            self.i += 1
             self.expect("(")
             cond = self.condition()
             self.expect(")")
             start = len(self.points)
             body = self.block()
             return While(cond, body, range(start, len(self.points)))
-        if t.text == "if":
-            self.next()
+        if text == "if":
+            self.i += 1
             self.expect("(")
             cond = self.condition()
             self.expect(")")
             then_body = self.block()
             else_body = []
-            if self.peek().text == "else":
-                self.next()
+            if self.texts[self.i] == "else":
+                self.i += 1
                 else_body = self.block()
             return If(cond, then_body, else_body)
-        if t.text == "require_nsb":
-            self.next()
+        if text == "require_nsb":
+            self.i += 1
             self.expect("(")
             name = self.ident()
             self.expect(",")
-            bits_tok = self.peek()
-            if bits_tok.kind != "number" or not bits_tok.text.isdigit():
+            i = self.i
+            bits = self.texts[i]
+            if self.kinds[i] != "number" or not bits.isdigit():
                 raise self.fail("expected an integer bit count")
-            self.next()
+            if len(bits) > MAX_DIGITS:
+                raise self.error(f"bit count {shown(bits)} is too long: it "
+                                 f"has {len(bits)} digits, past the limit "
+                                 f"of {MAX_DIGITS}", i)
+            self.i += 1
             self.expect(")")
             self.expect(";")
-            return self.take(Require(name, int(bits_tok.text)))
+            return self.take(Require(name, int(bits)))
         if self.at_ident():
-            name = self.ident()
+            self.i += 1
             self.expect("=")
             expr = self.bounded_expr()
             self.expect(";")
-            return self.take(Assign(name, expr))
+            return self.take(Assign(text, expr))
         raise self.fail("expected a statement")
 
     def ident(self) -> str:
-        t = self.peek()
+        text = self.texts[self.i]
         if not self.at_ident():
             raise self.fail("expected a variable name")
-        self.next()
-        return t.text
+        self.i += 1
+        return text
 
     def block(self) -> list[Stmt]:
         self.expect("{")
         stmts = []
-        while self.peek().text != "}":
-            if self.peek().kind == "end":
+        while self.texts[self.i] != "}":
+            if self.kinds[self.i] == "end":
                 raise self.fail("expected '}'")
             stmts.append(self.statement())
-        self.expect("}")
+        self.i += 1
         return stmts
 
     def condition(self) -> Compare:
         left = self.bounded_expr()
-        t = self.peek()
-        if t.kind != "cmp":
+        op = self.texts[self.i]
+        if self.kinds[self.i] != "cmp":
             raise self.fail("expected a comparison operator")
-        self.next()
-        right = self.bounded_expr()
-        return Compare(t.text, left, right)
+        self.i += 1
+        return Compare(op, left, self.bounded_expr())
 
     def bounded_expr(self):
         """An expression of a statement or condition, refused if it nests
         more than MAX_DEPTH operators deep."""
-        t, start = self.peek(), self.i
+        start = self.i
         node = self.expr()
         # Each operator takes a token, so only a long expression can be
         # too deep.
         if self.i - start > MAX_DEPTH:
             depth = _operator_depth(node)
             if depth > MAX_DEPTH:
-                raise ParseError(f"expression nested {depth} operators deep, "
-                                 f"over the limit of {MAX_DEPTH}",
-                                 t.line, t.col)
+                raise self.error(f"expression nested {depth} operators deep, "
+                                 f"over the limit of {MAX_DEPTH}", start)
         return node
 
     def expr(self):
         node = self.term()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
+        texts = self.texts
+        while texts[self.i] in ("+", "-"):
+            op = texts[self.i]
+            self.i += 1
             node = self.take(BinOp(op, node, self.term()))
         return node
 
     def term(self):
         node = self.factor()
-        while self.peek().text in ("*", "/"):
-            op = self.next().text
+        texts = self.texts
+        while texts[self.i] in ("*", "/"):
+            op = texts[self.i]
+            self.i += 1
             node = self.take(BinOp(op, node, self.factor()))
         return node
 
     def factor(self):
-        signs = 0
-        while self.peek().text == "-":
-            self.next()
-            signs += 1
+        start = self.i
+        while self.texts[self.i] == "-":
+            self.i += 1
+        signs = self.i - start
         node = self.atom()
         for _ in range(signs):               # innermost sign first
             if isinstance(node, Num) and not node.text.startswith("-"):
@@ -304,28 +318,32 @@ class _Parser:
         return node
 
     def atom(self):
-        t = self.peek()
-        if t.kind == "number":
+        i = self.i
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == "number":
+            # The scanner's number group is the literal syntax, so only
+            # the size bounds are left to check.
             try:
-                check_literal(t.text)
+                _check_size(text, text)
             except ValueError as e:
-                raise ParseError(str(e), t.line, t.col) from None
-            self.next()
-            return self.take(Num(t.text))
-        if t.text == "sqrt":
-            self.next()
-            self.expect("(")
-            arg = self.expr()
-            self.expect(")")
-            return self.take(Sqrt(arg))
-        if t.text == "(":
-            self.next()
+                raise self.error(str(e), i) from None
+            self.i = i + 1
+            return self.take(Num(text))
+        if kind == "ident":
+            if text not in KEYWORDS:
+                self.i = i + 1
+                return self.take(Var(text))
+            if text == "sqrt":
+                self.i = i + 1
+                self.expect("(")
+                arg = self.expr()
+                self.expect(")")
+                return self.take(Sqrt(arg))
+        elif text == "(":
+            self.i = i + 1
             node = self.expr()
             self.expect(")")
             return node
-        if self.at_ident():
-            self.next()
-            return self.take(Var(t.text))
         raise self.fail("expected a value")
 
 
@@ -356,7 +374,7 @@ def parse_program(src: str, inputs=()) -> Program:
     read can see unassigned become prog.inputs.  The def-use links become
     prog.links.
     """
-    parser = _Parser(tokenize(src))
+    parser = _Parser(src)
     prog = Program(parser.program(), parser.points)
     prog.inputs, prog.links = flow.check_defined_before_use(prog, inputs)
     return prog

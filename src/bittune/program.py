@@ -102,6 +102,13 @@ class Program:
         return len(self.points)
 
 
+def shown(text: str) -> str:
+    """text quoted for an error message, cut to its first 20 characters
+    and '...' when it is longer than 24, so that no message repeats a
+    long name, token or literal in full."""
+    return repr(text if len(text) <= 24 else text[:20] + "...")
+
+
 def expr_reads(e: Expr) -> list[Var]:
     """All variable reads in an expression, in point order, found without
     recursion."""

@@ -765,6 +765,86 @@ class TestNumericLimits:
         assert not list(workdir.glob("open.*.*"))
 
 
+    @pytest.mark.parametrize("count, shown", [
+        ("9" * 5000, "'99999999999999999999...' is too long: it has 5000"),
+        ("0" * 4000 + "7", "'00000000000000000000...' is too long: it has 4001"),
+    ], ids=["past-int-limit", "leading-zeros"])
+    def test_bit_count_with_too_many_digits(self, tmp_path, count, shown):
+        # Past 4300 digits Python's int() refused the count with a message
+        # that named no line; the parser refuses any count past the
+        # literal digit limit, where it stands.
+        (tmp_path / "req.pop").write_text(
+            f"a = 2.0;\nrequire_nsb(a, {count});\n")
+        proc = self._tune(tmp_path, "req.pop")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"bittune: tune: line 2, column 16: bit count "
+                               f"{shown} digits, past the limit of 4000\n")
+
+    def test_bit_count_of_max_digits_parses(self):
+        prog = parse_program("a = 2.0;\nrequire_nsb(a, 1" + "0" * 3999 + ");\n")
+        assert prog.stmts[-1].bits == 10 ** 3999
+
+
+class TestLongNamesAreShortened:
+    """Every front-end message that quotes a name or a token shows at most
+    its first 20 characters and '...', so a 20,000-character name makes
+    one short line, not a 20 KB one.  Names of 24 characters or fewer
+    show in full."""
+
+    LONG = "n" * 20_000
+    SHOWN = "'nnnnnnnnnnnnnnnnnnnn...'"
+
+    def _err(self, capsys, workdir, source, samples=None):
+        (workdir / "p.pop").write_text(source)
+        argv = ["tune", "p.pop"]
+        if samples is not None:
+            (workdir / "s.json").write_text(samples)
+            argv += ["--samples", "s.json"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and len(err) < 200
+        return err
+
+    def test_unexpected_token(self, workdir, capsys):
+        err = self._err(capsys, workdir, f"x = 1.0 {self.LONG};\n")
+        assert err == ("bittune: tune: line 1, column 9: expected ';', got "
+                       f"{self.SHOWN}\n")
+
+    def test_read_before_any_definition(self, workdir, capsys):
+        err = self._err(capsys, workdir, f"x = {self.LONG} + 1.0;\n")
+        assert err == (f"bittune: tune: variable {self.SHOWN} is read "
+                       f"(control point 0) before any definition\n")
+
+    def test_set_missing_an_input(self, workdir, capsys):
+        err = self._err(capsys, workdir,
+                        f"y = {self.LONG} * 2.0;\nrequire_nsb(y, 20);\n",
+                        f'[{{"{self.LONG}": 1.5}}, {{"x": 1.5}}]')
+        assert err == (f"bittune: tune: samples set 1 does not bind input "
+                       f"{self.SHOWN}\n")
+
+    @pytest.mark.parametrize("value, message", [
+        ('"abc"', "samples set 0, variable {}: malformed numeric literal "
+                  "'abc'"),
+        ("NaN", "samples set 0, variable {}: nan is not a finite number"),
+        ("true", "samples value for {} is a boolean"),
+        ("[1]", "samples value for {} is not a number"),
+    ])
+    def test_bad_sample_value(self, workdir, capsys, value, message):
+        err = self._err(capsys, workdir, "y = 2.0;\nrequire_nsb(y, 20);\n",
+                        f'{{"{self.LONG}": {value}}}')
+        assert err == f"bittune: tune: {message.format(self.SHOWN)}\n"
+
+    @pytest.mark.parametrize("length, shown", [
+        (24, "'" + "n" * 24 + "'"),
+        (25, "'" + "n" * 20 + "...'"),
+    ])
+    def test_names_up_to_24_characters_show_in_full(self, workdir, capsys,
+                                                    length, shown):
+        err = self._err(capsys, workdir, f"x = {'n' * length};\n")
+        assert err == (f"bittune: tune: variable {shown} is read (control "
+                       f"point 0) before any definition\n")
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert run_cli(capsys, )[0] == 2

@@ -1,8 +1,12 @@
 """Parser, control-point numbering, renderer, and def-use analysis."""
 
 import hashlib
+import importlib.util
 import random
+import re
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +16,8 @@ from bittune.cli import main
 from bittune.flow import FlowError, check_defined_before_use
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import (
-    _TOKEN_RE, MAX_BRACKETS, MAX_DEPTH, ParseError, Token, parse_program,
-    tokenize,
+    _NUMBER, MAX_BRACKETS, MAX_DEPTH, MAX_DIGITS, MAX_EXPONENT, ParseError,
+    parse_program, scan,
 )
 from bittune.program import (
     Assign, BinOp, If, Neg, Num, Require, Sqrt, Var, While,
@@ -111,10 +115,11 @@ class TestParser:
             f": brackets nested over the limit of {MAX_BRACKETS}")
 
     def test_tokenizer_positions(self):
-        toks = tokenize("a = 1.0;\nbb = a;\n")
-        assert toks[0].line == 1
-        assert toks[-1].kind == "end"
-        assert toks[-2].line == 2          # the second statement's semicolon
+        src = "a = 1.0;\nbb = a;\n"
+        kinds, _, starts = scan(src)
+        assert _line_col(src, starts[0])[0] == 1
+        assert kinds[-1] == "end"
+        assert _line_col(src, starts[-2])[0] == 2   # the second semicolon
 
     def test_signs_fold_into_the_innermost_literal_only(self):
         prog = parse_program("a = - - 0.5;\nb = - -x;\n", ("x",))
@@ -128,10 +133,99 @@ class TestParser:
             parse_program("a = 1.0;\nb = ;\n")
         assert "line 2" in str(exc.value)
 
+    # Each error comes after a comment line and a \r\n line break; the
+    # comment holds characters that would be errors outside it.
+    @pytest.mark.parametrize("body, where", [
+        ("b = ;", "3, column 5: expected a value, got ';'"),
+        ("b = a\r\nc = a;", "4, column 1: expected ';', got 'c'"),
+        ("b = a", "3, column 6: expected ';', got end of input"),
+        ("while a < 1.0 { }", "3, column 7: expected '(', got 'a'"),
+        ("if (a) { }",
+         "3, column 6: expected a comparison operator, got ')'"),
+        ("if (a <", "3, column 8: expected a value, got end of input"),
+        ("require_nsb(1.0, 5);",
+         "3, column 13: expected a variable name, got '1.0'"),
+        ("require_nsb(a, 5.0);",
+         "3, column 16: expected an integer bit count, got '5.0'"),
+        ("require_nsb(a 5);", "3, column 15: expected ',', got '5'"),
+        ("require_nsb(a, 5;", "3, column 17: expected ')', got ';'"),
+        ("require_nsb(a, 5)", "3, column 18: expected ';', got end of input"),
+        ("b = (a;", "3, column 7: expected ')', got ';'"),
+        ("b = a ** 2.0;", "3, column 8: expected a value, got '*'"),
+        (") = 1.0;", "3, column 1: expected a statement, got ')'"),
+        ("b 1.0;", "3, column 3: expected '=', got '1.0'"),
+        ("while (a < 1.0) b = 1.0;", "3, column 17: expected '{', got 'b'"),
+        ("while (a < 1.0) {\r\n  b = 1.0;",
+         "4, column 11: expected '}', got end of input"),
+        ("if (a < 1.0) { } else b = 1.0;",
+         "3, column 23: expected '{', got 'b'"),
+        ("b = sqrt a;", "3, column 10: expected '(', got 'a'"),
+        ("\tb = 1" + "0" * MAX_DIGITS + ";",
+         "3, column 6: numeric literal '10000000000000000000...' is too "
+         f"long: it has {MAX_DIGITS + 1} digits, past the limit of "
+         f"{MAX_DIGITS}"),
+        (f"b = 1e{MAX_EXPONENT + 1};",
+         f"3, column 5: numeric literal '1e{MAX_EXPONENT + 1}' is out of "
+         f"range: its decimal exponent is past the limit of {MAX_EXPONENT} "
+         "in magnitude"),
+        ("b = " + "-" * (MAX_DEPTH + 1) + "a;",
+         f"3, column 5: expression nested {MAX_DEPTH + 1} operators deep, "
+         f"over the limit of {MAX_DEPTH}"),
+        ("b = " + "(" * (MAX_BRACKETS + 1) + "a",
+         f"3, column {MAX_BRACKETS + 5}: brackets nested over the limit of "
+         f"{MAX_BRACKETS}"),
+        ("b = a @ ;", "3, column 7: unexpected character '@'"),
+        # A bad character is found before any parse error, and of a bad
+        # character and too many brackets, the first in the source wins.
+        ("b = ; @", "3, column 7: unexpected character '@'"),
+        ("b = " + "(" * (MAX_BRACKETS + 1) + "@",
+         f"3, column {MAX_BRACKETS + 5}: brackets nested over the limit of "
+         f"{MAX_BRACKETS}"),
+        ("b = @" + "(" * (MAX_BRACKETS + 1),
+         "3, column 5: unexpected character '@'"),
+    ], ids=lambda text: text[:30])
+    def test_error_positions(self, body, where):
+        src = "# a comment ( @ {\r\na = 1.0;\r\n" + body
+        with pytest.raises(ParseError) as exc:
+            parse_program(src)
+        assert str(exc.value) == "line " + where
+        line, _, col = where.partition(":")[0].partition(", column ")
+        assert (exc.value.line, exc.value.col) == (int(line), int(col))
+
+
+# --- the tokenizer that built a Token per token ---------------------------
+#
+# Kept here as the reference for the differential test: a match of one
+# token or one run of blanks at each position in turn, with the line and
+# column of every token tracked as it goes.
+
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>      [ \t\r\n]+ | \#[^\n]* )
+    | (?P<number>  """ + _NUMBER + r""" )
+    | (?P<ident>   [A-Za-z_][A-Za-z_0-9]* )
+    | (?P<cmp>     <=|>=|==|!=|<|> )
+    | (?P<sym>     [-+*/=(){};,] )
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass
+class Token:
+    kind: str      # number | ident | cmp | sym | end
+    text: str
+    line: int
+    col: int
+
+
+def _line_col(src, offset):
+    line_start = src.rfind("\n", 0, offset) + 1
+    return src.count("\n", 0, offset) + 1, offset - line_start + 1
+
 
 def _tokenize_by_match(src):
-    """The tokenizer before it scanned with one finditer: a match at
-    each position in turn.  The reference for the differential test."""
+    """The tokens of src, a match at each position in turn."""
     tokens = []
     pos = 0
     line = 1
@@ -174,6 +268,17 @@ _GOOD_PIECES = ["x", "v12", "_a", "while", "sqrt", "1.5", ".5", "2.", "1e-3",
 _BAD_PIECES = ["@", "$", "!", "&", "'", "\"", "\u00e9", "\\", "[", "~", "\x00"]
 
 
+def _scanned(src):
+    """(kind, text, line, column) of each token scan() finds."""
+    kinds, texts, starts = scan(src)
+    return [(kind, text, *_line_col(src, start))
+            for kind, text, start in zip(kinds, texts, starts)]
+
+
+def _by_match(src):
+    return [(t.kind, t.text, t.line, t.col) for t in _tokenize_by_match(src)]
+
+
 def _outcome(tokenizer, src):
     try:
         return tokenizer(src)
@@ -192,15 +297,15 @@ class TestTokenizer:
                            else (_GOOD_PIECES, " "))
             src = gap.join(rng.choice(pieces)
                            for _ in range(rng.randint(0, 200)))
-            assert _outcome(tokenize, src) == \
-                _outcome(_tokenize_by_match, src), src
+            assert _outcome(_scanned, src) == _outcome(_by_match, src), src
 
     @pytest.mark.parametrize("src", [
         "", "@", "a = 1.0;@", "a\n  $", "#@\n@", "x = 1.0; # ok\n!",
         "(" * (MAX_BRACKETS + 1) + "@", "@" + "(" * (MAX_BRACKETS + 1),
+        " \r\n\t", "a # no line break", "a\n\n", "# only", "1.5e", "x@",
     ])
     def test_edges(self, src):
-        assert _outcome(tokenize, src) == _outcome(_tokenize_by_match, src)
+        assert _outcome(_scanned, src) == _outcome(_by_match, src)
 
 
 class TestRender:
@@ -654,3 +759,35 @@ class TestNumbering:
         for w in loops(prog.stmts):
             assert set(w.body_points) == {
                 p for p, around in scopes.items() if sids[id(w)] in around}
+
+
+def _bench_gen():
+    """perfbench/gen.py, the benchmark's input generator, loaded by path
+    (and registered, as its dataclass needs)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parents[1] / "perfbench"
+        / "gen.py")
+    module = sys.modules.setdefault(spec.name,
+                                    importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestParsedForm:
+    # sha256 of the tree (repr), inputs and links of the three seed-7 wide
+    # programs and the first seed-7 corpus block, recorded with the
+    # tokenizer that built a Token per token.
+    PINNED = ("88c2c7092aa459f13b70e5b4c20bf9f0"
+              "59410b5c31715c14bcb8aacc61f30d0f")
+
+    def test_trees_links_and_inputs_match_the_pinned_digest(self):
+        gen = _bench_gen()
+        h = hashlib.sha256()
+        for p in gen.wide(7) + gen.corpus(7, blocks=1):
+            prog = parse_program(p.source(), p.inputs)
+            h.update(repr(prog.stmts).encode())
+            h.update(repr(prog.inputs).encode())
+            for t in _link_tuples(prog.links):
+                h.update(repr(t).encode())
+            h.update(b"\n")
+        assert h.hexdigest() == self.PINNED
