@@ -221,7 +221,8 @@ def cmd_verify(args) -> int:
         # tune writes an integer in [0, pmax], 0 where nothing is demanded.
         if type(n) is not int or not 0 <= n <= cfg.pmax:
             raise ValueError(f"{report_path}: width {json.dumps(n)} at point "
-                             f"{p} is not an integer in [0, {cfg.pmax}]")
+                             f"{shown(p)} is not an integer in "
+                             f"[0, {cfg.pmax}]")
 
     prog = _parse(source, cfg)
     # A key must name a point of the program, in the decimal form tune
@@ -229,9 +230,9 @@ def cmd_verify(args) -> int:
     points = {str(p): p for p in range(prog.n_points)}
     for p in nsb:
         if p not in points:
-            raise ValueError(f"{report_path}: width key {json.dumps(p)} is "
-                             f"not one of the program's {prog.n_points} "
-                             f"control points")
+            raise ValueError(f"{report_path}: width key {shown(p)} is not "
+                             f"one of the program's {prog.n_points} control "
+                             f"points")
     widths = {points[p]: n for p, n in widths.items()}
     missing = next((p for p in range(prog.n_points) if p not in widths), None)
     if missing is not None:

@@ -34,6 +34,15 @@ definitions through system.index.  system.constraints is a read-only
 view that builds a LinearConstraint per row read.  Variables are named
 tuples (hashing in C), built once per point and shared by rows and
 XiDefs.
+
+A refined system also keeps its carry index, which the generator
+records as it emits, so that the solver patches only the rows a carry
+policy changes: carry_defs holds each xi_defs entry by variable index,
+and carry_rows lists each row that reads a defined carry, with its
+terms without the carry (each variable once, never the left one).
+Every other row of a system with carry definitions has a left
+variable and no negative term.  with_requirement's copies share the
+index, which holds no constant that a requirement changes.
 """
 
 from __future__ import annotations
@@ -178,6 +187,11 @@ class ConstraintSystem:
     index: dict[IntVar, int] = field(default_factory=dict, repr=False)
     rows: Rows = field(default_factory=Rows, repr=False)
     xi_defs: list[XiDef] = field(default_factory=list)
+    # The carry index: per xi_defs entry, (var, (const, terms), (const,
+    # terms)) by variable index; per row that reads a defined carry, in
+    # row order, (row, xi_defs position, its terms without the carry).
+    carry_defs: list[tuple] = field(default_factory=list, repr=False)
+    carry_rows: list[tuple] = field(default_factory=list, repr=False)
     skipped_points: list[int] = field(default_factory=list)
     zero_ufp_points: list[int] = field(default_factory=list)
 
@@ -346,6 +360,14 @@ class _Generator:
         if self.refined:
             self.row(self.e(dst), 0, ((1, self.e(src)),), "copy", dst)
 
+    def carry_row(self, x: int, left: int, const: int, plain: tuple,
+                  site: int) -> None:
+        """An operand row that reads the carry x being defined at site:
+        plain plus x.  plain names each variable once, never left."""
+        sys = self.system
+        sys.carry_rows.append((len(sys.rows.lhs), len(sys.xi_defs), plain))
+        self.row(left, const, plain + ((1, x),), "operand", site)
+
     def binop(self, e: BinOp) -> None:
         row = self.row
         r, a, b = e.point, e.left.point, e.right.point
@@ -358,15 +380,10 @@ class _Generator:
             ka = kb = ua + ub - ur
         else:                                       # division a / b
             ka = kb = ua - ub - ur
-        row(a, ka, ((1, r), (1, x)), "operand", r)
-        row(b, kb, ((1, r), (1, x)), "operand", r)
-        carried = e.op in ("*", "/") or not self.refined
-        if carried:
-            row(x, 1, (), "carry", r)
-        if not self.refined:
-            return
-        er, ea, eb = self.e(r), self.e(a), self.e(b)
-        if e.op in ("+", "-"):
+        if self.refined and e.op in ("+", "-"):
+            er, ea, eb = self.e(r), self.e(a), self.e(b)
+            self.carry_row(x, a, ka, ((1, r),), r)
+            self.carry_row(x, b, kb, ((1, r),), r)
             row(er, 0, ((1, ea),), "operand", r)
             row(er, 0, ((1, eb),), "operand", r)
             # Each cross row spans one operand's error top down to the
@@ -374,17 +391,24 @@ class _Generator:
             # no error floor anchors to it; emitting the row anyway would
             # turn the zero sentinel into a huge positive constant.
             if not self.is_zero(b):
-                row(er, ua - ub, ((1, b), (-1, a), (1, eb), (1, x)),
-                    "operand", r)
+                self.carry_row(x, er, ua - ub, ((1, b), (-1, a), (1, eb)), r)
             if not self.is_zero(a):
-                row(er, ub - ua, ((1, a), (-1, b), (1, ea), (1, x)),
-                    "operand", r)
-            self.system.xi_defs.append(XiDef(
+                self.carry_row(x, er, ub - ua, ((1, a), (-1, b), (1, ea)), r)
+            sys = self.system
+            sys.xi_defs.append(XiDef(
                 xv, LinExpr(ub - ua, ((1, self.nsb[a]), (1, self.nsbe[a]))),
                 LinExpr(ua - ub, ((1, self.nsb[b]), (1, self.nsbe[b]))), r))
-        else:
-            row(er, -2, ((1, a), (1, ea), (1, eb)), "operand", r)
-            row(er, -2, ((1, b), (1, eb), (1, ea)), "operand", r)
+            sys.carry_defs.append((x, (ub - ua, ((1, a), (1, ea))),
+                                   (ua - ub, ((1, b), (1, eb)))))
+            return
+        row(a, ka, ((1, r), (1, x)), "operand", r)
+        row(b, kb, ((1, r), (1, x)), "operand", r)
+        row(x, 1, (), "carry", r)
+        if not self.refined:
+            return
+        er, ea, eb = self.e(r), self.e(a), self.e(b)
+        row(er, -2, ((1, a), (1, ea), (1, eb)), "operand", r)
+        row(er, -2, ((1, b), (1, eb), (1, ea)), "operand", r)
 
     def emit_links(self) -> None:
         links = self.prog.links

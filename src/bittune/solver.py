@@ -20,23 +20,32 @@ branching (_lift).
 Every solve reads the system's own index rows (constraints.Rows) and
 never mutates them.  Values are a list of ints in the system's variable
 numbering, and an NsbAssignment keeps them so; the bit-sum is the sum
-of the first system.points values, the nsb widths.  A carry policy is a list
-with one selection per system.xi_defs entry: 1 or 2 picks that argument
-of the min, 3 the constant 1.  _Indexed holds what one call derives
-beside the rows: the carry definitions by index and each row's split
-into plain terms and carries.
-One worklist fixpoint, with a users list of row indices per variable,
-serves the monotone solve, the relaxation (negative terms frozen at the
-node's upper bounds as a per-row constant offset) and the repair pass.
-A carry policy is substituted into new Rows, once per policy iteration;
-apply_policy wraps the always-carry policy's rows in a ConstraintSystem
-for the LP export.  In the monotone solve and the repair pass the worklist starts
-with every row pending in row order and pops the last one first, and
-users lists are in row order: repair on mixed-sign rows, the rows named
-by an infeasibility message and so the solved widths depend on that
-order.  The relaxation, whose fixpoint is monotone and so independent of
-order, starts in dependency order instead (_dependency_order), so that
-each row off a cycle is evaluated once.
+of the first system.points values, the nsb widths.  A carry policy is a
+list with one selection per system.xi_defs entry: 1 or 2 picks that
+argument of the min, 3 the constant 1.
+
+A policy changes only the rows that read a defined carry, which the
+generator lists in the system's carry index (carry_defs, carry_rows).
+_Indexed names the rows a policy patches, and its substitute builds a
+policy's rows (_PolicyRows), once per policy iteration, from list
+slices of the other rows and the patched rows, with what branch and
+bound reads beside them: each row's non-negative terms, the rows with
+a negative term and the rows without a left variable.  Rows carry no
+origin or site there; apply_policy, whose always-carry policy patches
+each row into one, takes them from the system for the LP export.
+
+One worklist fixpoint (_kleene), with a users list of row indices per
+variable, serves the monotone solve, the lift, the relaxation (negative
+terms frozen at the node's upper bounds as a per-row constant offset)
+and the repair pass.  In the monotone solve and the repair pass the
+worklist starts with every row pending in row order and pops the last
+one first, and users lists are in row order: repair on mixed-sign rows,
+the rows named by an infeasibility message and so the solved widths
+depend on that order.  The repair passes over a row the relaxed point
+already satisfies until something it reads is raised, which leaves
+that order as it is.  The relaxation and the lift, whose fixpoints are
+monotone and so independent of order, start in dependency order instead
+(_dependency_order), so that each row off a cycle is evaluated once.
 
 Everything is exact integer arithmetic; optimality is certified either
 by monotonicity or by exhausting the branch tree.
@@ -46,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import ConstraintSystem, LinExpr, Rows
+from .constraints import ConstraintSystem
 
 DEFAULT_NODE_LIMIT = 200_000
 DEFAULT_PI_CAP = 100
@@ -102,75 +111,105 @@ def _combine(lhs: int, const: int, terms) -> tuple:
     return lhs, const, tuple((c, i) for i, c in combined.items() if c)
 
 
+@dataclass(slots=True)
+class _PolicyRows:
+    """A system's rows under one carry policy, as parallel lists, with
+    what branch and bound derives from them: each row's non-negative
+    terms (kept), the rows with a left variable and a negative term, by
+    those terms (frozen), the rows without one (bounds) and the
+    negatively read variables in order of first appearance."""
+
+    lhs: list[int]
+    const: list[int]
+    terms: list[tuple]
+    kept: list[tuple]
+    frozen: list[tuple[int, tuple]]
+    bounds: list[int]
+    neg_vars: list[int]
+
+
 class _Indexed:
-    """For one solver call, what a system's rows (read, never copied or
-    changed) lack: carry definitions over indices ((var, (const, terms),
-    (const, terms)) each), each variable's definition number (-1 for
-    none) and each row's carry split."""
+    """For one solver call, the rows of a system (read, never copied or
+    changed) that a policy patches, in row order, as (row, definition,
+    terms).  In a system with carry definitions these are its carry
+    rows, with their terms without the carry (constraints keeps every
+    other row of such a system free of negative terms and left-less
+    rows); otherwise they are its rows with a negative term or no left
+    variable, as (row, -1, terms).  Every row left out has only
+    non-negative terms, so it is its own relaxation."""
 
     def __init__(self, system: ConstraintSystem):
         self.system = system
-        index = system.index
+        self.defs = system.carry_defs
+        rows = system.rows
+        self.patched = system.carry_rows if self.defs else [
+            (r, -1, ts) for r, (left, ts) in enumerate(zip(rows.lhs,
+                                                           rows.terms))
+            if left < 0 or ts and min(ts)[0] < 0]
 
-        def indexed(e: LinExpr) -> tuple[int, tuple]:
-            return e.const, tuple((c, index[v]) for c, v in e.terms)
-
-        self.defs = [(index[d.var], indexed(d.arg1), indexed(d.arg2))
-                     for d in system.xi_defs]
-        def_of = [-1] * len(system.variables)
-        for k, (var, _, _) in enumerate(self.defs):
-            def_of[var] = k
-        self.def_of = def_of
-        # Per row: None, or its terms without carries and the carries'
-        # definition numbers in term order.
-        self.splits = [
-            (tuple(t for t in terms if def_of[t[1]] < 0),
-             [def_of[i] for _, i in terms if def_of[i] >= 0])
-            if any(def_of[i] >= 0 for _, i in terms) else None
-            for terms in system.rows.terms] if self.defs \
-            else [None] * len(system.rows.lhs)
-
-    def substitute(self, selections: list[int]) -> Rows:
+    def substitute(self, selections: list[int]) -> _PolicyRows:
         """The rows with every carry replaced per its selection.
 
         Selection 3 replaces the carry with the constant 1.  Selection 1
         or 2 replaces max(e, 0) by emitting the row twice, once without
-        the carry term and once with e added."""
-        rows, out = self.system.rows, Rows()
-        for r, split in enumerate(self.splits):
-            if split is None:
-                out.append(rows.lhs[r], rows.const[r], rows.terms[r],
-                           rows.origin[r], rows.site[r])
-                continue
-            plain, carries = split
-            variants = [(rows.const[r], plain)]
-            for d in carries:
-                sel = selections[d]
-                if sel == 3:
-                    variants = [(k + 1, t) for k, t in variants]
-                else:
-                    ac, at = self.defs[d][sel]
-                    variants = [v for k, t in variants
-                                for v in ((k, t), (k + ac, t + at))]
-            for k, t in variants:
-                out.append(*_combine(rows.lhs[r], k, t), rows.origin[r],
-                           rows.site[r])
-        return out
+        the carry term and once with e added.  Rows between patched rows
+        are taken as list slices."""
+        rows, defs = self.system.rows, self.defs
+        lhs, const, terms, kept = [], [], [], []
+        frozen, bounds, negs = [], [], []
+        start = 0
+        for r, d, plain in self.patched:
+            lhs += rows.lhs[start:r]
+            const += rows.const[start:r]
+            run = rows.terms[start:r]
+            terms += run
+            kept += run
+            start = r + 1
+            left, k = rows.lhs[r], rows.const[r]
+            if d < 0:
+                variants = ((left, k, plain),)
+            elif selections[d] == 3:
+                variants = ((left, k + 1, plain),)
+            else:
+                ac, at = defs[d][selections[d]]
+                variants = ((left, k, plain),
+                            _combine(left, k + ac, plain + at))
+            for left, k, ts in variants:
+                neg = tuple(t for t in ts if t[0] < 0)
+                if left < 0:
+                    bounds.append(len(lhs))
+                elif neg:
+                    frozen.append((len(lhs), neg))
+                negs += neg
+                lhs.append(left)
+                const.append(k)
+                terms.append(ts)
+                kept.append(tuple(t for t in ts if t[0] >= 0) if neg else ts)
+        lhs += rows.lhs[start:]
+        const += rows.const[start:]
+        run = rows.terms[start:]
+        terms += run
+        kept += run
+        return _PolicyRows(lhs, const, terms, kept, frozen, bounds,
+                           list(dict.fromkeys(i for _, i in negs)))
 
 
-def _finish(ix: _Indexed, values: list[int], nodes: int = 0) -> NsbAssignment:
+def _finish(system: ConstraintSystem, values: list[int],
+            nodes: int = 0) -> NsbAssignment:
     """Fill carry values from their definitions, verify every row of the
     system, and package the values as they are numbered."""
-    for var, (c1, t1), (c2, t2) in ix.defs:
+    for var, (c1, t1), (c2, t2) in system.carry_defs:
         values[var] = min(max(_eval(c1, t1, values), 0),
                           max(_eval(c2, t2, values), 0), 1)
-    rows = ix.system.rows
-    for r, left in enumerate(rows.lhs):
-        if ((values[left] if left >= 0 else 0)
-                < _eval(rows.const[r], rows.terms[r], values)):
+    rows = system.rows
+    for r, (left, need, terms) in enumerate(zip(rows.lhs, rows.const,
+                                                rows.terms)):
+        for coef, i in terms:
+            need += coef * values[i]
+        if (values[left] if left >= 0 else 0) < need:
             raise SolverError(f"solver produced an infeasible point: "
-                              f"{ix.system.constraints[r]}")
-    points = ix.system.points
+                              f"{system.constraints[r]}")
+    points = system.points
     return NsbAssignment(values, points, sum(values[:points]), nodes=nodes)
 
 
@@ -188,15 +227,20 @@ def _check_monotone(system: ConstraintSystem) -> None:
 
 
 def _kleene(lhs, const, terms, users, pending, values, upper,
-            raised_by=None) -> int:
-    """Raise values to the least fixpoint of the pending rows (all with a
-    left variable) and the rows users reach; returns the violated row if
-    some variable must exceed its upper bound, else -1."""
-    queued = bytearray(len(lhs))
-    for r in pending:
-        queued[r] = 1
+            raised_by=None, queued=None) -> int:
+    """Raise values to the least fixpoint of the pending rows, which all
+    have a left variable and include every row users name; returns the
+    violated row if some variable must exceed its upper bound, else -1.
+    queued, when given, marks each pending row 1, or 2 if it holds at
+    values already: such a row is evaluated only once a variable it
+    reads has been raised.  pending and queued are used up."""
+    if queued is None:
+        queued = bytearray(b"\1") * len(lhs)
     while pending:
         r = pending.pop()
+        if queued[r] == 2:
+            queued[r] = 0
+            continue
         queued[r] = 0
         need = const[r]
         for coef, i in terms[r]:
@@ -209,9 +253,11 @@ def _kleene(lhs, const, terms, users, pending, values, upper,
                 return r
             values[v] = need
             for dep in users[v]:
-                if not queued[dep]:
+                q = queued[dep]
+                if q != 1:
                     queued[dep] = 1
-                    pending.append(dep)
+                    if not q:
+                        pending.append(dep)
     return -1
 
 
@@ -238,7 +284,8 @@ def _dependency_order(lhs, kept, left, readers) -> list[int]:
     return order
 
 
-def _raising_rows(ix: _Indexed, start: int, raised_by: list[int]) -> str:
+def _raising_rows(system: ConstraintSystem, start: int,
+                  raised_by: list[int]) -> str:
     """Walk the rows that raised start's variables backward, until a
     variable repeats (a cycle) or nothing raised them (a chain), and
     describe the first _SHOWN_ROWS of them."""
@@ -248,7 +295,7 @@ def _raising_rows(ix: _Indexed, start: int, raised_by: list[int]) -> str:
     r = start
     while True:
         rows.append(r)
-        drivers = [i for _, i in ix.system.rows.terms[r] if raised_by[i] >= 0]
+        drivers = [i for _, i in system.rows.terms[r] if raised_by[i] >= 0]
         if not drivers:
             break
         i = drivers[0]
@@ -258,7 +305,7 @@ def _raising_rows(ix: _Indexed, start: int, raised_by: list[int]) -> str:
         seen[i] = len(rows)
         r = raised_by[i]
     text = f"\n  {kind} of {len(rows)} rows:\n    " + "\n    ".join(
-        str(ix.system.constraints[r]) for r in rows[:_SHOWN_ROWS])
+        str(system.constraints[r]) for r in rows[:_SHOWN_ROWS])
     if len(rows) > _SHOWN_ROWS:
         text += f"\n    … and {len(rows) - _SHOWN_ROWS} more rows"
     return text
@@ -267,7 +314,6 @@ def _raising_rows(ix: _Indexed, start: int, raised_by: list[int]) -> str:
 def solve_monotone(system: ConstraintSystem) -> NsbAssignment:
     """Least solution of a +1-coefficient system; minimizes the bit-sum."""
     _check_monotone(system)
-    ix = _Indexed(system)
     rows, n = system.rows, len(system.variables)
     values = [0] * n
     raised_by = [-1] * n
@@ -278,8 +324,8 @@ def solve_monotone(system: ConstraintSystem) -> NsbAssignment:
     if bad >= 0:
         raise SolverError(
             f"infeasible: {system.constraints[bad].lhs} is driven past "
-            f"the cap {system.pmax}" + _raising_rows(ix, bad, raised_by))
-    return _finish(ix, values)
+            f"the cap {system.pmax}" + _raising_rows(system, bad, raised_by))
+    return _finish(system, values)
 
 
 def apply_policy(system: ConstraintSystem) -> ConstraintSystem:
@@ -289,35 +335,42 @@ def apply_policy(system: ConstraintSystem) -> ConstraintSystem:
     rows = ix.substitute([3] * len(ix.defs))
     out = ConstraintSystem(system.pmax, system.points)
     variables = system.variables
-    out.declare(*(v for i, v in enumerate(variables) if ix.def_of[i] < 0))
+    defined = {var for var, _, _ in ix.defs}
+    out.declare(*(v for i, v in enumerate(variables) if i not in defined))
     out.skipped_points = list(system.skipped_points)
     out.zero_ufp_points = list(system.zero_ufp_points)
     number = out.number
+    # That policy patches every row into one, so rows keep their places.
     for r, left in enumerate(rows.lhs):
         out.rows.append(-1 if left < 0 else number(variables[left]),
                         rows.const[r], tuple((k, number(variables[i]))
                                              for k, i in rows.terms[r]),
-                        rows.origin[r], rows.site[r])
+                        system.rows.origin[r], system.rows.site[r])
     return out
 
 
-def _branch_and_bound(n: int, rows: Rows, points: int, pmax: int,
+def _branch_and_bound(n: int, rows: _PolicyRows, points: int, pmax: int,
                       node_limit: int) -> tuple[list[int], int]:
     """The integer point of rows over [0, pmax]^n with the least sum of
     its first points values, and the number of nodes opened."""
-    lhs, const, terms = rows.lhs, rows.const, rows.terms
+    lhs, const, terms, kept = rows.lhs, rows.const, rows.terms, rows.kept
+    frozen, bounds, neg_vars = rows.frozen, rows.bounds, rows.neg_vars
     left = [r for r, v in enumerate(lhs) if v >= 0]
-    bounds = [r for r, v in enumerate(lhs) if v < 0]
     # The relaxation reads negative terms at the node's upper bounds, as
     # a constant offset per row, and propagates through the rest.
-    kept = [tuple(t for t in ts if t[0] >= 0) for ts in terms]
-    frozen = [(r, tuple(t for t in terms[r] if t[0] < 0))
-              for r in left if len(kept[r]) < len(terms[r])]
-    kept_users = _users(n, left, kept)
-    all_users = _users(n, left, terms)
+    kept_users: list[list[int]] = [[] for _ in range(n)]
+    all_users: list[list[int]] = [[] for _ in range(n)]
+    for r in left:
+        for coef, i in terms[r]:
+            all_users[i].append(r)
+            if coef >= 0:
+                kept_users[i].append(r)
     relax_order = _dependency_order(lhs, kept, left, kept_users)
-    neg_vars = list(dict.fromkeys(i for ts in terms for coef, i in ts
-                                  if coef < 0))
+    # The relaxed point satisfies every row without a negative term, so
+    # the repair evaluates those only once something they read is raised.
+    held = bytearray(b"\2") * len(lhs)
+    for r, _ in frozen:
+        held[r] = 1
 
     best: list[int] | None = None
     best_obj: int | None = None
@@ -345,7 +398,8 @@ def _branch_and_bound(n: int, rows: Rows, points: int, pmax: int,
             continue
         # Repair: raise the relaxed point against the true rows.
         candidate = list(relaxed)
-        if (_kleene(lhs, const, terms, all_users, left[:], candidate, hi) < 0
+        if (_kleene(lhs, const, terms, all_users, left[:], candidate, hi,
+                    queued=bytearray(held)) < 0
                 and all(_eval(const[r], terms[r], candidate) <= 0
                         for r in bounds)):
             cand_obj = sum(candidate[:points])
@@ -377,16 +431,13 @@ def solve_ilp(system: ConstraintSystem, policy: list[int] | None = None,
 
     indexed is the system's indexed form, passed by policy_iterate,
     which solves one system under several policies and indexes it once."""
+    if system.xi_defs and policy is None:
+        raise SolverError("system has carry definitions; a policy is required")
     ix = indexed or _Indexed(system)
-    if system.xi_defs:
-        if policy is None:
-            raise SolverError("system has carry definitions; a policy is required")
-        work = ix.substitute(policy)
-    else:
-        work = system.rows
-    best, nodes = _branch_and_bound(len(system.variables), work,
+    best, nodes = _branch_and_bound(len(system.variables),
+                                    ix.substitute(policy or []),
                                     system.points, system.pmax, node_limit)
-    return _finish(ix, best, nodes)
+    return _finish(system, best, nodes)
 
 
 def _lift(ix: _Indexed, plain: NsbAssignment) -> NsbAssignment | None:
@@ -395,25 +446,30 @@ def _lift(ix: _Indexed, plain: NsbAssignment) -> NsbAssignment | None:
     over the same program.
 
     Under that policy the rows with an nsb on the left are the plain
-    system's rows with every carry at 1, and read no error width; the
-    other rows, with nsb fixed, are monotone.  So the nsb widths are
-    plain's and the rest is the least fixpoint above them: the point
-    branch and bound's root node relaxes and repairs to.  None when the
-    fixpoint leaves the box or a row has no left variable, and branch
-    and bound must decide."""
-    rows = ix.substitute([3] * len(ix.defs))
-    lhs, terms = rows.lhs, rows.terms
-    if -1 in lhs:
-        return None
-    n = len(ix.system.variables)
-    left = list(range(len(lhs)))
-    kept = [tuple(t for t in ts if t[0] >= 0) for ts in terms]
+    system's rows with every carry at 1, and read no error width; plain
+    satisfies them.  The other rows, with nsb fixed, are monotone.  So
+    the nsb widths are plain's and the rest is the least fixpoint of
+    those other rows above them: the point branch and bound's root node
+    relaxes and repairs to.  None when the fixpoint leaves the box or a
+    row has no left variable, and branch and bound must decide."""
+    system = ix.system
+    rows, points = system.rows, system.points
+    lhs, const, terms = rows.lhs, list(rows.const), list(rows.terms)
+    for r, d, plain_terms in ix.patched:
+        if lhs[r] < 0:
+            return None
+        if d >= 0:
+            const[r] += 1
+            terms[r] = plain_terms
+    n = len(system.variables)
+    left = [r for r, v in enumerate(lhs) if v >= points]
+    users = _users(n, left, terms)
     values = plain.values[:plain.points] + [0] * (n - plain.points)
-    order = _dependency_order(lhs, kept, left, _users(n, left, kept))
-    if _kleene(lhs, rows.const, terms, _users(n, left, terms), order,
-               values, [ix.system.pmax] * n) >= 0:
+    if _kleene(lhs, const, terms, users,
+               _dependency_order(lhs, terms, left, users), values,
+               [system.pmax] * n) >= 0:
         return None
-    return _finish(ix, values)
+    return _finish(system, values)
 
 
 def policy_iterate(system: ConstraintSystem,

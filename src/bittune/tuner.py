@@ -43,7 +43,7 @@ from .constraints import (
     system_stats,
 )
 from .interp import Trace, UfpMap, run_reference, run_tuned
-from .program import Program, Require
+from .program import Program, Require, shown
 from .solver import policy_iterate, solve_monotone
 
 METHODS = ("ilp", "pi")
@@ -244,8 +244,15 @@ def tune(prog: Program, cfg: TuningConfig | None = None,
     cfg = cfg or TuningConfig()
     cfg.check()
     stages = {} if stages is None else stages
-    if not any(isinstance(node, Require) for node in prog.points):
+    requires = [node for node in prog.points if isinstance(node, Require)]
+    if not requires:
         raise TuneError("program has no require_nsb statement; nothing to tune")
+    for node in requires:
+        # No width is above pmax, so the system could only be infeasible.
+        if node.bits > cfg.pmax:
+            raise TuneError(f"control point {node.point}: require_nsb bit "
+                            f"count {shown(str(node.bits))} exceeds pmax "
+                            f"{cfg.pmax}")
     with stage(stages, "reference_run"):
         ref = reference_run(prog, cfg)
     with stage(stages, "generate"):

@@ -385,7 +385,7 @@ class TestVerifyCommand:
         proc = _bittune(workdir, "verify", "small.pop")
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             1, "", f"bittune: verify: small.report.json: width {width} at "
-                   f"point 0 is not an integer in [0, 500]\n")
+                   f"point '0' is not an integer in [0, 500]\n")
 
     # Each width was checked, but not its key: 9999 and -1 verified with
     # exit 0, 07 and " 1" replaced the widths of points 7 and 1, and x
@@ -401,8 +401,25 @@ class TestVerifyCommand:
         proc = _bittune(workdir, "verify", "small.pop")
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             1, "", f"bittune: verify: small.report.json: width key "
-                   f"{json.dumps(key)} is not one of the program's 14 "
+                   f"{key!r} is not one of the program's 14 "
                    f"control points\n")
+
+    # A 20,000-character key was quoted in full, in a 20 KB line, by
+    # either message.
+    @pytest.mark.parametrize("width, reason", [
+        (5, "width key {} is not one of the program's 14 control points"),
+        (-3, "width -3 at point {} is not an integer in [0, 500]"),
+    ])
+    def test_long_width_key_is_one_short_line(self, workdir, capsys, width,
+                                              reason):
+        run_cli(capsys, "tune", "small.pop")
+        path = workdir / "small.report.json"
+        report = json.loads(path.read_text())
+        report["nsb"]["k" * 20_000] = width
+        path.write_text(json.dumps(report))
+        assert run_cli(capsys, "verify", "small.pop") == (
+            1, "", "bittune: verify: small.report.json: "
+                   + reason.format("'" + "k" * 20 + "...'") + "\n")
 
     # A report missing a point's width ran the whole reference pass and
     # then blamed the tuned run: "tuned run: no width assigned".
@@ -779,6 +796,29 @@ class TestNumericLimits:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == (f"bittune: tune: line 2, column 16: bit count "
                                f"{shown} digits, past the limit of 4000\n")
+
+    # Within the digit limit, a count past pmax was found only by the
+    # solver, as an infeasible system whose message printed the row with
+    # every digit: 3,101 bytes for 3,000 nines.
+    @pytest.mark.parametrize("count, shown", [
+        ("9" * 3000, "'99999999999999999999...'"), ("501", "'501'"),
+    ], ids=["long", "just-past"])
+    def test_bit_count_past_pmax_is_refused_before_any_run(
+            self, workdir, capsys, monkeypatch, count, shown):
+        (workdir / "req.pop").write_text(
+            f"a = 1.0;\nrequire_nsb(a, {count});\n")
+        monkeypatch.setattr(tuner, "reference_run",
+                            lambda *args: pytest.fail("a pass ran"))
+        assert run_cli(capsys, "tune", "req.pop") == (
+            1, "", f"bittune: tune: control point 2: require_nsb bit count "
+                   f"{shown} exceeds pmax 500\n")
+        assert not list(workdir.glob("req.*.*"))
+
+    def test_bit_count_at_pmax_tunes(self, workdir, capsys):
+        (workdir / "req.pop").write_text("a = 1.0;\nrequire_nsb(a, 64);\n")
+        code, _, err = run_cli(capsys, "tune", "req.pop", "--pmax", "64",
+                               "--pref", "64")
+        assert (code, err) == (0, "")
 
     def test_bit_count_of_max_digits_parses(self):
         prog = parse_program("a = 2.0;\nrequire_nsb(a, 1" + "0" * 3999 + ");\n")

@@ -251,6 +251,39 @@ class TestRefinedSystem:
         assignment, _, _ = policy_iterate(c2)
         assert c2.satisfied_by(assignment.values)
 
+    def test_carry_index_matches_the_definitions_and_rows(self):
+        # The solver patches only carry_rows per policy, so every other
+        # row must have a left variable and no negative term.
+        sources = [*_pinned_sources(), "a = 2.0;\nz = 0.0;\nc = a + z;\n"]
+        for src in sources:
+            _, _, c1, c2 = systems_for(src)
+            assert not (c1.carry_defs or c1.carry_rows)
+            index = c2.index
+
+            def indexed(e):
+                return e.const, tuple((c, index[v]) for c, v in e.terms)
+
+            assert c2.carry_defs == [
+                (index[d.var], indexed(d.arg1), indexed(d.arg2))
+                for d in c2.xi_defs]
+            defined = {var: d for d, (var, _, _) in enumerate(c2.carry_defs)}
+            patched = {}
+            for r, ts in enumerate(c2.rows.terms):
+                read = [defined[i] for _, i in ts if i in defined]
+                if read:
+                    patched[r] = read
+                else:
+                    assert c2.rows.lhs[r] >= 0
+                    assert all(c > 0 for c, _ in ts)
+            assert [r for r, _, _ in c2.carry_rows] == sorted(patched)
+            for r, d, plain in c2.carry_rows:
+                assert patched[r] == [d]
+                var = c2.carry_defs[d][0]
+                assert c2.rows.terms[r] == plain + ((1, var),)
+                named = [i for _, i in plain]
+                assert len(set(named)) == len(named)
+                assert c2.rows.lhs[r] not in named
+
     def test_carry_that_contradicts_its_definition_fails_the_check(self):
         # Every linear row still holds with a carry lowered from 1 to 0:
         # only the carry's own definition rules the assignment out.

@@ -5,6 +5,8 @@ written here in the dumbest possible style, full enumeration over small
 boxes, and (when scipy is importable) an external LP/MILP solver.
 """
 
+import contextlib
+import copy
 import hashlib
 import itertools
 import random
@@ -336,6 +338,54 @@ class TestPinnedOutput:
             "9fde85902e1321c1d71d47de3238de7c087a679c0135599796059ffd288b26bc")
         assert iterated.hexdigest() == (
             "8499971a7248886fc23c542fcaf8c25b310e6499c48ceaccfec4ebf3fc521808")
+
+    def test_random_programs_policy_iteration_from_the_plain_solution(self):
+        # The path tune takes, on programs up to the corpus's 80
+        # operations: the lift, then branch and bound (up to 101 nodes
+        # here) where a policy switched, and four systems that PI finds
+        # infeasible, pinned by their messages.
+        rng = random.Random(2021)
+        pinned = hashlib.sha256()
+        for k in range(120):
+            c1, c2 = self._systems(
+                gen_straight_line(rng, max_ops=(20, 40, 80)[k % 3]))
+            try:
+                a, policy, iterations = policy_iterate(
+                    c2, plain=solve_monotone(c1))
+                got = (a.values, a.total, a.nodes, policy, iterations)
+            except SolverError as e:
+                got = str(e)
+            pinned.update(repr(got).encode())
+        assert pinned.hexdigest() == (
+            "ca118493928a74cccef4ed32337eedb90c331a3977ef608334559d772b759848")
+
+
+def _state(system):
+    """Everything a solve reads from a system."""
+    rows = system.rows
+    return (rows.lhs, rows.const, rows.terms, rows.origin, rows.site,
+            system.xi_defs, system.carry_defs, system.carry_rows)
+
+
+def test_no_solver_call_changes_its_system():
+    # A policy's rows share the system's lists by slicing, so a solve
+    # that extended or patched one in place would change the system.
+    rng = random.Random(4242)
+    switched = 0
+    for k in range(30):
+        prog = parse_program(gen_straight_line(rng, max_ops=(8, 30)[k % 2]))
+        ranges = run_reference(prog, 100).ranges
+        c1, c2 = gen_ilp(prog, ranges), gen_refined(prog, ranges)
+        before = copy.deepcopy((_state(c1), _state(c2)))
+        plain = solve_monotone(c1)
+        with contextlib.suppress(SolverError):
+            solve_ilp(c2, [1 + k % 2] * len(c2.xi_defs), node_limit=50)
+        with contextlib.suppress(SolverError):
+            _, policy, _ = policy_iterate(c2, plain=plain)
+            switched += policy != [3] * len(policy)
+        apply_policy(c2)
+        assert (_state(c1), _state(c2)) == before
+    assert switched >= 3
 
 
 class TestExternalSolverBelt:
