@@ -220,8 +220,8 @@ def cmd_verify(args) -> int:
     for p, n in nsb.items():
         # tune writes an integer in [0, pmax], 0 where nothing is demanded.
         if type(n) is not int or not 0 <= n <= cfg.pmax:
-            raise ValueError(f"{report_path}: width {json.dumps(n)} at point "
-                             f"{shown(p)} is not an integer in "
+            raise ValueError(f"{report_path}: width {shown(json.dumps(n))} "
+                             f"at point {shown(p)} is not an integer in "
                              f"[0, {cfg.pmax}]")
 
     prog = _parse(source, cfg)

@@ -5,18 +5,39 @@ per control point and per statement, with the point's width and its
 arithmetic kernel (mpfloat.add_t, sub_t, mul_t, div_t or sqrt_t) bound
 when the closure is built.  A visit then does no dispatch on node types
 or operators and no width lookup, and a literal is parsed once per pass
-instead of once per visit.  Inside a pass every value is an mpfloat
-triple (m, e, p); bindings are unboxed when the pass starts, and the
-trace's env and samples are boxed to MPValues when it ends.  The two
-modes build different closures:
+instead of once per visit.  A +, - or * whose operand is a variable
+reads it inside its own closure, with the read point's width, check and
+record, so the read costs no call of its own.  Inside a pass every
+value is an mpfloat triple (m, e, p); bindings are unboxed when the
+pass starts, and the trace's env and samples are boxed to MPValues when
+it ends.
+
+Visits and steps are counted per block, not per node.  The blocks are
+the top level, each loop condition, each loop body, and each branch of
+an if; every point belongs to the innermost block that holds it, and
+all points of a block are visited equally often.  A block counts one
+visit per entry, a loop body per trip and a loop condition per
+evaluation.  Entering a block charges its statements as steps; a loop
+trip charges its body's statements and the condition evaluated after
+them.  The step cap is checked there, on block entry and per trip, so a
+run that passes the cap stops before the block or trip that would pass
+it runs.  The total is the same as counting each statement and each
+condition after a loop's first, and so is the error of a run that
+passes the cap, unless the same block or trip would hit another error
+first.
+
+The two modes build different closures:
 
 * Reference mode (run_reference) evaluates everything at one working
-  precision.  Each of its closures also records, for its own control
-  point, the visit count and the largest ufp seen, inline in the
-  closure: ufp is monotone in |x|, so the largest ufp is the ufp of the
-  largest magnitude, which is all the constraints read.  With several
-  input binding sets, the run on the first gives the trace and its
-  ranges; the runs on the others only add ranges.
+  precision.  Each of its closures also keeps, for its own control
+  point, the largest exponent of a nonzero value seen, inline in the
+  closure; a literal's is noted when it is lowered.  When the run ends,
+  each point in a block that was entered gets its block's visits and,
+  as its top, the ufp of that exponent at the point's width: ufp is
+  monotone in |x|, so the largest ufp is the ufp of the largest
+  magnitude, which is all the constraints read.  With several input
+  binding sets, the run on the first gives the trace and its ranges;
+  the runs on the others add their visits and raise the tops.
 * Tuned mode (run_tuned) evaluates every point at its solved width,
   with closures that record nothing: literals parse to the literal
   point's width, reads re-round the stored value to the read point's
@@ -30,19 +51,21 @@ the check against reading an unassigned variable and the arithmetic
 domain errors of division and square root; an EvalError names the pass
 (reference run or tuned run) it stopped.
 
-The closures reach their pass, through its fail and tick methods, but
-the pass holds no reference to its closures: the lowered body is a
-local of run().  So nothing a pass builds forms a reference cycle, and
-the closures, their cells and the pass are freed by reference counting
-as soon as the run returns, with no work left to the cyclic collector.
-That is what lets cli.main pause the collector while a command runs: a
-pass allocates tens of thousands of closures and cells, each of which
-would otherwise count towards the next collection.  test_cli.py's
-TestNoReferenceCycles keeps it safe, on failing exits as well.
+The closures reach their pass, through its fail, unset and enter
+methods, but the pass holds no reference to its closures: the lowered
+body is a local of run().  So nothing a pass builds forms a reference
+cycle, and the closures, their cells and the pass are freed by
+reference counting as soon as the run returns, with no work left to the
+cyclic collector.  That is what lets cli.main pause the collector while
+a command runs: a pass allocates tens of thousands of closures and
+cells, each of which would otherwise count towards the next collection.
+test_cli.py's TestNoReferenceCycles keeps it safe, on failing exits as
+well.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -129,10 +152,21 @@ class _Interp:
                 value = mpfloat.parse_decimal(value, DEFAULT_PRECISION)
             self.env[var] = unbox(value)
         self.stmts = prog.stmts
+        # Block 0 is the top level; lowering numbers the others and
+        # notes the block that holds each point.
+        self.block = 0
+        self.visits = [0]
+        self.owner = [0] * len(widths)
+        # The largest exponent of a nonzero value seen at each point.
+        self.high = [-math.inf] * len(widths)
 
     def run(self) -> Trace:
-        for step in tuple(map(self.stmt, self.stmts)):
+        body = tuple(map(self.stmt, self.stmts))
+        self.enter(0, len(body))
+        for step in body:
             step()
+        if self.ranges is not None:
+            self.record()
         env = {name: box(v) for name, v in self.env.items()}
         samples = {name: list(map(box, vs)) for name, vs in self.samples.items()}
         return Trace(env, samples, self.steps, self.ranges)
@@ -141,71 +175,131 @@ class _Interp:
         name = TUNED if self.ranges is None else REFERENCE
         return EvalError(f"{name}: {message}", point)
 
-    def tick(self) -> None:
-        self.steps += 1
+    def unset(self, name: str, point: int) -> EvalError:
+        return self.fail(f"variable {name!r} read before assignment", point)
+
+    def enter(self, block: int, cost: int) -> None:
+        """Count an entry into block, or a trip through it, and the cost
+        steps it is about to take; stop the run past the step cap."""
+        self.visits[block] += 1
+        self.steps += cost
         if self.steps > self.max_steps:
             raise self.fail(f"iteration cap of {self.max_steps} steps exceeded")
 
+    def new_block(self) -> int:
+        self.visits.append(0)
+        return len(self.visits) - 1
+
+    def record(self) -> None:
+        """Add this run's visits and magnitudes to ranges: a point is
+        visited as often as its block, and its ufp at width n is its
+        largest exponent + n - 1."""
+        top, counts = self.ranges.top, self.ranges.counts
+        for p, block in enumerate(self.owner):
+            visits = self.visits[block]
+            if visits:
+                counts[p] += visits
+                if self.high[p] > -math.inf:
+                    u = self.high[p] + self.widths[p] - 1
+                    if top[p] is None or u > top[p]:
+                        top[p] = u
+
     # --- expressions ---------------------------------------------------
 
-    # In reference mode a closure records its own value: it counts the
-    # visit in counts[p] and raises top[p] to the value's ufp, which is
-    # exp + n - 1 at width n.  Literals, reads, +, - and *, and stores
-    # are most of every step, so each has one closure per mode and the
-    # tuned one records nothing.  Negation, division, square root and
-    # require_nsb are rare enough to share one closure that tests the
-    # mode.
+    # In reference mode a closure raises high[p] to the exponent of its
+    # own value; visits are counted per block.  Reads, +, - and *, and
+    # stores are most of every step, so each has one closure per mode
+    # and the tuned one records nothing.  A literal records nothing at
+    # all: its exponent is noted when it is lowered.  Negation,
+    # division, square root and require_nsb are rare enough to share one
+    # closure that tests the mode.
 
     def expr(self, e) -> Callable[[], tuple]:
         # One closure per node and no wrappers, so evaluation nests no
         # deeper than the expression does.
         p = e.point
         n = self.widths[p]
-        fail, ranges = self.fail, self.ranges
-        if ranges is not None:
-            top, counts = ranges.top, ranges.counts
+        self.owner[p] = self.block
+        fail, ranges, high = self.fail, self.ranges, self.high
         if isinstance(e, Num):
             value = unbox(mpfloat.parse_decimal(e.text, n))
-            if ranges is None:
-                return lambda: value
-            u = value[1] + n - 1 if value[0] else None
-
-            def lit():
-                counts[p] += 1
-                top[p] = u                  # every visit sees the same value
-                return value
-            return lit
+            if value[0]:
+                high[p] = value[1]
+            return lambda: value
         if isinstance(e, Var):
-            env, name = self.env, e.name
+            env, name, unset = self.env, e.name, self.unset
             if ranges is None:
                 def read():
                     v = env.get(name)
                     if v is None:
-                        raise fail(f"variable {name!r} read before assignment", p)
+                        raise unset(name, p)
                     return v if v[2] == n else round_t(v[0], v[1], n)
                 return read
 
             def read_noted():
                 v = env.get(name)
                 if v is None:
-                    raise fail(f"variable {name!r} read before assignment", p)
+                    raise unset(name, p)
                 if v[2] != n:
                     v = round_t(v[0], v[1], n)
-                counts[p] += 1
-                if v[0] and (top[p] is None or v[1] + n - 1 > top[p]):
-                    top[p] = v[1] + n - 1
+                if v[0] and v[1] > high[p]:
+                    high[p] = v[1]
                 return v
             return read_noted
         if isinstance(e, BinOp) and e.op in _KERNELS:
-            kernel, a, b = _KERNELS[e.op], self.expr(e.left), self.expr(e.right)
+            # An operand that is a variable is read by the operation
+            # itself, with the read point's width, check and record, and
+            # has no closure of its own.
+            kernel, env, unset = _KERNELS[e.op], self.env, self.unset
+            an, ap, aw = self.fused_read(e.left)
+            bn, bp, bw = self.fused_read(e.right)
+            a = self.expr(e.left) if an is None else None
+            b = self.expr(e.right) if bn is None else None
             if ranges is None:
-                return lambda: kernel(a(), b(), n)
+                def binop():
+                    if an is None:
+                        x = a()
+                    else:
+                        x = env.get(an)
+                        if x is None:
+                            raise unset(an, ap)
+                        if x[2] != aw:
+                            x = round_t(x[0], x[1], aw)
+                    if bn is None:
+                        y = b()
+                    else:
+                        y = env.get(bn)
+                        if y is None:
+                            raise unset(bn, bp)
+                        if y[2] != bw:
+                            y = round_t(y[0], y[1], bw)
+                    return kernel(x, y, n)
+                return binop
 
             def binop_noted():
-                v = kernel(a(), b(), n)
-                counts[p] += 1
-                if v[0] and (top[p] is None or v[1] + n - 1 > top[p]):
-                    top[p] = v[1] + n - 1
+                if an is None:
+                    x = a()
+                else:
+                    x = env.get(an)
+                    if x is None:
+                        raise unset(an, ap)
+                    if x[2] != aw:
+                        x = round_t(x[0], x[1], aw)
+                    if x[0] and x[1] > high[ap]:
+                        high[ap] = x[1]
+                if bn is None:
+                    y = b()
+                else:
+                    y = env.get(bn)
+                    if y is None:
+                        raise unset(bn, bp)
+                    if y[2] != bw:
+                        y = round_t(y[0], y[1], bw)
+                    if y[0] and y[1] > high[bp]:
+                        high[bp] = y[1]
+                v = kernel(x, y, n)
+                if v[0] and v[1] > high[p]:
+                    high[p] = v[1]
                 return v
             return binop_noted
         if isinstance(e, Neg):
@@ -213,10 +307,8 @@ class _Interp:
 
             def neg():
                 v = mpfloat.neg_t(a(), n)
-                if ranges is not None:
-                    counts[p] += 1
-                    if v[0] and (top[p] is None or v[1] + n - 1 > top[p]):
-                        top[p] = v[1] + n - 1
+                if ranges is not None and v[0] and v[1] > high[p]:
+                    high[p] = v[1]
                 return v
             return neg
         if isinstance(e, BinOp):                    # division
@@ -229,10 +321,8 @@ class _Interp:
                     v = kernel(x, y, n)
                 except MPDomainError as err:
                     raise fail(str(err), p) from err
-                if ranges is not None:
-                    counts[p] += 1
-                    if v[0] and (top[p] is None or v[1] + n - 1 > top[p]):
-                        top[p] = v[1] + n - 1
+                if ranges is not None and v[0] and v[1] > high[p]:
+                    high[p] = v[1]
                 return v
             return div
         if isinstance(e, Sqrt):
@@ -244,13 +334,19 @@ class _Interp:
                     v = kernel(x, n)
                 except MPDomainError as err:
                     raise fail(str(err), p) from err
-                if ranges is not None:
-                    counts[p] += 1
-                    if v[0] and (top[p] is None or v[1] + n - 1 > top[p]):
-                        top[p] = v[1] + n - 1
+                if ranges is not None and v[0] and v[1] > high[p]:
+                    high[p] = v[1]
                 return v
             return sqrt
         raise TypeError(f"unexpected expression node {e!r}")
+
+    def fused_read(self, e) -> tuple:
+        """(name, point, width) of an operand that is a variable, noted
+        as lowered in the current block; (None, None, None) otherwise."""
+        if not isinstance(e, Var):
+            return None, None, None
+        self.owner[e.point] = self.block
+        return e.name, e.point, self.widths[e.point]
 
     def cond(self, c: Compare) -> Callable[[], bool]:
         a, b, holds = self.expr(c.left), self.expr(c.right), _COMPARE[c.op]
@@ -260,43 +356,58 @@ class _Interp:
 
     # A body is a tuple of steps that its loop or branch runs itself, and
     # map() lowers it without a Python frame of its own: lowering and
-    # running a nested body each take one frame per level.
+    # running a nested body each take one frame per level.  Each body is
+    # a block, and so is a loop condition.  A block is charged its
+    # statements as steps when it is entered, and a loop body one more
+    # per trip, for the condition evaluated after it.  The statement
+    # that holds a body is charged in its own block, which covers a
+    # loop's first condition.
 
     def stmt(self, st) -> Callable[[], None]:
-        tick = self.tick
+        enter, visits, outer = self.enter, self.visits, self.block
         if isinstance(st, While):
-            cond, body = self.cond(st.cond), tuple(map(self.stmt, st.body))
+            self.block = head = self.new_block()
+            cond = self.cond(st.cond)
+            self.block = block = self.new_block()
+            body = tuple(map(self.stmt, st.body))
+            self.block = outer
+            cost = len(body) + 1
 
             def loop():
-                tick()
+                visits[head] += 1
                 while cond():
+                    visits[head] += 1
+                    enter(block, cost)
                     for step in body:
                         step()
-                    tick()
             return loop
         if isinstance(st, If):
             cond = self.cond(st.cond)
-            then_body = tuple(map(self.stmt, st.then_body))
-            else_body = tuple(map(self.stmt, st.else_body))
+            branches = []
+            for stmts in (st.then_body, st.else_body):
+                self.block = block = self.new_block()
+                branches.append((block, len(stmts),
+                                 tuple(map(self.stmt, stmts))))
+            self.block = outer
+            then_branch, else_branch = branches
 
             def branch():
-                tick()
-                for step in then_body if cond() else else_body:
+                block, cost, body = then_branch if cond() else else_branch
+                enter(block, cost)
+                for step in body:
                     step()
             return branch
         if not isinstance(st, (Assign, Require)):
             raise TypeError(f"unexpected statement {st!r}")
         env, name, p = self.env, st.name, st.point
         n = self.widths[p]
-        fail, ranges = self.fail, self.ranges
-        if ranges is not None:
-            top, counts = ranges.top, ranges.counts
+        self.owner[p] = outer
+        fail, ranges, high = self.fail, self.ranges, self.high
         if isinstance(st, Assign):
             rhs = self.expr(st.expr)
             samples = self.samples.get(name)
             if ranges is None:
                 def assign():
-                    tick()
                     v = rhs()
                     if v[2] != n:
                         v = round_t(v[0], v[1], n)
@@ -306,29 +417,25 @@ class _Interp:
                 return assign
 
             def assign_noted():
-                tick()
                 v = rhs()
                 if v[2] != n:
                     v = round_t(v[0], v[1], n)
-                counts[p] += 1
-                if v[0] and (top[p] is None or v[1] + n - 1 > top[p]):
-                    top[p] = v[1] + n - 1
+                if v[0] and v[1] > high[p]:
+                    high[p] = v[1]
                 env[name] = v
                 if samples is not None:
                     samples.append(v)
             return assign_noted
 
         def require():
-            tick()
             v = env.get(name)
             if v is None:
                 raise fail(f"require_nsb on unassigned variable {name!r}", p)
             if ranges is not None:
                 if v[2] != n:
                     v = round_t(v[0], v[1], n)
-                counts[p] += 1
-                if v[0] and (top[p] is None or v[1] + n - 1 > top[p]):
-                    top[p] = v[1] + n - 1
+                if v[0] and v[1] > high[p]:
+                    high[p] = v[1]
         return require
 
 

@@ -384,7 +384,20 @@ class TestVerifyCommand:
         self._tune_and_set_point_0(workdir, capsys, json.loads(width))
         proc = _bittune(workdir, "verify", "small.pop")
         assert (proc.returncode, proc.stdout, proc.stderr) == (
-            1, "", f"bittune: verify: small.report.json: width {width} at "
+            1, "", f"bittune: verify: small.report.json: width {width!r} at "
+                   f"point '0' is not an integer in [0, 500]\n")
+
+    # A width of 4,000 digits, as a string or as a number, was quoted in
+    # full, in a 4 KB line.
+    @pytest.mark.parametrize("width, quoted", [
+        ("7" * 4000, "'\"" + "7" * 19 + "...'"),
+        (int("7" * 4000), "'" + "7" * 20 + "...'"),
+    ])
+    def test_long_width_is_one_short_line(self, workdir, capsys, width,
+                                          quoted):
+        self._tune_and_set_point_0(workdir, capsys, width)
+        assert run_cli(capsys, "verify", "small.pop") == (
+            1, "", f"bittune: verify: small.report.json: width {quoted} at "
                    f"point '0' is not an integer in [0, 500]\n")
 
     # Each width was checked, but not its key: 9999 and -1 verified with
@@ -408,7 +421,7 @@ class TestVerifyCommand:
     # either message.
     @pytest.mark.parametrize("width, reason", [
         (5, "width key {} is not one of the program's 14 control points"),
-        (-3, "width -3 at point {} is not an integer in [0, 500]"),
+        (-3, "width '-3' at point {} is not an integer in [0, 500]"),
     ])
     def test_long_width_key_is_one_short_line(self, workdir, capsys, width,
                                               reason):

@@ -13,6 +13,7 @@ from bittune import mpfloat
 from bittune.interp import EvalError, run_reference, run_tuned
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
+from bittune.program import Assign, BinOp, Num, Program, Var
 from bittune.tuner import TuningConfig, reference_run, solve, systems
 from helpers import (
     BRANCH, LOOP, gen_straight_line, in_loop, round_fraction, to_float,
@@ -117,6 +118,54 @@ class TestReference:
         trace = run_reference(parse_program(src), pref=60, track=("x",))
         vals = [to_float(v) for v in trace.samples["x"]]
         assert vals == [1.0, 2.0, 4.0, 8.0]
+
+
+def _right_nested_product(depth: int) -> Program:
+    """a = 2.0; s = a * (a * (... * a)), depth operators deep.  It is
+    built as a tree: the parser bounds brackets far below that depth."""
+    points = []
+
+    def numbered(node):
+        node.point = len(points)
+        points.append(node)
+        return node
+
+    first = Assign("a", numbered(Num("2.0")))
+    numbered(first)
+    lefts = [numbered(Var("a")) for _ in range(depth)]
+    e = numbered(Var("a"))
+    for left in reversed(lefts):
+        e = numbered(BinOp("*", left, e))
+    return Program([first, numbered(Assign("s", e))], points)
+
+
+class TestFusedReads:
+    """+, - and * read a variable operand themselves; deep expressions of
+    such reads still nest one frame per level."""
+
+    @pytest.mark.parametrize("mode", ["reference run", "tuned run"])
+    def test_long_sum_of_reads(self, mode):
+        src = "a = 0.5;\ns = " + " + ".join(["a"] * 700) + ";\n"
+        prog = parse_program(src)
+        trace = (run_reference(prog, pref=100) if mode == "reference run"
+                 else run_tuned(prog, _uniform(prog, 100)))
+        assert mpfloat.to_fraction(trace.env["s"]) == 350
+
+    @pytest.mark.parametrize("mode", ["reference run", "tuned run"])
+    def test_right_nested_product_of_reads(self, mode):
+        prog = _right_nested_product(699)
+        trace = (run_reference(prog, pref=100) if mode == "reference run"
+                 else run_tuned(prog, _uniform(prog, 100)))
+        assert mpfloat.to_fraction(trace.env["s"]) == 2**700
+
+    def test_reads_record_their_own_range(self):
+        prog = parse_program("a = 6.0;\nb = 0.25;\nc = a * b - b;\n")
+        ranges = run_reference(prog, pref=60).ranges
+        reads = {(n.name, n.point) for n in prog.points
+                 if type(n).__name__ == "Var"}
+        ufps = sorted((name, ranges.ufp(p), ranges.visits(p))
+                      for name, p in reads)
+        assert ufps == [("a", 2, 1), ("b", -2, 1), ("b", -2, 1)]
 
 
 class TestTuned:
@@ -363,7 +412,139 @@ class TestPinnedRuns:
             self.PINNED
 
 
+# Control flow that TestPinnedRuns' sources leave out: a while nested in
+# a while, an if/else inside a loop that takes each branch on some trip,
+# an if without else, loops that run zero trips, a literal only in a
+# branch never taken.
+NESTED = """\
+s = 0.0;
+i = 0.0;
+while (i < 4.0) {
+    j = 0.0;
+    while (j < i) {
+        s = s + j * 0.5;
+        j = j + 1.0;
+    }
+    if (s > 2.0) {
+        s = s - 1.25;
+    } else {
+        s = s * 3.0 + 0.125;
+    }
+    if (i == 2.0) {
+        t = s + i;
+    }
+    i = i + 1.0;
+}
+while (s < 0.0) {
+    s = s + 100.0;
+}
+if (s > 1000.0) {
+    u = 12345.678;
+}
+require_nsb(s, 20);
+"""
+
+# Open, with a trip count that follows the input: two binding sets run
+# the loop a different number of times.
+OPEN = """\
+k = 0.0;
+acc = x;
+while (k < n) {
+    acc = acc * x + 0.5;
+    if (acc > 10.0) {
+        acc = acc / 4.0;
+    }
+    k = k + 1.0;
+}
+require_nsb(acc, 16);
+"""
+
+
+class TestPinnedBlocks:
+    """As TestPinnedRuns, on nested and branching control flow and on two
+    binding sets: the reference run's ranges, step count and env, and
+    the tuned run's step count and env on each binding set."""
+
+    PINNED = {
+        "reference": "abe1bb127542648d8e6373fa001991f0"
+                     "22a3cc7163f6d8590c2c7c32c516ae2b",
+        "tuned": "d4d62b897fee92e94f9574971640f3a5"
+                 "651a667c64a82d1e2502813d1c9ae232",
+    }
+
+    def test_runs_match_the_pinned_digests(self):
+        digests = {name: hashlib.sha256() for name in self.PINNED}
+        sets = ({"x": "1.5", "n": "3.0"}, {"x": "-0.75", "n": "6.0"})
+        cases = [(NESTED, ()), (OPEN, sets)]
+        for src, bindings in cases:
+            cfg = TuningConfig(method="pi", bindings=bindings)
+            prog = parse_program(src, inputs=cfg.input_names())
+            ref = reference_run(prog, cfg)
+            digests["reference"].update(
+                f"{ref.ranges.top}\n{ref.ranges.counts}\n{ref.steps}\n"
+                f"{_env_text(ref.env)}".encode())
+            assignment, _ = solve(*systems(prog, ref.ranges, cfg))
+            for binding in bindings or (None,):
+                tuned = run_tuned(prog, assignment.widths(), binding)
+                digests["tuned"].update(
+                    f"{tuned.steps}\n{_env_text(tuned.env)}".encode())
+        assert {name: h.hexdigest() for name, h in digests.items()} == \
+            self.PINNED
+
+
 _UNSET = "a = 1.0;\nif (a > 2.0) {\n    b = 1.0;\n}\n"
+
+# Steps count each statement run and each loop condition after the
+# first.  NESTED_LOOPS takes 3 steps to enter its outer loop, 4 per
+# outer trip and 3 per inner trip: its cap of 12 falls in the inner
+# loop's second trip.  BRANCH_IN_LOOP passes 13 steps on its third
+# trip, whose branch takes 2 more.  STRAIGHT runs 3 statements.
+NESTED_LOOPS = """\
+s = 0.0;
+i = 0.0;
+while (i < 3.0) {
+    j = 0.0;
+    while (j < 4.0) {
+        s = s + j;
+        j = j + 1.0;
+    }
+    i = i + 1.0;
+}
+"""
+
+BRANCH_IN_LOOP = """\
+t = 0.0;
+while (t < 5.0) {
+    if (t > 1.0) {
+        u = t * 2.0;
+        v = u + 1.0;
+    } else {
+        u = t;
+    }
+    t = t + 1.0;
+}
+"""
+
+STRAIGHT = "a = 1.0;\nb = a + 1.0;\nc = b * 2.0;\n"
+
+
+@pytest.mark.parametrize("mode", ["reference run", "tuned run"])
+@pytest.mark.parametrize("src", [GEOM, NESTED_LOOPS, BRANCH_IN_LOOP,
+                                 STRAIGHT, NESTED, LOOP, BRANCH])
+def test_step_cap_is_the_step_count(src, mode):
+    """A run fits a cap of exactly its step count and stops at one less."""
+    prog = parse_program(src)
+
+    def run(**kw):
+        if mode == "reference run":
+            return run_reference(prog, pref=60, **kw)
+        return run_tuned(prog, _uniform(prog, 30), **kw)
+    steps = run().steps
+    assert run(max_steps=steps).steps == steps
+    with pytest.raises(EvalError) as exc:
+        run(max_steps=steps - 1)
+    assert str(exc.value) == \
+        f"{mode}: iteration cap of {steps - 1} steps exceeded"
 
 
 class TestErrorText:
@@ -377,9 +558,14 @@ class TestErrorText:
          "square root of a negative value (control point 5)"),
         (_UNSET + "c = b + a;\n", None,
          "variable 'b' read before assignment (control point 6)"),
+        (_UNSET + "c = a + b;\n", None,
+         "variable 'b' read before assignment (control point 7)"),
         (_UNSET + "require_nsb(b, 10);\n", None,
          "require_nsb on unassigned variable 'b' (control point 6)"),
         (GEOM, 7, "iteration cap of 7 steps exceeded"),
+        (NESTED_LOOPS, 12, "iteration cap of 12 steps exceeded"),
+        (BRANCH_IN_LOOP, 14, "iteration cap of 14 steps exceeded"),
+        (STRAIGHT, 2, "iteration cap of 2 steps exceeded"),
     ])
     @pytest.mark.parametrize("mode", ["reference run", "tuned run"])
     def test_message(self, src, max_steps, message, mode):
