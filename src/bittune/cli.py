@@ -336,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", metavar="PATH",
                    help="report destination (default SOURCE.report.json)")
     p.add_argument("--emit-lp", action="store_true",
-                   help="also write the plain system the widths were "
-                        "solved from as SOURCE.lp")
+                   help="also write the plain system C1 as SOURCE.lp: "
+                        "the system --method ilp solves and policy "
+                        "iteration starts from")
     p.add_argument("--timings", action="store_true",
                    help="keep the per-stage seconds (stages) in the "
                         "report (breaks byte-identical reruns)")

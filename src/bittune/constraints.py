@@ -23,26 +23,27 @@ Demands flow backward (operand width >= result width plus an alignment
 constant), error widths flow forward.
 
 The generator reads the def-use links from prog.links.  A system is
-stored as the solver reads it: variables numbered as declared (nsb(p)
-is index p for each of the program's system.points points, then nsbe
-and xi in order of appearance, left side before terms) and rows as
-Rows' parallel index lists, which the generator appends to.  The
-objective is the sum of the nsb widths, the first system.points
-variables.  A solution is a list of ints in the same numbering;
-satisfied_by checks one against the rows, and against the carry
-definitions through system.index.  system.constraints is a read-only
-view that builds a LinearConstraint per row read.  Variables are named
-tuples (hashing in C), built once per point and shared by rows and
-XiDefs.
+stored as the solver reads it: variables numbered as the generator
+first uses them (nsb(p) is index p for each of the program's
+system.points points, then nsbe and xi in order of appearance, left
+side before terms) and rows as Rows' parallel index lists, which the
+generator appends to.  The objective is the sum of the nsb widths, the
+first system.points variables.  A solution is a list of ints in the same
+numbering; satisfied_by checks one against the rows and the carry
+definitions.  system.constraints is a read-only view that builds a
+LinearConstraint per row read.  Variables are named tuples, one per
+index in system.variables, which names every variable a row or a
+definition reads by index.
 
-A refined system also keeps its carry index, which the generator
-records as it emits, so that the solver patches only the rows a carry
-policy changes: carry_defs holds each xi_defs entry by variable index,
-and carry_rows lists each row that reads a defined carry, with its
-terms without the carry (each variable once, never the left one).
-Every other row of a system with carry definitions has a left
-variable and no negative term.  with_requirement's copies share the
-index, which holds no constant that a requirement changes.
+A refined system keeps each carry definition once, in that numbering:
+xi_defs holds (xi, (const, terms), (const, terms)) per definition, the
+carry's index and the two arguments of its min.  carry_rows lists each
+row that reads a defined carry, with its terms without the carry (each
+variable once, never the left one), so that the solver patches only the
+rows a carry policy changes.  Every other row of a system with carry
+definitions has a left variable and no negative term.
+with_requirement's copies share both lists, which hold no constant that
+a requirement changes.
 """
 
 from __future__ import annotations
@@ -128,20 +129,6 @@ class LinearConstraint:
         return f"{left} >= {self.rhs}"
 
 
-@dataclass(frozen=True)
-class XiDef:
-    """xi = min(max(arg1, 0), max(arg2, 0), 1)."""
-
-    var: IntVar
-    arg1: LinExpr
-    arg2: LinExpr
-    site: int
-
-    def __str__(self) -> str:
-        return (f"{self.var} = min(max({self.arg1}, 0), "
-                f"max({self.arg2}, 0), 1)")
-
-
 @dataclass(slots=True)
 class Rows:
     """Rows as parallel lists: left variable index (-1 for the constant
@@ -184,13 +171,12 @@ class ConstraintSystem:
     pmax: int
     points: int = 0             # nsb(p) is variable p for p < points
     variables: list[IntVar] = field(default_factory=list)
-    index: dict[IntVar, int] = field(default_factory=dict, repr=False)
     rows: Rows = field(default_factory=Rows, repr=False)
-    xi_defs: list[XiDef] = field(default_factory=list)
-    # The carry index: per xi_defs entry, (var, (const, terms), (const,
-    # terms)) by variable index; per row that reads a defined carry, in
-    # row order, (row, xi_defs position, its terms without the carry).
-    carry_defs: list[tuple] = field(default_factory=list, repr=False)
+    # Per carry definition, (xi, (const, terms), (const, terms)) by
+    # variable index: xi = min(max(arg1, 0), max(arg2, 0), 1).  Per row
+    # that reads a defined carry, in row order, (row, xi_defs position,
+    # its terms without the carry).
+    xi_defs: list[tuple] = field(default_factory=list)
     carry_rows: list[tuple] = field(default_factory=list, repr=False)
     skipped_points: list[int] = field(default_factory=list)
     zero_ufp_points: list[int] = field(default_factory=list)
@@ -199,41 +185,21 @@ class ConstraintSystem:
     def constraints(self) -> _RowView:
         return _RowView(self)
 
-    def number(self, v: IntVar) -> int:
-        """v's index, declaring it first if it is new."""
-        i = self.index.get(v)
-        if i is None:
-            i = self.index[v] = len(self.variables)
-            self.variables.append(v)
-        return i
-
-    def declare(self, *vars_: IntVar) -> None:
-        for v in vars_:
-            self.number(v)
-
     def satisfied_by(self, values: list[int]) -> bool:
         """Every row holds and every carry equals its definition, at
         values in the system's numbering."""
-        rows, index = self.rows, self.index
+        rows = self.rows
         for left, k, terms in zip(rows.lhs, rows.const, rows.terms):
             for c, i in terms:
                 k += c * values[i]
             if (values[left] if left >= 0 else 0) < k:
                 return False
 
-        def arg(e: LinExpr) -> int:
-            return max(e.const + sum(c * values[index[v]] for c, v in e.terms),
-                       0)
+        def arg(const: int, terms) -> int:
+            return max(const + sum(c * values[i] for c, i in terms), 0)
 
-        return all(values[index[d.var]] == min(arg(d.arg1), arg(d.arg2), 1)
-                   for d in self.xi_defs)
-
-    def dump(self) -> str:
-        lines = [f"minimize sum nsb over {self.points} points,"
-                 f" bounds [0, {self.pmax}]"]
-        lines += [str(c) for c in self.constraints]
-        lines += [str(d) for d in self.xi_defs]
-        return "\n".join(lines) + "\n"
+        return all(values[x] == min(arg(*arg1), arg(*arg2), 1)
+                   for x, arg1, arg2 in self.xi_defs)
 
 
 def with_requirement(system: ConstraintSystem, bits: int) -> ConstraintSystem:
@@ -260,18 +226,20 @@ class _Generator:
         self.ranges = ranges
         self.refined = refined
         self.cond_nsb = cond_nsb
-        self.system = ConstraintSystem(pmax, prog.n_points)
+        self.system = ConstraintSystem(
+            pmax, prog.n_points, [nsb(p) for p in range(prog.n_points)])
+        self.variables = self.system.variables
         self.row = self.system.rows.append
         self.zero_points: set[int] = set()
-        # One variable object per point, declared once and named by
-        # every carry definition, so lookups succeed on identity.
-        points = range(prog.n_points)
-        self.nsb = [nsb(p) for p in points]
-        self.nsbe = [nsbe(p) for p in points] if refined else []
+        self.error = [-1] * prog.n_points       # nsbe(p)'s index, once used
 
     def e(self, point: int) -> int:
-        """The index of nsbe(point)."""
-        return self.system.number(self.nsbe[point])
+        """The index of nsbe(point), numbered on first use."""
+        i = self.error[point]
+        if i < 0:
+            i = self.error[point] = len(self.variables)
+            self.variables.append(nsbe(point))
+        return i
 
     def ufp(self, point: int) -> int:
         if self.ranges.top[point] is None:
@@ -288,7 +256,6 @@ class _Generator:
 
     def run(self) -> ConstraintSystem:
         sys = self.system
-        sys.declare(*self.nsb)
         self.stmts(self.prog.stmts)
         self.emit_links()
         sys.skipped_points = sorted(p for p in range(self.prog.n_points)
@@ -372,8 +339,8 @@ class _Generator:
         row = self.row
         r, a, b = e.point, e.left.point, e.right.point
         ua, ub, ur = self.ufp(a), self.ufp(b), self.ufp(r)
-        xv = xi(r, a, b)
-        x = self.system.number(xv)
+        x = len(self.variables)
+        self.variables.append(xi(r, a, b))
         if e.op in ("+", "-"):
             ka, kb = ua - ur, ub - ur
         elif e.op == "*":
@@ -394,12 +361,8 @@ class _Generator:
                 self.carry_row(x, er, ua - ub, ((1, b), (-1, a), (1, eb)), r)
             if not self.is_zero(a):
                 self.carry_row(x, er, ub - ua, ((1, a), (-1, b), (1, ea)), r)
-            sys = self.system
-            sys.xi_defs.append(XiDef(
-                xv, LinExpr(ub - ua, ((1, self.nsb[a]), (1, self.nsbe[a]))),
-                LinExpr(ua - ub, ((1, self.nsb[b]), (1, self.nsbe[b]))), r))
-            sys.carry_defs.append((x, (ub - ua, ((1, a), (1, ea))),
-                                   (ua - ub, ((1, b), (1, eb)))))
+            self.system.xi_defs.append((x, (ub - ua, ((1, a), (1, ea))),
+                                        (ua - ub, ((1, b), (1, eb)))))
             return
         row(a, ka, ((1, r), (1, x)), "operand", r)
         row(b, kb, ((1, r), (1, x)), "operand", r)

@@ -25,14 +25,15 @@ list with one selection per system.xi_defs entry: 1 or 2 picks that
 argument of the min, 3 the constant 1.
 
 A policy changes only the rows that read a defined carry, which the
-generator lists in the system's carry index (carry_defs, carry_rows).
-_Indexed names the rows a policy patches, and its substitute builds a
-policy's rows (_PolicyRows), once per policy iteration, from list
-slices of the other rows and the patched rows, with what branch and
-bound reads beside them: each row's non-negative terms, the rows with
-a negative term and the rows without a left variable.  Rows carry no
-origin or site there; apply_policy, whose always-carry policy patches
-each row into one, takes them from the system for the LP export.
+generator lists beside the definitions (system.carry_rows).  _Indexed
+names the rows a policy patches, and its substitute builds a policy's
+rows (_PolicyRows), once per policy iteration, from list slices of the
+other rows and the patched rows, with what branch and bound reads
+beside them: each row's non-negative terms, the rows with a negative
+term and the rows without a left variable.  Rows carry no origin or
+site there.  always_carry_rows gives the LP export the rows of the
+always-carry policy, which patches each row into one, so they keep the
+system's row numbers, origins and sites.
 
 One worklist fixpoint (_kleene), with a users list of row indices per
 variable, serves the monotone solve, the lift, the relaxation (negative
@@ -140,9 +141,8 @@ class _Indexed:
 
     def __init__(self, system: ConstraintSystem):
         self.system = system
-        self.defs = system.carry_defs
         rows = system.rows
-        self.patched = system.carry_rows if self.defs else [
+        self.patched = system.carry_rows if system.xi_defs else [
             (r, -1, ts) for r, (left, ts) in enumerate(zip(rows.lhs,
                                                            rows.terms))
             if left < 0 or ts and min(ts)[0] < 0]
@@ -154,7 +154,7 @@ class _Indexed:
         or 2 replaces max(e, 0) by emitting the row twice, once without
         the carry term and once with e added.  Rows between patched rows
         are taken as list slices."""
-        rows, defs = self.system.rows, self.defs
+        rows, defs = self.system.rows, self.system.xi_defs
         lhs, const, terms, kept = [], [], [], []
         frozen, bounds, negs = [], [], []
         start = 0
@@ -198,7 +198,7 @@ def _finish(system: ConstraintSystem, values: list[int],
             nodes: int = 0) -> NsbAssignment:
     """Fill carry values from their definitions, verify every row of the
     system, and package the values as they are numbered."""
-    for var, (c1, t1), (c2, t2) in system.carry_defs:
+    for var, (c1, t1), (c2, t2) in system.xi_defs:
         values[var] = min(max(_eval(c1, t1, values), 0),
                           max(_eval(c2, t2, values), 0), 1)
     rows = system.rows
@@ -328,25 +328,12 @@ def solve_monotone(system: ConstraintSystem) -> NsbAssignment:
     return _finish(system, values)
 
 
-def apply_policy(system: ConstraintSystem) -> ConstraintSystem:
-    """The system with every carry variable replaced by the constant 1
-    (the always-carry policy), row for row as the solver substitutes it."""
-    ix = _Indexed(system)
-    rows = ix.substitute([3] * len(ix.defs))
-    out = ConstraintSystem(system.pmax, system.points)
-    variables = system.variables
-    defined = {var for var, _, _ in ix.defs}
-    out.declare(*(v for i, v in enumerate(variables) if i not in defined))
-    out.skipped_points = list(system.skipped_points)
-    out.zero_ufp_points = list(system.zero_ufp_points)
-    number = out.number
-    # That policy patches every row into one, so rows keep their places.
-    for r, left in enumerate(rows.lhs):
-        out.rows.append(-1 if left < 0 else number(variables[left]),
-                        rows.const[r], tuple((k, number(variables[i]))
-                                             for k, i in rows.terms[r]),
-                        system.rows.origin[r], system.rows.site[r])
-    return out
+def always_carry_rows(system: ConstraintSystem) -> tuple[list, list, list]:
+    """The left variables, constants and terms of system's rows with
+    every defined carry at 1 (the always-carry policy), as the solver
+    substitutes them: one row per row of system, in its numbering."""
+    rows = _Indexed(system).substitute([3] * len(system.xi_defs))
+    return rows.lhs, rows.const, rows.terms
 
 
 def _branch_and_bound(n: int, rows: _PolicyRows, points: int, pmax: int,
@@ -485,14 +472,14 @@ def policy_iterate(system: ConstraintSystem,
     branch and bound only where the lift does not fit.
     """
     ix = _Indexed(system)
-    policy = [3] * len(ix.defs)
+    policy = [3] * len(system.xi_defs)
     assignment = _lift(ix, plain) if plain is not None else None
     for iteration in range(1, max_iterations + 1):
         if assignment is None or iteration > 1:
             assignment = solve_ilp(system, policy, node_limit, indexed=ix)
         values = assignment.values
         switched = False
-        for k, (_, (c1, t1), (c2, t2)) in enumerate(ix.defs):
+        for k, (_, (c1, t1), (c2, t2)) in enumerate(system.xi_defs):
             args = (max(_eval(c1, t1, values), 0),
                     max(_eval(c2, t2, values), 0),
                     1)
@@ -506,6 +493,6 @@ def policy_iterate(system: ConstraintSystem,
 
 
 __all__ = [
-    "NsbAssignment", "SolverError", "apply_policy",
+    "NsbAssignment", "SolverError", "always_carry_rows",
     "policy_iterate", "solve_ilp", "solve_monotone",
 ]

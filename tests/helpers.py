@@ -5,9 +5,11 @@ The rounding oracle here deliberately repeats none of the library's
 code: it rounds exact rationals with divmod arithmetic so that the two
 implementations can only agree by both being right.  The readers
 (report_from_json, parse_solution, check_solution, strip_annotations)
-and the energy check read what the commands write, and to_float and
-abs_mpv are MPValue conveniences; no command needs them, so they live
-here rather than in the package.
+and the energy check read what the commands write, dump writes a
+system as text for pinned digests (keyed_defs names its carry
+definitions by variable), and to_float and abs_mpv are MPValue
+conveniences; no command needs them, so they live here rather than in
+the package.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import random
 import re
 from fractions import Fraction
 
-from bittune.constraints import ConstraintSystem
+from bittune.constraints import ConstraintSystem, LinExpr
 from bittune.interp import run_reference
 from bittune.mpfloat import MPValue, to_fraction
 from bittune.nbody import (
@@ -28,7 +30,6 @@ from bittune.nbody import (
 from bittune.parse import parse_program
 from bittune.program import If, Program, While
 from bittune.render import emit_annotated
-from bittune.solver import apply_policy
 from bittune.tuner import TuningReport, VerifyRow
 
 
@@ -214,17 +215,46 @@ def parse_solution(text: str) -> dict[str, int]:
 def check_solution(system: ConstraintSystem,
                    named: dict[str, int]) -> tuple[bool, int]:
     """(feasible, objective total) of an external solution for the
-    system, every carry at 1 (the LP export's policy)."""
-    if system.xi_defs:
-        system = apply_policy(system)
-    values = []
-    for v in system.variables:
+    system, every defined carry at 1 (the LP export's policy): named
+    gives every other variable by name, and each row is checked with
+    its defined carries read as 1."""
+    defined = {x for x, _, _ in system.xi_defs}
+    values = {}
+    for i, v in enumerate(system.variables):
+        if i in defined:
+            continue
         if v.name not in named:
             raise ValueError(f"solution is missing variable {v.name}")
-        values.append(named[v.name])
-    feasible = system.satisfied_by(values) and all(
-        0 <= n <= system.pmax for n in values)
-    return feasible, sum(values[:system.points])
+        values[i] = named[v.name]
+    feasible = all(0 <= n <= system.pmax for n in values.values())
+    rows = system.rows
+    for left, need, terms in zip(rows.lhs, rows.const, rows.terms):
+        need += sum(c * (1 if i in defined else values[i]) for c, i in terms)
+        feasible &= (values[left] if left >= 0 else 0) >= need
+    return feasible, sum(values[p] for p in range(system.points))
+
+
+def keyed_defs(system: ConstraintSystem) -> list[tuple]:
+    """The system's carry definitions as (carry, arg1, arg2), each
+    argument a LinExpr, all named by the variables themselves."""
+    vs = system.variables
+
+    def expr(const, terms) -> LinExpr:
+        return LinExpr(const, tuple((c, vs[i]) for c, i in terms))
+
+    return [(vs[x], expr(*arg1), expr(*arg2))
+            for x, arg1, arg2 in system.xi_defs]
+
+
+def dump(system: ConstraintSystem) -> str:
+    """The system as text: its objective and bounds, one row per line,
+    then one line per carry definition."""
+    lines = [f"minimize sum nsb over {system.points} points,"
+             f" bounds [0, {system.pmax}]"]
+    lines += [str(c) for c in system.constraints]
+    lines += [f"{x} = min(max({arg1}, 0), max({arg2}, 0), 1)"
+              for x, arg1, arg2 in keyed_defs(system)]
+    return "\n".join(lines) + "\n"
 
 
 _ANNOT_RE = re.compile(r"\|\d+\|")

@@ -126,10 +126,12 @@ def test_2_refined_system_golden_carry_and_product_rules():
 
     # Only the two sums get carry definitions; products keep the plain
     # carry-at-least-one row.
-    assert sorted(d.site for d in c2.xi_defs) == [6, 10]
-    inner = next(d for d in c2.xi_defs if d.site == 6)
-    args = {(a.const, tuple(sorted((v.kind, v.point) for k, v in a.terms)))
-            for a in (inner.arg1, inner.arg2)}
+    vs = c2.variables
+    assert sorted(vs[x].point for x, _, _ in c2.xi_defs) == [6, 10]
+    _, *inner = next(d for d in c2.xi_defs if vs[d[0]].point == 6)
+    args = {(const, tuple(sorted((vs[i].kind, vs[i].point)
+                                 for _, i in terms)))
+            for const, terms in inner}
     # 6 - 7 + nsb + nsbe of the wider operand, 7 - 6 + nsb + nsbe of the
     # narrower one.
     assert args == {

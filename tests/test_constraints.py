@@ -23,7 +23,9 @@ from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from bittune.program import Assign, BinOp, Num, Sqrt, Var
 from bittune.solver import policy_iterate, solve_monotone
-from helpers import BRANCH, LOOP, gen_straight_line, in_loop
+from helpers import (
+    BRANCH, LOOP, dump, gen_straight_line, in_loop, keyed_defs,
+)
 
 
 def systems_for(src, cond_nsb=53, pmax=500, inputs=(), binding_sets=None):
@@ -176,11 +178,13 @@ class TestRefinedSystem:
         # 8.0 + 0.5: leading exponents 3 and -1, so the two carry
         # arguments carry constants -4 and +4 over nsb + nsbe terms.
         _, _, _, c2 = systems_for("a = 8.0;\nb = 0.5;\nc = a + b;\n")
-        (d,) = c2.xi_defs
-        consts = sorted((d.arg1.const, d.arg2.const))
+        ((x, arg1, arg2),) = c2.xi_defs
+        assert c2.variables[x].kind == "xi"
+        consts = sorted((arg1[0], arg2[0]))
         assert consts == [-4, 4]
-        for arg in (d.arg1, d.arg2):
-            assert sorted(v.kind for _, v in arg.terms) == ["nsb", "nsbe"]
+        for _, terms in (arg1, arg2):
+            assert sorted(c2.variables[i].kind for _, i in terms) == \
+                ["nsb", "nsbe"]
 
     def test_literal_seeds_one_error_bit(self):
         _, _, _, c2 = systems_for("a = 2.0;\nb = 3.0;\nc = a + b;\n")
@@ -252,21 +256,23 @@ class TestRefinedSystem:
         assert c2.satisfied_by(assignment.values)
 
     def test_carry_index_matches_the_definitions_and_rows(self):
-        # The solver patches only carry_rows per policy, so every other
-        # row must have a left variable and no negative term.
+        # Each definition names its own carry and, per argument, one
+        # operand's nsb and nsbe.  The solver patches only carry_rows
+        # per policy, so every other row must have a left variable and
+        # no negative term.
         sources = [*_pinned_sources(), "a = 2.0;\nz = 0.0;\nc = a + z;\n"]
         for src in sources:
-            _, _, c1, c2 = systems_for(src)
-            assert not (c1.carry_defs or c1.carry_rows)
-            index = c2.index
-
-            def indexed(e):
-                return e.const, tuple((c, index[v]) for c, v in e.terms)
-
-            assert c2.carry_defs == [
-                (index[d.var], indexed(d.arg1), indexed(d.arg2))
-                for d in c2.xi_defs]
-            defined = {var: d for d, (var, _, _) in enumerate(c2.carry_defs)}
+            prog, _, c1, c2 = systems_for(src)
+            assert not (c1.xi_defs or c1.carry_rows)
+            vs = c2.variables
+            for x, (_, terms1), (_, terms2) in c2.xi_defs:
+                node = prog.points[vs[x].point]
+                a, b = node.left.point, node.right.point
+                assert vs[x] == xi(node.point, a, b) and node.op in "+-"
+                for p, terms in ((a, terms1), (b, terms2)):
+                    assert [(c, vs[i]) for c, i in terms] == \
+                        [(1, nsb(p)), (1, nsbe(p))]
+            defined = {var: d for d, (var, _, _) in enumerate(c2.xi_defs)}
             patched = {}
             for r, ts in enumerate(c2.rows.terms):
                 read = [defined[i] for _, i in ts if i in defined]
@@ -278,7 +284,7 @@ class TestRefinedSystem:
             assert [r for r, _, _ in c2.carry_rows] == sorted(patched)
             for r, d, plain in c2.carry_rows:
                 assert patched[r] == [d]
-                var = c2.carry_defs[d][0]
+                var = c2.xi_defs[d][0]
                 assert c2.rows.terms[r] == plain + ((1, var),)
                 named = [i for _, i in plain]
                 assert len(set(named)) == len(named)
@@ -293,10 +299,10 @@ class TestRefinedSystem:
         assignment, _, _ = policy_iterate(c2)
         assert c2.satisfied_by(assignment.values)
         assert len(c2.xi_defs) == 2
-        for d in c2.xi_defs:
-            assert assignment.values[c2.index[d.var]] == 1
+        for x, _, _ in c2.xi_defs:
+            assert assignment.values[x] == 1
             lowered = list(assignment.values)
-            lowered[c2.index[d.var]] = 0
+            lowered[x] = 0
             assert _dict_keyed_check(c2.constraints, (),
                                      dict(zip(c2.variables, lowered)))
             assert not c2.satisfied_by(lowered)
@@ -329,8 +335,8 @@ class TestPinnedBytes:
         digests = {name: hashlib.sha256() for name in self.PINNED}
         for src in _pinned_sources():
             _, _, c1, c2 = systems_for(src)
-            digests["c1.dump"].update(c1.dump().encode())
-            digests["c2.dump"].update(c2.dump().encode())
+            digests["c1.dump"].update(dump(c1).encode())
+            digests["c2.dump"].update(dump(c2).encode())
             digests["c1.lp"].update(export_lp(c1).encode())
             digests["c2.lp"].update(export_lp(c2).encode())
         assert {name: h.hexdigest() for name, h in digests.items()} == \
@@ -349,16 +355,16 @@ def _solved_systems(src):
             (c2, policy_iterate(c2)[0].values, list(c2.constraints))]
 
 
-def _dict_keyed_check(rows, xi_defs, values):
+def _dict_keyed_check(rows, keyed_defs, values):
     """Every row and carry definition, evaluated through variable keys."""
     def value(e):
         return e.const + sum(k * values[v] for k, v in e.terms)
 
     return (all((values[c.lhs] if c.lhs is not None else 0) >= value(c.rhs)
                 for c in rows)
-            and all(values[d.var] == min(max(value(d.arg1), 0),
-                                         max(value(d.arg2), 0), 1)
-                    for d in xi_defs))
+            and all(values[x] == min(max(value(arg1), 0),
+                                     max(value(arg2), 0), 1)
+                    for x, arg1, arg2 in keyed_defs))
 
 
 class TestRowForm:
@@ -387,7 +393,8 @@ class TestRowForm:
                 checked.append(flipped)
             for values in checked:
                 assert system.satisfied_by(values) == _dict_keyed_check(
-                    rows, system.xi_defs, dict(zip(system.variables, values)))
+                    rows, keyed_defs(system),
+                    dict(zip(system.variables, values)))
             assert system.satisfied_by(solved)
 
 
@@ -419,18 +426,21 @@ class TestIntVar:
                 assert fresh is not v
 
     def test_one_object_per_variable(self):
-        # Every row and carry definition names the object the system
-        # declared, so lookups succeed on identity.
+        # The generator numbers each variable once, from its own
+        # per-point lists, and every row and carry definition reads it
+        # by that index: no variable is declared twice, nsb(p) is
+        # variable p, and the indices read are exactly the declared ones.
         _, _, c1, c2 = systems_for(build_nbody_program(
             t_max=horizon_t_max(0.05)))
         for system in (c1, c2):
-            declared = {v: v for v in system.variables}
-            assert len(declared) == len(system.variables)
-            named = []
-            for c in system.constraints:
-                named += [v for _, v in c.rhs.terms]
-                if c.lhs is not None:
-                    named.append(c.lhs)
-            for d in system.xi_defs:
-                named += [d.var] + [v for _, v in d.arg1.terms + d.arg2.terms]
-            assert all(declared[v] is v for v in named)
+            vs = system.variables
+            assert len(set(vs)) == len(vs)
+            assert vs[:system.points] == [nsb(p) for p in
+                                          range(system.points)]
+            rows = system.rows
+            read = [left for left in rows.lhs if left >= 0]
+            read += [i for ts in rows.terms for _, i in ts]
+            for x, (_, terms1), (_, terms2) in system.xi_defs:
+                read += [x] + [i for _, i in terms1 + terms2]
+            assert all(0 <= i < len(vs) for i in read)
+            assert set(read) == set(range(len(vs)))

@@ -8,6 +8,11 @@ attribute module.name, a use of the name in its own module outside its
 own definition, or a (module, name) pair in perfbench/tracing.py, which
 patches the names it traces.  Code that only tests call belongs in
 tests/helpers.py.
+
+No module of src/bittune or scripts/ imports or reads another package
+module's leading-underscore name: what one module needs of another is
+public.  perfbench/ is exempt, since it patches private names from
+outside to time them.
 """
 
 import ast
@@ -74,3 +79,29 @@ def test_every_package_function_and_class_is_used_outside_tests():
     unused = sorted(f"{module}.{name}" for module, name in definitions
                     if (module, name) not in used)
     assert unused == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reads_another_modules_private_names():
+    trees = _trees(PACKAGE, ROOT / "scripts")
+    modules = {path.stem for path, _ in _trees(PACKAGE)}
+    found = []
+    for path, tree in trees:
+        own = path.stem if path.parent == PACKAGE else None
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module.rpartition(".")[2]
+                if module in modules and module != own:
+                    found += [f"{path.name}: from {module} import {a.name}"
+                              for a in node.names if _private(a.name)]
+            elif (isinstance(node, ast.Attribute) and _private(node.attr)
+                  and isinstance(node.value, (ast.Name, ast.Attribute))):
+                value = node.value
+                owner = value.id if isinstance(value, ast.Name) else value.attr
+                if owner in modules and owner != own:
+                    found.append(f"{path.name}:{node.lineno}: "
+                                 f"{owner}.{node.attr}")
+    assert found == []

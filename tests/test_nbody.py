@@ -24,7 +24,7 @@ from bittune.nbody import (
     _prepare_horizon, run_experiment,
 )
 from bittune.parse import parse_program
-from helpers import reference_energy_drift, to_float, total_energy
+from helpers import dump, reference_energy_drift, to_float, total_energy
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -232,7 +232,7 @@ class TestSharedLowering:
                                cfg)
         for shared, generated in zip((horizon.c1, horizon.c2), direct):
             swapped = with_requirement(shared, req)
-            assert swapped.dump() == generated.dump()
+            assert dump(swapped) == dump(generated)
             assert export_lp(swapped) == export_lp(generated)
 
     @pytest.mark.parametrize("method", ("ilp", "pi"))
@@ -245,7 +245,7 @@ class TestSharedLowering:
         shared = [s for s in (horizon.c1, horizon.c2) if s is not None]
 
         def digests():
-            return [hashlib.sha256((s.dump() + export_lp(s)).encode())
+            return [hashlib.sha256((dump(s) + export_lp(s)).encode())
                     .hexdigest() for s in shared]
 
         before = digests()

@@ -17,12 +17,12 @@ from bittune.constraints import (
     ConstraintSystem, gen_ilp, gen_refined, nsb,
 )
 from bittune.interp import run_reference
+from bittune.lpfile import export_lp
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from bittune import solver
 from bittune.solver import (
-    SolverError, _dependency_order, apply_policy, policy_iterate, solve_ilp,
-    solve_monotone,
+    SolverError, _dependency_order, policy_iterate, solve_ilp, solve_monotone,
 )
 from bittune.tuner import TuningConfig, reference_run
 from helpers import gen_straight_line
@@ -30,9 +30,8 @@ from helpers import gen_straight_line
 
 def make_system(rows, n_vars, pmax):
     """rows: list of (lhs_index, const, ((coef, var_index), ...))."""
-    sys_ = ConstraintSystem(pmax, n_vars)
     vars_ = [nsb(i) for i in range(n_vars)]
-    sys_.declare(*vars_)
+    sys_ = ConstraintSystem(pmax, n_vars, list(vars_))
     for lhs_i, const, terms in rows:
         sys_.rows.append(-1 if lhs_i is None else lhs_i, const, tuple(terms),
                          "test", 0)
@@ -232,13 +231,18 @@ class TestPolicyIteration:
         assert improved.total == solve_ilp(c2, [3] * len(c2.xi_defs)).total
 
     def test_policy_substitution_preserves_variables(self):
+        # The LP export, every carry at 1, minimizes the first points
+        # variables and declares every variable but the defined carries.
         c2 = self._refined("a = 8.0;\nb = 0.5;\nc = a + b;\n"
                            "require_nsb(c, 12);\n")
-        plain = apply_policy(c2)
-        xi_vars = {d.var for d in c2.xi_defs}
-        assert not xi_vars & set(plain.variables)
-        assert plain.points == c2.points
-        assert plain.variables[:plain.points] == c2.variables[:c2.points]
+        text = export_lp(c2)
+        objective = text[text.index("obj:") + 4:text.index("Subject To")]
+        general = text[text.index("General") + 7:text.index("End")]
+        names = [v.name for v in c2.variables]
+        assert objective.replace("+", " ").split() == names[:c2.points]
+        defined = [names[x] for x, _, _ in c2.xi_defs]
+        assert defined
+        assert general.split() == [n for n in names if n not in defined]
 
     def test_plain_start_changes_no_result(self, rng):
         # Lifting the plain solution replaces the first branch and bound;
@@ -281,7 +285,7 @@ def _digest(system, assignment) -> str:
     """sha256 of every variable's value, in the order the digests were
     recorded in: variables without a carry definition as numbered, then
     the defined carries in definition order."""
-    carries = [system.index[d.var] for d in system.xi_defs]
+    carries = [x for x, _, _ in system.xi_defs]
     order = sorted(set(range(len(system.variables))) - set(carries)) + carries
     text = "".join(f"{system.variables[i]}={assignment.values[i]}\n"
                    for i in order)
@@ -361,10 +365,10 @@ class TestPinnedOutput:
 
 
 def _state(system):
-    """Everything a solve reads from a system."""
+    """Everything a solve or the LP export reads from a system."""
     rows = system.rows
     return (rows.lhs, rows.const, rows.terms, rows.origin, rows.site,
-            system.xi_defs, system.carry_defs, system.carry_rows)
+            system.variables, system.xi_defs, system.carry_rows)
 
 
 def test_no_solver_call_changes_its_system():
@@ -383,7 +387,8 @@ def test_no_solver_call_changes_its_system():
         with contextlib.suppress(SolverError):
             _, policy, _ = policy_iterate(c2, plain=plain)
             switched += policy != [3] * len(policy)
-        apply_policy(c2)
+        export_lp(c1)
+        export_lp(c2)
         assert (_state(c1), _state(c2)) == before
     assert switched >= 3
 

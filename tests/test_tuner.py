@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,13 +11,14 @@ import pytest
 
 from bittune import mpfloat, tuner
 from bittune.codegen import ScriptNameError, emit_mp_code
+from bittune.constraints import gen_ilp, gen_refined
 from bittune.mpfloat import mp, mp_sqrt
 from bittune.interp import run_reference, run_tuned
 from bittune.lpfile import export_lp
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from bittune.render import MissingWidthError, emit_annotated
-from bittune.solver import SolverError, solve_monotone
+from bittune.solver import SolverError, solve_ilp, solve_monotone
 from bittune.tuner import (
     TuneError, TuningConfig, VerifyRow, passed, tune, verify,
 )
@@ -304,7 +306,6 @@ class TestLpRoundTrip:
     def _system(self):
         src = "a = 8.0;\nb = 0.5;\nc = a + b;\nrequire_nsb(c, 12);\n"
         prog = parse_program(src)
-        from bittune.constraints import gen_ilp
         return gen_ilp(prog, run_reference(prog, 100).ranges)
 
     def test_export_names_every_variable_and_row(self):
@@ -338,3 +339,49 @@ class TestLpRoundTrip:
         system = self._system()
         with pytest.raises(ValueError, match="missing"):
             check_solution(system, {})
+
+
+class TestRefinedLpRoundTrip:
+    """The refined system's LP text, every defined carry at 1, against
+    its own always-carry solution."""
+
+    SOURCES = (
+        "a = 8.0;\nb = 0.5;\nc = a + b;\nrequire_nsb(c, 12);\n",
+        "a = 1.5;\nb = 2.25;\nc = a + b;\nd = c * c - a;\n"
+        "require_nsb(d, 20);\n",
+    )
+
+    @staticmethod
+    def _solved(src):
+        prog = parse_program(src)
+        c2 = gen_refined(prog, run_reference(prog, 100).ranges)
+        text = export_lp(c2)
+        declared = text[text.index("General") + 7:text.index("End")].split()
+        sol = solve_ilp(c2, [3] * len(c2.xi_defs))
+        value = {v.name: n for v, n in zip(c2.variables, sol.values)}
+        return c2, text, sol, {name: value[name] for name in declared}
+
+    @pytest.mark.parametrize("src", SOURCES)
+    def test_always_carry_solution_passes_with_its_total(self, src):
+        c2, _, sol, named = self._solved(src)
+        assert c2.xi_defs
+        assert check_solution(c2, named) == (True, sol.total)
+
+    @pytest.mark.parametrize("src", SOURCES)
+    def test_one_lowered_width_fails(self, src):
+        # The solution has the least bit-sum, so no width can drop alone.
+        c2, _, sol, named = self._solved(src)
+        widths = [v.name for v, n in zip(c2.variables[:c2.points],
+                                         sol.values) if n > 0]
+        assert widths
+        for victim in widths:
+            lowered = dict(named, **{victim: named[victim] - 1})
+            assert not check_solution(c2, lowered)[0]
+
+    @pytest.mark.parametrize("src", SOURCES)
+    def test_no_defined_carry_is_named(self, src):
+        c2, text, _, named = self._solved(src)
+        for x, _, _ in c2.xi_defs:
+            name = c2.variables[x].name
+            assert name not in named
+            assert not re.search(rf"\b{name}\b", text)
