@@ -13,9 +13,8 @@ import sys
 from pathlib import Path
 
 from bittune import cli
-from bittune.nbody import (
-    ExperimentPlan, PlanError, build_nbody_program, horizon_t_max,
-)
+from bittune.nbody import ExperimentPlan, build_nbody_program, horizon_t_max
+from bittune.tuner import TuneError
 
 
 def main() -> int:
@@ -31,7 +30,7 @@ def main() -> int:
     try:
         ExperimentPlan(nsb_values=(args.req,), horizons_years=(args.years,),
                        dt=args.dt, method=args.method)
-    except PlanError as e:
+    except TuneError as e:
         flag = {"nsb_values": "req", "horizons_years": "years"}.get(e.field,
                                                                    e.field)
         ap.error(f"--{flag}: {e}")

@@ -46,19 +46,19 @@ from .constraints import DEFAULT_COND_NSB, DEFAULT_PMAX
 from .interp import run_tuned
 from .lpfile import export_lp
 from .mpfloat import MPDomainError
-from .nbody import ExperimentPlan, PlanError, run_experiment
+from .nbody import ExperimentPlan, run_experiment
 from .parse import check_literal, parse_program
 from .program import Program, shown
-from .render import MissingWidthError, emit_annotated
+from .render import emit_annotated
 from .codegen import emit_mp_code
 from .tuner import (
-    TuningConfig, generate, passed, reference_run, stage, tune, verify,
+    TuneError, TuningConfig, divergence, generate, passed, reference_run,
+    stage, tune, verify,
 )
 
 # The package's own errors derive from ValueError or RuntimeError, but
-# for the two named here; OSError covers the files.
-_ERRORS = (MPDomainError, MissingWidthError, OSError, ValueError,
-           RuntimeError)
+# for the one named here; OSError covers the files.
+_ERRORS = (MPDomainError, OSError, ValueError, RuntimeError)
 
 _SCHEMAS = """\
 file formats:
@@ -243,9 +243,8 @@ def cmd_verify(args) -> int:
     for r in rows:
         status = "pass" if r.passed else "FAIL"
         print(f"{r.var:<16} {r.bits:>4} {r.error:>13} {r.bound:>13}  {status}")
-    if ref.steps != tuned.steps:
-        print(f"control flow diverged: reference ran {ref.steps} steps, "
-              f"tuned {tuned.steps}")
+    if note := divergence(ref.steps, tuned.steps):
+        print(note)
     print(f"{sum(r.passed for r in rows)}/{len(rows)} within tolerance")
     return 0 if passed(rows, ref.steps, tuned.steps) else 1
 
@@ -261,7 +260,7 @@ def cmd_bench(args) -> int:
             cond_nsb=args.cond_nsb,
             write_series=not args.no_series,
         )
-    except PlanError as e:
+    except TuneError as e:
         flag = {"nsb_values": "nsb", "horizons_years": "years"}.get(
             e.field, e.field.replace("_", "-"))
         raise _UsageError(f"--{flag}: {e}") from None

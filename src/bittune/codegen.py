@@ -40,7 +40,6 @@ from .program import (
     Assign, BinOp, Compare, Expr, If, Neg, Num, Program, Require, Sqrt, Stmt,
     Var, While,
 )
-from .render import MissingWidthError
 
 _HEADER_START = '''"""Reduced-precision program; widths were solved per control point.
 
@@ -138,12 +137,6 @@ def _input_check(inputs: tuple[str, ...]) -> list[str]:
             ""]
 
 
-def _width(widths: dict[int, int], point: int) -> int:
-    if point not in widths:
-        raise MissingWidthError(point)
-    return widths[point]
-
-
 def _emit_expr(e: Expr, widths, depth: int) -> str:
     """e's wrapper call, inside depth open brackets."""
     depth += 1
@@ -152,17 +145,17 @@ def _emit_expr(e: Expr, widths, depth: int) -> str:
             f"control point {e.point} would sit {depth} brackets deep in "
             f"the mp script; Python compiles at most {MAX_BRACKETS}")
     if isinstance(e, Num):
-        return f"mp('{e.text}', {_width(widths, e.point)})"
+        return f"mp('{e.text}', {widths[e.point]})"
     if isinstance(e, Var):
-        return f"mp({e.name}, {_width(widths, e.point)})"
+        return f"mp({e.name}, {widths[e.point]})"
     if isinstance(e, Sqrt):
-        return f"mp_sqrt({_emit_expr(e.arg, widths, depth)}, {_width(widths, e.point)})"
+        return f"mp_sqrt({_emit_expr(e.arg, widths, depth)}, {widths[e.point]})"
     if isinstance(e, Neg):
-        return f"mp(-{_emit_expr(e.operand, widths, depth)}, {_width(widths, e.point)})"
+        return f"mp(-{_emit_expr(e.operand, widths, depth)}, {widths[e.point]})"
     if isinstance(e, BinOp):
         left = _emit_expr(e.left, widths, depth)
         right = _emit_expr(e.right, widths, depth)
-        return f"mp({left} {e.op} {right}, {_width(widths, e.point)})"
+        return f"mp({left} {e.op} {right}, {widths[e.point]})"
     raise TypeError(f"unexpected expression node {e!r}")
 
 
@@ -194,7 +187,7 @@ def _emit_stmts(stmts: list[Stmt], widths, indent: int, out: list[str],
     for st in stmts:
         if isinstance(st, Assign):
             rhs = _emit_expr(st.expr, widths, 1)
-            out.append(f"{pad}{st.name} = mp({rhs}, {_width(widths, st.point)})")
+            out.append(f"{pad}{st.name} = mp({rhs}, {widths[st.point]})")
         elif isinstance(st, While):
             _check_block(st, indent, loops + 1)
             out.append(f"{pad}while {_emit_cond(st.cond, widths)}:")

@@ -98,7 +98,7 @@ class UfpMap:
 
     top: list[int | None]
     counts: list[int]
-    ufp_zero: int = -DEFAULT_PRECISION
+    ufp_zero: int
 
     @classmethod
     def empty(cls, n_points: int, ufp_zero: int) -> "UfpMap":
@@ -459,9 +459,6 @@ def run_reference(prog: Program, pref: int = DEFAULT_PRECISION,
 
 def run_tuned(prog: Program, widths: dict[int, int], bindings=None, track=(),
               max_steps: int = MAX_STEPS) -> Trace:
-    """Execute with each control point at its assigned width (clamped to >= 1)."""
-    missing = next((p for p in range(prog.n_points) if p not in widths), None)
-    if missing is not None:
-        raise EvalError(f"{TUNED}: no width assigned", missing)
+    """Execute with every point p at widths[p] (clamped to >= 1)."""
     bound = [max(widths[p], 1) for p in range(prog.n_points)]
     return _Interp(prog, bound, bindings, track, max_steps).run()

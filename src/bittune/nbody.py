@@ -18,7 +18,9 @@ between the reference run and every tuned run, however t rounds.
 The sweep tunes through `tuner`: one parse, reference_run and
 generation per horizon, shared by its requirements, and one solve per
 cell, of the horizon's systems with the cell's requirement swapped in.
-run_experiment writes its CSVs under the directory it is given.
+A cell whose tuned run takes another number of steps than the
+reference stops the sweep (tuner.divergence).  run_experiment writes
+its CSVs under the directory it is given.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import partial
-from importlib import resources
 from multiprocessing import get_context
 from pathlib import Path
 from typing import NamedTuple
@@ -42,7 +43,8 @@ from .interp import Trace, run_reference, run_tuned
 from .mpfloat import DEFAULT_PRECISION
 from .parse import check_literal, parse_program
 from .program import Program
-from .tuner import TuneError, TuningConfig, reference_run, solve, systems
+from .tuner import (TuneError, TuningConfig, divergence, reference_run,
+                    solve, systems)
 
 BODY_ORDER = ("Sun", "Jupiter", "Saturn", "Uranus", "Neptune")
 COORDS = ("x", "y", "z")
@@ -79,30 +81,27 @@ class BenchConstants:
         return tuple(b for b in self.bodies if not b.fixed)
 
 
-def _data_path() -> Path:
-    return Path(str(resources.files(__package__).joinpath("data", "nbody_bodies.txt")))
+# The initial state of the classic n-body program from the Computer
+# Language Benchmarks Game.  Positions are in AU, velocities in AU/day
+# (the generated program scales them by days_per_year), masses in solar
+# masses (scaled by solar_mass = 4*pi^2, so G = 1 with time in years).
+# Each value is the shortest decimal that round-trips through binary32,
+# which is exactly the precision the benchmark sources print.
+_BODIES = BenchConstants("365.24", "39.478416", (
+    BodySpec("Sun", "0.0", "0.0", "0.0", "0.0", "0.0", "0.0", "1.0"),
+    BodySpec("Jupiter", "4.8414316", "-1.16032", "-0.10362204",
+             "0.0016600767", "0.0076990114", "-6.9046E-5", "9.5479196E-4"),
+    BodySpec("Saturn", "8.343367", "4.124799", "-0.40352342",
+             "-0.002767425", "0.004998528", "2.304173E-5", "2.8588597E-4"),
+    BodySpec("Uranus", "12.894369", "-15.111152", "-0.22330758",
+             "0.0029646014", "0.0023784717", "-2.9658957E-5", "4.366244E-5"),
+    BodySpec("Neptune", "15.379697", "-25.919315", "0.17925878",
+             "0.0026806777", "0.0016282417", "-9.515922E-5", "5.151389E-5")))
 
 
-def load_bodies(path: str | Path | None = None) -> BenchConstants:
-    """Read the body table shipped with the package (or an override)."""
-    text = Path(path if path is not None else _data_path()).read_text()
-    table: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        table[key.strip()] = value.strip()
-
-    bodies = []
-    for name in BODY_ORDER:
-        k = name.lower()
-        bodies.append(BodySpec(name, table[f"{k}.x"], table[f"{k}.y"],
-                               table[f"{k}.z"], table[f"{k}.vx"],
-                               table[f"{k}.vy"], table[f"{k}.vz"],
-                               table[f"{k}.mass"]))
-    return BenchConstants(table["days_per_year"], table["solar_mass"],
-                          tuple(bodies))
+def load_bodies() -> BenchConstants:
+    """The five bodies' initial state, in BODY_ORDER (frozen)."""
+    return _BODIES
 
 
 def build_nbody_program(constants: BenchConstants | None = None,
@@ -195,19 +194,12 @@ def _distance(ref, tuned) -> float:
     return math.sqrt(s / (1 << -2 * e) if e < 0 else float(s << 2 * e))
 
 
-class PlanError(ValueError):
-    """A sweep that cannot run; field names the ExperimentPlan field."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
-
-
 @dataclass(frozen=True)
 class ExperimentPlan:
     """One precision sweep: every requirement in nsb_values at every
     horizon, sharing the reference run and range analysis per horizon.
-    Each horizon's loop bound is horizon_t_max(years, dt)."""
+    Each horizon's loop bound is horizon_t_max(years, dt).  A plan that
+    cannot run raises tuner.TuneError naming the field it refuses."""
 
     nsb_values: tuple[int, ...] = (11, 18, 24, 34, 43, 53)
     horizons_years: tuple[float, ...] = (10.0,)
@@ -219,27 +211,24 @@ class ExperimentPlan:
 
     def __post_init__(self):
         if not self.nsb_values or not self.horizons_years:
-            raise PlanError("nsb_values" if not self.nsb_values
-                            else "horizons_years", "the list is empty")
+            raise TuneError("the list is empty", "nsb_values"
+                            if not self.nsb_values else "horizons_years")
         for n in self.nsb_values:
             if not 1 <= n <= self.pref:
-                raise PlanError("nsb_values",
-                                f"requirement {n} outside [1, {self.pref}]")
+                raise TuneError(f"requirement {n} outside [1, {self.pref}]",
+                                "nsb_values")
         for y in self.horizons_years:
             if not (math.isfinite(y) and y >= 0):
-                raise PlanError("horizons_years", f"horizon {y} is not a "
-                                f"finite number of years >= 0")
+                raise TuneError(f"horizon {y} is not a finite number of "
+                                f"years >= 0", "horizons_years")
         try:
             check_literal(self.dt)
             if self.dt.strip()[0] in "+-" or Decimal(self.dt) <= 0:
                 raise ValueError(f"time step {self.dt} is not an unsigned "
                                  f"positive number")
         except ValueError as e:
-            raise PlanError("dt", str(e)) from None
-        try:
-            self.tuning_config().check()
-        except TuneError as e:
-            raise PlanError(e.field, str(e)) from None
+            raise TuneError(str(e), "dt") from None
+        self.tuning_config().check()
 
     def tuning_config(self) -> TuningConfig:
         """What every cell is tuned with; widths are capped at pref."""
@@ -301,7 +290,8 @@ def _run_cell(plan: ExperimentPlan, c: BenchConstants, horizon: Horizon,
     t0 = time.perf_counter()
     tuned = run_tuned(prog, assignment.widths(), track=coords)
     run_s = time.perf_counter() - t0
-    _check_aligned(ref, tuned, coords)
+    if note := divergence(ref.steps, tuned.steps):
+        raise RuntimeError(note)
 
     distances = [(body, _distance([ref.env[f"{d}{body}"] for d in COORDS],
                                   [tuned.env[f"{d}{body}"] for d in COORDS]))
@@ -358,14 +348,6 @@ def _write_summary(path: Path, rows: list[SummaryRow]) -> None:
 
 def _series_name(req: int, years: float) -> str:
     return f"series_nsb{req:02d}_h{years:g}y.csv"
-
-
-def _check_aligned(ref: Trace, tuned: Trace, coords) -> None:
-    nref = len(ref.samples[coords[0]])
-    ntuned = len(tuned.samples[coords[0]])
-    if nref != ntuned:
-        raise RuntimeError(f"trip counts diverged: reference stored "
-                           f"{nref} samples, tuned {ntuned}")
 
 
 def _series_rows(ref: Trace, tuned: Trace, bodies) -> list[tuple[int, str, float]]:

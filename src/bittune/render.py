@@ -17,18 +17,9 @@ from .program import (
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
-class MissingWidthError(KeyError):
-    def __init__(self, point: int):
-        super().__init__(f"no width assigned for control point {point}")
-        self.point = point
-
 
 def _tag(widths, point: int) -> str:
-    if widths is None:
-        return ""
-    if point not in widths:
-        raise MissingWidthError(point)
-    return f"|{widths[point]}|"
+    return "" if widths is None else f"|{widths[point]}|"
 
 
 def _render_expr(e: Expr, widths, parent_prec: int = 0, right_side: bool = False) -> str:
@@ -84,8 +75,8 @@ def _render_stmts(stmts: list[Stmt], widths, indent: int, out: list[str]) -> Non
 
 
 def emit_annotated(prog: Program, widths: dict[int, int] | None) -> str:
-    """Render source with |nsb| width suffixes from a solved assignment;
-    with widths None, the bare source."""
+    """Render source with |nsb| suffixes from widths, which holds one
+    for every point; with widths None, the bare source."""
     out: list[str] = []
     _render_stmts(prog.stmts, widths, 0, out)
     return "\n".join(out) + "\n"

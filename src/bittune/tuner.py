@@ -21,12 +21,12 @@ tuned_run, verify, and emit, the first and last of which the command
 line adds.
 
 Verification compares the tuned execution against the high-precision
-reference: for each require_nsb(v, n) the absolute error
-|tuned - reference| must stay within TOLERANCE_FACTOR *
-2^(ufp(ref) - n + 1).  The factor absorbs accumulation over long runs;
-the per-operation bound itself is what the constraints guarantee
-locally.  A check passes when every row does and the tuned run took
-as many steps as the reference.
+reference: for each require_nsb(v, n) the absolute error |tuned -
+reference| must stay within TOLERANCE_FACTOR * 2^(ufp(ref) - n + 1),
+ufp(0) being the ranges' ufp_zero.  The factor absorbs accumulation
+over long runs; the per-operation bound itself is what the constraints
+guarantee locally.  A check passes when every row does and the tuned
+run took as many steps as the reference.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def _verify_rows(prog: Program, ref: Trace, tuned: Trace) -> list[VerifyRow]:
         err = (abs(mpfloat.to_fraction(ref_v) - mpfloat.to_fraction(tuned_v))
                if tuned_v is not None else None)
         u = (mpfloat.ufp(ref_v) if not ref_v.is_zero()
-             else -mpfloat.DEFAULT_PRECISION)
+             else ref.ranges.ufp_zero)
         bound = Fraction(2) ** (u - st.bits + 1)
         rows.append(VerifyRow(
             st.name, st.point, st.bits,
@@ -173,6 +173,13 @@ def passed(rows: list[VerifyRow], steps_reference: int,
     """The pass rule: every row within tolerance, and the tuned run took
     the reference's number of steps (its control flow did not diverge)."""
     return steps_reference == steps_tuned and all(r.passed for r in rows)
+
+
+def divergence(steps_reference: int, steps_tuned: int) -> str | None:
+    """The note on a tuned run that took another number of steps, or None."""
+    if steps_reference != steps_tuned:
+        return (f"control flow diverged: reference ran {steps_reference} "
+                f"steps, tuned {steps_tuned}")
 
 
 def reference_run(prog: Program, cfg: TuningConfig, track=()) -> Trace:

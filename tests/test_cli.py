@@ -459,6 +459,51 @@ class TestVerifyCommand:
         assert "within tolerance" in out and err == ""
 
 
+class TestOpenRoadmapItems:
+    """The correct behaviour for open ROADMAP items, as strict xfails: the
+    change that mends an item turns its test into an XPASS, which fails
+    until that change removes the marker."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 1: a loop-carried value read only in the next "
+        "iteration gets no demand"))
+    @pytest.mark.parametrize("method", ["ilp", "pi"])
+    def test_item_1_loop_carried_value_meets_its_requirement(
+            self, workdir, capsys, method):
+        (workdir / "loop.pop").write_text(
+            "a = 1.3; b = 0.7; s = 0.0; i = 0.0;\n"
+            "while (i < 10.0) { s = s + b; b = a * 1.1; a = a + 0.5; "
+            "i = i + 1.0; }\nrequire_nsb(s, 30);\n")
+        code, _, err = run_cli(capsys, "tune", "loop.pop", "--method", method)
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, "verify", "loop.pop")[0] == 0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 2: verify checks the variable's final value, not "
+        "its value at the require_nsb"))
+    def test_item_2_lowered_widths_fail_at_the_requirement(self, workdir,
+                                                           capsys):
+        (workdir / "p.pop").write_text(
+            "a = 1.3; x = a * 3.7; require_nsb(x, 20); x = 0.0;\n")
+        run_cli(capsys, "tune", "p.pop")
+        path = workdir / "p.report.json"
+        report = json.loads(path.read_text())
+        report["nsb"] = {k: 2 for k in report["nsb"]}
+        path.write_text(json.dumps(report))
+        assert run_cli(capsys, "verify", "p.pop")[0] == 1
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 2: verify checks the variable's final value, not "
+        "its value at the require_nsb"))
+    def test_item_2_a_later_assignment_leaves_the_requirement_met(
+            self, workdir, capsys):
+        (workdir / "p.pop").write_text(
+            "a = 1.3; x = a * 3.7; require_nsb(x, 20); x = a * 1.1;\n")
+        code, _, err = run_cli(capsys, "tune", "p.pop")
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, "verify", "p.pop")[0] == 0
+
+
 class TestBenchCommand:
     def test_tiny_sweep(self, workdir, capsys, monkeypatch):
         # Each cell's widths are those `tune` solves for the same source.
@@ -510,6 +555,18 @@ class TestBenchCommand:
         code, _, err = run_cli(capsys, "bench", "--years", "-3")
         assert code == 2
 
+    def test_diverged_cell_is_judged_by_its_step_count(self, workdir,
+                                                        capsys):
+        # One-bit conditions end the tuned loop early.  The sweep judged
+        # this by the samples it stored ("trip counts diverged: reference
+        # stored 6 samples, tuned 4"); it now judges it as verify does.
+        code, out, err = run_cli(capsys, "bench", "--years", "0.05",
+                                 "--nsb", "11", "--cond-nsb", "1",
+                                 "--out", "out")
+        assert (code, out, err) == (
+            1, "", "bittune: bench: control flow diverged: reference ran "
+                   "610 steps, tuned 386\n")
+
     # Unchecked, a zero or negative step looped to the interpreter's step
     # cap, "abc" ended in a decimal traceback, a NaN horizon failed in
     # the def-use check, and an empty list wrote a summary of no rows.
@@ -551,6 +608,9 @@ class TestBenchCommand:
 class TestScripts:
     def test_tune_nbody_writes_what_tune_writes(self, tmp_path, capsys,
                                                 monkeypatch):
+        # The script runs in its own working directory with the default
+        # --out and a requirement of its own, and its artifacts must equal
+        # what bittune tune writes.
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(ROOT / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
@@ -559,11 +619,13 @@ class TestScripts:
         cli_dir.mkdir()
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / "tune_nbody.py"),
-             "--years", "0.05", "--req", "11",
-             "--out", str(script_dir / "nbody.pop")],
-            capture_output=True, text=True, env=env)
+             "--years", "0.05", "--req", "11"],
+            capture_output=True, text=True, env=env, cwd=script_dir,
+            timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "12/12 within tolerance" in proc.stdout
+        assert "require_nsb(xJupiter, 11);" in \
+            (script_dir / "nbody.pop").read_text()
         (cli_dir / "nbody.pop").write_bytes(
             (script_dir / "nbody.pop").read_bytes())
         monkeypatch.chdir(cli_dir)
@@ -573,7 +635,6 @@ class TestScripts:
                      "nbody.report.json"):
             assert (script_dir / name).read_bytes() == \
                 (cli_dir / name).read_bytes(), name
-
 
     def test_tune_nbody_refuses_a_step_it_cannot_run(self, tmp_path):
         env = dict(os.environ)

@@ -181,11 +181,6 @@ class TestTuned:
         trace = run_tuned(prog, _uniform(prog, 0))
         assert mpfloat.to_fraction(trace.env["a"]) == 4
 
-    def test_missing_width_rejected(self):
-        prog = parse_program("a = 1.0;\nb = a + a;\n")
-        with pytest.raises(EvalError):
-            run_tuned(prog, {0: 20})
-
     def test_reads_reround_to_read_width(self):
         # pi stored wide, then read at 4 bits: the multiply sees 3.125.
         prog = parse_program("p = 3.141592653589793;\nq = p * 1.0;\n")
@@ -204,14 +199,6 @@ class TestTuned:
         prog = parse_program(src)
         trace = run_tuned(prog, _uniform(prog, 2))
         assert to_float(trace.env["t"]) == 4.0
-
-    def test_missing_width_of_an_unvisited_point_rejected(self):
-        src = "a = 1.0;\nif (a > 2.0) {\n    b = a;\n}\n"
-        prog = parse_program(src)
-        widths = _uniform(prog, 20)
-        del widths[prog.n_points - 1]
-        with pytest.raises(EvalError, match="^tuned run: no width assigned"):
-            run_tuned(prog, widths)
 
     def test_narrow_width_can_stall_a_loop(self):
         # With an exactly representable bound, 4 + 1 ties back to 4 at

@@ -13,9 +13,16 @@ No module of src/bittune or scripts/ imports or reads another package
 module's leading-underscore name: what one module needs of another is
 public.  perfbench/ is exempt, since it patches private names from
 outside to time them.
+
+The package ships code only: src/bittune holds nothing but .py files,
+and pyproject.toml declares no package data.  Every exception class of
+the package is raised by the package, so none survives only as an
+except clause or an entry in a tuple of caught errors.
 """
 
 import ast
+import builtins
+import tomllib
 from pathlib import Path
 
 from bittune import codegen
@@ -105,3 +112,43 @@ def test_no_module_reads_another_modules_private_names():
                     found.append(f"{path.name}:{node.lineno}: "
                                  f"{owner}.{node.attr}")
     assert found == []
+
+
+def test_package_holds_only_python_files():
+    other = sorted(str(path.relative_to(PACKAGE))
+                   for path in PACKAGE.rglob("*")
+                   if path.is_file() and "__pycache__" not in path.parts
+                   and path.suffix != ".py")
+    assert other == []
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        setuptools = tomllib.load(fh).get("tool", {}).get("setuptools", {})
+    assert "package-data" not in setuptools
+
+
+def _is_exception(base, classes):
+    """Whether the base expression names an exception class: a builtin
+    one, or one of classes (name -> its ClassDef) that is."""
+    if not isinstance(base, ast.Name):
+        return False
+    if base.id in classes:
+        return any(_is_exception(b, classes) for b in classes[base.id].bases)
+    found = getattr(builtins, base.id, None)
+    return isinstance(found, type) and issubclass(found, BaseException)
+
+
+def test_every_package_exception_is_constructed_in_the_package():
+    trees = _trees(PACKAGE)
+    classes = {node.name: node for _, tree in trees for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    errors = {name for name, node in classes.items()
+              if any(_is_exception(b, classes) for b in node.bases)}
+    built = set()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            target = (node.func if isinstance(node, ast.Call)
+                      else node.exc if isinstance(node, ast.Raise) else None)
+            if isinstance(target, ast.Name):
+                built.add(target.id)
+            elif isinstance(target, ast.Attribute):
+                built.add(target.attr)
+    assert errors and sorted(errors - built) == []

@@ -3,9 +3,6 @@
 import csv
 import hashlib
 import math
-import os
-import subprocess
-import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -25,8 +22,6 @@ from bittune.nbody import (
 )
 from bittune.parse import parse_program
 from helpers import dump, reference_energy_drift, to_float, total_energy
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestConstants:
@@ -384,16 +379,3 @@ class TestPinnedSweep:
         assert {"series": series.hexdigest(),
                 "distance_au": hashlib.sha256(column.encode()).hexdigest()} \
             == self.PINNED
-
-
-def test_tune_nbody_script_writes_its_artifacts(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "tune_nbody.py"),
-         "--years", "0.05"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    for name in ("nbody.annotated.pop", "nbody.mp.txt", "nbody.report.json"):
-        assert (tmp_path / name).is_file(), name

@@ -17,7 +17,7 @@ from bittune.interp import run_reference, run_tuned
 from bittune.lpfile import export_lp
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
-from bittune.render import MissingWidthError, emit_annotated
+from bittune.render import emit_annotated
 from bittune.solver import SolverError, solve_ilp, solve_monotone
 from bittune.tuner import (
     TuneError, TuningConfig, VerifyRow, passed, tune, verify,
@@ -172,6 +172,17 @@ class TestVerify:
         rows, ref, tuned = verify(prog, {i: 2 for i in range(len(prog.points))})
         assert ref.steps != tuned.steps
 
+    def test_zero_reference_takes_the_sentinel_of_the_ranges(self):
+        # The constraints give an all-zero point ufp -pmax; its row's bound
+        # must be taken from the same ufp, not from -DEFAULT_PRECISION.
+        prog = parse_program("x = 0.0;\nrequire_nsb(x, 10);\n")
+        cfg = TuningConfig(pmax=600)
+        assignment, report = tune(prog, cfg)
+        rows, ref, _ = verify(prog, assignment.widths(), cfg)
+        assert ref.ranges.ufp_zero == -600
+        assert [(r.ref_ufp, r.bound) for r in report.verification + rows] \
+            == [(-600, repr(2.0 ** -609))] * 2
+
     def test_pass_rule_needs_every_row_and_equal_steps(self):
         row = VerifyRow("d", 4, 20, "0", 1, "2^-18", True)
         assert passed([row], 7, 7)
@@ -295,11 +306,6 @@ class TestAnnotatedRender:
         text = emit_annotated(parse_program(SMALL), assignment.widths())
         assert text.count("|") == 2 * (len(parse_program(SMALL).points) - 1)
         assert "require_nsb(d, 20);" in text
-
-    def test_missing_width_raises(self):
-        prog = parse_program(SMALL)
-        with pytest.raises(MissingWidthError):
-            emit_annotated(prog, {0: 10})
 
 
 class TestLpRoundTrip:
