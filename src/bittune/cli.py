@@ -42,7 +42,7 @@ import sys
 from pathlib import Path
 
 from . import mpfloat
-from .constraints import DEFAULT_COND_NSB, DEFAULT_PMAX
+from .constraints import DEFAULT_COND_NSB
 from .interp import run_tuned
 from .lpfile import export_lp
 from .mpfloat import MPDomainError
@@ -150,7 +150,6 @@ def _config(args) -> TuningConfig:
         method=getattr(args, "method", "ilp"),
         pref=args.pref,
         cond_nsb=args.cond_nsb,
-        pmax=args.pmax,
         bindings=_load_bindings(args.samples) if args.samples else (),
     )
     cfg.check()
@@ -218,11 +217,11 @@ def cmd_verify(args) -> int:
     except (KeyError, AttributeError, TypeError, ValueError, OverflowError):
         raise ValueError(f"{report_path} has no nsb width map") from None
     for p, n in nsb.items():
-        # tune writes an integer in [0, pmax], 0 where nothing is demanded.
-        if type(n) is not int or not 0 <= n <= cfg.pmax:
+        # tune writes an integer in [0, pref], 0 where nothing is demanded.
+        if type(n) is not int or not 0 <= n <= cfg.pref:
             raise ValueError(f"{report_path}: width {shown(json.dumps(n))} "
                              f"at point {shown(p)} is not an integer in "
-                             f"[0, {cfg.pmax}]")
+                             f"[0, {cfg.pref}]")
 
     prog = _parse(source, cfg)
     # A key must name a point of the program, in the decimal form tune
@@ -296,8 +295,8 @@ def cmd_export_lp(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _config(args)
-    if not 1 <= args.bits <= cfg.pmax:
-        raise _UsageError(f"--bits {args.bits} outside [1, {cfg.pmax}]")
+    if not 1 <= args.bits <= cfg.pref:
+        raise _UsageError(f"--bits {args.bits} outside [1, {cfg.pref}]")
     prog = _parse(Path(args.source).read_text(), cfg)
     widths = dict.fromkeys(range(len(prog.points)), args.bits)
     trace = run_tuned(prog, widths, cfg.bindings[0] if cfg.bindings else None)
@@ -306,15 +305,17 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _add_precision_flags(p: argparse.ArgumentParser) -> None:
+def _add_precision_flags(p: argparse.ArgumentParser,
+                         samples: bool = True) -> None:
     p.add_argument("--pref", type=int, default=mpfloat.DEFAULT_PRECISION,
-                   help="reference precision in bits (default %(default)s)")
+                   help="reference precision in bits, and the cap of every "
+                        "solved width (default %(default)s)")
     p.add_argument("--cond-nsb", type=int, default=DEFAULT_COND_NSB,
                    help="width demanded of comparison operands (default %(default)s)")
-    p.add_argument("--pmax", type=int, default=DEFAULT_PMAX,
-                   help="upper bound of every solved width (default %(default)s)")
-    p.add_argument("--samples", metavar="PATH",
-                   help="JSON input bindings for programs with free variables")
+    if samples:
+        p.add_argument("--samples", metavar="PATH",
+                       help="JSON input bindings for programs with free "
+                            "variables")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,10 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="horizons in years, comma separated (default 10)")
     p.add_argument("--dt", default="0.01", help="time step (default %(default)s)")
     p.add_argument("--method", choices=("ilp", "pi"), default="ilp")
-    p.add_argument("--pref", type=int, default=mpfloat.DEFAULT_PRECISION,
-                   help="reference precision in bits (default %(default)s)")
-    p.add_argument("--cond-nsb", type=int, default=DEFAULT_COND_NSB,
-                   help="width demanded of comparison operands (default %(default)s)")
+    _add_precision_flags(p, samples=False)
     p.add_argument("--out", default="bench-results", metavar="DIR",
                    help="output directory (default %(default)s)")
     p.add_argument("--jobs", type=_positive, default=1,

@@ -53,13 +53,13 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .interp import UfpMap
+from .mpfloat import DEFAULT_PRECISION
 from .program import (
     Assign, BinOp, Compare, Expr, If, Neg, Num, Program, Require, Sqrt, Stmt,
     Var, While,
 )
 
 DEFAULT_COND_NSB = 53
-DEFAULT_PMAX = 500
 
 
 class GenError(ValueError):
@@ -400,13 +400,13 @@ class _Generator:
 
 
 def gen_ilp(prog: Program, ranges: UfpMap, cond_nsb: int = DEFAULT_COND_NSB,
-            pmax: int = DEFAULT_PMAX) -> ConstraintSystem:
+            pmax: int = DEFAULT_PRECISION) -> ConstraintSystem:
     """The plain system C1: constant carry bit at every binary operation."""
     return _Generator(prog, ranges, False, cond_nsb, pmax).run()
 
 
 def gen_refined(prog: Program, ranges: UfpMap,
                 cond_nsb: int = DEFAULT_COND_NSB,
-                pmax: int = DEFAULT_PMAX) -> ConstraintSystem:
+                pmax: int = DEFAULT_PRECISION) -> ConstraintSystem:
     """The refined system C2: carry bits at additions become min-definitions."""
     return _Generator(prog, ranges, True, cond_nsb, pmax).run()

@@ -46,7 +46,9 @@ The two modes build different closures:
   it reproduces the reference bit for bit.
 
 In both modes a read or store skips the rounding when the value already
-has the point's width, which makes it a no-op.  Both keep the step cap,
+has the point's width, which makes it a no-op.  Both record the value
+each require_nsb sees on each of its visits (Trace.required), which
+verification compares visit by visit.  Both keep the step cap,
 the check against reading an unassigned variable and the arithmetic
 domain errors of division and square root; an EvalError names the pass
 (reference run or tuned run) it stopped.
@@ -77,6 +79,7 @@ from .program import (
     Assign, BinOp, Compare, If, Neg, Num, Program, Require, Sqrt, Var, While,
 )
 
+# Read by each check, so a change to it holds for the next run.
 MAX_STEPS = 10_000_000
 
 REFERENCE = "reference run"
@@ -120,6 +123,8 @@ class UfpMap:
 class Trace:
     env: dict[str, MPValue]
     samples: dict[str, list[MPValue]] = field(default_factory=dict)
+    # Per require_nsb point, the value it saw on each visit.
+    required: dict[int, list[MPValue]] = field(default_factory=dict)
     steps: int = 0
     ranges: UfpMap | None = None      # reference mode only
 
@@ -139,14 +144,13 @@ class _Interp:
     the closures built from them, so it never reaches its own closures."""
 
     def __init__(self, prog: Program, widths: list[int], bindings=None,
-                 track=(), max_steps: int = MAX_STEPS,
-                 ranges: UfpMap | None = None):
+                 track=(), ranges: UfpMap | None = None):
         self.widths = widths
-        self.max_steps = max_steps
         self.ranges = ranges
         self.steps = 0
         self.env: dict[str, tuple] = {}
         self.samples: dict[str, list[tuple]] = {v: [] for v in track}
+        self.required: dict[int, list[tuple]] = {}
         for var, value in (bindings or {}).items():
             if isinstance(value, str):
                 value = mpfloat.parse_decimal(value, DEFAULT_PRECISION)
@@ -169,7 +173,8 @@ class _Interp:
             self.record()
         env = {name: box(v) for name, v in self.env.items()}
         samples = {name: list(map(box, vs)) for name, vs in self.samples.items()}
-        return Trace(env, samples, self.steps, self.ranges)
+        required = {p: list(map(box, vs)) for p, vs in self.required.items()}
+        return Trace(env, samples, required, self.steps, self.ranges)
 
     def fail(self, message: str, point: int | None = None) -> EvalError:
         name = TUNED if self.ranges is None else REFERENCE
@@ -183,8 +188,8 @@ class _Interp:
         steps it is about to take; stop the run past the step cap."""
         self.visits[block] += 1
         self.steps += cost
-        if self.steps > self.max_steps:
-            raise self.fail(f"iteration cap of {self.max_steps} steps exceeded")
+        if self.steps > MAX_STEPS:
+            raise self.fail(f"iteration cap of {MAX_STEPS} steps exceeded")
 
     def new_block(self) -> int:
         self.visits.append(0)
@@ -427,10 +432,13 @@ class _Interp:
                     samples.append(v)
             return assign_noted
 
+        seen = self.required[p] = []
+
         def require():
             v = env.get(name)
             if v is None:
                 raise fail(f"require_nsb on unassigned variable {name!r}", p)
+            seen.append(v)
             if ranges is not None:
                 if v[2] != n:
                     v = round_t(v[0], v[1], n)
@@ -440,25 +448,24 @@ class _Interp:
 
 
 def run_reference(prog: Program, pref: int = DEFAULT_PRECISION,
-                  binding_sets=(), track=(), max_steps: int = MAX_STEPS, *,
-                  ufp_zero: int | None = None) -> Trace:
+                  binding_sets=(), track=()) -> Trace:
     """Execute every operation at pref bits and record per-point ranges.
 
-    env, samples and steps come from the run on the first binding set
-    (on no bindings when binding_sets is empty).  Each other set is run
-    too, and only adds to trace.ranges.  ufp_zero is the ufp the ranges
-    give points that held only zero (default -pref)."""
-    ranges = UfpMap.empty(prog.n_points, -pref if ufp_zero is None else ufp_zero)
+    env, samples, requirements and steps come from the run on the first
+    binding set (on no bindings when binding_sets is empty).  Each other
+    set is run too, and only adds to trace.ranges.  Points that held
+    only zero get ufp -pref."""
+    ranges = UfpMap.empty(prog.n_points, -pref)
     widths = [pref] * prog.n_points
     first, *rest = binding_sets or (None,)
-    trace = _Interp(prog, widths, first, track, max_steps, ranges).run()
+    trace = _Interp(prog, widths, first, track, ranges).run()
     for extra in rest:
-        _Interp(prog, widths, extra, (), max_steps, ranges).run()
+        _Interp(prog, widths, extra, (), ranges).run()
     return trace
 
 
-def run_tuned(prog: Program, widths: dict[int, int], bindings=None, track=(),
-              max_steps: int = MAX_STEPS) -> Trace:
+def run_tuned(prog: Program, widths: dict[int, int], bindings=None,
+              track=()) -> Trace:
     """Execute with every point p at widths[p] (clamped to >= 1)."""
     bound = [max(widths[p], 1) for p in range(prog.n_points)]
-    return _Interp(prog, bound, bindings, track, max_steps).run()
+    return _Interp(prog, bound, bindings, track).run()

@@ -36,11 +36,12 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import NamedTuple
 
+from . import interp
 from .constraints import DEFAULT_COND_NSB, ConstraintSystem, with_requirement
 # run_reference is not called here; it stays importable under this name
 # for the benchmark tracer (perfbench/tracing.py), which wraps it.
 from .interp import Trace, run_reference, run_tuned
-from .mpfloat import DEFAULT_PRECISION
+from .mpfloat import DEFAULT_PRECISION, add_t, cmp_t, parse_decimal, unbox
 from .parse import check_literal, parse_program
 from .program import Program
 from .tuner import (TuneError, TuningConfig, divergence, reference_run,
@@ -171,9 +172,29 @@ def horizon_t_max(years: float | str, dt: str = "0.01") -> str:
     return format(guard, "f")
 
 
-def planet_coord_names(constants: BenchConstants | None = None) -> tuple[str, ...]:
-    c = constants if constants is not None else load_bodies()
-    return tuple(f"{d}{b.name}" for b in c.planets() for d in COORDS)
+def planet_coord_names() -> tuple[str, ...]:
+    return tuple(f"{d}{b.name}" for b in load_bodies().planets()
+                 for d in COORDS)
+
+
+def _run_steps(dt: str, t_max: str, pref: int, cap: int) -> int:
+    """The steps the interpreter counts for a run of the program
+    build_nbody_program(dt=dt, t_max=t_max) at pref bits, or a count
+    past cap once it passes cap.
+
+    The source holds one statement per line and indents the loop body:
+    each top-level statement, the loop included, is one step, and each
+    trip is its body's statements and the condition after them.  The
+    trips are counted by stepping t at pref bits, as the run does."""
+    lines = build_nbody_program(dt=dt, t_max=t_max).splitlines()
+    body = sum(line.startswith("  ") for line in lines)
+    steps = sum(line.endswith((";", "{")) for line in lines) - body
+    t, step, end = (unbox(parse_decimal(text, pref))
+                    for text in ("0.0", dt, t_max))
+    while steps <= cap and cmp_t(t, end) < 0:
+        steps += body + 1
+        t = add_t(t, step, pref)
+    return steps
 
 
 def _distance(ref, tuned) -> float:
@@ -199,7 +220,8 @@ class ExperimentPlan:
     """One precision sweep: every requirement in nsb_values at every
     horizon, sharing the reference run and range analysis per horizon.
     Each horizon's loop bound is horizon_t_max(years, dt).  A plan that
-    cannot run raises tuner.TuneError naming the field it refuses."""
+    cannot run raises tuner.TuneError naming the field it refuses; that
+    includes a horizon whose run would pass interp.MAX_STEPS."""
 
     nsb_values: tuple[int, ...] = (11, 18, 24, 34, 43, 53)
     horizons_years: tuple[float, ...] = (10.0,)
@@ -229,11 +251,17 @@ class ExperimentPlan:
         except ValueError as e:
             raise TuneError(str(e), "dt") from None
         self.tuning_config().check()
+        cap = interp.MAX_STEPS
+        for y in self.horizons_years:
+            t_max = horizon_t_max(y, self.dt)
+            if _run_steps(self.dt, t_max, self.pref, cap) > cap:
+                raise TuneError(f"horizon {y:g} years at dt {self.dt} takes "
+                                f"more than {cap} steps, the interpreter's "
+                                f"cap", "horizons_years")
 
     def tuning_config(self) -> TuningConfig:
-        """What every cell is tuned with; widths are capped at pref."""
-        return TuningConfig(self.method, self.pref, self.cond_nsb,
-                            pmax=self.pref)
+        """What every cell is tuned with."""
+        return TuningConfig(self.method, self.pref, self.cond_nsb)
 
 
 @dataclass(frozen=True)
@@ -258,18 +286,16 @@ class Horizon(NamedTuple):
     c2: ConstraintSystem | None
 
 
-def _prepare_horizon(plan: ExperimentPlan, c: BenchConstants,
-                     years: float) -> Horizon:
+def _prepare_horizon(plan: ExperimentPlan, years: float) -> Horizon:
     """Parse, run the reference and generate once for this horizon."""
     cfg = plan.tuning_config()
     prog = parse_program(build_nbody_program(
-        c, plan.dt, horizon_t_max(years, plan.dt)))
-    ref = reference_run(prog, cfg, track=planet_coord_names(c))
+        dt=plan.dt, t_max=horizon_t_max(years, plan.dt)))
+    ref = reference_run(prog, cfg, track=planet_coord_names())
     return Horizon(prog, ref, *systems(prog, ref.ranges, cfg))
 
 
-def _run_cell(plan: ExperimentPlan, c: BenchConstants, horizon: Horizon,
-              req: int):
+def _run_cell(plan: ExperimentPlan, horizon: Horizon, req: int):
     """Tune and run one (requirement, horizon) cell.
 
     Returns (distances, series, tune_seconds, run_seconds) where
@@ -278,8 +304,8 @@ def _run_cell(plan: ExperimentPlan, c: BenchConstants, horizon: Horizon,
     horizon's systems and tuner.solve only; the horizon's shared stage
     (parse, reference run, generation) is not charged to any cell.
     """
-    coords = planet_coord_names(c)
-    bodies = [b.name for b in c.planets()]
+    coords = planet_coord_names()
+    bodies = [b.name for b in load_bodies().planets()]
     prog, ref, c1, c2 = horizon
 
     t0 = time.perf_counter()
@@ -311,7 +337,6 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path,
     error, rows for the cells before the failing one are still flushed
     to summary.csv before the exception propagates.
     """
-    c = load_bodies()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -320,8 +345,7 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path,
             if jobs > 1 else None)
     try:
         for years in plan.horizons_years:
-            cell = partial(_run_cell, plan, c,
-                           _prepare_horizon(plan, c, years))
+            cell = partial(_run_cell, plan, _prepare_horizon(plan, years))
             results = (pool.map if pool else map)(cell, plan.nsb_values)
             for req, (distances, series, tune_s, run_s) in zip(
                     plan.nsb_values, results):

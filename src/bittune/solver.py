@@ -58,8 +58,10 @@ from dataclasses import dataclass
 
 from .constraints import ConstraintSystem
 
-DEFAULT_NODE_LIMIT = 200_000
-DEFAULT_PI_CAP = 100
+# Branch and bound nodes per solve, and policy iteration rounds per
+# solve; each is read by the solve, so a change to it holds for the next.
+NODE_LIMIT = 200_000
+PI_CAP = 100
 
 
 _SHOWN_ROWS = 10
@@ -336,8 +338,8 @@ def always_carry_rows(system: ConstraintSystem) -> tuple[list, list, list]:
     return rows.lhs, rows.const, rows.terms
 
 
-def _branch_and_bound(n: int, rows: _PolicyRows, points: int, pmax: int,
-                      node_limit: int) -> tuple[list[int], int]:
+def _branch_and_bound(n: int, rows: _PolicyRows, points: int,
+                      pmax: int) -> tuple[list[int], int]:
     """The integer point of rows over [0, pmax]^n with the least sum of
     its first points values, and the number of nodes opened."""
     lhs, const, terms, kept = rows.lhs, rows.const, rows.terms, rows.kept
@@ -365,8 +367,8 @@ def _branch_and_bound(n: int, rows: _PolicyRows, points: int, pmax: int,
     stack = [([0] * n, [pmax] * n)]
     while stack:
         nodes += 1
-        if nodes > node_limit:
-            raise SolverError(f"branch and bound exceeded {node_limit} nodes")
+        if nodes > NODE_LIMIT:
+            raise SolverError(f"branch and bound exceeded {NODE_LIMIT} nodes")
         lo, hi = stack.pop()
         # Relaxation: least point with negative terms frozen at hi.
         offset = list(const)
@@ -411,8 +413,7 @@ def _branch_and_bound(n: int, rows: _PolicyRows, points: int, pmax: int,
     return best, nodes
 
 
-def solve_ilp(system: ConstraintSystem, policy: list[int] | None = None,
-              node_limit: int = DEFAULT_NODE_LIMIT, *,
+def solve_ilp(system: ConstraintSystem, policy: list[int] | None = None, *,
               indexed: _Indexed | None = None) -> NsbAssignment:
     """Minimize the bit-sum over the integer box, branch and bound.
 
@@ -423,7 +424,7 @@ def solve_ilp(system: ConstraintSystem, policy: list[int] | None = None,
     ix = indexed or _Indexed(system)
     best, nodes = _branch_and_bound(len(system.variables),
                                     ix.substitute(policy or []),
-                                    system.points, system.pmax, node_limit)
+                                    system.points, system.pmax)
     return _finish(system, best, nodes)
 
 
@@ -459,9 +460,7 @@ def _lift(ix: _Indexed, plain: NsbAssignment) -> NsbAssignment | None:
     return _finish(system, values)
 
 
-def policy_iterate(system: ConstraintSystem,
-                   node_limit: int = DEFAULT_NODE_LIMIT,
-                   max_iterations: int = DEFAULT_PI_CAP, *,
+def policy_iterate(system: ConstraintSystem, *,
                    plain: NsbAssignment | None = None):
     """Improve carry selections until every one is minimal at the solution.
 
@@ -474,9 +473,10 @@ def policy_iterate(system: ConstraintSystem,
     ix = _Indexed(system)
     policy = [3] * len(system.xi_defs)
     assignment = _lift(ix, plain) if plain is not None else None
-    for iteration in range(1, max_iterations + 1):
+    cap = PI_CAP
+    for iteration in range(1, cap + 1):
         if assignment is None or iteration > 1:
-            assignment = solve_ilp(system, policy, node_limit, indexed=ix)
+            assignment = solve_ilp(system, policy, indexed=ix)
         values = assignment.values
         switched = False
         for k, (_, (c1, t1), (c2, t2)) in enumerate(system.xi_defs):
@@ -489,7 +489,7 @@ def policy_iterate(system: ConstraintSystem,
         if not switched:
             return assignment, policy, iteration
     assignment.converged = False
-    return assignment, policy, max_iterations
+    return assignment, policy, cap
 
 
 __all__ = [

@@ -21,9 +21,13 @@ tuned_run, verify, and emit, the first and last of which the command
 line adds.
 
 Verification compares the tuned execution against the high-precision
-reference: for each require_nsb(v, n) the absolute error |tuned -
-reference| must stay within TOLERANCE_FACTOR * 2^(ufp(ref) - n + 1),
-ufp(0) being the ranges' ufp_zero.  The factor absorbs accumulation
+reference: for each require_nsb(v, n), on each of its visits, the
+absolute error |tuned - reference| of v's value there must stay within
+TOLERANCE_FACTOR * 2^(ufp(ref) - n + 1), ufp(0) being the ranges'
+ufp_zero (-pref).  Each requirement gets one row, for its worst visit.
+The reference runs at cfg.pref bits, which also caps every solved
+width, so no width is finer than the run it is checked against.  The
+factor absorbs accumulation
 over long runs; the per-operation bound itself is what the constraints
 guarantee locally.  A check passes when every row does and the tuned
 run took as many steps as the reference.
@@ -32,6 +36,7 @@ run took as many steps as the reference.
 from __future__ import annotations
 
 import json
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
@@ -39,8 +44,7 @@ from fractions import Fraction
 
 from . import mpfloat
 from .constraints import (
-    DEFAULT_COND_NSB, DEFAULT_PMAX, ConstraintSystem, gen_ilp, gen_refined,
-    system_stats,
+    DEFAULT_COND_NSB, ConstraintSystem, gen_ilp, gen_refined, system_stats,
 )
 from .interp import Trace, UfpMap, run_reference, run_tuned
 from .program import Program, Require, shown
@@ -63,19 +67,15 @@ class TuningConfig:
     method: str = "ilp"
     pref: int = mpfloat.DEFAULT_PRECISION
     cond_nsb: int = DEFAULT_COND_NSB
-    pmax: int = DEFAULT_PMAX
     bindings: tuple = ()          # input-binding dicts for open programs
 
     def check(self) -> None:
         if self.method not in METHODS:
             raise TuneError(f"method must be one of {METHODS}, got "
                             f"{self.method!r}", "method")
-        if not (1 <= self.cond_nsb <= self.pmax):
+        if not (1 <= self.cond_nsb <= self.pref):
             raise TuneError(f"cond_nsb {self.cond_nsb} outside "
-                            f"[1, pmax={self.pmax}]", "cond_nsb")
-        if self.pref > self.pmax:
-            raise TuneError(f"pref {self.pref} exceeds pmax {self.pmax}",
-                            "pref")
+                            f"[1, pref={self.pref}]", "cond_nsb")
 
     def input_names(self) -> tuple[str, ...]:
         """Every name some binding set binds: the program's free inputs."""
@@ -149,17 +149,29 @@ def _fraction_str(f: Fraction) -> str:
 
 
 def _verify_rows(prog: Program, ref: Trace, tuned: Trace) -> list[VerifyRow]:
+    """One row per require_nsb the reference run reaches, for its worst
+    visit: the tuned value on each visit is compared with the reference
+    value on the same visit, against a bound from that reference value.
+    A visit the tuned run did not make is the worst, with no error."""
     rows = []
     for st in prog.points:
         if not isinstance(st, Require):
             continue
-        ref_v = ref.env[st.name]
-        tuned_v = tuned.env.get(st.name)
-        err = (abs(mpfloat.to_fraction(ref_v) - mpfloat.to_fraction(tuned_v))
-               if tuned_v is not None else None)
-        u = (mpfloat.ufp(ref_v) if not ref_v.is_zero()
-             else ref.ranges.ufp_zero)
-        bound = Fraction(2) ** (u - st.bits + 1)
+        tuned_vs = tuned.required[st.point]
+        worst = None
+        for k, ref_v in enumerate(ref.required[st.point]):
+            u = (mpfloat.ufp(ref_v) if not ref_v.is_zero()
+                 else ref.ranges.ufp_zero)
+            bound = Fraction(2) ** (u - st.bits + 1)
+            err = (abs(mpfloat.to_fraction(ref_v)
+                       - mpfloat.to_fraction(tuned_vs[k]))
+                   if k < len(tuned_vs) else None)
+            score = math.inf if err is None else err / bound
+            if worst is None or score > worst[0]:
+                worst = score, err, u, bound
+        if worst is None:
+            continue
+        _, err, u, bound = worst
         rows.append(VerifyRow(
             st.name, st.point, st.bits,
             _fraction_str(err) if err is not None else "unavailable",
@@ -183,17 +195,18 @@ def divergence(steps_reference: int, steps_tuned: int) -> str | None:
 
 
 def reference_run(prog: Program, cfg: TuningConfig, track=()) -> Trace:
-    """The run at cfg.pref bits that every later stage reads: env, samples
-    and steps from the first binding set, ranges over all of them."""
-    return run_reference(prog, cfg.pref, cfg.bindings, track,
-                         ufp_zero=-cfg.pmax)
+    """The run at cfg.pref bits that every later stage reads: env, samples,
+    requirements and steps from the first binding set, ranges over all
+    of them."""
+    return run_reference(prog, cfg.pref, cfg.bindings, track)
 
 
 def generate(prog: Program, ranges: UfpMap, cfg: TuningConfig,
              refined: bool = False) -> ConstraintSystem:
-    """C1, or C2 when refined, over the ranges and prog.links."""
+    """C1, or C2 when refined, over the ranges and prog.links, with every
+    width capped at cfg.pref."""
     gen = gen_refined if refined else gen_ilp
-    return gen(prog, ranges, cfg.cond_nsb, cfg.pmax)
+    return gen(prog, ranges, cfg.cond_nsb, cfg.pref)
 
 
 def systems(prog: Program, ranges: UfpMap, cfg: TuningConfig):
@@ -255,11 +268,11 @@ def tune(prog: Program, cfg: TuningConfig | None = None,
     if not requires:
         raise TuneError("program has no require_nsb statement; nothing to tune")
     for node in requires:
-        # No width is above pmax, so the system could only be infeasible.
-        if node.bits > cfg.pmax:
+        # No width is above pref, so the system could only be infeasible.
+        if node.bits > cfg.pref:
             raise TuneError(f"control point {node.point}: require_nsb bit "
-                            f"count {shown(str(node.bits))} exceeds pmax "
-                            f"{cfg.pmax}")
+                            f"count {shown(str(node.bits))} exceeds pref "
+                            f"{cfg.pref}")
     with stage(stages, "reference_run"):
         ref = reference_run(prog, cfg)
     with stage(stages, "generate"):

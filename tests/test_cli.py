@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from bittune import cli, mpfloat, nbody, tuner
+from bittune import cli, interp, mpfloat, nbody, tuner
 from bittune.cli import main
 from bittune.parse import parse_program
 from bittune.tuner import TuningConfig, tune
@@ -478,30 +479,51 @@ class TestOpenRoadmapItems:
         assert (code, err) == (0, "")
         assert run_cli(capsys, "verify", "loop.pop")[0] == 0
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 2: verify checks the variable's final value, not "
-        "its value at the require_nsb"))
-    def test_item_2_lowered_widths_fail_at_the_requirement(self, workdir,
-                                                           capsys):
+
+class TestRequirementsCheckedWhereTheyStand:
+    """A require_nsb is checked on the values its variable held at the
+    requirement, visit by visit, not on the variable's final value."""
+
+    @staticmethod
+    def _set_widths(workdir, name: str, width: int) -> None:
+        path = workdir / f"{name}.report.json"
+        report = json.loads(path.read_text())
+        report["nsb"] = {k: width for k in report["nsb"]}
+        path.write_text(json.dumps(report))
+
+    def test_lowered_widths_fail_at_the_requirement(self, workdir, capsys):
+        # The final x is 0 at any width, which passed.
         (workdir / "p.pop").write_text(
             "a = 1.3; x = a * 3.7; require_nsb(x, 20); x = 0.0;\n")
         run_cli(capsys, "tune", "p.pop")
-        path = workdir / "p.report.json"
-        report = json.loads(path.read_text())
-        report["nsb"] = {k: 2 for k in report["nsb"]}
-        path.write_text(json.dumps(report))
+        self._set_widths(workdir, "p", 2)
         assert run_cli(capsys, "verify", "p.pop")[0] == 1
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 2: verify checks the variable's final value, not "
-        "its value at the require_nsb"))
-    def test_item_2_a_later_assignment_leaves_the_requirement_met(
-            self, workdir, capsys):
+    def test_a_later_assignment_leaves_the_requirement_met(self, workdir,
+                                                           capsys):
+        # The later x has width 0 and failed, though nothing demands it.
         (workdir / "p.pop").write_text(
             "a = 1.3; x = a * 3.7; require_nsb(x, 20); x = a * 1.1;\n")
         code, _, err = run_cli(capsys, "tune", "p.pop")
         assert (code, err) == (0, "")
         assert run_cli(capsys, "verify", "p.pop")[0] == 0
+
+    def test_an_early_visit_that_misses_its_bound_fails(self, workdir,
+                                                         capsys):
+        # x is 1.3 on the first visit and exactly 0 on the last; at 4 bits
+        # the first is 1.25, and its row is the one reported.
+        (workdir / "loop.pop").write_text(
+            "i = 1.0;\nwhile (i > -0.5) {\n  x = 1.3 * i;\n"
+            "  require_nsb(x, 20);\n  i = i - 1.0;\n}\n")
+        assert run_cli(capsys, "tune", "loop.pop")[:2] == (
+            0, "total bits (ilp): 536\nwrote loop.annotated.pop\n"
+               "wrote loop.mp.txt\nwrote loop.report.json\n")
+        assert run_cli(capsys, "verify", "loop.pop")[0] == 0
+        self._set_widths(workdir, "loop", 4)
+        code, out, _ = run_cli(capsys, "verify", "loop.pop")
+        assert code == 1
+        assert out.splitlines()[1].split() == [
+            "x", "20", "0.05", "1.9073486328125e-06", "FAIL"]
 
 
 class TestBenchCommand:
@@ -592,9 +614,9 @@ class TestBenchCommand:
     # reference pass before the solver hit the width cap.  The cap is
     # --pref, so the default 53 is refused at --pref 30 as well.
     @pytest.mark.parametrize("flags, message", [
-        (("--cond-nsb", "0"), "cond_nsb 0 outside [1, pmax=500]"),
-        (("--cond-nsb", "900"), "cond_nsb 900 outside [1, pmax=500]"),
-        (("--pref", "30"), "cond_nsb 53 outside [1, pmax=30]"),
+        (("--cond-nsb", "0"), "cond_nsb 0 outside [1, pref=500]"),
+        (("--cond-nsb", "900"), "cond_nsb 900 outside [1, pref=500]"),
+        (("--pref", "30"), "cond_nsb 53 outside [1, pref=30]"),
     ], ids=["zero", "past-the-cap", "default-past-pref"])
     def test_cond_nsb_outside_the_width_cap_is_usage_error(
             self, workdir, flags, message):
@@ -603,6 +625,23 @@ class TestBenchCommand:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", f"bittune: bench: --cond-nsb: {message}\n")
         assert not (workdir / "out").exists()
+
+    # The five-body program runs 50 top-level steps and 112 per trip; at
+    # 0.05 years it makes 5 trips, 610 steps.  A horizon past the cap ran
+    # its whole reference pass before it stopped with exit 1.
+    @pytest.mark.parametrize("cap", [610, 609])
+    def test_a_horizon_past_the_step_cap_is_refused_up_front(
+            self, workdir, capsys, monkeypatch, cap):
+        monkeypatch.setattr(interp, "MAX_STEPS", cap)
+        if cap < 610:
+            monkeypatch.setattr(nbody, "reference_run",
+                                lambda *a, **k: pytest.fail("a pass ran"))
+        code, _, err = run_cli(capsys, "bench", "--years", "0.05", "--nsb",
+                               "11", "--out", "out")
+        assert (code, err) == ((0, "") if cap == 610 else (
+            2, "bittune: bench: --years: horizon 0.05 years at dt 0.01 "
+               "takes more than 609 steps, the interpreter's cap\n"))
+        assert (workdir / "out").exists() == (cap == 610)
 
 
 class TestScripts:
@@ -649,6 +688,20 @@ class TestScripts:
             "error: --dt: time step 0 is not an unsigned positive number\n")
         assert not (tmp_path / "nbody.pop").exists()
 
+    def test_tune_nbody_refuses_a_horizon_past_the_step_cap(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "tune_nbody.py"),
+             "--years", "900", "--out", str(tmp_path / "nbody.pop")],
+            capture_output=True, text=True, env=env, timeout=20)
+        assert proc.returncode == 2
+        assert proc.stderr.endswith(
+            "error: --years: horizon 900 years at dt 0.01 takes more than "
+            "10000000 steps, the interpreter's cap\n")
+        assert not (tmp_path / "nbody.pop").exists()
+
 
 class TestExportAndRun:
     def test_export_lp_default_path(self, workdir, capsys):
@@ -665,8 +718,8 @@ class TestExportAndRun:
         assert "nsbe_" in refined and "nsbe_" not in plain
 
     @pytest.mark.parametrize("flags, message", [
-        (("--pref", "600"), "pref 600 exceeds pmax 500"),
-        (("--cond-nsb", "0"), "cond_nsb 0 outside [1, pmax=500]"),
+        (("--pref", "30"), "cond_nsb 53 outside [1, pref=30]"),
+        (("--cond-nsb", "0"), "cond_nsb 0 outside [1, pref=500]"),
     ])
     @pytest.mark.parametrize("command", ["tune", "export-lp", "verify", "run"])
     def test_every_command_checks_the_config(self, workdir, capsys, command,
@@ -871,13 +924,13 @@ class TestNumericLimits:
         assert proc.stderr == (f"bittune: tune: line 2, column 16: bit count "
                                f"{shown} digits, past the limit of 4000\n")
 
-    # Within the digit limit, a count past pmax was found only by the
+    # Within the digit limit, a count past pref was found only by the
     # solver, as an infeasible system whose message printed the row with
     # every digit: 3,101 bytes for 3,000 nines.
     @pytest.mark.parametrize("count, shown", [
         ("9" * 3000, "'99999999999999999999...'"), ("501", "'501'"),
     ], ids=["long", "just-past"])
-    def test_bit_count_past_pmax_is_refused_before_any_run(
+    def test_bit_count_past_pref_is_refused_before_any_run(
             self, workdir, capsys, monkeypatch, count, shown):
         (workdir / "req.pop").write_text(
             f"a = 1.0;\nrequire_nsb(a, {count});\n")
@@ -885,13 +938,12 @@ class TestNumericLimits:
                             lambda *args: pytest.fail("a pass ran"))
         assert run_cli(capsys, "tune", "req.pop") == (
             1, "", f"bittune: tune: control point 2: require_nsb bit count "
-                   f"{shown} exceeds pmax 500\n")
+                   f"{shown} exceeds pref 500\n")
         assert not list(workdir.glob("req.*.*"))
 
-    def test_bit_count_at_pmax_tunes(self, workdir, capsys):
+    def test_bit_count_at_pref_tunes(self, workdir, capsys):
         (workdir / "req.pop").write_text("a = 1.0;\nrequire_nsb(a, 64);\n")
-        code, _, err = run_cli(capsys, "tune", "req.pop", "--pmax", "64",
-                               "--pref", "64")
+        code, _, err = run_cli(capsys, "tune", "req.pop", "--pref", "64")
         assert (code, err) == (0, "")
 
     def test_bit_count_of_max_digits_parses(self):
@@ -988,6 +1040,65 @@ class TestUsage:
         assert code == 0
         assert "file formats" in out and "summary CSV" in out
 
+    def test_readme_names_only_real_flags(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a.choices, dict))
+        flags = {f for p in sub.choices.values()
+                 for f in p._option_string_actions}
+        script = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "tune_nbody.py"),
+             "--help"], capture_output=True, text=True, timeout=20,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        flags |= set(re.findall(r"--[a-z][a-z-]*", script.stdout))
+        flags |= {"--help", "--no-build-isolation"}
+        named = re.findall(r"(?<![\w-])--[a-z][a-z-]*",
+                           (ROOT / "README.md").read_text())
+        assert named and set(named) - flags == set()
+
+
+class TestOneWidthCap:
+    """--pref is the one precision setting of every command: the
+    reference runs at --pref bits, and --pref caps every solved width."""
+
+    SOURCE = "a = 1.3; b = a * 3.7 + 0.1; c = b * b - a; require_nsb(c, 62);\n"
+
+    def test_a_width_past_pref_is_infeasible(self, workdir, capsys):
+        (workdir / "cap.pop").write_text(self.SOURCE)
+        code, out, err = run_cli(capsys, "tune", "cap.pop", "--pref", "64")
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            "bittune: tune: infeasible: nsb_4 is driven past the cap 64\n")
+
+    def test_widths_are_checked_against_the_run_that_caps_them(
+            self, workdir, capsys):
+        # With a width cap above the reference precision, the 65-bit
+        # width was checked against a 64-bit reference: error 0.
+        (workdir / "cap.pop").write_text(self.SOURCE)
+        code, _, err = run_cli(capsys, "tune", "cap.pop", "--pref", "128")
+        assert (code, err) == (0, "")
+        report = json.loads((workdir / "cap.report.json").read_text())
+        assert max(report["nsb"].values()) == 65
+        assert [(r["error"], r["passed"]) for r in report["verification"]] \
+            == [("1.1324274851176598e-18", True)]
+
+    @pytest.mark.parametrize("command", ["tune", "verify", "export-lp", "run"])
+    def test_pmax_is_no_option(self, workdir, capsys, command):
+        code, _, err = run_cli(capsys, command, "small.pop", "--pmax", "128")
+        assert code == 2
+        assert err.endswith("unrecognized arguments: --pmax 128\n")
+        _, out, _ = run_cli(capsys, command, "--help")
+        assert "--pref" in out and "--pmax" not in out
+
+    def test_tune_and_bench_refuse_a_cond_nsb_past_pref_alike(self, workdir,
+                                                               capsys):
+        assert run_cli(capsys, "tune", "small.pop", "--pref", "30") == (
+            1, "", "bittune: tune: cond_nsb 53 outside [1, pref=30]\n")
+        assert run_cli(capsys, "bench", "--years", "0.01", "--nsb", "11",
+                       "--pref", "30", "--out", "out") == (
+            2, "", "bittune: bench: --cond-nsb: cond_nsb 53 outside "
+                   "[1, pref=30]\n")
+        assert not (workdir / "out").exists()
+
 
 class TestNoReferenceCycles:
     """Everything a command builds is freed by reference counting: run
@@ -1025,7 +1136,7 @@ require_nsb(x, 20);
     FILES = {
         "loop.pop": SOURCE,
         # Exact cancellation: the zero difference's operand rows carry
-        # +pmax, so the system is infeasible.
+        # +pref, so the system is infeasible.
         "cancel.pop": "a = 1.5;\nb = 1.5;\nd = a - b;\ne = d + 1.0;\n"
                       "require_nsb(e, 10);\n",
         # Ranges over both sets leave the divisor too few bits for the

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from bittune import mpfloat
+from bittune import interp, mpfloat
 from bittune.interp import EvalError, run_reference, run_tuned
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
@@ -75,10 +75,11 @@ class TestReference:
         trace = run_reference(prog, pref=100, binding_sets=[{"x": "3.0"}])
         assert mpfloat.to_fraction(trace.env["y"]) == 9
 
-    def test_step_cap_raises(self):
+    def test_step_cap_raises(self, monkeypatch):
         src = "t = 0.0;\nwhile (t < 10.0) {\n    t = t + 1.0;\n}\n"
+        monkeypatch.setattr(interp, "MAX_STEPS", 3)
         with pytest.raises(EvalError):
-            run_reference(parse_program(src), pref=50, max_steps=3)
+            run_reference(parse_program(src), pref=50)
 
     def test_domain_error_carries_point(self):
         prog = parse_program("a = 1.0;\nb = 0.0;\nc = a / b;\n")
@@ -200,13 +201,14 @@ class TestTuned:
         trace = run_tuned(prog, _uniform(prog, 2))
         assert to_float(trace.env["t"]) == 4.0
 
-    def test_narrow_width_can_stall_a_loop(self):
+    def test_narrow_width_can_stall_a_loop(self, monkeypatch):
         # With an exactly representable bound, 4 + 1 ties back to 4 at
         # 2 bits and t can never reach 6; the step cap must fire.
         src = "t = 0.0;\nwhile (t < 6.0) {\n    t = t + 1.0;\n}\n"
         prog = parse_program(src)
+        monkeypatch.setattr(interp, "MAX_STEPS", 200)
         with pytest.raises(EvalError):
-            run_tuned(prog, _uniform(prog, 2), max_steps=200)
+            run_tuned(prog, _uniform(prog, 2))
 
     # Comparisons whose two reads have different widths: equal values (1
     # at 3 bits and at 50) and values that differ only below the narrower
@@ -235,7 +237,8 @@ class TestTuned:
     @pytest.mark.parametrize("op", ["<", "<=", "!="])
     @pytest.mark.parametrize("bound", ["1.0", ONE_AND_A_BIT])
     @pytest.mark.parametrize("narrow", ["left", "right"])
-    def test_while_trip_count_across_widths(self, op, bound, narrow):
+    def test_while_trip_count_across_widths(self, op, bound, narrow,
+                                            monkeypatch):
         # t steps by 1/4 and is exact at 3 bits up to 1.75; the bound is
         # read at 3 bits or at 50.
         src = ("t = 0.0;\nk = 0.0;\n"
@@ -245,15 +248,16 @@ class TestTuned:
         cond = prog.stmts[2].cond
         widths[getattr(cond, narrow).point] = 3
         b = round_fraction(Fraction(bound), widths[cond.right.point])
+        monkeypatch.setattr(interp, "MAX_STEPS", 100)
         t, trips = Fraction(0), 0
         while _ORDER[op](round_fraction(t, widths[cond.left.point]), b):
             t += Fraction(1, 4)
             trips += 1
             if trips > 8:
                 with pytest.raises(EvalError, match="iteration cap"):
-                    run_tuned(prog, widths, max_steps=100)
+                    run_tuned(prog, widths)
                 return
-        got = run_tuned(prog, widths, max_steps=100).env["k"]
+        got = run_tuned(prog, widths).env["k"]
         assert mpfloat.to_fraction(got) == trips
 
 
@@ -518,18 +522,20 @@ STRAIGHT = "a = 1.0;\nb = a + 1.0;\nc = b * 2.0;\n"
 @pytest.mark.parametrize("mode", ["reference run", "tuned run"])
 @pytest.mark.parametrize("src", [GEOM, NESTED_LOOPS, BRANCH_IN_LOOP,
                                  STRAIGHT, NESTED, LOOP, BRANCH])
-def test_step_cap_is_the_step_count(src, mode):
+def test_step_cap_is_the_step_count(src, mode, monkeypatch):
     """A run fits a cap of exactly its step count and stops at one less."""
     prog = parse_program(src)
 
-    def run(**kw):
+    def run():
         if mode == "reference run":
-            return run_reference(prog, pref=60, **kw)
-        return run_tuned(prog, _uniform(prog, 30), **kw)
+            return run_reference(prog, pref=60)
+        return run_tuned(prog, _uniform(prog, 30))
     steps = run().steps
-    assert run(max_steps=steps).steps == steps
+    monkeypatch.setattr(interp, "MAX_STEPS", steps)
+    assert run().steps == steps
+    monkeypatch.setattr(interp, "MAX_STEPS", steps - 1)
     with pytest.raises(EvalError) as exc:
-        run(max_steps=steps - 1)
+        run()
     assert str(exc.value) == \
         f"{mode}: iteration cap of {steps - 1} steps exceeded"
 
@@ -555,12 +561,13 @@ class TestErrorText:
         (STRAIGHT, 2, "iteration cap of 2 steps exceeded"),
     ])
     @pytest.mark.parametrize("mode", ["reference run", "tuned run"])
-    def test_message(self, src, max_steps, message, mode):
+    def test_message(self, src, max_steps, message, mode, monkeypatch):
         prog = parse_program(src)
-        kw = {} if max_steps is None else {"max_steps": max_steps}
+        if max_steps is not None:
+            monkeypatch.setattr(interp, "MAX_STEPS", max_steps)
         with pytest.raises(EvalError) as exc:
             if mode == "reference run":
-                run_reference(prog, pref=60, **kw)
+                run_reference(prog, pref=60)
             else:
-                run_tuned(prog, _uniform(prog, 30), **kw)
+                run_tuned(prog, _uniform(prog, 30))
         assert str(exc.value) == f"{mode}: {message}"

@@ -175,6 +175,16 @@ class TestSweep:
             assert 0.0 < drift[(24, body)] < 1e-5
             assert drift[(24, body)] < drift[(11, body)] < 1e-2
 
+    @pytest.mark.parametrize("years, dt, pref", [
+        (0.0, "0.01", 500), (0.05, "0.01", 500), (0.3, "0.07", 500),
+        (1.0, "0.01", 24), (0.5, "0.003", 60)])
+    def test_step_count_is_the_run_s(self, years, dt, pref):
+        t_max = horizon_t_max(years, dt)
+        prog = parse_program(build_nbody_program(dt=dt, t_max=t_max))
+        steps = run_reference(prog, pref).steps
+        assert nbody_mod._run_steps(dt, t_max, pref, 10 ** 7) == steps
+        assert nbody_mod._run_steps(dt, t_max, pref, steps - 1) > steps - 1
+
     def test_requirements_validated(self):
         with pytest.raises(ValueError, match="outside"):
             ExperimentPlan(nsb_values=(0,))
@@ -186,11 +196,11 @@ class TestSweep:
         real = nbody_mod._run_cell
         calls = []
 
-        def flaky(plan, c, horizon, req):
+        def flaky(plan, horizon, req):
             if len(calls) == 1:
                 raise RuntimeError("cell exploded")
             calls.append(req)
-            return real(plan, c, horizon, req)
+            return real(plan, horizon, req)
 
         monkeypatch.setattr(nbody_mod, "_run_cell", flaky)
         plan = ExperimentPlan(nsb_values=(11, 24), horizons_years=(0.05,),
@@ -220,7 +230,7 @@ class TestSharedLowering:
         plan = ExperimentPlan(horizons_years=(0.05,), method="pi")
         cfg = plan.tuning_config()
         c = load_bodies()
-        horizon = _prepare_horizon(plan, c, 0.05)
+        horizon = _prepare_horizon(plan, 0.05)
         prog = parse_program(build_nbody_program(
             c, plan.dt, horizon_t_max(0.05, plan.dt), req))
         direct = tuner.systems(prog, tuner.reference_run(prog, cfg).ranges,
@@ -235,8 +245,7 @@ class TestSharedLowering:
             self, method, monkeypatch):
         plan = ExperimentPlan(horizons_years=(0.05,), method=method,
                               write_series=False)
-        c = load_bodies()
-        horizon = _prepare_horizon(plan, c, 0.05)
+        horizon = _prepare_horizon(plan, 0.05)
         shared = [s for s in (horizon.c1, horizon.c2) if s is not None]
 
         def digests():
@@ -252,7 +261,7 @@ class TestSharedLowering:
 
         monkeypatch.setattr(nbody_mod, "with_requirement", recorded)
         for req in plan.nsb_values:
-            nbody_mod._run_cell(plan, c, horizon, req)
+            nbody_mod._run_cell(plan, horizon, req)
         assert len(copies) == len(plan.nsb_values) * len(shared)
         for system, copy in copies:
             assert any(system is s for s in shared)
@@ -288,9 +297,9 @@ class TestSharedLowering:
         prepared = []
         real = nbody_mod._prepare_horizon
 
-        def counted(plan, c, years):
+        def counted(plan, years):
             prepared.append(years)
-            return real(plan, c, years)
+            return real(plan, years)
 
         monkeypatch.setattr(nbody_mod, "_prepare_horizon", counted)
         plan = ExperimentPlan(nsb_values=(11, 24), horizons_years=(0.05, 0.1),
@@ -353,7 +362,7 @@ class TestDistances:
         assert _distance(ref, tuned) == _fraction_distance(ref, tuned)
 
     def test_planet_coord_names_exclude_sun(self):
-        names = planet_coord_names(load_bodies())
+        names = planet_coord_names()
         assert "xSun" not in names and len(names) == 12
 
 

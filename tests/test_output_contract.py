@@ -11,9 +11,8 @@ run checks the same cases.
 import random
 import string
 import time
-from functools import partial
 
-from bittune import cli, interp, tuner
+from bittune import interp
 from bittune.cli import main
 
 SEED = 7
@@ -39,8 +38,9 @@ SAMPLES = '[{"x": "1.5"}, {"x": 0.25}]\n'
 # ("i = i + .0" for "i = i + 1.0").  At the interpreter's step cap,
 # 10,000,000, each command on it takes 7-11 s, verify over the limit,
 # and 43 s in all (ROADMAP, "A loop that never ends").  The case stays:
-# it runs at RUNAWAY_CAP steps, keeps the rest of the contract there and
-# must still stop at that cap; the mend removes this entry.
+# it runs with interp.MAX_STEPS patched to RUNAWAY_CAP, keeps the rest
+# of the contract there and must still stop at that cap; the mend
+# removes this entry.
 RUNAWAY = {54}
 RUNAWAY_CAP = 100_000
 
@@ -106,7 +106,7 @@ def test_every_command_keeps_the_contract_on_mutated_input(
             t0 = time.perf_counter()
             with monkeypatch.context() as m:
                 if k in RUNAWAY:
-                    _cap_runs(m, RUNAWAY_CAP)
+                    m.setattr(interp, "MAX_STEPS", RUNAWAY_CAP)
                 try:
                     code = main(list(argv))
                 except (Exception, SystemExit) as e:
@@ -124,11 +124,3 @@ def test_every_command_keeps_the_contract_on_mutated_input(
                 broken.append(f"{' '.join(argv)} on {path} {text!r}: "
                               f"{', '.join(problems)}")
     assert broken == []
-
-
-def _cap_runs(m, steps: int) -> None:
-    """Make every run that the commands start stop after steps steps."""
-    m.setattr(tuner, "run_reference",
-              partial(interp.run_reference, max_steps=steps))
-    m.setattr(tuner, "run_tuned", partial(interp.run_tuned, max_steps=steps))
-    m.setattr(cli, "run_tuned", partial(interp.run_tuned, max_steps=steps))

@@ -179,11 +179,12 @@ class TestBranchAndBound:
         with pytest.raises(SolverError, match="no integer point"):
             solve_ilp(sys_)
 
-    def test_node_limit(self, rng):
+    def test_node_limit(self, rng, monkeypatch):
         rows = random_mixed_rows(random.Random(7), 8, 16, 10)
         sys_, _ = make_system(rows, 8, pmax=30)
-        with pytest.raises(SolverError, match="exceeded"):
-            solve_ilp(sys_, node_limit=1)
+        monkeypatch.setattr(solver, "NODE_LIMIT", 1)
+        with pytest.raises(SolverError, match="exceeded 1 nodes"):
+            solve_ilp(sys_)
 
     def test_policy_required_for_carry_definitions(self):
         src = "a = 8.0;\nb = 0.5;\nc = a + b;\nrequire_nsb(c, 12);\n"
@@ -255,7 +256,9 @@ class TestPolicyIteration:
             c1 = gen_ilp(prog, ranges)
             c2 = gen_refined(prog, ranges)
             plain = solve_monotone(c1)
-            first = policy_iterate(c2, max_iterations=1, plain=plain)[0]
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(solver, "PI_CAP", 1)
+                first = policy_iterate(c2, plain=plain)[0]
             assert first.values == \
                 solve_ilp(c2, [3] * len(c2.xi_defs)).values
             lifted += first.nodes == 0
@@ -301,8 +304,8 @@ class TestPinnedOutput:
     def _systems(self, src):
         prog = parse_program(src)
         ranges = reference_run(prog, self.CFG).ranges
-        return (gen_ilp(prog, ranges, self.CFG.cond_nsb, self.CFG.pmax),
-                gen_refined(prog, ranges, self.CFG.cond_nsb, self.CFG.pmax))
+        return (gen_ilp(prog, ranges, self.CFG.cond_nsb, self.CFG.pref),
+                gen_refined(prog, ranges, self.CFG.cond_nsb, self.CFG.pref))
 
     def test_five_body_policy_iteration(self):
         _, c2 = self._systems(build_nbody_program(
@@ -382,8 +385,10 @@ def test_no_solver_call_changes_its_system():
         c1, c2 = gen_ilp(prog, ranges), gen_refined(prog, ranges)
         before = copy.deepcopy((_state(c1), _state(c2)))
         plain = solve_monotone(c1)
-        with contextlib.suppress(SolverError):
-            solve_ilp(c2, [1 + k % 2] * len(c2.xi_defs), node_limit=50)
+        with contextlib.suppress(SolverError), \
+                pytest.MonkeyPatch.context() as m:
+            m.setattr(solver, "NODE_LIMIT", 50)
+            solve_ilp(c2, [1 + k % 2] * len(c2.xi_defs))
         with contextlib.suppress(SolverError):
             _, policy, _ = policy_iterate(c2, plain=plain)
             switched += policy != [3] * len(policy)

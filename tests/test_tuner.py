@@ -73,7 +73,7 @@ class TestTune:
         TuningConfig(method="newton"),
         TuningConfig(cond_nsb=0),
         TuningConfig(cond_nsb=501),
-        TuningConfig(pref=600, pmax=500),
+        TuningConfig(pref=30),
     ])
     def test_config_validation(self, bad):
         with pytest.raises(TuneError):
@@ -96,12 +96,12 @@ class TestTune:
     @pytest.mark.parametrize("method", ("ilp", "pi"))
     def test_nonzero_value_at_the_zero_sentinel_ufp_is_not_zero(self,
                                                                  method):
-        # a's ufp is -500, the ufp tune gives all-zero points at pmax 500;
+        # a's ufp is -500, the ufp tune gives all-zero points at pref 500;
         # taking a for zero drops the sqrt's operand row.
         prog = parse_program("a = 3.1e-151;\nb = sqrt(a);\nc = b * 1e75;\n"
                              "require_nsb(c, 30);\n")
         cfg = TuningConfig(method=method)
-        assert tuner.reference_run(prog, cfg).ranges.ufp(0) == -cfg.pmax
+        assert tuner.reference_run(prog, cfg).ranges.ufp(0) == -cfg.pref
         _, report = tune(prog, cfg)
         assert report.zero_ufp_points == []
         assert report.all_passed()
@@ -172,11 +172,35 @@ class TestVerify:
         rows, ref, tuned = verify(prog, {i: 2 for i in range(len(prog.points))})
         assert ref.steps != tuned.steps
 
+    def test_a_visit_the_tuned_run_missed_is_the_failing_row(self):
+        # At 2 bits the loop makes 4 trips, not 5: the requirement's fifth
+        # visit, where the reference t is 5, has no tuned value.
+        src = ("t = 0.0;\nwhile (t < 5.0) {\n    t = t + 1.0;\n"
+               "    require_nsb(t, 3);\n}\n")
+        prog = parse_program(src)
+        rows, ref, tuned = verify(prog, {i: 2 for i in range(len(prog.points))})
+        assert [len(ref.required[8]), len(tuned.required[8])] == [5, 4]
+        assert rows == [VerifyRow("t", 8, 3, "unavailable", 2, "1.0", False)]
+
+    def test_each_visit_is_bounded_by_its_own_reference_value(self):
+        # x is 6.5 on the first visit and 1.3 on the second; at 4 bits
+        # it is 6 and 1.25.  Each error is measured against the bound of
+        # its own visit's value, 0.5 against 2^-17 and 0.05 against
+        # 2^-19, and the first is the worse.
+        src = ("i = 5.0;\nwhile (i > 0.5) {\n    x = 1.3 * i;\n"
+               "    require_nsb(x, 20);\n    i = i - 4.0;\n}\n")
+        prog = parse_program(src)
+        rows, ref, _ = verify(prog, {i: 4 for i in range(len(prog.points))})
+        [seen] = ref.required.values()
+        assert [to_float(v) for v in seen] == [6.5, 1.3]
+        assert [(r.error, r.ref_ufp, r.bound) for r in rows] == [
+            ("0.5", 2, repr(2.0 ** -17))]
+
     def test_zero_reference_takes_the_sentinel_of_the_ranges(self):
-        # The constraints give an all-zero point ufp -pmax; its row's bound
+        # The constraints give an all-zero point ufp -pref; its row's bound
         # must be taken from the same ufp, not from -DEFAULT_PRECISION.
         prog = parse_program("x = 0.0;\nrequire_nsb(x, 10);\n")
-        cfg = TuningConfig(pmax=600)
+        cfg = TuningConfig(pref=600)
         assignment, report = tune(prog, cfg)
         rows, ref, _ = verify(prog, assignment.widths(), cfg)
         assert ref.ranges.ufp_zero == -600
