@@ -79,8 +79,8 @@ file formats:
                      run_seconds
   bench series CSV   step, body, distance_au (step 0 = initial state)
   samples JSON       object {name: value} or list of such objects, each
-                     binding every free input of the program; strings are
-                     exact decimals, numbers are taken at double precision
+                     binding every free input of the program; strings and
+                     integers are rounded to --pref bits, floats are exact
 """
 
 
@@ -109,7 +109,7 @@ def _positive(text: str) -> int:
     return n
 
 
-def _load_bindings(path: str) -> tuple[dict, ...]:
+def _load_bindings(path: str, pref: int) -> tuple[dict, ...]:
     data = json.loads(Path(path).read_text())
     sets = data if isinstance(data, list) else [data]
     out = []
@@ -118,18 +118,16 @@ def _load_bindings(path: str) -> tuple[dict, ...]:
             raise ValueError(f"samples entry {i} is not an object")
         conv = {}
         for name, v in entry.items():
-            if isinstance(v, str):
+            if isinstance(v, bool):
+                raise ValueError(f"samples value for {shown(name)} is a "
+                                 f"boolean")
+            elif isinstance(v, (str, int)):
                 try:
-                    check_literal(v)
+                    check_literal(str(v))
                 except ValueError as e:
                     raise ValueError(f"samples set {i}, variable "
                                      f"{shown(name)}: {e}") from None
-                conv[name] = v
-            elif isinstance(v, bool):
-                raise ValueError(f"samples value for {shown(name)} is a "
-                                 f"boolean")
-            elif isinstance(v, int):
-                conv[name] = str(v)
+                conv[name] = mpfloat.parse_decimal(str(v), pref)
             elif isinstance(v, float):
                 if not math.isfinite(v):
                     raise ValueError(f"samples set {i}, variable "
@@ -144,15 +142,16 @@ def _load_bindings(path: str) -> tuple[dict, ...]:
 
 
 def _config(args) -> TuningConfig:
-    """The command's TuningConfig, checked, so every command refuses the
-    settings tune refuses."""
+    """The command's TuningConfig, checked before the samples are read at
+    its pref; cond_nsb is None for a command without --cond-nsb."""
     cfg = TuningConfig(
         method=getattr(args, "method", "ilp"),
         pref=args.pref,
-        cond_nsb=args.cond_nsb,
-        bindings=_load_bindings(args.samples) if args.samples else (),
+        cond_nsb=getattr(args, "cond_nsb", None),
     )
     cfg.check()
+    if args.samples:
+        cfg.bindings = _load_bindings(args.samples, cfg.pref)
     return cfg
 
 
@@ -206,8 +205,8 @@ def cmd_tune(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    source = Path(args.source).read_text()
     cfg = _config(args)
+    source = Path(args.source).read_text()
     report_path = Path(args.report) if args.report else \
         Path(args.source).with_suffix(".report.json")
     text = report_path.read_text()
@@ -305,13 +304,14 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _add_precision_flags(p: argparse.ArgumentParser,
+def _add_precision_flags(p: argparse.ArgumentParser, cond_nsb: bool = True,
                          samples: bool = True) -> None:
     p.add_argument("--pref", type=int, default=mpfloat.DEFAULT_PRECISION,
                    help="reference precision in bits, and the cap of every "
                         "solved width (default %(default)s)")
-    p.add_argument("--cond-nsb", type=int, default=DEFAULT_COND_NSB,
-                   help="width demanded of comparison operands (default %(default)s)")
+    if cond_nsb:
+        p.add_argument("--cond-nsb", type=int, default=DEFAULT_COND_NSB,
+                       help="width demanded of comparison operands (default %(default)s)")
     if samples:
         p.add_argument("--samples", metavar="PATH",
                        help="JSON input bindings for programs with free "
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", metavar="PATH",
                    help="report holding the width map (default "
                         "SOURCE.report.json)")
-    _add_precision_flags(p)
+    _add_precision_flags(p, cond_nsb=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="run the orbit benchmark sweep")
@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="program file")
     p.add_argument("--bits", type=int, default=53,
                    help="significand width for every operation (default %(default)s)")
-    _add_precision_flags(p)
+    _add_precision_flags(p, cond_nsb=False)
     p.set_defaults(func=cmd_run)
 
     return parser

@@ -8,9 +8,9 @@ or operators and no width lookup, and a literal is parsed once per pass
 instead of once per visit.  A +, - or * whose operand is a variable
 reads it inside its own closure, with the read point's width, check and
 record, so the read costs no call of its own.  Inside a pass every
-value is an mpfloat triple (m, e, p); bindings are unboxed when the
-pass starts, and the trace's env and samples are boxed to MPValues when
-it ends.
+value is an mpfloat triple (m, e, p); bindings, MPValues, are unboxed
+when the pass starts, and the trace's env and samples are boxed to
+MPValues when it ends.
 
 Visits and steps are counted per block, not per node.  The blocks are
 the top level, each loop condition, each loop body, and each branch of
@@ -152,8 +152,6 @@ class _Interp:
         self.samples: dict[str, list[tuple]] = {v: [] for v in track}
         self.required: dict[int, list[tuple]] = {}
         for var, value in (bindings or {}).items():
-            if isinstance(value, str):
-                value = mpfloat.parse_decimal(value, DEFAULT_PRECISION)
             self.env[var] = unbox(value)
         self.stmts = prog.stmts
         # Block 0 is the top level; lowering numbers the others and

@@ -232,6 +232,7 @@ class ExperimentPlan:
     write_series: bool = True
 
     def __post_init__(self):
+        self.tuning_config().check()
         if not self.nsb_values or not self.horizons_years:
             raise TuneError("the list is empty", "nsb_values"
                             if not self.nsb_values else "horizons_years")
@@ -250,7 +251,6 @@ class ExperimentPlan:
                                  f"positive number")
         except ValueError as e:
             raise TuneError(str(e), "dt") from None
-        self.tuning_config().check()
         cap = interp.MAX_STEPS
         for y in self.horizons_years:
             t_max = horizon_t_max(y, self.dt)

@@ -76,7 +76,6 @@ class NsbAssignment:
     values: list[int]                # in the solved system's numbering
     points: int                      # nsb(p) is variable p for p < points
     total: int                       # objective value, the sum of nsb widths
-    converged: bool = True
     nodes: int = 0
 
     def widths(self) -> dict[int, int]:
@@ -488,7 +487,6 @@ def policy_iterate(system: ConstraintSystem, *,
                 switched = True
         if not switched:
             return assignment, policy, iteration
-    assignment.converged = False
     return assignment, policy, cap
 
 

@@ -66,14 +66,17 @@ class TuneError(ValueError):
 class TuningConfig:
     method: str = "ilp"
     pref: int = mpfloat.DEFAULT_PRECISION
-    cond_nsb: int = DEFAULT_COND_NSB
-    bindings: tuple = ()          # input-binding dicts for open programs
+    cond_nsb: int | None = DEFAULT_COND_NSB  # None: generates no system
+    bindings: tuple = ()          # {input: MPValue} dicts, open programs
 
     def check(self) -> None:
         if self.method not in METHODS:
             raise TuneError(f"method must be one of {METHODS}, got "
                             f"{self.method!r}", "method")
-        if not (1 <= self.cond_nsb <= self.pref):
+        if self.pref < 1:
+            raise TuneError(f"pref must be at least 1, got {self.pref}",
+                            "pref")
+        if self.cond_nsb is not None and not 1 <= self.cond_nsb <= self.pref:
             raise TuneError(f"cond_nsb {self.cond_nsb} outside "
                             f"[1, pref={self.pref}]", "cond_nsb")
 

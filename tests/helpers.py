@@ -7,7 +7,7 @@ implementations can only agree by both being right.  The readers
 (report_from_json, parse_solution, check_solution, strip_annotations)
 and the energy check read what the commands write, dump writes a
 system as text for pinned digests (keyed_defs names its carry
-definitions by variable), and to_float and abs_mpv are MPValue
+definitions by variable), and binding, to_float and abs_mpv are MPValue
 conveniences; no command needs them, so they live here rather than in
 the package.
 """
@@ -22,7 +22,9 @@ from fractions import Fraction
 
 from bittune.constraints import ConstraintSystem, LinExpr
 from bittune.interp import run_reference
-from bittune.mpfloat import MPValue, to_fraction
+from bittune.mpfloat import (
+    DEFAULT_PRECISION, MPValue, parse_decimal, to_fraction,
+)
 from bittune.nbody import (
     BODY_ORDER, BenchConstants, build_nbody_program, horizon_t_max,
     load_bodies,
@@ -73,6 +75,13 @@ def random_mpv(rng: random.Random, max_prec: int = 120,
     exp = rng.randint(-exp_span, exp_span)
     sign = rng.choice((1, -1))
     return MPValue(sign, mant, exp, p)
+
+
+def binding(**texts: str) -> dict[str, MPValue]:
+    """A samples set as the command line reads it at the default --pref:
+    each decimal string correctly rounded to DEFAULT_PRECISION bits."""
+    return {name: parse_decimal(text, DEFAULT_PRECISION)
+            for name, text in texts.items()}
 
 
 def to_float(x: MPValue) -> float:

@@ -27,7 +27,9 @@ from bittune.parse import parse_program
 from bittune.program import BinOp, Require
 from bittune.solver import SolverError, solve_ilp, solve_monotone
 from bittune.tuner import TuningConfig, tune
-from helpers import abs_mpv, fraction_ufp, gen_straight_line, random_mpv
+from helpers import (
+    abs_mpv, binding, fraction_ufp, gen_straight_line, random_mpv,
+)
 from test_solver import (
     chaotic_fixpoint, enumerate_optimum, make_system, random_mixed_rows,
     random_monotone_rows,
@@ -43,7 +45,7 @@ from test_solver import (
 # so ufp -2; hence dx*dx 7, dy*dy 6, dz*dz -3, both sums 7, sqrt 3.
 
 DISTANCE_SRC = "distance = sqrt(dx*dx + dy*dy + dz*dz);\n"
-DISTANCE_BINDINGS = {"dx": "12.0", "dy": "9.0", "dz": "0.4"}
+DISTANCE_BINDINGS = binding(dx="12.0", dy="9.0", dz="0.4")
 
 DISTANCE_UFP = {0: 3, 1: 3, 2: 7, 3: 3, 4: 3, 5: 6, 6: 7,
                 7: -2, 8: -2, 9: -3, 10: 7, 11: 3, 12: 3}

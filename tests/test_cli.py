@@ -721,7 +721,7 @@ class TestExportAndRun:
         (("--pref", "30"), "cond_nsb 53 outside [1, pref=30]"),
         (("--cond-nsb", "0"), "cond_nsb 0 outside [1, pref=500]"),
     ])
-    @pytest.mark.parametrize("command", ["tune", "export-lp", "verify", "run"])
+    @pytest.mark.parametrize("command", ["tune", "export-lp"])
     def test_every_command_checks_the_config(self, workdir, capsys, command,
                                              flags, message):
         code, _, err = run_cli(capsys, command, "small.pop", *flags)
@@ -1098,6 +1098,105 @@ class TestOneWidthCap:
             2, "", "bittune: bench: --cond-nsb: cond_nsb 53 outside "
                    "[1, pref=30]\n")
         assert not (workdir / "out").exists()
+
+
+class TestEachCommandTakesWhatItReads:
+    """A command takes, keeps and checks only the settings it reads:
+    --cond-nsb only where a system is generated, --samples only where
+    a source is read."""
+
+    OPTIONS = {
+        "tune": {"--method", "--pref", "--cond-nsb", "--samples",
+                 "--report", "--emit-lp", "--timings"},
+        "verify": {"--report", "--pref", "--samples"},
+        "bench": {"--nsb", "--years", "--dt", "--method", "--pref",
+                  "--cond-nsb", "--out", "--jobs", "--no-series"},
+        "export-lp": {"--refined", "--out", "--pref", "--cond-nsb",
+                      "--samples"},
+        "run": {"--bits", "--pref", "--samples"},
+    }
+
+    def test_each_command_takes_its_own_options(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a.choices, dict))
+        taken = {name: {a.option_strings[-1] for a in p._actions
+                        if a.option_strings and a.dest != "help"}
+                 for name, p in sub.choices.items()}
+        assert taken == self.OPTIONS
+        assert sum(map(len, taken.values())) == 27
+
+    @pytest.mark.parametrize("command", ["verify", "run"])
+    def test_cond_nsb_is_no_option_where_nothing_is_generated(
+            self, workdir, capsys, command):
+        code, _, err = run_cli(capsys, command, "small.pop", "--cond-nsb",
+                               "1")
+        assert code == 2
+        assert err.endswith("unrecognized arguments: --cond-nsb 1\n")
+        _, out, _ = run_cli(capsys, command, "--help")
+        assert "--pref" in out and "--cond-nsb" not in out
+
+    def test_run_below_the_default_cond_nsb(self, workdir, capsys):
+        # run refused this on the default --cond-nsb it never read:
+        # "cond_nsb 53 outside [1, pref=30]".
+        (workdir / "cap.pop").write_text(TestOneWidthCap.SOURCE)
+        code, out, err = run_cli(capsys, "run", "cap.pop", "--pref", "30",
+                                 "--bits", "24")
+        assert (code, err) == (0, "")
+        assert [line.split(" = ")[0] for line in out.splitlines()] == \
+            ["a", "b", "c"]
+
+    @pytest.mark.parametrize("command", ["tune", "verify", "export-lp",
+                                         "run"])
+    def test_pref_below_one_is_refused(self, workdir, capsys, command):
+        # Without --cond-nsb, verify and run would have made a 0-bit
+        # reference.
+        assert run_cli(capsys, command, "small.pop", "--pref", "0") == (
+            1, "", f"bittune: {command}: pref must be at least 1, got 0\n")
+        assert [f.name for f in workdir.iterdir()] == ["small.pop"]
+
+    def test_bench_refuses_a_pref_below_one(self, workdir, capsys):
+        assert run_cli(capsys, "bench", "--years", "0.01", "--nsb", "11",
+                       "--pref", "0", "--out", "out") == (
+            2, "", "bittune: bench: --pref: pref must be at least 1, "
+                   "got 0\n")
+        assert not (workdir / "out").exists()
+
+    def test_samples_enter_at_pref(self, workdir, capsys):
+        # A bound input and the same literal assigned in the source give
+        # one reference.  The samples string was read at 500 bits, so at
+        # --pref 1000 the bound program reported error 0 and ran with
+        # another x.
+        (workdir / "p.pop").write_text(
+            "y = x * 3.0; require_nsb(y, 900);\n")
+        (workdir / "q.pop").write_text(
+            "x = 0.1; y = x * 3.0; require_nsb(y, 900);\n")
+        (workdir / "p.json").write_text('{"x": "0.1"}')
+        bound = ("--samples", "p.json")
+        for name, samples in (("p", bound), ("q", ())):
+            code, _, err = run_cli(capsys, "tune", f"{name}.pop", *samples,
+                                   "--pref", "1000")
+            assert (code, err) == (0, "")
+            report = json.loads(
+                (workdir / f"{name}.report.json").read_text())
+            assert [r["error"] for r in report["verification"]] == \
+                ["2.3661043723335496e-272"]
+        runs = [run_cli(capsys, "run", f"{name}.pop", *samples, "--pref",
+                        "1000", "--bits", "1000")
+                for name, samples in (("p", bound), ("q", ()))]
+        assert runs[0] == runs[1] and runs[0][0] == 0
+
+    # 5 is 101 in binary: at 2 bits it ties between 4 and 6, and rounds
+    # to even, 4.  A float is taken exactly.
+    @pytest.mark.parametrize("value, x", [
+        ('"5"', "4"), ("5", "4"), ("5.0", "5"),
+    ], ids=["string", "integer", "float"])
+    def test_samples_values_by_type(self, workdir, capsys, value, x):
+        (workdir / "p.pop").write_text("y = x * 3.0;\n")
+        (workdir / "p.json").write_text(f'{{"x": {value}}}')
+        code, out, err = run_cli(capsys, "run", "p.pop", "--samples",
+                                 "p.json", "--pref", "2", "--bits", "2")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == f"x = {x}"
 
 
 class TestNoReferenceCycles:

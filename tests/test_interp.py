@@ -16,7 +16,8 @@ from bittune.parse import parse_program
 from bittune.program import Assign, BinOp, Num, Program, Var
 from bittune.tuner import TuningConfig, reference_run, solve, systems
 from helpers import (
-    BRANCH, LOOP, gen_straight_line, in_loop, round_fraction, to_float,
+    BRANCH, LOOP, binding, gen_straight_line, in_loop, round_fraction,
+    to_float,
 )
 
 GEOM = """\
@@ -72,7 +73,7 @@ class TestReference:
 
     def test_bindings_seed_free_variables(self):
         prog = parse_program("y = x * x;\n", inputs=("x",))
-        trace = run_reference(prog, pref=100, binding_sets=[{"x": "3.0"}])
+        trace = run_reference(prog, pref=100, binding_sets=[binding(x="3.0")])
         assert mpfloat.to_fraction(trace.env["y"]) == 9
 
     def test_step_cap_raises(self, monkeypatch):
@@ -303,7 +304,8 @@ class TestRanges:
     def test_multiple_binding_sets_merge(self):
         prog = parse_program("y = x + 0.0;\n", inputs=("x",))
         ranges = run_reference(prog, pref=80,
-                               binding_sets=[{"x": "0.25"}, {"x": "8.0"}]).ranges
+                               binding_sets=[binding(x="0.25"),
+                                             binding(x="8.0")]).ranges
         y_read = next(n.point for n in prog.points
                       if type(n).__name__ == "Var" and n.name == "x")
         assert ranges.ufp(y_read) == 3                   # 8 in [8, 16)
@@ -316,7 +318,7 @@ class TestRanges:
         src = ("k = 0.0;\nwhile (k < x) {\n    k = k + 1.0;\n}\n"
                "require_nsb(k, 10);\n")
         prog = parse_program(src, inputs=("x",))
-        first, second = {"x": "2.0"}, {"x": "5.0"}
+        first, second = binding(x="2.0"), binding(x="5.0")
         fused = run_reference(prog, 60, [first, second])
         alone = run_reference(prog, 60, [first])
         assert fused.env == alone.env
@@ -465,7 +467,7 @@ class TestPinnedBlocks:
 
     def test_runs_match_the_pinned_digests(self):
         digests = {name: hashlib.sha256() for name in self.PINNED}
-        sets = ({"x": "1.5", "n": "3.0"}, {"x": "-0.75", "n": "6.0"})
+        sets = (binding(x="1.5", n="3.0"), binding(x="-0.75", n="6.0"))
         cases = [(NESTED, ()), (OPEN, sets)]
         for src, bindings in cases:
             cfg = TuningConfig(method="pi", bindings=bindings)
@@ -475,8 +477,8 @@ class TestPinnedBlocks:
                 f"{ref.ranges.top}\n{ref.ranges.counts}\n{ref.steps}\n"
                 f"{_env_text(ref.env)}".encode())
             assignment, _ = solve(*systems(prog, ref.ranges, cfg))
-            for binding in bindings or (None,):
-                tuned = run_tuned(prog, assignment.widths(), binding)
+            for bound in bindings or (None,):
+                tuned = run_tuned(prog, assignment.widths(), bound)
                 digests["tuned"].update(
                     f"{tuned.steps}\n{_env_text(tuned.env)}".encode())
         assert {name: h.hexdigest() for name, h in digests.items()} == \

@@ -23,8 +23,8 @@ from bittune.tuner import (
     TuneError, TuningConfig, VerifyRow, passed, tune, verify,
 )
 from helpers import (
-    check_solution, gen_straight_line, parse_solution, report_from_json,
-    to_float,
+    binding, check_solution, gen_straight_line, parse_solution,
+    report_from_json, to_float,
 )
 
 SMALL = """\
@@ -63,7 +63,7 @@ class TestTune:
             tune(parse_program("a = 1.0;\n"))
 
     def test_open_program_needs_bindings(self):
-        cfg = TuningConfig(bindings=({"x": "0.5"},))
+        cfg = TuningConfig(bindings=(binding(x="0.5"),))
         assignment, report = tune(
             parse_program("y = x + 1.0;\nrequire_nsb(y, 12);\n",
                           cfg.input_names()), cfg)
