@@ -20,9 +20,11 @@ the command that raised them.
 Each command that reads a source parses it, refuses a samples set that
 leaves one of its free inputs unbound, and hands the tuner the parsed
 program.  tune, verify, bench and export-lp go through tuner's
-reference_run; export-lp then writes the system tuner.generate builds,
-tune and bench go on to tuner.solve.  tune and verify check the tuned
-run with tuner.check_tuned and judge it by tuner.passed.
+reference_run, tune and export-lp after tuner.requirements has refused
+a requirement past --pref; export-lp then writes the system
+tuner.generate builds, tune and bench go on to tuner.solve.  tune and
+verify check the tuned run with tuner.check_tuned and judge it by
+tuner.passed.
 
 Artifacts are deterministic: the same invocation writes byte-identical
 files.  The timing field (stages, the seconds of each stage) is
@@ -42,7 +44,6 @@ import sys
 from pathlib import Path
 
 from . import mpfloat
-from .constraints import DEFAULT_COND_NSB
 from .interp import run_tuned
 from .lpfile import export_lp
 from .mpfloat import MPDomainError
@@ -53,7 +54,7 @@ from .render import emit_annotated
 from .codegen import emit_mp_code
 from .tuner import (
     TuneError, TuningConfig, divergence, generate, passed, reference_run,
-    stage, tune, verify,
+    requirements, stage, tune, verify,
 )
 
 # The package's own errors derive from ValueError or RuntimeError, but
@@ -143,12 +144,8 @@ def _load_bindings(path: str, pref: int) -> tuple[dict, ...]:
 
 def _config(args) -> TuningConfig:
     """The command's TuningConfig, checked before the samples are read at
-    its pref; cond_nsb is None for a command without --cond-nsb."""
-    cfg = TuningConfig(
-        method=getattr(args, "method", "ilp"),
-        pref=args.pref,
-        cond_nsb=getattr(args, "cond_nsb", None),
-    )
+    its pref."""
+    cfg = TuningConfig(method=getattr(args, "method", "ilp"), pref=args.pref)
     cfg.check()
     if args.samples:
         cfg.bindings = _load_bindings(args.samples, cfg.pref)
@@ -168,18 +165,28 @@ def _parse(source: str, cfg: TuningConfig) -> Program:
 
 
 def cmd_tune(args) -> int:
+    base = Path(args.source)
+    annotated_path = base.with_suffix(".annotated.pop")
+    script_path = base.with_suffix(".mp.txt")
+    lp_path = base.with_suffix(".lp") if args.emit_lp else None
+    report_path = Path(args.report) if args.report else base.with_suffix(".report.json")
+    # No artifact may land on the source or on another artifact.
+    kept = {"the source": base, "the annotated source": annotated_path,
+            "the mp script": script_path, "the LP file": lp_path}
+    for kind, path in kept.items():
+        if path is not None and path.resolve() == report_path.resolve():
+            raise _UsageError(f"--report: {report_path} is {kind}")
+    if lp_path is not None and lp_path.resolve() == base.resolve():
+        raise _UsageError(f"--emit-lp: {lp_path} is the source")
+
     cfg = _config(args)
-    source = Path(args.source).read_text()
+    source = base.read_text()
     stages: dict[str, float] = {}
     with stage(stages, "parse"):
         prog = _parse(source, cfg)
     assignment, report = tune(prog, cfg, stages)
     widths = assignment.widths()
 
-    base = Path(args.source)
-    annotated_path = base.with_suffix(".annotated.pop")
-    script_path = base.with_suffix(".mp.txt")
-    report_path = Path(args.report) if args.report else base.with_suffix(".report.json")
     # Render every artifact before writing any, so a refusal (a variable
     # name the mp script cannot use, say) leaves no partial set behind.
     with stage(stages, "emit"):
@@ -189,7 +196,7 @@ def cmd_tune(args) -> int:
     artifacts = {annotated_path: annotated, script_path: script,
                  report_path: report.to_json(timings=args.timings)}
     if lp is not None:
-        artifacts[base.with_suffix(".lp")] = lp
+        artifacts[lp_path] = lp
     for path, text in artifacts.items():
         path.write_text(text)
     written = list(artifacts)
@@ -255,12 +262,11 @@ def cmd_bench(args) -> int:
             dt=args.dt,
             method=args.method,
             pref=args.pref,
-            cond_nsb=args.cond_nsb,
             write_series=not args.no_series,
         )
     except TuneError as e:
         flag = {"nsb_values": "nsb", "horizons_years": "years"}.get(
-            e.field, e.field.replace("_", "-"))
+            e.field, e.field)
         raise _UsageError(f"--{flag}: {e}") from None
     rows = run_experiment(plan, args.out, jobs=args.jobs)
     bodies = list(dict.fromkeys(r.body for r in rows))
@@ -283,6 +289,7 @@ def cmd_bench(args) -> int:
 def cmd_export_lp(args) -> int:
     cfg = _config(args)
     prog = _parse(Path(args.source).read_text(), cfg)
+    requirements(prog, cfg)
     system = generate(prog, reference_run(prog, cfg).ranges, cfg,
                       refined=args.refined)
     text = export_lp(system)
@@ -304,14 +311,11 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _add_precision_flags(p: argparse.ArgumentParser, cond_nsb: bool = True,
+def _add_precision_flags(p: argparse.ArgumentParser,
                          samples: bool = True) -> None:
     p.add_argument("--pref", type=int, default=mpfloat.DEFAULT_PRECISION,
                    help="reference precision in bits, and the cap of every "
                         "solved width (default %(default)s)")
-    if cond_nsb:
-        p.add_argument("--cond-nsb", type=int, default=DEFAULT_COND_NSB,
-                       help="width demanded of comparison operands (default %(default)s)")
     if samples:
         p.add_argument("--samples", metavar="PATH",
                        help="JSON input bindings for programs with free "
@@ -349,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", metavar="PATH",
                    help="report holding the width map (default "
                         "SOURCE.report.json)")
-    _add_precision_flags(p, cond_nsb=False)
+    _add_precision_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="run the orbit benchmark sweep")
@@ -383,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="program file")
     p.add_argument("--bits", type=int, default=53,
                    help="significand width for every operation (default %(default)s)")
-    _add_precision_flags(p, cond_nsb=False)
+    _add_precision_flags(p)
     p.set_defaults(func=cmd_run)
 
     return parser

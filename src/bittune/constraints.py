@@ -20,7 +20,8 @@ observed values were all zero uses the sentinel ufp and is reported.
 Zero is read from the map's missing top, not from the ufp, since a
 nonzero value can have the sentinel's ufp.
 Demands flow backward (operand width >= result width plus an alignment
-constant), error widths flow forward.
+constant), error widths flow forward.  Each comparison operand is
+demanded COND_NSB bits, or the system's pmax where that is lower.
 
 The generator reads the def-use links from prog.links.  A system is
 stored as the solver reads it: variables numbered as the generator
@@ -59,7 +60,8 @@ from .program import (
     Var, While,
 )
 
-DEFAULT_COND_NSB = 53
+# Read when a system is generated, not when the module is imported.
+COND_NSB = 53
 
 
 class GenError(ValueError):
@@ -221,11 +223,11 @@ def system_stats(system: ConstraintSystem) -> dict[str, int]:
 
 class _Generator:
     def __init__(self, prog: Program, ranges: UfpMap, refined: bool,
-                 cond_nsb: int, pmax: int):
+                 pmax: int):
         self.prog = prog
         self.ranges = ranges
         self.refined = refined
-        self.cond_nsb = cond_nsb
+        self.cond_nsb = min(COND_NSB, pmax)
         self.system = ConstraintSystem(
             pmax, prog.n_points, [nsb(p) for p in range(prog.n_points)])
         self.variables = self.system.variables
@@ -399,14 +401,13 @@ class _Generator:
                 self.row(self.e(u), 0, ((1, self.e(d)),), "link", u)
 
 
-def gen_ilp(prog: Program, ranges: UfpMap, cond_nsb: int = DEFAULT_COND_NSB,
+def gen_ilp(prog: Program, ranges: UfpMap,
             pmax: int = DEFAULT_PRECISION) -> ConstraintSystem:
     """The plain system C1: constant carry bit at every binary operation."""
-    return _Generator(prog, ranges, False, cond_nsb, pmax).run()
+    return _Generator(prog, ranges, False, pmax).run()
 
 
 def gen_refined(prog: Program, ranges: UfpMap,
-                cond_nsb: int = DEFAULT_COND_NSB,
                 pmax: int = DEFAULT_PRECISION) -> ConstraintSystem:
     """The refined system C2: carry bits at additions become min-definitions."""
-    return _Generator(prog, ranges, True, cond_nsb, pmax).run()
+    return _Generator(prog, ranges, True, pmax).run()

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import interp
-from .constraints import DEFAULT_COND_NSB, ConstraintSystem, with_requirement
+from .constraints import ConstraintSystem, with_requirement
 # run_reference is not called here; it stays importable under this name
 # for the benchmark tracer (perfbench/tracing.py), which wraps it.
 from .interp import Trace, run_reference, run_tuned
@@ -221,14 +221,14 @@ class ExperimentPlan:
     horizon, sharing the reference run and range analysis per horizon.
     Each horizon's loop bound is horizon_t_max(years, dt).  A plan that
     cannot run raises tuner.TuneError naming the field it refuses; that
-    includes a horizon whose run would pass interp.MAX_STEPS."""
+    includes a horizon whose run would pass interp.MAX_STEPS, a repeated
+    requirement and two horizons with one name."""
 
     nsb_values: tuple[int, ...] = (11, 18, 24, 34, 43, 53)
     horizons_years: tuple[float, ...] = (10.0,)
     dt: str = "0.01"
     method: str = "ilp"
     pref: int = DEFAULT_PRECISION
-    cond_nsb: int = DEFAULT_COND_NSB
     write_series: bool = True
 
     def __post_init__(self):
@@ -244,6 +244,16 @@ class ExperimentPlan:
             if not (math.isfinite(y) and y >= 0):
                 raise TuneError(f"horizon {y} is not a finite number of "
                                 f"years >= 0", "horizons_years")
+        # A cell is printed and its series file named by requirement and
+        # horizon name, so no two cells may share both.
+        for n in self.nsb_values:
+            if self.nsb_values.count(n) > 1:
+                raise TuneError(f"requirement {n} is repeated", "nsb_values")
+        names = [f"{y:g}" for y in self.horizons_years]
+        for name in names:
+            if names.count(name) > 1:
+                raise TuneError(f"two horizons are named {name}",
+                                "horizons_years")
         try:
             check_literal(self.dt)
             if self.dt.strip()[0] in "+-" or Decimal(self.dt) <= 0:
@@ -261,7 +271,7 @@ class ExperimentPlan:
 
     def tuning_config(self) -> TuningConfig:
         """What every cell is tuned with."""
-        return TuningConfig(self.method, self.pref, self.cond_nsb)
+        return TuningConfig(self.method, self.pref)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """The one tuning pipeline: reference run, solve, check, report.
 
 Every stage has one entry point over a parsed Program; the caller
-parses (and times the parse).  reference_run() runs at cfg.pref bits
+parses (and times the parse).  requirements() refuses a require_nsb
+past cfg.pref before anything runs.  reference_run() runs at cfg.pref bits
 and records ranges over all binding sets; generate() builds C1 or C2
 from them, and systems() the pair solve() takes, (C1, C2) for pi and
 (C1, None) for ilp; solve() solves those systems (pi, by policy
@@ -43,9 +44,7 @@ from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from . import mpfloat
-from .constraints import (
-    DEFAULT_COND_NSB, ConstraintSystem, gen_ilp, gen_refined, system_stats,
-)
+from .constraints import ConstraintSystem, gen_ilp, gen_refined, system_stats
 from .interp import Trace, UfpMap, run_reference, run_tuned
 from .program import Program, Require, shown
 from .solver import policy_iterate, solve_monotone
@@ -66,7 +65,6 @@ class TuneError(ValueError):
 class TuningConfig:
     method: str = "ilp"
     pref: int = mpfloat.DEFAULT_PRECISION
-    cond_nsb: int | None = DEFAULT_COND_NSB  # None: generates no system
     bindings: tuple = ()          # {input: MPValue} dicts, open programs
 
     def check(self) -> None:
@@ -76,9 +74,6 @@ class TuningConfig:
         if self.pref < 1:
             raise TuneError(f"pref must be at least 1, got {self.pref}",
                             "pref")
-        if self.cond_nsb is not None and not 1 <= self.cond_nsb <= self.pref:
-            raise TuneError(f"cond_nsb {self.cond_nsb} outside "
-                            f"[1, pref={self.pref}]", "cond_nsb")
 
     def input_names(self) -> tuple[str, ...]:
         """Every name some binding set binds: the program's free inputs."""
@@ -197,6 +192,19 @@ def divergence(steps_reference: int, steps_tuned: int) -> str | None:
                 f"steps, tuned {steps_tuned}")
 
 
+def requirements(prog: Program, cfg: TuningConfig) -> list[Require]:
+    """prog's require_nsb statements, refusing a bit count above
+    cfg.pref: no width is above pref, so the system could only be
+    infeasible."""
+    requires = [node for node in prog.points if isinstance(node, Require)]
+    for node in requires:
+        if node.bits > cfg.pref:
+            raise TuneError(f"control point {node.point}: require_nsb bit "
+                            f"count {shown(str(node.bits))} exceeds pref "
+                            f"{cfg.pref}")
+    return requires
+
+
 def reference_run(prog: Program, cfg: TuningConfig, track=()) -> Trace:
     """The run at cfg.pref bits that every later stage reads: env, samples,
     requirements and steps from the first binding set, ranges over all
@@ -209,7 +217,7 @@ def generate(prog: Program, ranges: UfpMap, cfg: TuningConfig,
     """C1, or C2 when refined, over the ranges and prog.links, with every
     width capped at cfg.pref."""
     gen = gen_refined if refined else gen_ilp
-    return gen(prog, ranges, cfg.cond_nsb, cfg.pref)
+    return gen(prog, ranges, cfg.pref)
 
 
 def systems(prog: Program, ranges: UfpMap, cfg: TuningConfig):
@@ -267,15 +275,8 @@ def tune(prog: Program, cfg: TuningConfig | None = None,
     cfg = cfg or TuningConfig()
     cfg.check()
     stages = {} if stages is None else stages
-    requires = [node for node in prog.points if isinstance(node, Require)]
-    if not requires:
+    if not requirements(prog, cfg):
         raise TuneError("program has no require_nsb statement; nothing to tune")
-    for node in requires:
-        # No width is above pref, so the system could only be infeasible.
-        if node.bits > cfg.pref:
-            raise TuneError(f"control point {node.point}: require_nsb bit "
-                            f"count {shown(str(node.bits))} exceeds pref "
-                            f"{cfg.pref}")
     with stage(stages, "reference_run"):
         ref = reference_run(prog, cfg)
     with stage(stages, "generate"):

@@ -89,7 +89,7 @@ def _distance_system(refined=False):
     prog = parse_program(DISTANCE_SRC, tuple(sorted(DISTANCE_BINDINGS)))
     ranges = run_reference(prog, 100, [DISTANCE_BINDINGS]).ranges
     gen = gen_refined if refined else gen_ilp
-    return prog, ranges, gen(prog, ranges, 53, 500)
+    return prog, ranges, gen(prog, ranges, 500)
 
 
 def _row_key(c):
@@ -358,7 +358,7 @@ def test_7_random_small_programs_meet_their_bit_requirement():
         src = gen_straight_line(rng)
         prog = parse_program(src)
         ranges = run_reference(prog, 500).ranges
-        c1 = gen_ilp(prog, ranges, 53, 500)
+        c1 = gen_ilp(prog, ranges, 500)
         sol = solve_monotone(c1)
         widths = {v.point: n for v, n in zip(c1.variables, sol.values)
                   if v.kind == "nsb"}

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from bittune import cli, interp, mpfloat, nbody, tuner
+from bittune import cli, constraints, interp, mpfloat, nbody, tuner
 from bittune.cli import main
 from bittune.parse import parse_program
 from bittune.tuner import TuningConfig, tune
@@ -73,6 +73,27 @@ class TestTuneCommand:
         run_cli(capsys, "tune", "small.pop")
         for name, blob in first.items():
             assert (workdir / name).read_bytes() == blob
+
+    # The report was written over the source program, and the LP file
+    # over the report, with exit 0; a .lp source took the LP file.
+    @pytest.mark.parametrize("argv, message", [
+        (("small.pop", "--report", "small.pop"),
+         "--report: small.pop is the source"),
+        (("small.pop", "--emit-lp", "--report", "./small.lp"),
+         "--report: small.lp is the LP file"),
+        (("small.pop", "--report", "small.mp.txt"),
+         "--report: small.mp.txt is the mp script"),
+        (("copy.lp", "--emit-lp"), "--emit-lp: copy.lp is the source"),
+    ], ids=["source", "lp-file", "script", "lp-source"])
+    def test_an_artifact_over_another_file_is_usage_error(
+            self, workdir, capsys, argv, message):
+        (workdir / "copy.lp").write_text(SMALL)
+        assert run_cli(capsys, "tune", *argv) == (
+            2, "", f"bittune: tune: {message}\n")
+        assert sorted(f.name for f in workdir.iterdir()) == \
+            ["copy.lp", "small.pop"]
+        assert (workdir / "small.pop").read_text() == SMALL
+        assert (workdir / "copy.lp").read_text() == SMALL
 
     def test_timings_flag_gates_the_clock_field(self, workdir, capsys):
         run_cli(capsys, "tune", "small.pop")
@@ -526,6 +547,24 @@ class TestRequirementsCheckedWhereTheyStand:
             "x", "20", "0.05", "1.9073486328125e-06", "FAIL"]
 
 
+class TestExportLpChecksRequirements:
+    @pytest.mark.parametrize("command", ["tune", "export-lp"])
+    def test_a_requirement_past_pref_is_refused(self, workdir, capsys,
+                                                monkeypatch, command):
+        # export-lp wrote "nsb_6 >= 600" beside the bound "<= 500" and
+        # exited 0; tune refused the same source before anything ran.
+        (workdir / "p.pop").write_text(
+            "x = 1.3; y = x * 3.7; require_nsb(y, 600);\n")
+        for module in (cli, tuner):
+            monkeypatch.setattr(module, "reference_run",
+                                lambda *a, **k: pytest.fail("a pass ran"))
+        assert run_cli(capsys, command, "p.pop") == (
+            1, "", f"bittune: {command}: control point 6: require_nsb bit "
+                   f"count '600' exceeds pref 500\n")
+        assert sorted(f.name for f in workdir.iterdir()) == \
+            ["p.pop", "small.pop"]
+
+
 class TestBenchCommand:
     def test_tiny_sweep(self, workdir, capsys, monkeypatch):
         # Each cell's widths are those `tune` solves for the same source.
@@ -569,6 +608,24 @@ class TestBenchCommand:
         rows = [ln.split() for ln in lines if ln.split()[0].isdigit()]
         assert [(r[0], len(r)) for r in rows] == [("11", 7), ("24", 7)] * 2
 
+    # A repeated requirement ran its cell twice (eight summary rows, one
+    # table row, its series file written twice); two horizons with one
+    # :g name printed alike and the second series file overwrote the
+    # first.  Both exited 0.
+    @pytest.mark.parametrize("flags, message", [
+        (("--nsb", "11,11", "--years", "0.05"),
+         "--nsb: requirement 11 is repeated"),
+        (("--nsb", "11", "--years", "0.05000001,0.05000002"),
+         "--years: two horizons are named 0.05"),
+    ], ids=["nsb", "years"])
+    def test_a_repeated_cell_is_usage_error(self, workdir, capsys,
+                                            monkeypatch, flags, message):
+        monkeypatch.setattr(nbody, "reference_run",
+                            lambda *a, **k: pytest.fail("a pass ran"))
+        assert run_cli(capsys, "bench", *flags, "--out", "out") == (
+            2, "", f"bittune: bench: {message}\n")
+        assert not (workdir / "out").exists()
+
     def test_nsb_out_of_box_is_usage_error(self, workdir, capsys):
         code, _, err = run_cli(capsys, "bench", "--nsb", "0")
         assert code == 2 and "outside" in err
@@ -578,13 +635,13 @@ class TestBenchCommand:
         assert code == 2
 
     def test_diverged_cell_is_judged_by_its_step_count(self, workdir,
-                                                        capsys):
+                                                        capsys, monkeypatch):
         # One-bit conditions end the tuned loop early.  The sweep judged
         # this by the samples it stored ("trip counts diverged: reference
         # stored 6 samples, tuned 4"); it now judges it as verify does.
+        monkeypatch.setattr(constraints, "COND_NSB", 1)
         code, out, err = run_cli(capsys, "bench", "--years", "0.05",
-                                 "--nsb", "11", "--cond-nsb", "1",
-                                 "--out", "out")
+                                 "--nsb", "11", "--out", "out")
         assert (code, out, err) == (
             1, "", "bittune: bench: control flow diverged: reference ran "
                    "610 steps, tuned 386\n")
@@ -608,22 +665,6 @@ class TestBenchCommand:
         proc = _bittune(workdir, "bench", *flags, "--out", "out")
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", f"bittune: bench: {message}\n")
-        assert not (workdir / "out").exists()
-
-    # bench took any --cond-nsb: 0 swept and exited 0, and 900 ran the
-    # reference pass before the solver hit the width cap.  The cap is
-    # --pref, so the default 53 is refused at --pref 30 as well.
-    @pytest.mark.parametrize("flags, message", [
-        (("--cond-nsb", "0"), "cond_nsb 0 outside [1, pref=500]"),
-        (("--cond-nsb", "900"), "cond_nsb 900 outside [1, pref=500]"),
-        (("--pref", "30"), "cond_nsb 53 outside [1, pref=30]"),
-    ], ids=["zero", "past-the-cap", "default-past-pref"])
-    def test_cond_nsb_outside_the_width_cap_is_usage_error(
-            self, workdir, flags, message):
-        proc = _bittune(workdir, "bench", "--years", "0.01", "--nsb", "11",
-                        *flags, "--out", "out")
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            2, "", f"bittune: bench: --cond-nsb: {message}\n")
         assert not (workdir / "out").exists()
 
     # The five-body program runs 50 top-level steps and 112 per trip; at
@@ -716,17 +757,6 @@ class TestExportAndRun:
         plain = (workdir / "plain.lp").read_text()
         refined = (workdir / "refined.lp").read_text()
         assert "nsbe_" in refined and "nsbe_" not in plain
-
-    @pytest.mark.parametrize("flags, message", [
-        (("--pref", "30"), "cond_nsb 53 outside [1, pref=30]"),
-        (("--cond-nsb", "0"), "cond_nsb 0 outside [1, pref=500]"),
-    ])
-    @pytest.mark.parametrize("command", ["tune", "export-lp"])
-    def test_every_command_checks_the_config(self, workdir, capsys, command,
-                                             flags, message):
-        code, _, err = run_cli(capsys, command, "small.pop", *flags)
-        assert (code, err) == (1, f"bittune: {command}: {message}\n")
-        assert not (workdir / "small.lp").exists()
 
     def test_run_prints_exact_environment(self, workdir, capsys):
         code, out, _ = run_cli(capsys, "run", "small.pop", "--bits", "10")
@@ -1089,30 +1119,41 @@ class TestOneWidthCap:
         _, out, _ = run_cli(capsys, command, "--help")
         assert "--pref" in out and "--pmax" not in out
 
-    def test_tune_and_bench_refuse_a_cond_nsb_past_pref_alike(self, workdir,
-                                                               capsys):
-        assert run_cli(capsys, "tune", "small.pop", "--pref", "30") == (
-            1, "", "bittune: tune: cond_nsb 53 outside [1, pref=30]\n")
-        assert run_cli(capsys, "bench", "--years", "0.01", "--nsb", "11",
-                       "--pref", "30", "--out", "out") == (
-            2, "", "bittune: bench: --cond-nsb: cond_nsb 53 outside "
-                   "[1, pref=30]\n")
-        assert not (workdir / "out").exists()
+    def test_a_comparison_width_past_pref_is_capped(self, workdir, capsys):
+        # A comparison operand was demanded 53 bits whatever --pref said,
+        # so tune refused this program, which has no comparison, with
+        # "cond_nsb 53 outside [1, pref=30]", and bench refused the same.
+        (workdir / "p.pop").write_text(
+            "x = 1.3; y = x * 3.7; require_nsb(y, 20);\n")
+        code, _, err = run_cli(capsys, "tune", "p.pop", "--pref", "30")
+        assert (code, err) == (0, "")
+        report = json.loads((workdir / "p.report.json").read_text())
+        assert max(report["nsb"].values()) <= 30
+        assert all(r["passed"] for r in report["verification"])
+        # bench gets as far as the solver, below its own placeholder
+        # requirement of 24, and fails on what drives it past the cap:
+        # the loop test t < t_max at 20 bits, and t = t + dt above it.
+        code, out, err = run_cli(capsys, "bench", "--years", "0.01",
+                                 "--nsb", "11", "--pref", "20", "--out",
+                                 "out")
+        assert (code, out) == (1, "")
+        assert err.startswith("bittune: bench: infeasible: nsb_895 is "
+                              "driven past the cap 20\n")
+        assert err.endswith("    nsb_106 >= 20\n")
 
 
 class TestEachCommandTakesWhatItReads:
     """A command takes, keeps and checks only the settings it reads:
-    --cond-nsb only where a system is generated, --samples only where
-    a source is read."""
+    --samples only where a source is read.  The width of comparison
+    operands is no setting (constraints.COND_NSB, capped at --pref)."""
 
     OPTIONS = {
-        "tune": {"--method", "--pref", "--cond-nsb", "--samples",
-                 "--report", "--emit-lp", "--timings"},
+        "tune": {"--method", "--pref", "--samples", "--report",
+                 "--emit-lp", "--timings"},
         "verify": {"--report", "--pref", "--samples"},
         "bench": {"--nsb", "--years", "--dt", "--method", "--pref",
-                  "--cond-nsb", "--out", "--jobs", "--no-series"},
-        "export-lp": {"--refined", "--out", "--pref", "--cond-nsb",
-                      "--samples"},
+                  "--out", "--jobs", "--no-series"},
+        "export-lp": {"--refined", "--out", "--pref", "--samples"},
         "run": {"--bits", "--pref", "--samples"},
     }
 
@@ -1123,13 +1164,13 @@ class TestEachCommandTakesWhatItReads:
                         if a.option_strings and a.dest != "help"}
                  for name, p in sub.choices.items()}
         assert taken == self.OPTIONS
-        assert sum(map(len, taken.values())) == 27
+        assert sum(map(len, taken.values())) == 24
 
-    @pytest.mark.parametrize("command", ["verify", "run"])
-    def test_cond_nsb_is_no_option_where_nothing_is_generated(
-            self, workdir, capsys, command):
-        code, _, err = run_cli(capsys, command, "small.pop", "--cond-nsb",
-                               "1")
+    @pytest.mark.parametrize("command", ["tune", "verify", "bench",
+                                         "export-lp", "run"])
+    def test_cond_nsb_is_no_option(self, workdir, capsys, command):
+        source = () if command == "bench" else ("small.pop",)
+        code, _, err = run_cli(capsys, command, *source, "--cond-nsb", "1")
         assert code == 2
         assert err.endswith("unrecognized arguments: --cond-nsb 1\n")
         _, out, _ = run_cli(capsys, command, "--help")
@@ -1148,8 +1189,7 @@ class TestEachCommandTakesWhatItReads:
     @pytest.mark.parametrize("command", ["tune", "verify", "export-lp",
                                          "run"])
     def test_pref_below_one_is_refused(self, workdir, capsys, command):
-        # Without --cond-nsb, verify and run would have made a 0-bit
-        # reference.
+        # Unchecked, verify and run would have made a 0-bit reference.
         assert run_cli(capsys, command, "small.pop", "--pref", "0") == (
             1, "", f"bittune: {command}: pref must be at least 1, got 0\n")
         assert [f.name for f in workdir.iterdir()] == ["small.pop"]

@@ -28,12 +28,12 @@ from helpers import (
 )
 
 
-def systems_for(src, cond_nsb=53, pmax=500, inputs=(), binding_sets=None):
+def systems_for(src, pmax=500, inputs=(), binding_sets=None):
     prog = parse_program(src, inputs)
     ranges = run_reference(prog, 100, binding_sets).ranges
     return (prog, ranges,
-            gen_ilp(prog, ranges, cond_nsb, pmax),
-            gen_refined(prog, ranges, cond_nsb, pmax))
+            gen_ilp(prog, ranges, pmax),
+            gen_refined(prog, ranges, pmax))
 
 
 def by_origin(system):
@@ -94,10 +94,12 @@ class TestPlainSystem:
                    and not c.rhs.terms for c in carries)
 
     def test_condition_operands_pinned_to_cond_width(self):
+        # constraints.COND_NSB bits, capped at pmax like every width.
         src = "t = 0.0;\nwhile (t < 4.0) {\n    t = t + 1.0;\n}\n"
-        _, _, c1, _ = systems_for(src, cond_nsb=7)
-        consts = [c.rhs.const for c in rows(c1, "cond")]
-        assert consts == [7, 7]
+        for pmax, width in ((500, 53), (53, 53), (7, 7)):
+            for system in systems_for(src, pmax=pmax)[2:]:
+                assert [c.rhs.const for c in rows(system, "cond")] == \
+                    [width, width]
 
     def test_require_row(self):
         prog, _, c1, _ = systems_for("a = 2.0;\nrequire_nsb(a, 31);\n")

@@ -304,8 +304,8 @@ class TestPinnedOutput:
     def _systems(self, src):
         prog = parse_program(src)
         ranges = reference_run(prog, self.CFG).ranges
-        return (gen_ilp(prog, ranges, self.CFG.cond_nsb, self.CFG.pref),
-                gen_refined(prog, ranges, self.CFG.cond_nsb, self.CFG.pref))
+        return (gen_ilp(prog, ranges, self.CFG.pref),
+                gen_refined(prog, ranges, self.CFG.pref))
 
     def test_five_body_policy_iteration(self):
         _, c2 = self._systems(build_nbody_program(

@@ -71,9 +71,7 @@ class TestTune:
 
     @pytest.mark.parametrize("bad", [
         TuningConfig(method="newton"),
-        TuningConfig(cond_nsb=0),
-        TuningConfig(cond_nsb=501),
-        TuningConfig(pref=30),
+        TuningConfig(pref=0),
     ])
     def test_config_validation(self, bad):
         with pytest.raises(TuneError):
