@@ -173,10 +173,14 @@ def cmd_tune(args) -> int:
     # No artifact may land on the source or on another artifact.
     kept = {"the source": base, "the annotated source": annotated_path,
             "the mp script": script_path, "the LP file": lp_path}
-    for kind, path in kept.items():
-        if path is not None and path.resolve() == report_path.resolve():
+    resolved = {kind: path.resolve() for kind, path in kept.items()
+                if path is not None}
+    report_at = report_path.resolve()
+    for kind, at in resolved.items():
+        if at == report_at:
             raise _UsageError(f"--report: {report_path} is {kind}")
-    if lp_path is not None and lp_path.resolve() == base.resolve():
+    if lp_path is not None and \
+            resolved["the LP file"] == resolved["the source"]:
         raise _UsageError(f"--emit-lp: {lp_path} is the source")
 
     cfg = _config(args)

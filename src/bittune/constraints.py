@@ -50,7 +50,6 @@ a requirement changes.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .interp import UfpMap
@@ -95,8 +94,7 @@ def xi(point: int, a: int, b: int) -> IntVar:
     return IntVar("xi", point, (a, b))
 
 
-@dataclass(frozen=True)
-class LinExpr:
+class LinExpr(NamedTuple):
     """const + sum of coef * var."""
 
     const: int
@@ -117,8 +115,7 @@ class LinExpr:
         return text[2:] if text.startswith("+ ") else text
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     """lhs >= rhs, with lhs a single variable (None means the constant 0)."""
 
     lhs: IntVar | None
@@ -131,16 +128,20 @@ class LinearConstraint:
         return f"{left} >= {self.rhs}"
 
 
-@dataclass(slots=True)
 class Rows:
     """Rows as parallel lists: left variable index (-1 for the constant
     0), constant, ((coef, index), ...) terms, origin and site."""
 
-    lhs: list[int] = field(default_factory=list)
-    const: list[int] = field(default_factory=list)
-    terms: list[tuple[tuple[int, int], ...]] = field(default_factory=list)
-    origin: list[str] = field(default_factory=list)
-    site: list[int] = field(default_factory=list)
+    __slots__ = ("lhs", "const", "terms", "origin", "site")
+
+    def __init__(self, lhs: list[int], const: list[int],
+                 terms: list[tuple[tuple[int, int], ...]], origin: list[str],
+                 site: list[int]):
+        self.lhs = lhs
+        self.const = const
+        self.terms = terms
+        self.origin = origin
+        self.site = site
 
     def append(self, lhs: int, const: int, terms, origin, site) -> None:
         self.lhs.append(lhs)
@@ -168,20 +169,24 @@ class _RowView(Sequence):
             rows.origin[r], rows.site[r])
 
 
-@dataclass
 class ConstraintSystem:
-    pmax: int
-    points: int = 0             # nsb(p) is variable p for p < points
-    variables: list[IntVar] = field(default_factory=list)
-    rows: Rows = field(default_factory=Rows, repr=False)
-    # Per carry definition, (xi, (const, terms), (const, terms)) by
-    # variable index: xi = min(max(arg1, 0), max(arg2, 0), 1).  Per row
-    # that reads a defined carry, in row order, (row, xi_defs position,
-    # its terms without the carry).
-    xi_defs: list[tuple] = field(default_factory=list)
-    carry_rows: list[tuple] = field(default_factory=list, repr=False)
-    skipped_points: list[int] = field(default_factory=list)
-    zero_ufp_points: list[int] = field(default_factory=list)
+    __slots__ = ("pmax", "points", "variables", "rows", "xi_defs",
+                 "carry_rows", "skipped_points", "zero_ufp_points")
+
+    def __init__(self, pmax: int, points: int, variables: list[IntVar],
+                 rows: Rows | None = None):
+        self.pmax = pmax
+        self.points = points    # nsb(p) is variable p for p < points
+        self.variables = variables
+        self.rows = Rows([], [], [], [], []) if rows is None else rows
+        # Per carry definition, (xi, (const, terms), (const, terms)) by
+        # variable index: xi = min(max(arg1, 0), max(arg2, 0), 1).  Per
+        # row that reads a defined carry, in row order, (row, xi_defs
+        # position, its terms without the carry).
+        self.xi_defs: list[tuple] = []
+        self.carry_rows: list[tuple] = []
+        self.skipped_points: list[int] = []
+        self.zero_ufp_points: list[int] = []
 
     @property
     def constraints(self) -> _RowView:
@@ -213,7 +218,13 @@ def with_requirement(system: ConstraintSystem, bits: int) -> ConstraintSystem:
     rows = system.rows
     const = [bits if o == "require" else k
              for o, k in zip(rows.origin, rows.const)]
-    return replace(system, rows=replace(rows, const=const))
+    copy = ConstraintSystem(system.pmax, system.points, system.variables,
+                            Rows(rows.lhs, const, rows.terms, rows.origin,
+                                 rows.site))
+    copy.xi_defs, copy.carry_rows = system.xi_defs, system.carry_rows
+    copy.skipped_points = system.skipped_points
+    copy.zero_ufp_points = system.zero_ufp_points
+    return copy
 
 
 def system_stats(system: ConstraintSystem) -> dict[str, int]:

@@ -36,7 +36,7 @@ constraints propagate through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .program import (
     Assign, Compare, If, Program, Require, Stmt, Var, While, expr_reads, shown,
@@ -51,8 +51,7 @@ class FlowError(ValueError):
     """A variable is read on every path before any definition."""
 
 
-@dataclass
-class DefUseLink:
+class DefUseLink(NamedTuple):
     def_point: int
     use_point: int
     var: str

@@ -68,8 +68,7 @@ well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import mpfloat
 from .mpfloat import (
@@ -94,14 +93,17 @@ class EvalError(RuntimeError):
         self.point = point
 
 
-@dataclass
 class UfpMap:
     """Per-point magnitudes from one or more reference runs: the largest
     ufp seen (None while every value was zero) and the visit count."""
 
-    top: list[int | None]
-    counts: list[int]
-    ufp_zero: int
+    __slots__ = ("top", "counts", "ufp_zero")
+
+    def __init__(self, top: list[int | None], counts: list[int],
+                 ufp_zero: int):
+        self.top = top
+        self.counts = counts
+        self.ufp_zero = ufp_zero
 
     @classmethod
     def empty(cls, n_points: int, ufp_zero: int) -> "UfpMap":
@@ -119,14 +121,13 @@ class UfpMap:
         return self.ufp_zero if u is None else u
 
 
-@dataclass
-class Trace:
+class Trace(NamedTuple):
     env: dict[str, MPValue]
-    samples: dict[str, list[MPValue]] = field(default_factory=dict)
+    samples: dict[str, list[MPValue]]
     # Per require_nsb point, the value it saw on each visit.
-    required: dict[int, list[MPValue]] = field(default_factory=dict)
-    steps: int = 0
-    ranges: UfpMap | None = None      # reference mode only
+    required: dict[int, list[MPValue]]
+    steps: int
+    ranges: UfpMap | None             # reference mode only
 
 
 # The cmp_t results for which each comparison holds.

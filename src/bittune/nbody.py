@@ -28,11 +28,9 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import partial
-from multiprocessing import get_context
 from pathlib import Path
 from typing import NamedTuple
 
@@ -215,7 +213,6 @@ def _distance(ref, tuned) -> float:
     return math.sqrt(s / (1 << -2 * e) if e < 0 else float(s << 2 * e))
 
 
-@dataclass(frozen=True)
 class ExperimentPlan:
     """One precision sweep: every requirement in nsb_values at every
     horizon, sharing the reference run and range analysis per horizon.
@@ -224,14 +221,19 @@ class ExperimentPlan:
     includes a horizon whose run would pass interp.MAX_STEPS, a repeated
     requirement and two horizons with one name."""
 
-    nsb_values: tuple[int, ...] = (11, 18, 24, 34, 43, 53)
-    horizons_years: tuple[float, ...] = (10.0,)
-    dt: str = "0.01"
-    method: str = "ilp"
-    pref: int = DEFAULT_PRECISION
-    write_series: bool = True
+    __slots__ = ("nsb_values", "horizons_years", "dt", "method", "pref",
+                 "write_series")
 
-    def __post_init__(self):
+    def __init__(self, nsb_values: tuple[int, ...] = (11, 18, 24, 34, 43, 53),
+                 horizons_years: tuple[float, ...] = (10.0,),
+                 dt: str = "0.01", method: str = "ilp",
+                 pref: int = DEFAULT_PRECISION, write_series: bool = True):
+        self.nsb_values = nsb_values
+        self.horizons_years = horizons_years
+        self.dt = dt
+        self.method = method
+        self.pref = pref
+        self.write_series = write_series
         self.tuning_config().check()
         if not self.nsb_values or not self.horizons_years:
             raise TuneError("the list is empty", "nsb_values"
@@ -274,8 +276,7 @@ class ExperimentPlan:
         return TuningConfig(self.method, self.pref)
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
     nsb: int
     horizon_years: float
     body: str
@@ -351,8 +352,12 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path,
     out.mkdir(parents=True, exist_ok=True)
 
     rows: list[SummaryRow] = []
-    pool = (ProcessPoolExecutor(jobs, mp_context=get_context("spawn"))
-            if jobs > 1 else None)
+    pool = None
+    if jobs > 1:
+        # Imported here: only a parallel sweep pays for the process pool.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+        pool = ProcessPoolExecutor(jobs, mp_context=get_context("spawn"))
     try:
         for years in plan.horizons_years:
             cell = partial(_run_cell, plan, _prepare_horizon(plan, years))

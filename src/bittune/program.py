@@ -13,89 +13,126 @@ passes tell whether a point sits inside that loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
 
 
-@dataclass
-class Num:
-    text: str              # literal exactly as written, sign included
-    point: int = -1
+class _Node:
+    """A syntax node.  Nodes are slot classes, which build no code when
+    the module is imported; repr lists the slots in order, as
+    name=value."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{s}={getattr(self, s)!r}" for s in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass
-class Var:
-    name: str
-    point: int = -1
+class Num(_Node):
+    __slots__ = ("text", "point")
+
+    def __init__(self, text: str, point: int = -1):
+        self.text = text       # literal exactly as written, sign included
+        self.point = point
 
 
-@dataclass
-class BinOp:
-    op: str                # one of + - * /
-    left: "Expr"
-    right: "Expr"
-    point: int = -1
+class Var(_Node):
+    __slots__ = ("name", "point")
+
+    def __init__(self, name: str, point: int = -1):
+        self.name = name
+        self.point = point
 
 
-@dataclass
-class Neg:
-    operand: "Expr"
-    point: int = -1
+class BinOp(_Node):
+    __slots__ = ("op", "left", "right", "point")
+
+    def __init__(self, op: str, left: Expr, right: Expr, point: int = -1):
+        self.op = op           # one of + - * /
+        self.left = left
+        self.right = right
+        self.point = point
 
 
-@dataclass
-class Sqrt:
-    arg: "Expr"
-    point: int = -1
+class Neg(_Node):
+    __slots__ = ("operand", "point")
+
+    def __init__(self, operand: Expr, point: int = -1):
+        self.operand = operand
+        self.point = point
+
+
+class Sqrt(_Node):
+    __slots__ = ("arg", "point")
+
+    def __init__(self, arg: Expr, point: int = -1):
+        self.arg = arg
+        self.point = point
 
 
 Expr = Union[Num, Var, BinOp, Neg, Sqrt]
 
 
-@dataclass
-class Compare:
-    op: str                # one of < <= > >= == !=
-    left: Expr
-    right: Expr
+class Compare(_Node):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self.op = op           # one of < <= > >= == !=
+        self.left = left
+        self.right = right
 
 
-@dataclass
-class Assign:
-    name: str
-    expr: Expr
-    point: int = -1        # the write
+class Assign(_Node):
+    __slots__ = ("name", "expr", "point")
+
+    def __init__(self, name: str, expr: Expr, point: int = -1):
+        self.name = name
+        self.expr = expr
+        self.point = point     # the write
 
 
-@dataclass
-class While:
-    cond: Compare
-    body: list["Stmt"]
-    body_points: range = range(0)   # the body's points, nested ones included
+class While(_Node):
+    __slots__ = ("cond", "body", "body_points")
+
+    def __init__(self, cond: Compare, body: list[Stmt],
+                 body_points: range = range(0)):
+        self.cond = cond
+        self.body = body
+        self.body_points = body_points   # the body's points, nested ones included
 
 
-@dataclass
-class If:
-    cond: Compare
-    then_body: list["Stmt"]
-    else_body: list["Stmt"]
+class If(_Node):
+    __slots__ = ("cond", "then_body", "else_body")
+
+    def __init__(self, cond: Compare, then_body: list[Stmt],
+                 else_body: list[Stmt]):
+        self.cond = cond
+        self.then_body = then_body
+        self.else_body = else_body
 
 
-@dataclass
-class Require:
-    name: str
-    bits: int
-    point: int = -1        # the read being constrained
+class Require(_Node):
+    __slots__ = ("name", "bits", "point")
+
+    def __init__(self, name: str, bits: int, point: int = -1):
+        self.name = name
+        self.bits = bits
+        self.point = point     # the read being constrained
 
 
 Stmt = Union[Assign, While, If, Require]
 
 
-@dataclass
 class Program:
-    stmts: list[Stmt]
-    points: list[object] = field(default_factory=list)   # point id -> owning node
-    inputs: tuple[str, ...] = ()     # free inputs, bound before the first statement
-    links: list = field(default_factory=list)   # flow.DefUseLink, by use then def point
+    __slots__ = ("stmts", "points", "inputs", "links")
+
+    def __init__(self, stmts: list[Stmt], points: list[object]):
+        self.stmts = stmts
+        self.points = points   # point id -> owning node
+        # The free inputs, bound before the first statement, and the
+        # flow.DefUseLinks by use then def point: parse_program sets both.
+        self.inputs: tuple[str, ...] = ()
+        self.links: list = []
 
     @property
     def n_points(self) -> int:

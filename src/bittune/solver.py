@@ -54,7 +54,7 @@ by monotonicity or by exhausting the branch tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constraints import ConstraintSystem
 
@@ -71,8 +71,7 @@ class SolverError(RuntimeError):
     pass
 
 
-@dataclass
-class NsbAssignment:
+class NsbAssignment(NamedTuple):
     values: list[int]                # in the solved system's numbering
     points: int                      # nsb(p) is variable p for p < points
     total: int                       # objective value, the sum of nsb widths
@@ -113,7 +112,6 @@ def _combine(lhs: int, const: int, terms) -> tuple:
     return lhs, const, tuple((c, i) for i, c in combined.items() if c)
 
 
-@dataclass(slots=True)
 class _PolicyRows:
     """A system's rows under one carry policy, as parallel lists, with
     what branch and bound derives from them: each row's non-negative
@@ -121,13 +119,19 @@ class _PolicyRows:
     those terms (frozen), the rows without one (bounds) and the
     negatively read variables in order of first appearance."""
 
-    lhs: list[int]
-    const: list[int]
-    terms: list[tuple]
-    kept: list[tuple]
-    frozen: list[tuple[int, tuple]]
-    bounds: list[int]
-    neg_vars: list[int]
+    __slots__ = ("lhs", "const", "terms", "kept", "frozen", "bounds",
+                 "neg_vars")
+
+    def __init__(self, lhs: list[int], const: list[int], terms: list[tuple],
+                 kept: list[tuple], frozen: list[tuple[int, tuple]],
+                 bounds: list[int], neg_vars: list[int]):
+        self.lhs = lhs
+        self.const = const
+        self.terms = terms
+        self.kept = kept
+        self.frozen = frozen
+        self.bounds = bounds
+        self.neg_vars = neg_vars
 
 
 class _Indexed:
@@ -289,7 +293,8 @@ def _raising_rows(system: ConstraintSystem, start: int,
                   raised_by: list[int]) -> str:
     """Walk the rows that raised start's variables backward, until a
     variable repeats (a cycle) or nothing raised them (a chain), and
-    describe the first _SHOWN_ROWS of them."""
+    describe the first _SHOWN_ROWS of them, each with its origin and the
+    control point it is attributed to."""
     rows: list[int] = []
     seen: dict[int, int] = {}
     kind = "raising chain"
@@ -305,8 +310,9 @@ def _raising_rows(system: ConstraintSystem, start: int,
             break
         seen[i] = len(rows)
         r = raised_by[i]
+    shown = [system.constraints[r] for r in rows[:_SHOWN_ROWS]]
     text = f"\n  {kind} of {len(rows)} rows:\n    " + "\n    ".join(
-        str(system.constraints[r]) for r in rows[:_SHOWN_ROWS])
+        f"{c}  ({c.origin}, point {c.site})" for c in shown)
     if len(rows) > _SHOWN_ROWS:
         text += f"\n    … and {len(rows) - _SHOWN_ROWS} more rows"
     return text

@@ -40,8 +40,8 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import mpfloat
 from .constraints import ConstraintSystem, gen_ilp, gen_refined, system_stats
@@ -61,11 +61,14 @@ class TuneError(ValueError):
         self.field = field
 
 
-@dataclass
 class TuningConfig:
-    method: str = "ilp"
-    pref: int = mpfloat.DEFAULT_PRECISION
-    bindings: tuple = ()          # {input: MPValue} dicts, open programs
+    __slots__ = ("method", "pref", "bindings")
+
+    def __init__(self, method: str = "ilp",
+                 pref: int = mpfloat.DEFAULT_PRECISION, bindings: tuple = ()):
+        self.method = method
+        self.pref = pref
+        self.bindings = bindings      # {input: MPValue} dicts, open programs
 
     def check(self) -> None:
         if self.method not in METHODS:
@@ -80,8 +83,7 @@ class TuningConfig:
         return tuple(sorted({name for b in self.bindings for name in b}))
 
 
-@dataclass
-class VerifyRow:
+class VerifyRow(NamedTuple):
     var: str
     point: int
     bits: int
@@ -91,22 +93,44 @@ class VerifyRow:
     passed: bool
 
 
-@dataclass
 class TuningReport:
-    method: str
-    total_bits: dict[str, int]
-    nsb: dict[str, int]           # control point (as str, for JSON) -> width
-    systems: dict[str, dict[str, int]]
-    pi_iterations: int = 0
-    stages: dict[str, float] = field(default_factory=dict)
-    skipped_points: list[int] = field(default_factory=list)
-    zero_ufp_points: list[int] = field(default_factory=list)
-    steps_reference: int = 0
-    steps_tuned: int = 0
-    diverged: bool = False
-    verification: list[VerifyRow] = field(default_factory=list)
-    # The plain system tune() built, for LP export; not part of the JSON.
-    c1: ConstraintSystem | None = field(default=None, repr=False, compare=False)
+    # What == compares and to_json writes: every field but c1, the plain
+    # system tune() built, for LP export.
+    _FIELDS = ("method", "total_bits", "nsb", "systems", "pi_iterations",
+               "stages", "skipped_points", "zero_ufp_points",
+               "steps_reference", "steps_tuned", "diverged", "verification")
+    __slots__ = _FIELDS + ("c1",)
+
+    def __init__(self, method: str, total_bits: dict[str, int],
+                 nsb: dict[str, int], systems: dict[str, dict[str, int]],
+                 pi_iterations: int = 0,
+                 stages: dict[str, float] | None = None,
+                 skipped_points: list[int] | None = None,
+                 zero_ufp_points: list[int] | None = None,
+                 steps_reference: int = 0, steps_tuned: int = 0,
+                 diverged: bool = False,
+                 verification: list[VerifyRow] | None = None,
+                 c1: ConstraintSystem | None = None):
+        self.method = method
+        self.total_bits = total_bits
+        self.nsb = nsb        # control point (as str, for JSON) -> width
+        self.systems = systems
+        self.pi_iterations = pi_iterations
+        self.stages = {} if stages is None else stages
+        self.skipped_points = [] if skipped_points is None else skipped_points
+        self.zero_ufp_points = ([] if zero_ufp_points is None
+                                else zero_ufp_points)
+        self.steps_reference = steps_reference
+        self.steps_tuned = steps_tuned
+        self.diverged = diverged
+        self.verification = [] if verification is None else verification
+        self.c1 = c1
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not TuningReport:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in self._FIELDS)
 
     def all_passed(self) -> bool:
         return passed(self.verification, self.steps_reference,
@@ -115,10 +139,9 @@ class TuningReport:
     def to_json(self, timings: bool = True) -> str:
         """The report as sorted JSON; without timings, the clock field
         stages is left out, so reruns match."""
-        skip = {"c1"} if timings else {"c1", "stages"}
-        raw = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in skip}
-        raw["verification"] = [asdict(r) for r in self.verification]
+        raw = {f: getattr(self, f) for f in self._FIELDS
+               if timings or f != "stages"}
+        raw["verification"] = [r._asdict() for r in self.verification]
         return json.dumps(raw, sort_keys=True, indent=2) + "\n"
 
 

@@ -260,7 +260,8 @@ class TestTuneCommand:
         (workdir / "long.pop").write_text(
             f"s = {terms};\nrequire_nsb(s, 20);\n")
         _, _, err = run_cli(capsys, "tune", "long.pop")
-        chain = "".join(f"    nsb_{p} >= nsb_{p + 2} + xi_{p + 2}({p},{p + 1})\n"
+        chain = "".join(f"    nsb_{p} >= nsb_{p + 2} + xi_{p + 2}({p},{p + 1})"
+                        f"  (operand, point {p + 2})\n"
                         for p in range(226, 246, 2))
         assert err == ("bittune: tune: infeasible: nsb_226 is driven past "
                        "the cap 500\n  raising chain of 489 rows:\n" + chain
@@ -1139,7 +1140,7 @@ class TestOneWidthCap:
         assert (code, out) == (1, "")
         assert err.startswith("bittune: bench: infeasible: nsb_895 is "
                               "driven past the cap 20\n")
-        assert err.endswith("    nsb_106 >= 20\n")
+        assert err.endswith("    nsb_106 >= 20  (cond, point 106)\n")
 
 
 class TestEachCommandTakesWhatItReads:
@@ -1302,8 +1303,8 @@ require_nsb(x, 20);
         assert errors == [
             "bittune: tune: infeasible: nsb_5 is driven past the cap 500\n"
             "  raising chain of 2 rows:\n"
-            "    nsb_5 >= nsb_6 + xi_6(4,5) + 500\n"
-            "    xi_6(4,5) >= 1\n",
+            "    nsb_5 >= nsb_6 + xi_6(4,5) + 500  (operand, point 6)\n"
+            "    xi_6(4,5) >= 1  (carry, point 6)\n",
             "bittune: tune: tuned run: division by zero (control point 6)\n",
             "bittune: tune: line 1, column 9: expected ')', got ';'\n",
         ]

@@ -18,10 +18,17 @@ The package ships code only: src/bittune holds nothing but .py files,
 and pyproject.toml declares no package data.  Every exception class of
 the package is raised by the package, so none survives only as an
 except clause or an entry in a tuple of caught errors.
+
+Importing the package builds no class from generated code and loads no
+process pool: every bittune command pays for its imports before it
+starts work.
 """
 
 import ast
 import builtins
+import os
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -152,3 +159,38 @@ def test_every_package_exception_is_constructed_in_the_package():
             elif isinstance(target, ast.Attribute):
                 built.add(target.attr)
     assert errors and sorted(errors - built) == []
+
+
+def _decorator_name(node):
+    """The name a decorator expression calls or applies, if it is one."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def test_only_the_body_specs_are_dataclasses():
+    # A dataclass execs its generated __init__, __repr__ and __eq__ when
+    # its module is imported; the package uses slot classes and
+    # NamedTuples instead.  BodySpec and BenchConstants stay dataclasses
+    # because the benchmark (perfbench/workloads.py) varies the bodies
+    # through dataclasses.replace.
+    found = sorted(f"{path.stem}.{node.name}" for path, tree in _trees(PACKAGE)
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef)
+                   and any(_decorator_name(d) == "dataclass"
+                           for d in node.decorator_list))
+    assert found == ["nbody.BenchConstants", "nbody.BodySpec"]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # Only bench --jobs N with N > 1 runs a process pool.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bittune.cli; print(sorted("
+         "m for m in ('multiprocessing', 'concurrent.futures') "
+         "if m in sys.modules))"],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -1,6 +1,5 @@
 """End-to-end tuning pipeline, report serialization, generated scripts."""
 
-import dataclasses
 import json
 import re
 import subprocess
@@ -209,7 +208,7 @@ class TestVerify:
         row = VerifyRow("d", 4, 20, "0", 1, "2^-18", True)
         assert passed([row], 7, 7)
         assert not passed([row], 7, 8)
-        assert not passed([dataclasses.replace(row, passed=False)], 7, 7)
+        assert not passed([row._replace(passed=False)], 7, 7)
 
     def test_tolerance_factor_scales_the_check(self, monkeypatch):
         prog = parse_program(SMALL)
