@@ -146,7 +146,6 @@ def _config(args) -> TuningConfig:
     """The command's TuningConfig, checked before the samples are read at
     its pref."""
     cfg = TuningConfig(method=getattr(args, "method", "ilp"), pref=args.pref)
-    cfg.check()
     if args.samples:
         cfg.bindings = _load_bindings(args.samples, cfg.pref)
     return cfg

@@ -26,24 +26,31 @@ condition after a loop's first, and so is the error of a run that
 passes the cap, unless the same block or trip would hit another error
 first.
 
-The two modes build different closures:
+Both modes run the same closures: each node kind lowers to one closure,
+and the mode is a flag, noting, bound into it when it is built.
 
 * Reference mode (run_reference) evaluates everything at one working
-  precision.  Each of its closures also keeps, for its own control
-  point, the largest exponent of a nonzero value seen, inline in the
-  closure; a literal's is noted when it is lowered.  When the run ends,
-  each point in a block that was entered gets its block's visits and,
-  as its top, the ufp of that exponent at the point's width: ufp is
-  monotone in |x|, so the largest ufp is the ufp of the largest
-  magnitude, which is all the constraints read.  With several input
-  binding sets, the run on the first gives the trace and its ranges;
-  the runs on the others add their visits and raise the tops.
+  precision, with noting set.  Each closure then also keeps, for its
+  own control point, the largest exponent of a nonzero value seen,
+  inline in the closure; a literal's is noted when it is lowered.  When
+  the run ends, each point in a block that was entered gets its block's
+  visits and, as its top, the ufp of that exponent at the point's
+  width: ufp is monotone in |x|, so the largest ufp is the ufp of the
+  largest magnitude, which is all the constraints read.  With several
+  input binding sets, the run on the first gives the trace and its
+  ranges; the runs on the others add their visits and raise the tops.
 * Tuned mode (run_tuned) evaluates every point at its solved width,
-  with closures that record nothing: literals parse to the literal
-  point's width, reads re-round the stored value to the read point's
-  width, operations round correctly to the result point's width, and
-  stores round to the target point's width.  With a uniform assignment
-  it reproduces the reference bit for bit.
+  with noting clear, so it records no range: literals parse to the
+  literal point's width, reads re-round the stored value to the read
+  point's width, operations round correctly to the result point's
+  width, and stores round to the target point's width.  With a uniform
+  assignment it reproduces the reference bit for bit.
+
+The flag stays, rather than having the tuned pass note into a table it
+throws away.  Against closures that skip noting altogether, noting made
+run_tuned on the two-year five-body program at req 24 about 14% slower,
+and testing the flag costs it about 2% (medians of 12 alternating runs
+on a 2-vCPU VM).
 
 In both modes a read or store skips the rounding when the value already
 has the point's width, which makes it a no-op.  Both record the value
@@ -210,13 +217,10 @@ class _Interp:
 
     # --- expressions ---------------------------------------------------
 
-    # In reference mode a closure raises high[p] to the exponent of its
-    # own value; visits are counted per block.  Reads, +, - and *, and
-    # stores are most of every step, so each has one closure per mode
-    # and the tuned one records nothing.  A literal records nothing at
-    # all: its exponent is noted when it is lowered.  Negation,
-    # division, square root and require_nsb are rare enough to share one
-    # closure that tests the mode.
+    # One closure per node kind serves both modes.  Where noting is set,
+    # in reference mode, a closure raises high[p] to the exponent of its
+    # own value; visits are counted per block.  A literal records
+    # nothing at all: its exponent is noted when it is lowered.
 
     def expr(self, e) -> Callable[[], tuple]:
         # One closure per node and no wrappers, so evaluation nests no
@@ -224,7 +228,7 @@ class _Interp:
         p = e.point
         n = self.widths[p]
         self.owner[p] = self.block
-        fail, ranges, high = self.fail, self.ranges, self.high
+        fail, noting, high = self.fail, self.ranges is not None, self.high
         if isinstance(e, Num):
             value = unbox(mpfloat.parse_decimal(e.text, n))
             if value[0]:
@@ -232,24 +236,17 @@ class _Interp:
             return lambda: value
         if isinstance(e, Var):
             env, name, unset = self.env, e.name, self.unset
-            if ranges is None:
-                def read():
-                    v = env.get(name)
-                    if v is None:
-                        raise unset(name, p)
-                    return v if v[2] == n else round_t(v[0], v[1], n)
-                return read
 
-            def read_noted():
+            def read():
                 v = env.get(name)
                 if v is None:
                     raise unset(name, p)
                 if v[2] != n:
                     v = round_t(v[0], v[1], n)
-                if v[0] and v[1] > high[p]:
+                if noting and v[0] and v[1] > high[p]:
                     high[p] = v[1]
                 return v
-            return read_noted
+            return read
         if isinstance(e, BinOp) and e.op in _KERNELS:
             # An operand that is a variable is read by the operation
             # itself, with the read point's width, check and record, and
@@ -259,28 +256,8 @@ class _Interp:
             bn, bp, bw = self.fused_read(e.right)
             a = self.expr(e.left) if an is None else None
             b = self.expr(e.right) if bn is None else None
-            if ranges is None:
-                def binop():
-                    if an is None:
-                        x = a()
-                    else:
-                        x = env.get(an)
-                        if x is None:
-                            raise unset(an, ap)
-                        if x[2] != aw:
-                            x = round_t(x[0], x[1], aw)
-                    if bn is None:
-                        y = b()
-                    else:
-                        y = env.get(bn)
-                        if y is None:
-                            raise unset(bn, bp)
-                        if y[2] != bw:
-                            y = round_t(y[0], y[1], bw)
-                    return kernel(x, y, n)
-                return binop
 
-            def binop_noted():
+            def binop():
                 if an is None:
                     x = a()
                 else:
@@ -289,7 +266,7 @@ class _Interp:
                         raise unset(an, ap)
                     if x[2] != aw:
                         x = round_t(x[0], x[1], aw)
-                    if x[0] and x[1] > high[ap]:
+                    if noting and x[0] and x[1] > high[ap]:
                         high[ap] = x[1]
                 if bn is None:
                     y = b()
@@ -299,19 +276,19 @@ class _Interp:
                         raise unset(bn, bp)
                     if y[2] != bw:
                         y = round_t(y[0], y[1], bw)
-                    if y[0] and y[1] > high[bp]:
+                    if noting and y[0] and y[1] > high[bp]:
                         high[bp] = y[1]
                 v = kernel(x, y, n)
-                if v[0] and v[1] > high[p]:
+                if noting and v[0] and v[1] > high[p]:
                     high[p] = v[1]
                 return v
-            return binop_noted
+            return binop
         if isinstance(e, Neg):
             a = self.expr(e.operand)
 
             def neg():
                 v = mpfloat.neg_t(a(), n)
-                if ranges is not None and v[0] and v[1] > high[p]:
+                if noting and v[0] and v[1] > high[p]:
                     high[p] = v[1]
                 return v
             return neg
@@ -325,7 +302,7 @@ class _Interp:
                     v = kernel(x, y, n)
                 except MPDomainError as err:
                     raise fail(str(err), p) from err
-                if ranges is not None and v[0] and v[1] > high[p]:
+                if noting and v[0] and v[1] > high[p]:
                     high[p] = v[1]
                 return v
             return div
@@ -338,7 +315,7 @@ class _Interp:
                     v = kernel(x, n)
                 except MPDomainError as err:
                     raise fail(str(err), p) from err
-                if ranges is not None and v[0] and v[1] > high[p]:
+                if noting and v[0] and v[1] > high[p]:
                     high[p] = v[1]
                 return v
             return sqrt
@@ -406,30 +383,21 @@ class _Interp:
         env, name, p = self.env, st.name, st.point
         n = self.widths[p]
         self.owner[p] = outer
-        fail, ranges, high = self.fail, self.ranges, self.high
+        fail, noting, high = self.fail, self.ranges is not None, self.high
         if isinstance(st, Assign):
             rhs = self.expr(st.expr)
             samples = self.samples.get(name)
-            if ranges is None:
-                def assign():
-                    v = rhs()
-                    if v[2] != n:
-                        v = round_t(v[0], v[1], n)
-                    env[name] = v
-                    if samples is not None:
-                        samples.append(v)
-                return assign
 
-            def assign_noted():
+            def assign():
                 v = rhs()
                 if v[2] != n:
                     v = round_t(v[0], v[1], n)
-                if v[0] and v[1] > high[p]:
+                if noting and v[0] and v[1] > high[p]:
                     high[p] = v[1]
                 env[name] = v
                 if samples is not None:
                     samples.append(v)
-            return assign_noted
+            return assign
 
         seen = self.required[p] = []
 
@@ -438,7 +406,7 @@ class _Interp:
             if v is None:
                 raise fail(f"require_nsb on unassigned variable {name!r}", p)
             seen.append(v)
-            if ranges is not None:
+            if noting:
                 if v[2] != n:
                     v = round_t(v[0], v[1], n)
                 if v[0] and v[1] > high[p]:

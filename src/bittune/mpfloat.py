@@ -304,16 +304,11 @@ def sqrt(a: MPValue, p: int) -> MPValue:
 _BINOPS = {"+": add_t, "-": sub_t, "*": mul_t, "/": div_t}
 
 
-def arith(op: str, a: MPValue, b: MPValue | None, p: int) -> MPValue:
-    """Correctly rounded operation at p bits; op in + - * / sqrt neg."""
-    if op == "sqrt":
-        return sqrt(a, p)
-    if op == "neg":
-        return box(neg_t(unbox(a), p))
+def arith(op: str, a: MPValue, b: MPValue, p: int) -> MPValue:
+    """Correctly rounded a op b at p bits; op in + - * /."""
     f = _BINOPS.get(op)
     if f is None:
         raise ValueError(f"unknown operation {op!r}")
-    assert b is not None
     return box(f(unbox(a), unbox(b), p))
 
 

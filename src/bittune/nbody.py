@@ -234,7 +234,7 @@ class ExperimentPlan:
         self.method = method
         self.pref = pref
         self.write_series = write_series
-        self.tuning_config().check()
+        self.tuning_config()          # refuses a bad method or pref
         if not self.nsb_values or not self.horizons_years:
             raise TuneError("the list is empty", "nsb_values"
                             if not self.nsb_values else "horizons_years")

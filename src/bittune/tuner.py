@@ -54,7 +54,7 @@ TOLERANCE_FACTOR = 100
 
 
 class TuneError(ValueError):
-    """field, when set, names the TuningConfig field check() refused."""
+    """field, when set, names the TuningConfig field that was refused."""
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
@@ -62,21 +62,21 @@ class TuneError(ValueError):
 
 
 class TuningConfig:
+    """A tuning run's settings; a bad method or pref raises TuneError
+    when the config is built."""
+
     __slots__ = ("method", "pref", "bindings")
 
     def __init__(self, method: str = "ilp",
                  pref: int = mpfloat.DEFAULT_PRECISION, bindings: tuple = ()):
+        if method not in METHODS:
+            raise TuneError(f"method must be one of {METHODS}, got "
+                            f"{method!r}", "method")
+        if pref < 1:
+            raise TuneError(f"pref must be at least 1, got {pref}", "pref")
         self.method = method
         self.pref = pref
         self.bindings = bindings      # {input: MPValue} dicts, open programs
-
-    def check(self) -> None:
-        if self.method not in METHODS:
-            raise TuneError(f"method must be one of {METHODS}, got "
-                            f"{self.method!r}", "method")
-        if self.pref < 1:
-            raise TuneError(f"pref must be at least 1, got {self.pref}",
-                            "pref")
 
     def input_names(self) -> tuple[str, ...]:
         """Every name some binding set binds: the program's free inputs."""
@@ -296,7 +296,6 @@ def tune(prog: Program, cfg: TuningConfig | None = None,
     TuningReport).  Stage times are added to stages, which becomes
     report.stages."""
     cfg = cfg or TuningConfig()
-    cfg.check()
     stages = {} if stages is None else stages
     if not requirements(prog, cfg):
         raise TuneError("program has no require_nsb statement; nothing to tune")

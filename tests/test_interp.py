@@ -13,7 +13,7 @@ from bittune import interp, mpfloat
 from bittune.interp import EvalError, run_reference, run_tuned
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
-from bittune.program import Assign, BinOp, Num, Program, Var
+from bittune.program import Assign, BinOp, Num, Program, Require, Var
 from bittune.tuner import TuningConfig, reference_run, solve, systems
 from helpers import (
     BRANCH, LOOP, binding, gen_straight_line, in_loop, round_fraction,
@@ -170,13 +170,42 @@ class TestFusedReads:
         assert ufps == [("a", 2, 1), ("b", -2, 1), ("b", -2, 1)]
 
 
+ZERO_TRIP = """\
+t = 5.0;
+x = 1.0;
+while (t < 4.0) {
+    x = x * 0.5;
+    t = t + 1.0;
+}
+require_nsb(x, 20);
+"""
+
+
+def _observed(trace):
+    """Everything a run reports but its ranges, as bit-exact triples."""
+    return ({k: mpfloat.unbox(v) for k, v in trace.env.items()},
+            {k: list(map(mpfloat.unbox, vs))
+             for k, vs in trace.samples.items()},
+            {p: list(map(mpfloat.unbox, vs))
+             for p, vs in trace.required.items()},
+            trace.steps)
+
+
 class TestTuned:
     def test_uniform_53_equals_reference_53(self, rng):
-        for _ in range(40):
-            prog = parse_program(gen_straight_line(rng))
-            ref = run_reference(prog, pref=53)
-            tuned = run_tuned(prog, _uniform(prog, 53))
-            assert all(tuned.env[k] == ref.env[k] for k in ref.env)
+        # Both passes run the same closures; at one width they must
+        # report the same run, requirement visits and step count too.
+        sources = [gen_straight_line(rng) for _ in range(40)]
+        sources += [LOOP, BRANCH, ZERO_TRIP,
+                    build_nbody_program(t_max=horizon_t_max(0.05))]
+        for src in sources:
+            prog = parse_program(src)
+            names = sorted({n.name for n in prog.points
+                            if isinstance(n, Assign)})
+            for track in ((), names):
+                ref = run_reference(prog, pref=53, track=track)
+                tuned = run_tuned(prog, _uniform(prog, 53), track=track)
+                assert _observed(tuned) == _observed(ref), src
 
     def test_width_one_floor(self):
         prog = parse_program("a = 3.7;\n")
@@ -260,6 +289,55 @@ class TestTuned:
                 return
         got = run_tuned(prog, widths).env["k"]
         assert mpfloat.to_fraction(got) == trips
+
+
+EVERY_KIND = """\
+a = 2.0;
+b = a + 1.0;
+c = b - a;
+d = c * b;
+e = d / a;
+f = -e;
+g = sqrt(d);
+while (a < 4.0) {
+    a = a + 1.0;
+}
+if (g > 1.0) {
+    h = g;
+} else {
+    h = f;
+}
+require_nsb(h, 20);
+"""
+
+
+class TestOneClosurePerNode:
+    def test_both_modes_lower_each_point_to_the_same_code(self):
+        # The passes differ only by the noting flag bound into each
+        # closure, never by which closure a node lowers to.
+        prog = parse_program(EVERY_KIND)
+        kinds = {type(n).__name__ for n in prog.points}
+        assert kinds == {"Num", "Var", "BinOp", "Neg", "Sqrt", "Assign",
+                         "Require"}
+        assert {n.op for n in prog.points if isinstance(n, BinOp)} == \
+            set("+-*/")
+        widths = [53] * prog.n_points
+
+        def lowered(ranges):
+            lowering = interp._Interp(prog, widths, ranges=ranges)
+            codes = []
+            for st in prog.stmts:
+                codes.append((type(st).__name__, lowering.stmt(st).__code__))
+                if hasattr(st, "cond"):
+                    codes.append(("cond", lowering.cond(st.cond).__code__))
+            for node in prog.points:
+                lower = (lowering.stmt if isinstance(node, (Assign, Require))
+                         else lowering.expr)
+                codes.append((node.point, lower(node).__code__))
+            return codes
+
+        assert lowered(None) == \
+            lowered(interp.UfpMap.empty(prog.n_points, -53))
 
 
 class TestRanges:

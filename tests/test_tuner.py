@@ -68,13 +68,11 @@ class TestTune:
                           cfg.input_names()), cfg)
         assert report.all_passed()
 
-    @pytest.mark.parametrize("bad", [
-        TuningConfig(method="newton"),
-        TuningConfig(pref=0),
-    ])
+    @pytest.mark.parametrize("bad", [{"method": "newton"}, {"pref": 0}])
     def test_config_validation(self, bad):
-        with pytest.raises(TuneError):
-            tune(parse_program(SMALL), bad)
+        with pytest.raises(TuneError) as refused:
+            TuningConfig(**bad)
+        assert refused.value.field in bad
 
     @pytest.mark.parametrize("method", ["ilp", "pi"])
     def test_solve_takes_c2_exactly_for_pi(self, method):
