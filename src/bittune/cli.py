@@ -19,12 +19,13 @@ the command that raised them.
 
 Each command that reads a source parses it, refuses a samples set that
 leaves one of its free inputs unbound, and hands the tuner the parsed
-program.  tune, verify, bench and export-lp go through tuner's
-reference_run, tune and export-lp after tuner.requirements has refused
-a requirement past --pref; export-lp then writes the system
-tuner.generate builds, tune and bench go on to tuner.solve.  tune and
-verify check the tuned run with tuner.check_tuned and judge it by
-tuner.passed.
+program.  tune runs tuner.tune; verify and export-lp run the reference
+(interp.run_reference) themselves, export-lp after tuner.requirements
+has refused a requirement past --pref, to write the system
+constraints.gen_ilp or gen_refined builds.  verify checks the tuned run
+with tuner.check_tuned, and verify and tune judge it by tuner.passed.
+tune and export-lp refuse an output that lands on an input or another
+output before they read anything.
 
 Artifacts are deterministic: the same invocation writes byte-identical
 files.  The timing field (stages, the seconds of each stage) is
@@ -44,7 +45,8 @@ import sys
 from pathlib import Path
 
 from . import mpfloat
-from .interp import run_tuned
+from .constraints import gen_ilp, gen_refined
+from .interp import run_reference, run_tuned
 from .lpfile import export_lp
 from .mpfloat import MPDomainError
 from .nbody import ExperimentPlan, run_experiment
@@ -53,8 +55,8 @@ from .program import Program, shown
 from .render import emit_annotated
 from .codegen import emit_mp_code
 from .tuner import (
-    TuneError, TuningConfig, divergence, generate, passed, reference_run,
-    requirements, stage, tune, verify,
+    TuneError, TuningConfig, check_tuned, divergence, passed, requirements,
+    stage, tune,
 )
 
 # The package's own errors derive from ValueError or RuntimeError, but
@@ -163,31 +165,42 @@ def _parse(source: str, cfg: TuningConfig) -> Program:
     return prog
 
 
+def _refuse_overwrites(args, outputs) -> None:
+    """Refuse, as a usage error, an output that lands on the source, on
+    the --samples file or on an earlier output.  outputs lists (flag,
+    kind, path) in writing order, flag None for a path derived from the
+    source; the message names the output's flag, else the other file's."""
+    inputs = [("source", "the source", Path(args.source))]
+    if args.samples:
+        inputs.append(("--samples", "the samples file", Path(args.samples)))
+    seen = {}                     # resolved path -> (flag, kind, path)
+    for i, (flag, kind, path) in enumerate(inputs + outputs):
+        at = path.resolve()
+        if at in seen and i >= len(inputs):
+            flag0, kind0, path0 = seen[at]
+            raise _UsageError(f"{flag}: {path} is {kind0}" if flag else
+                              f"{flag0}: {path0} is {kind}")
+        seen.setdefault(at, (flag, kind, path))
+
+
 def cmd_tune(args) -> int:
     base = Path(args.source)
     annotated_path = base.with_suffix(".annotated.pop")
     script_path = base.with_suffix(".mp.txt")
     lp_path = base.with_suffix(".lp") if args.emit_lp else None
     report_path = Path(args.report) if args.report else base.with_suffix(".report.json")
-    # No artifact may land on the source or on another artifact.
-    kept = {"the source": base, "the annotated source": annotated_path,
-            "the mp script": script_path, "the LP file": lp_path}
-    resolved = {kind: path.resolve() for kind, path in kept.items()
-                if path is not None}
-    report_at = report_path.resolve()
-    for kind, at in resolved.items():
-        if at == report_at:
-            raise _UsageError(f"--report: {report_path} is {kind}")
-    if lp_path is not None and \
-            resolved["the LP file"] == resolved["the source"]:
-        raise _UsageError(f"--emit-lp: {lp_path} is the source")
+    outputs = [(None, "the annotated source", annotated_path),
+               (None, "the mp script", script_path),
+               ("--emit-lp", "the LP file", lp_path),
+               ("--report", "the report", report_path)]
+    _refuse_overwrites(args, [o for o in outputs if o[2] is not None])
 
     cfg = _config(args)
     source = base.read_text()
     stages: dict[str, float] = {}
     with stage(stages, "parse"):
         prog = _parse(source, cfg)
-    assignment, report = tune(prog, cfg, stages)
+    assignment, report, c1 = tune(prog, cfg, stages)
     widths = assignment.widths()
 
     # Render every artifact before writing any, so a refusal (a variable
@@ -195,7 +208,7 @@ def cmd_tune(args) -> int:
     with stage(stages, "emit"):
         annotated = emit_annotated(prog, widths)
         script = emit_mp_code(prog, widths)
-        lp = export_lp(report.c1) if args.emit_lp else None
+        lp = export_lp(c1) if args.emit_lp else None
     artifacts = {annotated_path: annotated, script_path: script,
                  report_path: report.to_json(timings=args.timings)}
     if lp is not None:
@@ -208,7 +221,8 @@ def cmd_tune(args) -> int:
         print(f"total bits ({name}): {report.total_bits[name]}")
     for path in written:
         print(f"wrote {path}")
-    if not report.all_passed():
+    if not passed(report.verification, report.steps_reference,
+                  report.steps_tuned):
         print("bittune: tune: verification table contains failures; "
               "see the report", file=sys.stderr)
     return 0
@@ -246,7 +260,8 @@ def cmd_verify(args) -> int:
     if missing is not None:
         raise ValueError(f"{report_path}: no width for control point "
                          f"{missing}")
-    rows, ref, tuned = verify(prog, widths, cfg)
+    ref = run_reference(prog, cfg.pref, cfg.bindings)
+    rows, tuned = check_tuned(prog, widths, ref, cfg)
     print(f"{'variable':<16} {'bits':>4} {'error':>13} {'bound':>13}  result")
     for r in rows:
         status = "pass" if r.passed else "FAIL"
@@ -290,14 +305,14 @@ def cmd_bench(args) -> int:
 
 
 def cmd_export_lp(args) -> int:
+    out_path = Path(args.out) if args.out else Path(args.source).with_suffix(".lp")
+    _refuse_overwrites(args, [("--out", "the LP file", out_path)])
     cfg = _config(args)
     prog = _parse(Path(args.source).read_text(), cfg)
     requirements(prog, cfg)
-    system = generate(prog, reference_run(prog, cfg).ranges, cfg,
-                      refined=args.refined)
-    text = export_lp(system)
-    out_path = Path(args.out) if args.out else Path(args.source).with_suffix(".lp")
-    out_path.write_text(text)
+    gen = gen_refined if args.refined else gen_ilp
+    ranges = run_reference(prog, cfg.pref, cfg.bindings).ranges
+    out_path.write_text(export_lp(gen(prog, ranges, cfg.pref)))
     print(f"wrote {out_path}")
     return 0
 

@@ -15,9 +15,10 @@ prologue.  A sweep horizon of H years runs the loop up to
 t_max = H - dt/2; the half-step guard keeps the trip count identical
 between the reference run and every tuned run, however t rounds.
 
-The sweep tunes through `tuner`: one parse, reference_run and
-generation per horizon, shared by its requirements, and one solve per
-cell, of the horizon's systems with the cell's requirement swapped in.
+The sweep tunes through `tuner`: one parse, reference run
+(interp.run_reference) and generation (tuner.systems) per horizon,
+shared by its requirements, and one tuner.solve per cell, of the
+horizon's systems with the cell's requirement swapped in.
 A cell whose tuned run takes another number of steps than the
 reference stops the sweep (tuner.divergence).  run_experiment writes
 its CSVs under the directory it is given.
@@ -36,14 +37,11 @@ from typing import NamedTuple
 
 from . import interp
 from .constraints import ConstraintSystem, with_requirement
-# run_reference is not called here; it stays importable under this name
-# for the benchmark tracer (perfbench/tracing.py), which wraps it.
 from .interp import Trace, run_reference, run_tuned
 from .mpfloat import DEFAULT_PRECISION, add_t, cmp_t, parse_decimal, unbox
 from .parse import check_literal, parse_program
 from .program import Program
-from .tuner import (TuneError, TuningConfig, divergence, reference_run,
-                    solve, systems)
+from .tuner import TuneError, TuningConfig, divergence, solve, systems
 
 BODY_ORDER = ("Sun", "Jupiter", "Saturn", "Uranus", "Neptune")
 COORDS = ("x", "y", "z")
@@ -302,7 +300,7 @@ def _prepare_horizon(plan: ExperimentPlan, years: float) -> Horizon:
     cfg = plan.tuning_config()
     prog = parse_program(build_nbody_program(
         dt=plan.dt, t_max=horizon_t_max(years, plan.dt)))
-    ref = reference_run(prog, cfg, track=planet_coord_names())
+    ref = run_reference(prog, cfg.pref, track=planet_coord_names())
     return Horizon(prog, ref, *systems(prog, ref.ranges, cfg))
 
 
@@ -320,8 +318,8 @@ def _run_cell(plan: ExperimentPlan, horizon: Horizon, req: int):
     prog, ref, c1, c2 = horizon
 
     t0 = time.perf_counter()
-    assignment, _ = solve(with_requirement(c1, req),
-                          None if c2 is None else with_requirement(c2, req))
+    _, assignment, _ = solve(with_requirement(c1, req),
+                             None if c2 is None else with_requirement(c2, req))
     tune_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()

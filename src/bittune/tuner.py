@@ -2,24 +2,24 @@
 
 Every stage has one entry point over a parsed Program; the caller
 parses (and times the parse).  requirements() refuses a require_nsb
-past cfg.pref before anything runs.  reference_run() runs at cfg.pref bits
-and records ranges over all binding sets; generate() builds C1 or C2
-from them, and systems() the pair solve() takes, (C1, C2) for pi and
-(C1, None) for ilp; solve() solves those systems (pi, by policy
-iteration from C1's solution, exactly when it is given C2) and checks
-the assignment by substitution.  solve() reads no program and no
-config, so one generation can serve several solves: the sweep swaps
-each cell's requirement into its horizon's systems
-(constraints.with_requirement), and times each solve itself.
-check_tuned() runs the tuned program against a given reference trace
-and builds the verification table.  tune() chains them and returns the
-solved assignment together with a report carrying the per-point
-widths, system sizes, timings, and the verification table; verify()
-re-checks a width map.  The timings are the stage timer's stages,
-seconds per stage: parse (def-use analysis included), reference_run,
-generate (C1 and C2), solve (the substitution check included),
-tuned_run, verify, and emit, the first and last of which the command
-line adds.
+past cfg.pref before anything runs.  The reference run is
+interp.run_reference at cfg.pref bits over all binding sets, which
+every later stage reads: env, samples, requirements and steps from the
+first set, ranges over all of them.  systems() builds from its ranges
+the pair solve() takes, (C1, C2) for pi and (C1, None) for ilp;
+solve() solves those systems (pi, by policy iteration from C1's
+solution, exactly when it is given C2) and checks the assignment by
+substitution.  solve() reads no program and no config, so one
+generation can serve several solves: the sweep swaps each cell's
+requirement into its horizon's systems (constraints.with_requirement),
+and times each solve itself.  check_tuned() runs the tuned program
+against a given reference trace and builds the verification table.
+tune() chains them and builds the report, once, at its end: the
+per-point widths, system sizes, timings and the verification table.
+The timings are the stage timer's stages, seconds per stage: parse
+(def-use analysis included), reference_run, generate (C1 and C2),
+solve (the substitution check included), tuned_run, verify, and emit,
+the first and last of which the command line adds.
 
 Verification compares the tuned execution against the high-precision
 reference: for each require_nsb(v, n), on each of its visits, the
@@ -93,54 +93,28 @@ class VerifyRow(NamedTuple):
     passed: bool
 
 
-class TuningReport:
-    # What == compares and to_json writes: every field but c1, the plain
-    # system tune() built, for LP export.
-    _FIELDS = ("method", "total_bits", "nsb", "systems", "pi_iterations",
-               "stages", "skipped_points", "zero_ufp_points",
-               "steps_reference", "steps_tuned", "diverged", "verification")
-    __slots__ = _FIELDS + ("c1",)
+class TuningReport(NamedTuple):
+    """What the report JSON holds, one field per key."""
 
-    def __init__(self, method: str, total_bits: dict[str, int],
-                 nsb: dict[str, int], systems: dict[str, dict[str, int]],
-                 pi_iterations: int = 0,
-                 stages: dict[str, float] | None = None,
-                 skipped_points: list[int] | None = None,
-                 zero_ufp_points: list[int] | None = None,
-                 steps_reference: int = 0, steps_tuned: int = 0,
-                 diverged: bool = False,
-                 verification: list[VerifyRow] | None = None,
-                 c1: ConstraintSystem | None = None):
-        self.method = method
-        self.total_bits = total_bits
-        self.nsb = nsb        # control point (as str, for JSON) -> width
-        self.systems = systems
-        self.pi_iterations = pi_iterations
-        self.stages = {} if stages is None else stages
-        self.skipped_points = [] if skipped_points is None else skipped_points
-        self.zero_ufp_points = ([] if zero_ufp_points is None
-                                else zero_ufp_points)
-        self.steps_reference = steps_reference
-        self.steps_tuned = steps_tuned
-        self.diverged = diverged
-        self.verification = [] if verification is None else verification
-        self.c1 = c1
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not TuningReport:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f)
-                   for f in self._FIELDS)
-
-    def all_passed(self) -> bool:
-        return passed(self.verification, self.steps_reference,
-                      self.steps_tuned)
+    method: str
+    total_bits: dict[str, int]    # by solve: ilp, and pi under pi
+    nsb: dict[str, int]           # control point (as str, for JSON) -> width
+    systems: dict[str, dict[str, int]]
+    pi_iterations: int
+    stages: dict[str, float]
+    skipped_points: list[int]
+    zero_ufp_points: list[int]
+    steps_reference: int
+    steps_tuned: int
+    diverged: bool
+    verification: list[VerifyRow]
 
     def to_json(self, timings: bool = True) -> str:
         """The report as sorted JSON; without timings, the clock field
         stages is left out, so reruns match."""
-        raw = {f: getattr(self, f) for f in self._FIELDS
-               if timings or f != "stages"}
+        raw = self._asdict()
+        if not timings:
+            del raw["stages"]
         raw["verification"] = [r._asdict() for r in self.verification]
         return json.dumps(raw, sort_keys=True, indent=2) + "\n"
 
@@ -228,25 +202,10 @@ def requirements(prog: Program, cfg: TuningConfig) -> list[Require]:
     return requires
 
 
-def reference_run(prog: Program, cfg: TuningConfig, track=()) -> Trace:
-    """The run at cfg.pref bits that every later stage reads: env, samples,
-    requirements and steps from the first binding set, ranges over all
-    of them."""
-    return run_reference(prog, cfg.pref, cfg.bindings, track)
-
-
-def generate(prog: Program, ranges: UfpMap, cfg: TuningConfig,
-             refined: bool = False) -> ConstraintSystem:
-    """C1, or C2 when refined, over the ranges and prog.links, with every
-    width capped at cfg.pref."""
-    gen = gen_refined if refined else gen_ilp
-    return gen(prog, ranges, cfg.pref)
-
-
 def systems(prog: Program, ranges: UfpMap, cfg: TuningConfig):
     """What solve() takes for cfg.method: (C1, C2) for pi, else (C1, None)."""
-    return (generate(prog, ranges, cfg),
-            generate(prog, ranges, cfg, refined=True)
+    return (gen_ilp(prog, ranges, cfg.pref),
+            gen_refined(prog, ranges, cfg.pref)
             if cfg.method == "pi" else None)
 
 
@@ -254,26 +213,16 @@ def solve(c1: ConstraintSystem, c2: ConstraintSystem | None = None):
     """Solve C1, then, given C2, C2 by policy iteration started from
     C1's solution, and check the assignment by substitution into the
     system it was solved from.  c1 and c2 are what systems() builds; the
-    method is pi exactly when c2 is given.  Returns (NsbAssignment,
-    TuningReport); the report's run fields (stages, steps, verification)
-    are left to the caller."""
-    assignment = solve_monotone(c1)
-    report = TuningReport(method="ilp" if c2 is None else "pi",
-                          total_bits={"ilp": assignment.total}, nsb={},
-                          systems={"c1": system_stats(c1)}, c1=c1)
-    solved = c1
+    method is pi exactly when c2 is given.  Returns (C1's least
+    solution, the final solution, PI iterations); without c2 the final
+    solution is C1's, and no iteration ran."""
+    plain = final = solve_monotone(c1)
+    iterations = 0
     if c2 is not None:
-        solved = c2
-        assignment, _policy, report.pi_iterations = policy_iterate(
-            c2, plain=assignment)
-        report.systems["c2"] = dict(system_stats(c2), xi_defs=len(c2.xi_defs))
-        report.total_bits["pi"] = assignment.total
-    if not solved.satisfied_by(assignment.values):
+        final, _policy, iterations = policy_iterate(c2, plain=plain)
+    if not (c1 if c2 is None else c2).satisfied_by(final.values):
         raise TuneError("solved assignment fails substitution check")
-    report.nsb = {str(p): n for p, n in sorted(assignment.widths().items())}
-    report.skipped_points = solved.skipped_points
-    report.zero_ufp_points = solved.zero_ufp_points
-    return assignment, report
+    return plain, final, iterations
 
 
 def check_tuned(prog: Program, widths: dict[int, int], ref: Trace,
@@ -293,32 +242,31 @@ def check_tuned(prog: Program, widths: dict[int, int], ref: Trace,
 def tune(prog: Program, cfg: TuningConfig | None = None,
          stages: dict[str, float] | None = None):
     """Full pipeline on a parsed program; returns (NsbAssignment,
-    TuningReport).  Stage times are added to stages, which becomes
-    report.stages."""
+    TuningReport, C1), C1 being the plain system, for LP export.  Stage
+    times are added to stages, which becomes report.stages."""
     cfg = cfg or TuningConfig()
     stages = {} if stages is None else stages
     if not requirements(prog, cfg):
         raise TuneError("program has no require_nsb statement; nothing to tune")
     with stage(stages, "reference_run"):
-        ref = reference_run(prog, cfg)
+        ref = run_reference(prog, cfg.pref, cfg.bindings)
     with stage(stages, "generate"):
         c1, c2 = systems(prog, ref.ranges, cfg)
     with stage(stages, "solve"):
-        assignment, report = solve(c1, c2)
-    report.stages = stages
-    report.verification, tuned = check_tuned(prog, assignment.widths(), ref,
-                                             cfg, stages)
-    report.steps_reference = ref.steps
-    report.steps_tuned = tuned.steps
-    report.diverged = ref.steps != tuned.steps
-    return assignment, report
-
-
-def verify(prog: Program, widths: dict[int, int],
-           cfg: TuningConfig | None = None):
-    """Re-run the reference and check widths against it; returns
-    (verification rows, reference trace, tuned trace)."""
-    cfg = cfg or TuningConfig()
-    ref = reference_run(prog, cfg)
-    rows, tuned = check_tuned(prog, widths, ref, cfg)
-    return rows, ref, tuned
+        plain, assignment, pi_iterations = solve(c1, c2)
+    rows, tuned = check_tuned(prog, assignment.widths(), ref, cfg, stages)
+    total_bits = {"ilp": plain.total}
+    sizes = {"c1": system_stats(c1)}
+    if c2 is not None:
+        total_bits["pi"] = assignment.total
+        sizes["c2"] = dict(system_stats(c2), xi_defs=len(c2.xi_defs))
+    solved = c1 if c2 is None else c2
+    report = TuningReport(
+        method=cfg.method, total_bits=total_bits,
+        nsb={str(p): n for p, n in sorted(assignment.widths().items())},
+        systems=sizes, pi_iterations=pi_iterations, stages=stages,
+        skipped_points=solved.skipped_points,
+        zero_ufp_points=solved.zero_ufp_points,
+        steps_reference=ref.steps, steps_tuned=tuned.steps,
+        diverged=ref.steps != tuned.steps, verification=rows)
+    return assignment, report, c1

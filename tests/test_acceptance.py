@@ -250,7 +250,7 @@ def test_4_refinement_beats_plain_ilp_on_the_orbit_benchmark():
     source = build_nbody_program(req=11, dt="0.01",
                                  t_max=horizon_t_max(10.0))
     t0 = time.perf_counter()
-    _, report = tune(parse_program(source), TuningConfig(method="pi"))
+    _, report, _ = tune(parse_program(source), TuningConfig(method="pi"))
     elapsed = time.perf_counter() - t0
 
     plain, refined = report.total_bits["ilp"], report.total_bits["pi"]

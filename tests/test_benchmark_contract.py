@@ -22,7 +22,7 @@ from bittune import solver, tuner
 from bittune.constraints import system_stats
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
-from helpers import LOOP
+from helpers import LOOP, generate, reference_run
 from test_solver import make_system, random_mixed_rows
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,13 +81,13 @@ def _tracing():
 
 
 # Traced names the package no longer defines, each recorded as not found
-# by every traced run (ROADMAP item 1).  A name missing beyond these
+# by every traced run (ROADMAP item 3).  A name missing beyond these
 # means a layer has silently dropped out of the traced figures.
 KNOWN_MISSING = {
     "tuner.parse_program",
     "cli.build_links", "tuner.build_links", "nbody.build_links",
     "cli.analyze_ranges", "tuner.analyze_ranges", "nbody.analyze_ranges",
-    "cli.gen_ilp", "nbody.gen_ilp", "cli.gen_refined", "nbody.gen_refined",
+    "nbody.gen_ilp", "nbody.gen_refined",
     "nbody.solve_monotone", "nbody.policy_iterate",
     "interp.round_to",
 }
@@ -108,9 +108,9 @@ def test_traced_system_counts_match_system_stats():
     cfg = tuner.TuningConfig(method="pi")
     for src in (LOOP, build_nbody_program(t_max=horizon_t_max(0.05))):
         prog = parse_program(src)
-        ranges = tuner.reference_run(prog, cfg).ranges
+        ranges = reference_run(prog, cfg).ranges
         for refined in (False, True):
-            system = tuner.generate(prog, ranges, cfg, refined)
+            system = generate(prog, ranges, cfg, refined)
             counts = collections.defaultdict(int)
             tracing._count(counts, "constraints.c2" if refined
                            else "constraints.c1", system)
@@ -127,8 +127,7 @@ def test_traced_solver_counts_read_the_solver_results():
     tracing = _tracing()
     cfg = tuner.TuningConfig(method="pi")
     prog = parse_program(build_nbody_program(t_max=horizon_t_max(0.05)))
-    c2 = tuner.generate(prog, tuner.reference_run(prog, cfg).ranges, cfg,
-                        refined=True)
+    c2 = generate(prog, reference_run(prog, cfg).ranges, cfg, refined=True)
     mixed, _ = make_system(random_mixed_rows(random.Random(2), 6, 10, 8), 6,
                            25)
     counts = collections.defaultdict(int)

@@ -20,7 +20,7 @@ import pytest
 from bittune import cli, constraints, interp, mpfloat, nbody, tuner
 from bittune.cli import main
 from bittune.parse import parse_program
-from bittune.tuner import TuningConfig, tune
+from bittune.tuner import TuningConfig, passed, tune
 from helpers import report_from_json, to_float
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -329,6 +329,43 @@ class TestTuneCommand:
         assert err.startswith("bittune: tune: infeasible:")
 
 
+class TestNoCommandWritesOverItsInputs:
+    """tune and export-lp refuse an output that lands on the source, on
+    the samples file or on another output, before they read anything."""
+
+    OPEN = "y = x * 3.0;\nrequire_nsb(y, 20);\n"
+    SAMPLES = '{"x": "0.1"}\n'
+
+    # Each exited 0: export-lp wrote the LP text over its source or its
+    # samples, tune the report over its samples (the rerun then failed
+    # with "samples value for 'diverged' is a boolean") and the mp
+    # script over samples named like it.
+    @pytest.mark.parametrize("argv, message", [
+        (("export-lp", "a.lp"), "--out: a.lp is the source"),
+        (("export-lp", "c.pop", "--out", "c.pop"),
+         "--out: c.pop is the source"),
+        (("export-lp", "c.pop", "--samples", "s.json", "--out", "s.json"),
+         "--out: s.json is the samples file"),
+        (("tune", "c.pop", "--samples", "s.json", "--report", "s.json"),
+         "--report: s.json is the samples file"),
+        (("tune", "d.pop", "--samples", "d.mp.txt"),
+         "--samples: d.mp.txt is the mp script"),
+    ], ids=["lp-source", "out-source", "out-samples", "report-samples",
+            "script-samples"])
+    def test_is_usage_error_that_reads_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        inputs = {"a.lp": SMALL, "c.pop": self.OPEN, "d.pop": self.OPEN,
+                  "s.json": self.SAMPLES, "d.mp.txt": self.SAMPLES}
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.setattr(cli, "_config",
+                            lambda args: pytest.fail("an input was read"))
+        assert run_cli(capsys, *argv) == (
+            2, "", f"bittune: {argv[0]}: {message}\n")
+        assert {f.name: f.read_text() for f in tmp_path.iterdir()} == inputs
+
+
 class TestVerifyCommand:
     def test_passes_after_tune(self, workdir, capsys):
         run_cli(capsys, "tune", "small.pop")
@@ -371,7 +408,8 @@ class TestVerifyCommand:
         assert code == 0, err
         report = report_from_json(
             (workdir / "p.report.json").read_text())
-        assert report.all_passed() is passes
+        assert passed(report.verification, report.steps_reference,
+                      report.steps_tuned) is passes
         code, out, _ = run_cli(capsys, "verify", "p.pop", *flags)
         rows = report.verification
         assert [line.split() for line in out.splitlines()[1:1 + len(rows)]] \
@@ -468,7 +506,7 @@ class TestVerifyCommand:
         report = json.loads(path.read_text())
         del report["nsb"]["2"]
         path.write_text(json.dumps(report))
-        monkeypatch.setattr(cli, "verify",
+        monkeypatch.setattr(cli, "run_reference",
                             lambda *args: pytest.fail("verify ran a pass"))
         assert run_cli(capsys, "verify", "w.pop") == (
             1, "", "bittune: verify: w.report.json: no width for control "
@@ -557,7 +595,7 @@ class TestExportLpChecksRequirements:
         (workdir / "p.pop").write_text(
             "x = 1.3; y = x * 3.7; require_nsb(y, 600);\n")
         for module in (cli, tuner):
-            monkeypatch.setattr(module, "reference_run",
+            monkeypatch.setattr(module, "run_reference",
                                 lambda *a, **k: pytest.fail("a pass ran"))
         assert run_cli(capsys, command, "p.pop") == (
             1, "", f"bittune: {command}: control point 6: require_nsb bit "
@@ -591,7 +629,7 @@ class TestBenchCommand:
         t_max = nbody.horizon_t_max(0.05)
         for (method, req), widths in zip(cells, seen):
             source = nbody.build_nbody_program(t_max=t_max, req=req)
-            assignment, _ = tune(parse_program(source), TuningConfig(method))
+            assignment, _, _ = tune(parse_program(source), TuningConfig(method))
             assert widths == assignment.widths(), (method, req)
 
     def test_row_grid_is_nsb_times_years_times_bodies(self, workdir, capsys):
@@ -621,7 +659,7 @@ class TestBenchCommand:
     ], ids=["nsb", "years"])
     def test_a_repeated_cell_is_usage_error(self, workdir, capsys,
                                             monkeypatch, flags, message):
-        monkeypatch.setattr(nbody, "reference_run",
+        monkeypatch.setattr(nbody, "run_reference",
                             lambda *a, **k: pytest.fail("a pass ran"))
         assert run_cli(capsys, "bench", *flags, "--out", "out") == (
             2, "", f"bittune: bench: {message}\n")
@@ -676,7 +714,7 @@ class TestBenchCommand:
             self, workdir, capsys, monkeypatch, cap):
         monkeypatch.setattr(interp, "MAX_STEPS", cap)
         if cap < 610:
-            monkeypatch.setattr(nbody, "reference_run",
+            monkeypatch.setattr(nbody, "run_reference",
                                 lambda *a, **k: pytest.fail("a pass ran"))
         code, _, err = run_cli(capsys, "bench", "--years", "0.05", "--nsb",
                                "11", "--out", "out")
@@ -966,7 +1004,7 @@ class TestNumericLimits:
             self, workdir, capsys, monkeypatch, count, shown):
         (workdir / "req.pop").write_text(
             f"a = 1.0;\nrequire_nsb(a, {count});\n")
-        monkeypatch.setattr(tuner, "reference_run",
+        monkeypatch.setattr(tuner, "run_reference",
                             lambda *args: pytest.fail("a pass ran"))
         assert run_cli(capsys, "tune", "req.pop") == (
             1, "", f"bittune: tune: control point 2: require_nsb bit count "

@@ -14,10 +14,10 @@ from bittune.interp import EvalError, run_reference, run_tuned
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from bittune.program import Assign, BinOp, Num, Program, Require, Var
-from bittune.tuner import TuningConfig, reference_run, solve, systems
+from bittune.tuner import TuningConfig, solve, systems
 from helpers import (
-    BRANCH, LOOP, binding, gen_straight_line, in_loop, round_fraction,
-    to_float,
+    BRANCH, LOOP, binding, gen_straight_line, in_loop, reference_run,
+    round_fraction, to_float,
 )
 
 GEOM = """\
@@ -475,7 +475,7 @@ class TestPinnedRuns:
             digests["reference"].update(
                 f"{ref.ranges.top}\n{ref.ranges.counts}\n{ref.steps}\n"
                 f"{_env_text(ref.env)}".encode())
-            assignment, _ = solve(*systems(prog, ref.ranges, cfg))
+            _, assignment, _ = solve(*systems(prog, ref.ranges, cfg))
             tuned = run_tuned(prog, assignment.widths())
             digests["tuned"].update(
                 f"{tuned.steps}\n{_env_text(tuned.env)}".encode())
@@ -554,7 +554,7 @@ class TestPinnedBlocks:
             digests["reference"].update(
                 f"{ref.ranges.top}\n{ref.ranges.counts}\n{ref.steps}\n"
                 f"{_env_text(ref.env)}".encode())
-            assignment, _ = solve(*systems(prog, ref.ranges, cfg))
+            _, assignment, _ = solve(*systems(prog, ref.ranges, cfg))
             for bound in bindings or (None,):
                 tuned = run_tuned(prog, assignment.widths(), bound)
                 digests["tuned"].update(

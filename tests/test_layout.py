@@ -12,7 +12,9 @@ tests/helpers.py.
 No module of src/bittune or scripts/ imports or reads another package
 module's leading-underscore name: what one module needs of another is
 public.  perfbench/ is exempt, since it patches private names from
-outside to time them.
+outside to time them.  A package module imports only names it uses: an
+import kept only so that a tool patching the name finds it hides what
+the module calls.
 
 The package ships code only: src/bittune holds nothing but .py files,
 and pyproject.toml declares no package data.  Every exception class of
@@ -119,6 +121,24 @@ def test_no_module_reads_another_modules_private_names():
                     found.append(f"{path.name}:{node.lineno}: "
                                  f"{owner}.{node.attr}")
     assert found == []
+
+
+def test_every_package_import_is_used():
+    unused = []
+    for path, tree in _trees(PACKAGE):
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno)
+                                for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(((a.asname or a.name).partition(".")[0],
+                                 node.lineno) for a in node.names)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []
 
 
 def test_package_holds_only_python_files():

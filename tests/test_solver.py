@@ -24,8 +24,8 @@ from bittune import solver
 from bittune.solver import (
     SolverError, _dependency_order, policy_iterate, solve_ilp, solve_monotone,
 )
-from bittune.tuner import TuningConfig, reference_run
-from helpers import gen_straight_line
+from bittune.tuner import TuningConfig
+from helpers import gen_straight_line, reference_run
 
 
 def make_system(rows, n_vars, pmax):

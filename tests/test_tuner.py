@@ -19,11 +19,11 @@ from bittune.parse import parse_program
 from bittune.render import emit_annotated
 from bittune.solver import SolverError, solve_ilp, solve_monotone
 from bittune.tuner import (
-    TuneError, TuningConfig, VerifyRow, passed, tune, verify,
+    TuneError, TuningConfig, VerifyRow, passed, tune,
 )
 from helpers import (
     binding, check_solution, gen_straight_line, parse_solution,
-    report_from_json, to_float,
+    reference_run, report_from_json, to_float, verify,
 )
 
 SMALL = """\
@@ -37,22 +37,23 @@ require_nsb(d, 20);
 
 class TestTune:
     def test_widths_cover_all_points_and_meet_requirement(self):
-        assignment, report = tune(parse_program(SMALL))
+        assignment, report, _ = tune(parse_program(SMALL))
         prog = parse_program(SMALL)
         widths = assignment.widths()
         assert set(widths) == set(range(len(prog.points)))
         req = next(n for n in prog.points if type(n).__name__ == "Require")
         assert widths[req.point] >= 20
-        assert report.all_passed()
+        assert passed(report.verification, report.steps_reference,
+                  report.steps_tuned)
 
     def test_pi_records_both_totals(self):
-        _, report = tune(parse_program(SMALL), TuningConfig(method="pi"))
+        _, report, _ = tune(parse_program(SMALL), TuningConfig(method="pi"))
         assert set(report.total_bits) == {"ilp", "pi"}
         assert report.total_bits["pi"] <= report.total_bits["ilp"]
         assert "c2" in report.systems and "xi_defs" in report.systems["c2"]
 
     def test_verification_rows_within_local_bound(self):
-        _, report = tune(parse_program(SMALL))
+        _, report, _ = tune(parse_program(SMALL))
         for row in report.verification:
             assert row.passed
             assert float(row.error) <= 100 * float(row.bound)
@@ -63,10 +64,11 @@ class TestTune:
 
     def test_open_program_needs_bindings(self):
         cfg = TuningConfig(bindings=(binding(x="0.5"),))
-        assignment, report = tune(
+        assignment, report, _ = tune(
             parse_program("y = x + 1.0;\nrequire_nsb(y, 12);\n",
                           cfg.input_names()), cfg)
-        assert report.all_passed()
+        assert passed(report.verification, report.steps_reference,
+                  report.steps_tuned)
 
     @pytest.mark.parametrize("bad", [{"method": "newton"}, {"pref": 0}])
     def test_config_validation(self, bad):
@@ -78,13 +80,13 @@ class TestTune:
     def test_solve_takes_c2_exactly_for_pi(self, method):
         prog = parse_program(SMALL)
         cfg = TuningConfig(method=method)
-        c1, c2 = tuner.systems(prog, tuner.reference_run(prog, cfg).ranges,
-                               cfg)
+        c1, c2 = tuner.systems(prog, reference_run(prog, cfg).ranges, cfg)
         assert (c2 is not None) == (method == "pi")
-        assert tuner.solve(c1, c2)[1].method == method
+        plain, final, iterations = tuner.solve(c1, c2)
+        assert (final is plain) == (iterations == 0) == (method == "ilp")
 
     def test_exactly_representable_output_has_zero_error(self):
-        _, report = tune(parse_program("a = 0.5;\nb = a + a;\nrequire_nsb(b, 5);\n"))
+        _, report, _ = tune(parse_program("a = 0.5;\nb = a + a;\nrequire_nsb(b, 5);\n"))
         errors = {r.var: r.error for r in report.verification}
         assert errors["b"] == "0"
 
@@ -96,10 +98,11 @@ class TestTune:
         prog = parse_program("a = 3.1e-151;\nb = sqrt(a);\nc = b * 1e75;\n"
                              "require_nsb(c, 30);\n")
         cfg = TuningConfig(method=method)
-        assert tuner.reference_run(prog, cfg).ranges.ufp(0) == -cfg.pref
-        _, report = tune(prog, cfg)
+        assert reference_run(prog, cfg).ranges.ufp(0) == -cfg.pref
+        _, report, _ = tune(prog, cfg)
         assert report.zero_ufp_points == []
-        assert report.all_passed()
+        assert passed(report.verification, report.steps_reference,
+                  report.steps_tuned)
 
 
 # A product chain whose error widths (nsbe) grow past the [0, pmax] box
@@ -115,13 +118,13 @@ class TestPolicyIterationNeverLoses:
     ends in an infeasible system on them, and a fix has to flip them."""
 
     def _assert_pi_not_worse(self, src):
-        _, report = tune(parse_program(src), TuningConfig(method="pi"))
+        _, report, _ = tune(parse_program(src), TuningConfig(method="pi"))
         assert report.total_bits["pi"] <= report.total_bits["ilp"]
 
     @pytest.mark.xfail(strict=True, raises=SolverError,
                        reason="PI infeasible where the plain solve succeeds")
     def test_product_chain(self):
-        _, plain = tune(parse_program(CHAIN), TuningConfig(method="ilp"))
+        _, plain, _ = tune(parse_program(CHAIN), TuningConfig(method="ilp"))
         assert plain.total_bits == {"ilp": 3154}
         self._assert_pi_not_worse(CHAIN)
 
@@ -138,13 +141,13 @@ class TestPolicyIterationNeverLoses:
 
 class TestReportSerialization:
     def test_json_round_trip(self):
-        _, report = tune(parse_program(SMALL), TuningConfig(method="pi"))
+        _, report, _ = tune(parse_program(SMALL), TuningConfig(method="pi"))
         again = report_from_json(report.to_json())
         assert again == report
 
     def test_json_is_sorted_and_stable(self):
-        _, a = tune(parse_program(SMALL))
-        _, b = tune(parse_program(SMALL))
+        _, a, _ = tune(parse_program(SMALL))
+        _, b, _ = tune(parse_program(SMALL))
         assert a.to_json(timings=False) == b.to_json(timings=False)
 
     def test_text_rendition_mentions_failures(self):
@@ -156,7 +159,7 @@ class TestReportSerialization:
 class TestVerify:
     def test_lowered_widths_fail(self):
         prog = parse_program(SMALL)
-        assignment, _ = tune(prog)
+        assignment, _, _ = tune(prog)
         halved = {p: max(1, n // 4) for p, n in assignment.widths().items()}
         rows, _, _ = verify(prog, halved)
         assert any(not r.passed for r in rows)
@@ -196,7 +199,7 @@ class TestVerify:
         # must be taken from the same ufp, not from -DEFAULT_PRECISION.
         prog = parse_program("x = 0.0;\nrequire_nsb(x, 10);\n")
         cfg = TuningConfig(pref=600)
-        assignment, report = tune(prog, cfg)
+        assignment, report, _ = tune(prog, cfg)
         rows, ref, _ = verify(prog, assignment.widths(), cfg)
         assert ref.ranges.ufp_zero == -600
         assert [(r.ref_ufp, r.bound) for r in report.verification + rows] \
@@ -210,7 +213,7 @@ class TestVerify:
 
     def test_tolerance_factor_scales_the_check(self, monkeypatch):
         prog = parse_program(SMALL)
-        assignment, _ = tune(prog)
+        assignment, _, _ = tune(prog)
         widths = {p: max(1, n - 6) for p, n in assignment.widths().items()}
         monkeypatch.setattr(tuner, "TOLERANCE_FACTOR", 1)
         strict, _, _ = verify(prog, widths)
@@ -230,7 +233,7 @@ class TestGeneratedScript:
         for _ in range(25):
             src = gen_straight_line(rng, max_ops=5)
             prog = parse_program(src)
-            assignment, _ = tune(prog)
+            assignment, _, _ = tune(prog)
             trace = run_tuned(prog, assignment.widths())
             ns = self._run_script(emit_mp_code(prog, assignment.widths()))
             for name, val in trace.env.items():
@@ -285,7 +288,7 @@ print(json.dumps(out))
         expected, paths = [], []
         for i, src in enumerate(sources):
             prog = parse_program(src)
-            assignment, _ = tune(prog)
+            assignment, _, _ = tune(prog)
             expected.append(run_tuned(prog, assignment.widths()).env)
             path = tmp_path / f"p{i}.mp.txt"
             path.write_text(emit_mp_code(prog, assignment.widths()))
@@ -321,7 +324,7 @@ print(json.dumps(out))
 
 class TestAnnotatedRender:
     def test_all_points_tagged(self):
-        assignment, _ = tune(parse_program(SMALL))
+        assignment, _, _ = tune(parse_program(SMALL))
         text = emit_annotated(parse_program(SMALL), assignment.widths())
         assert text.count("|") == 2 * (len(parse_program(SMALL).points) - 1)
         assert "require_nsb(d, 20);" in text
