@@ -122,9 +122,12 @@ class Require(_Node):
 
 Stmt = Union[Assign, While, If, Require]
 
+# The node kinds that carry a variable name.
+_NAMED = frozenset((Var, Assign, Require))
+
 
 class Program:
-    __slots__ = ("stmts", "points", "inputs", "links")
+    __slots__ = ("stmts", "points", "inputs", "links", "_slots")
 
     def __init__(self, stmts: list[Stmt], points: list[object]):
         self.stmts = stmts
@@ -133,10 +136,24 @@ class Program:
         # flow.DefUseLinks by use then def point: parse_program sets both.
         self.inputs: tuple[str, ...] = ()
         self.links: list = []
+        self._slots: dict[str, int] | None = None
 
     @property
     def n_points(self) -> int:
         return len(self.points)
+
+    @property
+    def slots(self) -> dict[str, int]:
+        """Each variable name's slot, 0 up, in the order of the first
+        point that reads, assigns or requires it.  Numbered on first use
+        and kept: the passes index their environments by it."""
+        if self._slots is None:
+            slots: dict[str, int] = {}
+            for node in self.points:
+                if type(node) in _NAMED and node.name not in slots:
+                    slots[node.name] = len(slots)
+            self._slots = slots
+        return self._slots
 
 
 def shown(text: str) -> str:

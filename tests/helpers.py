@@ -3,9 +3,7 @@ test suite.
 
 The rounding oracle here deliberately repeats none of the library's
 code: it rounds exact rationals with divmod arithmetic so that the two
-implementations can only agree by both being right.  reference_run,
-generate and verify run one pipeline stage under a TuningConfig, as
-tuner.tune and the commands do.  The readers
+implementations can only agree by both being right.  The readers
 (report_from_json, parse_solution, check_solution, strip_annotations)
 and the energy check read what the commands write, dump writes a
 system as text for pinned digests (keyed_defs names its carry
@@ -22,8 +20,8 @@ import random
 import re
 from fractions import Fraction
 
-from bittune.constraints import ConstraintSystem, LinExpr, gen_ilp, gen_refined
-from bittune.interp import Trace, UfpMap, run_reference
+from bittune.constraints import ConstraintSystem, LinExpr
+from bittune.interp import run_reference
 from bittune.mpfloat import (
     DEFAULT_PRECISION, MPValue, parse_decimal, to_fraction,
 )
@@ -34,7 +32,7 @@ from bittune.nbody import (
 from bittune.parse import parse_program
 from bittune.program import If, Program, While
 from bittune.render import emit_annotated
-from bittune.tuner import TuningConfig, TuningReport, VerifyRow, check_tuned
+from bittune.tuner import TuningReport, VerifyRow
 
 
 def round_fraction(f: Fraction, p: int) -> Fraction:
@@ -197,30 +195,6 @@ def gen_straight_line(rng: random.Random, max_ops: int = 6,
     req = rng.randint(*req_range)
     src.append(f"require_nsb({names[-1]}, {req});")
     return "\n".join(src) + "\n"
-
-
-# --- pipeline stages ---------------------------------------------------
-
-def reference_run(prog: Program, cfg: TuningConfig) -> Trace:
-    """The reference run tune makes: at cfg.pref bits, over every
-    binding set."""
-    return run_reference(prog, cfg.pref, cfg.bindings)
-
-
-def generate(prog: Program, ranges: UfpMap, cfg: TuningConfig,
-             refined: bool = False) -> ConstraintSystem:
-    """C1, or C2 when refined, with every width capped at cfg.pref."""
-    return (gen_refined if refined else gen_ilp)(prog, ranges, cfg.pref)
-
-
-def verify(prog: Program, widths: dict[int, int],
-           cfg: TuningConfig | None = None):
-    """What the verify command checks: (verification rows, reference
-    trace, tuned trace) of widths against a fresh reference run."""
-    cfg = cfg or TuningConfig()
-    ref = reference_run(prog, cfg)
-    rows, tuned = check_tuned(prog, widths, ref, cfg)
-    return rows, ref, tuned
 
 
 # --- readers of what the commands write ------------------------------

@@ -19,10 +19,11 @@ import sys
 from pathlib import Path
 
 from bittune import solver, tuner
-from bittune.constraints import system_stats
+from bittune.constraints import gen_ilp, gen_refined, system_stats
+from bittune.interp import run_reference
 from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
-from helpers import LOOP, generate, reference_run
+from helpers import LOOP
 from test_solver import make_system, random_mixed_rows
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -108,9 +109,10 @@ def test_traced_system_counts_match_system_stats():
     cfg = tuner.TuningConfig(method="pi")
     for src in (LOOP, build_nbody_program(t_max=horizon_t_max(0.05))):
         prog = parse_program(src)
-        ranges = reference_run(prog, cfg).ranges
+        ranges = run_reference(prog, cfg.pref).ranges
         for refined in (False, True):
-            system = generate(prog, ranges, cfg, refined)
+            system = (gen_refined if refined else gen_ilp)(prog, ranges,
+                                                           cfg.pref)
             counts = collections.defaultdict(int)
             tracing._count(counts, "constraints.c2" if refined
                            else "constraints.c1", system)
@@ -127,7 +129,7 @@ def test_traced_solver_counts_read_the_solver_results():
     tracing = _tracing()
     cfg = tuner.TuningConfig(method="pi")
     prog = parse_program(build_nbody_program(t_max=horizon_t_max(0.05)))
-    c2 = generate(prog, reference_run(prog, cfg).ranges, cfg, refined=True)
+    c2 = gen_refined(prog, run_reference(prog, cfg.pref).ranges, cfg.pref)
     mixed, _ = make_system(random_mixed_rows(random.Random(2), 6, 10, 8), 6,
                            25)
     counts = collections.defaultdict(int)
@@ -135,3 +137,21 @@ def test_traced_solver_counts_read_the_solver_results():
     tracing._count(counts, "solver.bb", solver.solve_ilp(mixed))
     assert dict(counts) == {"solver.pi_iterations": 2,
                             "solver.bb_nodes": 11}
+
+
+def test_every_bench_record_names_each_workload_and_metric():
+    """Each committed BENCH_<n>.json (scripts/bench_record.py) holds, for
+    every workload of BENCHMARK.json, exactly its end-to-end and
+    per-layer metric names.  Only the keys are checked, not the values."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    e2e = {m["name"] for m in spec["end_to_end"]}
+    layers = {m["name"] for m in spec["per_layer"]}
+    for path in records:
+        workloads = json.loads(path.read_text())["workloads"]
+        assert list(workloads) == [w["name"] for w in spec["workloads"]], \
+            path.name
+        for name, record in workloads.items():
+            assert set(record["end_to_end"]) == e2e, (path.name, name)
+            assert set(record["per_layer"]) == layers, (path.name, name)

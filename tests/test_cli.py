@@ -63,7 +63,23 @@ class TestTuneCommand:
         assert code == 0, err
         for name in ("small.annotated.pop", "small.mp.txt", "small.report.json"):
             assert (workdir / name).exists(), name
+        assert list(workdir.glob(".*")) == []
         assert "total bits (ilp):" in out
+
+    # The annotated source and the mp script used to be written before
+    # the report's directory turned out to be missing, with exit 1.
+    @pytest.mark.parametrize("report", ["nodir/r.json", "adir"])
+    def test_a_failed_write_leaves_every_artifact_as_it_was(
+            self, workdir, capsys, report):
+        (workdir / "adir").mkdir()
+        (workdir / "small.mp.txt").write_text("old\n")
+        code, out, err = run_cli(capsys, "tune", "small.pop", "--report",
+                                 report, "--emit-lp")
+        assert (code, out) == (1, "")
+        assert err.startswith("bittune: tune: [Errno ")
+        assert sorted(f.name for f in workdir.rglob("*")) == \
+            ["adir", "small.mp.txt", "small.pop"]
+        assert (workdir / "small.mp.txt").read_text() == "old\n"
 
     def test_reruns_are_byte_identical(self, workdir, capsys):
         run_cli(capsys, "tune", "small.pop")
@@ -810,6 +826,14 @@ class TestExportAndRun:
         code, out, _ = run_cli(capsys, "run", "open.pop",
                                "--samples", "s.json")
         assert code == 0 and "y = 9" in out
+
+    def test_run_prints_a_binding_the_program_never_reads(self, workdir,
+                                                           capsys):
+        (workdir / "open.pop").write_text("y = x * x;\n")
+        (workdir / "s.json").write_text('{"x": "3.0", "w": "0.5"}')
+        code, out, err = run_cli(capsys, "run", "open.pop",
+                                 "--samples", "s.json")
+        assert (code, out, err) == (0, "w = 0.5\nx = 3\ny = 9\n", "")
 
     def test_samples_reject_non_numbers(self, workdir, capsys):
         (workdir / "open.pop").write_text("y = x * x;\nrequire_nsb(y, 10);\n")

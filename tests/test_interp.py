@@ -16,8 +16,8 @@ from bittune.parse import parse_program
 from bittune.program import Assign, BinOp, Num, Program, Require, Var
 from bittune.tuner import TuningConfig, solve, systems
 from helpers import (
-    BRANCH, LOOP, binding, gen_straight_line, in_loop, reference_run,
-    round_fraction, to_float,
+    BRANCH, LOOP, binding, gen_straight_line, in_loop, round_fraction,
+    to_float,
 )
 
 GEOM = """\
@@ -471,7 +471,7 @@ class TestPinnedRuns:
         digests = {name: hashlib.sha256() for name in self.PINNED}
         for src in _pinned_sources():
             prog = parse_program(src)
-            ref = reference_run(prog, cfg)
+            ref = run_reference(prog, cfg.pref)
             digests["reference"].update(
                 f"{ref.ranges.top}\n{ref.ranges.counts}\n{ref.steps}\n"
                 f"{_env_text(ref.env)}".encode())
@@ -550,7 +550,7 @@ class TestPinnedBlocks:
         for src, bindings in cases:
             cfg = TuningConfig(method="pi", bindings=bindings)
             prog = parse_program(src, inputs=cfg.input_names())
-            ref = reference_run(prog, cfg)
+            ref = run_reference(prog, cfg.pref, cfg.bindings)
             digests["reference"].update(
                 f"{ref.ranges.top}\n{ref.ranges.counts}\n{ref.steps}\n"
                 f"{_env_text(ref.env)}".encode())
@@ -651,3 +651,83 @@ class TestErrorText:
             else:
                 run_tuned(prog, _uniform(prog, 30))
         assert str(exc.value) == f"{mode}: {message}"
+
+
+class TestSlotEnvironment:
+    """Each variable has a slot, numbered once per program; a pass keeps
+    its values in a list indexed by slot.  None of it shows: errors,
+    traces and bindings read as they would from a dict keyed by name."""
+
+    @pytest.mark.parametrize("stmt, point", [
+        ("c = b;\n", 6),                            # read
+        ("c = b + a;\n", 6), ("c = a + b;\n", 7),   # fused operands
+        ("c = b - a;\n", 6), ("c = a - b;\n", 7),
+        ("c = b * a;\n", 6), ("c = a * b;\n", 7),
+        ("c = b / a;\n", 6), ("c = a / b;\n", 7),
+        ("c = sqrt(b);\n", 6),
+        ("c = -b;\n", 6),
+        ("c = (a * b) + a;\n", 7),
+        ("if (b > a) {\n    c = 1.0;\n}\n", 6),     # comparison sides
+        ("while (a < b) {\n    a = a + 1.0;\n}\n", 7),
+    ])
+    @pytest.mark.parametrize("mode", ["reference run", "tuned run"])
+    def test_unset_read_in_every_position(self, stmt, point, mode):
+        prog = parse_program(_UNSET + stmt)
+        with pytest.raises(EvalError) as exc:
+            if mode == "reference run":
+                run_reference(prog, pref=60)
+            else:
+                run_tuned(prog, _uniform(prog, 30))
+        assert str(exc.value) == (f"{mode}: variable 'b' read before "
+                                  f"assignment (control point {point})")
+        assert exc.value.point == point
+
+    @pytest.mark.parametrize("mode", ["reference run", "tuned run"])
+    def test_unset_require_in_both_modes(self, mode):
+        prog = parse_program(_UNSET + "require_nsb(b, 10);\n")
+        with pytest.raises(EvalError) as exc:
+            if mode == "reference run":
+                run_reference(prog, pref=60)
+            else:
+                run_tuned(prog, _uniform(prog, 30))
+        assert str(exc.value) == (f"{mode}: require_nsb on unassigned "
+                                  f"variable 'b' (control point 6)")
+
+    def test_name_assigned_only_in_an_untaken_branch_is_absent(self):
+        prog = parse_program(_UNSET + "c = a + 1.0;\n")
+        assert set(prog.slots) == {"a", "b", "c"}
+        for trace in (run_reference(prog, pref=60),
+                      run_tuned(prog, _uniform(prog, 30))):
+            assert sorted(trace.env) == ["a", "c"]
+
+    def test_binding_the_program_never_names_is_kept(self):
+        prog = parse_program("y = x * x;\n", inputs=("x",))
+        bound = binding(x="3.0", w="0.5")
+        for trace in (run_reference(prog, 60, [bound]),
+                      run_tuned(prog, _uniform(prog, 30), bound)):
+            assert trace.env["w"] == bound["w"]
+            assert sorted(trace.env) == ["w", "x", "y"]
+        # The pass numbered w for itself, not for the program.
+        assert prog.slots == {"x": 0, "y": 1}
+
+    def test_binding_sets_do_not_see_each_others_values(self):
+        # The first set assigns z and binds u, a name the program never
+        # reads; a second pass that saw the first's values would read z.
+        src = "if (x > 1.0) {\n    z = 1.0;\n}\ny = z + x;\n"
+        prog = parse_program(src, inputs=("x",))
+        first = binding(x="2.0", u="7.0")
+        trace = run_reference(prog, 60, [first, binding(x="4.0", v="1.0")])
+        assert sorted(trace.env) == ["u", "x", "y", "z"]
+        with pytest.raises(EvalError) as exc:
+            run_reference(prog, 60, [first, binding(x="0.5")])
+        assert str(exc.value) == ("reference run: variable 'z' read before "
+                                  "assignment (control point 4)")
+
+    def test_hand_built_program_is_numbered_on_first_use(self):
+        prog = _right_nested_product(3)
+        assert prog.slots == {"a": 0, "s": 1}
+        assert prog.slots is prog.slots
+        for trace in (run_reference(prog, pref=60),
+                      run_tuned(prog, _uniform(prog, 30))):
+            assert {k: mpfloat.to_fraction(v) for k, v in trace.env.items()} \
+                == {"a": 2, "s": 16}

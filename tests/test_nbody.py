@@ -22,7 +22,7 @@ from bittune.nbody import (
 )
 from bittune.parse import parse_program
 from helpers import (
-    dump, reference_energy_drift, reference_run, to_float, total_energy,
+    dump, reference_energy_drift, to_float, total_energy,
 )
 
 
@@ -235,7 +235,7 @@ class TestSharedLowering:
         horizon = _prepare_horizon(plan, 0.05)
         prog = parse_program(build_nbody_program(
             c, plan.dt, horizon_t_max(0.05, plan.dt), req))
-        direct = tuner.systems(prog, reference_run(prog, cfg).ranges, cfg)
+        direct = tuner.systems(prog, run_reference(prog, cfg.pref).ranges, cfg)
         for shared, generated in zip((horizon.c1, horizon.c2), direct):
             swapped = with_requirement(shared, req)
             assert dump(swapped) == dump(generated)

@@ -25,7 +25,7 @@ from bittune.solver import (
     SolverError, _dependency_order, policy_iterate, solve_ilp, solve_monotone,
 )
 from bittune.tuner import TuningConfig
-from helpers import gen_straight_line, reference_run
+from helpers import gen_straight_line
 
 
 def make_system(rows, n_vars, pmax):
@@ -303,7 +303,7 @@ class TestPinnedOutput:
 
     def _systems(self, src):
         prog = parse_program(src)
-        ranges = reference_run(prog, self.CFG).ranges
+        ranges = run_reference(prog, self.CFG.pref).ranges
         return (gen_ilp(prog, ranges, self.CFG.pref),
                 gen_refined(prog, ranges, self.CFG.pref))
 

@@ -19,11 +19,11 @@ from bittune.parse import parse_program
 from bittune.render import emit_annotated
 from bittune.solver import SolverError, solve_ilp, solve_monotone
 from bittune.tuner import (
-    TuneError, TuningConfig, VerifyRow, passed, tune,
+    TuneError, TuningConfig, VerifyRow, check_tuned, passed, tune,
 )
 from helpers import (
     binding, check_solution, gen_straight_line, parse_solution,
-    reference_run, report_from_json, to_float, verify,
+    report_from_json, to_float,
 )
 
 SMALL = """\
@@ -80,7 +80,7 @@ class TestTune:
     def test_solve_takes_c2_exactly_for_pi(self, method):
         prog = parse_program(SMALL)
         cfg = TuningConfig(method=method)
-        c1, c2 = tuner.systems(prog, reference_run(prog, cfg).ranges, cfg)
+        c1, c2 = tuner.systems(prog, run_reference(prog, cfg.pref).ranges, cfg)
         assert (c2 is not None) == (method == "pi")
         plain, final, iterations = tuner.solve(c1, c2)
         assert (final is plain) == (iterations == 0) == (method == "ilp")
@@ -98,7 +98,7 @@ class TestTune:
         prog = parse_program("a = 3.1e-151;\nb = sqrt(a);\nc = b * 1e75;\n"
                              "require_nsb(c, 30);\n")
         cfg = TuningConfig(method=method)
-        assert reference_run(prog, cfg).ranges.ufp(0) == -cfg.pref
+        assert run_reference(prog, cfg.pref).ranges.ufp(0) == -cfg.pref
         _, report, _ = tune(prog, cfg)
         assert report.zero_ufp_points == []
         assert passed(report.verification, report.steps_reference,
@@ -152,7 +152,9 @@ class TestReportSerialization:
 
     def test_text_rendition_mentions_failures(self):
         prog = parse_program(SMALL)
-        rows, ref, tuned = verify(prog, {i: 3 for i in range(len(prog.points))})
+        widths = {i: 3 for i in range(len(prog.points))}
+        rows, _ = check_tuned(prog, widths, run_reference(prog),
+                              TuningConfig())
         assert any(not r.passed for r in rows)
 
 
@@ -161,13 +163,16 @@ class TestVerify:
         prog = parse_program(SMALL)
         assignment, _, _ = tune(prog)
         halved = {p: max(1, n // 4) for p, n in assignment.widths().items()}
-        rows, _, _ = verify(prog, halved)
+        rows, _ = check_tuned(prog, halved, run_reference(prog),
+                              TuningConfig())
         assert any(not r.passed for r in rows)
 
     def test_divergent_control_flow_reported(self):
         src = "t = 0.0;\nwhile (t < 5.0) {\n    t = t + 1.0;\n}\nrequire_nsb(t, 3);\n"
         prog = parse_program(src)
-        rows, ref, tuned = verify(prog, {i: 2 for i in range(len(prog.points))})
+        ref = run_reference(prog)
+        _, tuned = check_tuned(prog, {i: 2 for i in range(len(prog.points))},
+                               ref, TuningConfig())
         assert ref.steps != tuned.steps
 
     def test_a_visit_the_tuned_run_missed_is_the_failing_row(self):
@@ -176,7 +181,10 @@ class TestVerify:
         src = ("t = 0.0;\nwhile (t < 5.0) {\n    t = t + 1.0;\n"
                "    require_nsb(t, 3);\n}\n")
         prog = parse_program(src)
-        rows, ref, tuned = verify(prog, {i: 2 for i in range(len(prog.points))})
+        ref = run_reference(prog)
+        rows, tuned = check_tuned(prog,
+                                  {i: 2 for i in range(len(prog.points))},
+                                  ref, TuningConfig())
         assert [len(ref.required[8]), len(tuned.required[8])] == [5, 4]
         assert rows == [VerifyRow("t", 8, 3, "unavailable", 2, "1.0", False)]
 
@@ -188,7 +196,9 @@ class TestVerify:
         src = ("i = 5.0;\nwhile (i > 0.5) {\n    x = 1.3 * i;\n"
                "    require_nsb(x, 20);\n    i = i - 4.0;\n}\n")
         prog = parse_program(src)
-        rows, ref, _ = verify(prog, {i: 4 for i in range(len(prog.points))})
+        ref = run_reference(prog)
+        rows, _ = check_tuned(prog, {i: 4 for i in range(len(prog.points))},
+                              ref, TuningConfig())
         [seen] = ref.required.values()
         assert [to_float(v) for v in seen] == [6.5, 1.3]
         assert [(r.error, r.ref_ufp, r.bound) for r in rows] == [
@@ -200,7 +210,8 @@ class TestVerify:
         prog = parse_program("x = 0.0;\nrequire_nsb(x, 10);\n")
         cfg = TuningConfig(pref=600)
         assignment, report, _ = tune(prog, cfg)
-        rows, ref, _ = verify(prog, assignment.widths(), cfg)
+        ref = run_reference(prog, cfg.pref)
+        rows, _ = check_tuned(prog, assignment.widths(), ref, cfg)
         assert ref.ranges.ufp_zero == -600
         assert [(r.ref_ufp, r.bound) for r in report.verification + rows] \
             == [(-600, repr(2.0 ** -609))] * 2
@@ -216,9 +227,10 @@ class TestVerify:
         assignment, _, _ = tune(prog)
         widths = {p: max(1, n - 6) for p, n in assignment.widths().items()}
         monkeypatch.setattr(tuner, "TOLERANCE_FACTOR", 1)
-        strict, _, _ = verify(prog, widths)
+        ref, cfg = run_reference(prog), TuningConfig()
+        strict, _ = check_tuned(prog, widths, ref, cfg)
         monkeypatch.setattr(tuner, "TOLERANCE_FACTOR", 10**9)
-        loose, _, _ = verify(prog, widths)
+        loose, _ = check_tuned(prog, widths, ref, cfg)
         assert all(r.passed for r in loose)
         assert sum(r.passed for r in strict) <= sum(r.passed for r in loose)
 
