@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Record one BENCH_<n>.json from the benchmark harness.
 
-    python3 scripts/bench_record.py N [--seed 7] [--seconds 25] [--checkout DIR]
+    python3 scripts/bench_record.py N [--checkout DIR]
 
 Runs `perfbench/run.py` of the checkout (by default the one this script
-sits in) on every workload that BENCHMARK.json lists, once with
---trace 0 and once with --trace 1, and reads the result file each run
-leaves in the checkout's `.perfbench-run/`.  Writes BENCH_N.json to the
+sits in) on every workload that BENCHMARK.json lists, at seed 7 for
+BENCHMARK.json's run_seconds, once with --trace 0 and once with
+--trace 1, and reads the result file each run leaves in the
+checkout's `.perfbench-run/`.  Writes BENCH_N.json to the
 root of this script's repository: per workload, the untraced run's
 end_to_end, quality and environment, the traced run's per_layer, and
 as sizes the work counts of the traced run's first invocation (points,
@@ -23,37 +24,33 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 7
 
 
-def record(checkout: Path, workload: str, seed: int, seconds: float,
-           trace: int) -> dict:
+def record(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
     """The result file of one harness run of workload."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds),
+            "--seed", str(SEED), "--seconds", str(seconds),
             "--trace", str(trace)]
     if subprocess.run(argv, cwd=checkout).returncode != 0:
         raise SystemExit(f"bench_record: {workload} --trace {trace} failed")
-    path = checkout / ".perfbench-run" / f"result-{workload}-{seed}-{trace}.json"
+    path = checkout / ".perfbench-run" / f"result-{workload}-{SEED}-{trace}.json"
     return json.loads(path.read_text())
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("n", type=int, help="the record's number")
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="seconds per run (default BENCHMARK.json's "
-                         "run_seconds)")
     ap.add_argument("--checkout", type=Path, default=ROOT,
                     help="source checkout to measure (default this one)")
     args = ap.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     workloads = {}
     for w in spec["workloads"]:
         name = w["name"]
-        plain = record(args.checkout, name, args.seed, seconds, 0)
-        traced = record(args.checkout, name, args.seed, seconds, 1)
+        plain = record(args.checkout, name, seconds, 0)
+        traced = record(args.checkout, name, seconds, 1)
         workloads[name] = {
             "end_to_end": plain["end_to_end"],
             "quality": plain["quality"],
@@ -62,7 +59,7 @@ def main() -> int:
             "environment": plain["environment"],
         }
     out = ROOT / f"BENCH_{args.n}.json"
-    out.write_text(json.dumps({"seed": args.seed, "seconds": seconds,
+    out.write_text(json.dumps({"seed": SEED, "seconds": seconds,
                                "workloads": workloads}, indent=1) + "\n")
     print(f"wrote {out}")
     return 0
