@@ -189,12 +189,15 @@ def _write_all(artifacts: dict[Path, str]) -> None:
     """Write every file of artifacts, or none.  Every target is opened
     before any is written, without truncating: an existing one as it
     is, a missing one created.  If one cannot be opened, the files this
-    call created are removed and nothing is written; otherwise each is
-    truncated and written through the descriptor it was opened with, so
-    a target costs one open as with a plain write, two if missing.
-    Writing each to a temporary file and renaming it onto the target
-    made tune on small programs 6-25% slower (ext4, 2-vCPU VM), as every
-    write then makes a new file and deletes the old one."""
+    call created are removed and nothing is written.  Otherwise each is
+    written over from its start, through the descriptor it was opened
+    with, and then cut to what was written.  Emptying a file and then
+    writing it, as open(path, "w") does, makes ext4 start writing it
+    back to disk when it is closed; writing over it does not, which
+    made tune on small programs 13% faster (2-vCPU VM).  Writing each
+    to a temporary file and renaming it onto the target made the same
+    tunes 6-25% slower, as every write then makes a new file and
+    deletes the old one."""
     fds: list[int] = []
     created: list[Path] = []
     try:
@@ -213,9 +216,9 @@ def _write_all(artifacts: dict[Path, str]) -> None:
         raise
     try:
         for fd, text in zip(fds, artifacts.values()):
-            os.ftruncate(fd, 0)
             with open(fd, "w", closefd=False) as f:
                 f.write(text)
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     finally:
         for fd in fds:
             os.close(fd)

@@ -90,6 +90,19 @@ class TestTuneCommand:
         for name, blob in first.items():
             assert (workdir / name).read_bytes() == blob
 
+    # An artifact is written over in place, so a longer old file must
+    # be cut to the new text.
+    def test_a_longer_old_artifact_is_cut_to_the_new_one(
+            self, workdir, capsys):
+        run_cli(capsys, "tune", "small.pop")
+        names = ("small.annotated.pop", "small.mp.txt", "small.report.json")
+        first = {n: (workdir / n).read_bytes() for n in names}
+        for name, blob in first.items():
+            (workdir / name).write_bytes(blob + b"x" * 10000)
+        run_cli(capsys, "tune", "small.pop")
+        for name, blob in first.items():
+            assert (workdir / name).read_bytes() == blob
+
     # The report was written over the source program, and the LP file
     # over the report, with exit 0; a .lp source took the LP file.
     @pytest.mark.parametrize("argv, message", [
