@@ -58,7 +58,7 @@ from .render import emit_annotated
 from .codegen import emit_mp_code
 from .tuner import (
     TuneError, TuningConfig, check_tuned, divergence, passed, requirements,
-    stage, tune,
+    stage, tune, write_over,
 )
 
 # The package's own errors derive from ValueError or RuntimeError, but
@@ -190,15 +190,11 @@ def _write_all(artifacts: dict[Path, str]) -> None:
     before any is written, without truncating: an existing one as it
     is, a missing one created.  If one cannot be opened, the files this
     call created are removed and nothing is written.  Otherwise each is
-    written over from its start, through the descriptor it was opened
-    with, and then cut to what was written.  Emptying a file and then
-    writing it, as open(path, "w") does, makes ext4 start writing it
-    back to disk when it is closed; writing over it does not.  Where a
-    program is tuned again over its old artifacts, as perfbench's corpus
-    workload does, that took op_s.p50 from 9.5 to 8.2 ms (2-vCPU VM).
-    Writing each to a temporary file and renaming it onto the target
-    made the same tunes 6-25% slower than the plain writes, as every
-    write then makes a new file and deletes the old one."""
+    written over through the descriptor it was opened with
+    (tuner.write_over).  Writing each to a temporary file and renaming
+    it onto the target made the same tunes 6-25% slower than the plain
+    writes, as every write then makes a new file and deletes the old
+    one."""
     fds: list[int] = []
     created: list[Path] = []
     try:
@@ -217,9 +213,7 @@ def _write_all(artifacts: dict[Path, str]) -> None:
         raise
     try:
         for fd, text in zip(fds, artifacts.values()):
-            with open(fd, "w", closefd=False) as f:
-                f.write(text)
-            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+            write_over(fd, text)
     finally:
         for fd in fds:
             os.close(fd)

@@ -679,13 +679,16 @@ class TestBenchCommand:
     # A repeated requirement ran its cell twice (eight summary rows, one
     # table row, its series file written twice); two horizons with one
     # :g name printed alike and the second series file overwrote the
-    # first.  Both exited 0.
+    # first; 0 and -0 ran one horizon twice, as h0y and h-0y.  All
+    # exited 0.
     @pytest.mark.parametrize("flags, message", [
         (("--nsb", "11,11", "--years", "0.05"),
          "--nsb: requirement 11 is repeated"),
         (("--nsb", "11", "--years", "0.05000001,0.05000002"),
          "--years: two horizons are named 0.05"),
-    ], ids=["nsb", "years"])
+        (("--nsb", "11", "--years", "0,-0"),
+         "--years: two horizons are named 0"),
+    ], ids=["nsb", "years", "years-zero"])
     def test_a_repeated_cell_is_usage_error(self, workdir, capsys,
                                             monkeypatch, flags, message):
         monkeypatch.setattr(nbody, "run_reference",
@@ -693,6 +696,16 @@ class TestBenchCommand:
         assert run_cli(capsys, "bench", *flags, "--out", "out") == (
             2, "", f"bittune: bench: {message}\n")
         assert not (workdir / "out").exists()
+
+    def test_a_horizon_of_minus_zero_is_zero(self, workdir, capsys):
+        code, out, _ = run_cli(capsys, "bench", "--nsb", "11", "--years",
+                               "-0", "--out", "out")
+        assert code == 0 and out.splitlines()[0] == "horizon 0 years"
+        assert sorted(p.name for p in (workdir / "out").iterdir()) == [
+            "series_nsb11_h0y.csv", "summary.csv"]
+        with open(workdir / "out" / "summary.csv") as fh:
+            assert {row["horizon_years"] for row in csv.DictReader(fh)} == \
+                {"0.0"}
 
     def test_nsb_out_of_box_is_usage_error(self, workdir, capsys):
         code, _, err = run_cli(capsys, "bench", "--nsb", "0")

@@ -6,6 +6,7 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -221,6 +222,43 @@ def _sweep_outputs(out: Path) -> tuple[str, dict[str, bytes]]:
                          for row in csv.DictReader(fh))
     return column, {p.name: p.read_bytes()
                     for p in sorted(out.glob("series_*.csv"))}
+
+
+class TestRewrite:
+    """A sweep writes each CSV over the file an earlier sweep left."""
+
+    @staticmethod
+    def _bench(monkeypatch, out, nsb, years):
+        # A clock that reads 0 makes the timing columns repeatable.
+        monkeypatch.setattr(nbody_mod, "time",
+                            SimpleNamespace(perf_counter=lambda: 0.0))
+        assert main(["bench", "--nsb", nsb, "--years", years,
+                     "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def test_files_written_over_match_a_fresh_directory(self, tmp_path,
+                                                        monkeypatch):
+        out = tmp_path / "out"
+        first = self._bench(monkeypatch, out, "11,24,53", "0.1")
+        # A longer old file, so that a tail left behind would show.
+        (out / "series_nsb11_h0.05y.csv").write_bytes(b"9" * 10_000)
+        second = self._bench(monkeypatch, out, "11,24", "0.05")
+        fresh = self._bench(monkeypatch, tmp_path / "fresh", "11,24", "0.05")
+        assert sorted(fresh) == ["series_nsb11_h0.05y.csv",
+                                 "series_nsb24_h0.05y.csv", "summary.csv"]
+        assert {name: second[name] for name in fresh} == fresh
+        assert len(first["summary.csv"]) > len(fresh["summary.csv"])
+        assert {name: second[name] for name in first
+                if name != "summary.csv"} == {
+            name: data for name, data in first.items()
+            if name != "summary.csv"}
+        assert "series_nsb53_h0.1y.csv" in first
+
+    def test_a_summary_that_is_a_directory_fails(self, tmp_path, capsys):
+        (tmp_path / "summary.csv").mkdir()
+        assert main(["bench", "--nsb", "11", "--years", "0.05",
+                     "--out", str(tmp_path), "--no-series"]) == 1
+        assert "Is a directory" in capsys.readouterr().err
 
 
 class TestSharedLowering:
