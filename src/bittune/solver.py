@@ -48,8 +48,10 @@ depend on that order.  The repair passes over a row the relaxed point
 already satisfies until something it reads is raised, which leaves
 that order as it is.  The relaxation and the lift, whose fixpoints are
 monotone and so independent of order, start in dependency order instead
-(_dependency_order), so that each row off a cycle is evaluated once;
-so does parametric's worklist over (b, o) pairs.
+(_dependency_order), so that each row off a cycle is evaluated once.
+parametric's worklist over (b, o) pairs starts in row order, as the
+monotone solve does: on half-year five-body, dependency order took
+2.1 ms against 1.8 ms and peaked at 364 KB against 184 KB.
 
 Everything is exact integer arithmetic (parametric marks an offset no
 require row reaches with -inf); optimality is certified either
@@ -372,18 +374,16 @@ def parametric(system: ConstraintSystem) -> Parametric:
     and Parametric.solve sees the width."""
     _check_monotone(system)
     rows, n = system.rows, len(system.variables)
-    lhs, const, terms = rows.lhs, rows.const, rows.terms
-    require = [origin == "require" for origin in rows.origin]
+    lhs, const, terms, origin = rows.lhs, rows.const, rows.terms, rows.origin
     base, offset = [0] * n, [_NONE] * n
     top = system.pmax
-    left = range(len(lhs))
-    users = _users(n, left, terms)
-    pending = _dependency_order(lhs, terms, left, users)
+    pending = list(range(len(lhs)))
+    users = _users(n, pending, terms)
     queued = bytearray(b"\1") * len(lhs)
     while pending:
         r = pending.pop()
         queued[r] = 0
-        if require[r]:
+        if origin[r] == "require":
             b, o = _NONE, 0
         else:
             b, dep = const[r], -1

@@ -13,8 +13,9 @@ substitution.  solve() reads no program and no config, so one
 generation can serve several solves: the sweep swaps each cell's
 requirement into its horizon's systems (constraints.with_requirement),
 passes C1's solution read from its horizon's solver.parametric table,
-so that C1 is not solved again, and times each solve itself.  check_tuned() runs the tuned program
-against a given reference trace and builds the verification table.
+so that C1 is not solved again, and times each solve itself.
+check_tuned() runs the tuned program against a given reference trace
+and builds the verification table.
 tune() chains them and builds the report, once, at its end: the
 per-point widths, system sizes, timings and the verification table.
 The timings are the stage timer's stages, seconds per stage: parse
