@@ -42,7 +42,6 @@ import functools
 import gc
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -58,7 +57,7 @@ from .render import emit_annotated
 from .codegen import emit_mp_code
 from .tuner import (
     TuneError, TuningConfig, check_tuned, divergence, passed, requirements,
-    stage, tune, write_over,
+    stage, tune, write_all,
 )
 
 # The package's own errors derive from ValueError or RuntimeError, but
@@ -76,8 +75,10 @@ file formats:
                      Free inputs are left unbound; run on its own, the
                      script exits naming them.  Variables named after Python
                      keywords, __debug__, mp or mp_sqrt are refused, and so
-                     is an expression nested over 200 brackets deep, a
-                     loop inside 20 others or a body indented 100 levels.
+                     are free inputs named any, compile, exec, globals,
+                     ImportError, SystemExit, _runtime or __builtins__, an
+                     expression nested over 200 brackets deep, a loop
+                     inside 20 others and a body indented 100 levels.
   report JSON        method, per-point widths, system sizes, totals, and
                      the verification table
   bench summary CSV  nsb, horizon_years, body, distance_au, tune_seconds,
@@ -185,40 +186,6 @@ def _refuse_overwrites(args, outputs) -> None:
         seen.setdefault(at, (flag, kind, path))
 
 
-def _write_all(artifacts: dict[Path, str]) -> None:
-    """Write every file of artifacts, or none.  Every target is opened
-    before any is written, without truncating: an existing one as it
-    is, a missing one created.  If one cannot be opened, the files this
-    call created are removed and nothing is written.  Otherwise each is
-    written over through the descriptor it was opened with
-    (tuner.write_over).  Writing each to a temporary file and renaming
-    it onto the target made the same tunes 6-25% slower than the plain
-    writes, as every write then makes a new file and deletes the old
-    one."""
-    fds: list[int] = []
-    created: list[Path] = []
-    try:
-        for path in artifacts:
-            try:
-                fds.append(os.open(path, os.O_WRONLY))
-            except FileNotFoundError:
-                fds.append(os.open(path, os.O_WRONLY | os.O_CREAT
-                                   | os.O_EXCL, 0o666))
-                created.append(path)
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        for path in created:
-            path.unlink(missing_ok=True)
-        raise
-    try:
-        for fd, text in zip(fds, artifacts.values()):
-            write_over(fd, text)
-    finally:
-        for fd in fds:
-            os.close(fd)
-
-
 def cmd_tune(args) -> int:
     base = Path(args.source)
     annotated_path = base.with_suffix(".annotated.pop")
@@ -249,7 +216,7 @@ def cmd_tune(args) -> int:
                  report_path: report.to_json(timings=args.timings)}
     if lp is not None:
         artifacts[lp_path] = lp
-    _write_all(artifacts)
+    write_all(artifacts)
 
     for name in sorted(report.total_bits):
         print(f"total bits ({name}): {report.total_bits[name]}")
@@ -346,7 +313,7 @@ def cmd_export_lp(args) -> int:
     requirements(prog, cfg)
     gen = gen_refined if args.refined else gen_ilp
     ranges = run_reference(prog, cfg.pref, cfg.bindings).ranges
-    out_path.write_text(export_lp(gen(prog, ranges, cfg.pref)))
+    write_all({out_path: export_lp(gen(prog, ranges, cfg.pref))})
     print(f"wrote {out_path}")
     return 0
 

@@ -23,7 +23,10 @@ is made from the package's own file, once per process, so it cannot
 drift from the package.  Free inputs of the source program are left
 unbound: the script of a program tuned with ``--samples`` checks that
 its namespace binds them and otherwise exits with one line naming the
-unbound ones.
+unbound ones.  The header and that check read names from the namespace
+the inputs are bound in, before the first statement, so a free input
+cannot take one of them (_HEADER_NAMES); a variable the program assigns
+can.
 """
 
 from __future__ import annotations
@@ -82,6 +85,12 @@ _CHECKED_NOTE = "or it stops, naming the unbound ones."
 # do not compile as assignment targets, and mp/mp_sqrt are its runtime.
 _RESERVED = frozenset(keyword.kwlist) | {"__debug__", "mp", "mp_sqrt"}
 
+# Names a free input cannot have: the header and the input check read
+# them from the namespace the inputs are bound in (the header deletes
+# _runtime), and exec reads that namespace's __builtins__.
+_HEADER_NAMES = frozenset({"any", "globals", "ImportError", "SystemExit",
+                           "exec", "compile", "_runtime", "__builtins__"})
+
 
 class ScriptNameError(ValueError):
     """A program variable's name cannot be used in the emitted script."""
@@ -114,15 +123,21 @@ def _header() -> str:
     return _HEADER_START + blob + _HEADER_END
 
 
-def _check_names(prog: Program) -> None:
-    bad = sorted({node.name for node in prog.points
-                  if isinstance(node, (Var, Assign)) and node.name in _RESERVED})
+def _refuse(kind: str, bad: list[str], why: str) -> None:
     if bad:
         shown = ", ".join(repr(n) for n in bad[:5])
         more = f" and {len(bad) - 5} more" if len(bad) > 5 else ""
         raise ScriptNameError(
-            f"variable name {shown}{more} cannot be used in the mp script "
-            f"(Python keywords, __debug__, mp and mp_sqrt are reserved)")
+            f"{kind} {shown}{more} cannot be used in the mp script ({why})")
+
+
+def _check_names(prog: Program) -> None:
+    _refuse("variable name", sorted(
+        {node.name for node in prog.points
+         if isinstance(node, (Var, Assign)) and node.name in _RESERVED}),
+        "Python keywords, __debug__, mp and mp_sqrt are reserved")
+    _refuse("free input", sorted(set(prog.inputs) & _HEADER_NAMES),
+            "the script's own code reads " + ", ".join(sorted(_HEADER_NAMES)))
 
 
 def _input_check(inputs: tuple[str, ...]) -> list[str]:
@@ -209,9 +224,10 @@ def emit_mp_code(prog: Program, widths: dict[int, int]) -> str:
     """Emit the runnable reduced-precision script for a solved assignment.
 
     Raises ScriptNameError for a variable named after a Python keyword,
-    __debug__, mp or mp_sqrt, and ScriptNestingError for an expression
-    nested deeper than MAX_BRACKETS brackets, a body indented more than
-    MAX_INDENT levels or more than MAX_LOOPS nested loops."""
+    __debug__, mp or mp_sqrt or a free input named in _HEADER_NAMES,
+    and ScriptNestingError for an expression nested deeper than
+    MAX_BRACKETS brackets, a body indented more than MAX_INDENT levels
+    or more than MAX_LOOPS nested loops."""
     _check_names(prog)
     header = _header()
     out: list[str] = []

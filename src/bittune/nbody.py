@@ -16,21 +16,18 @@ t_max = H - dt/2; the half-step guard keeps the trip count identical
 between the reference run and every tuned run, however t rounds.
 
 The sweep tunes through `tuner`: one parse, reference run
-(interp.run_reference), generation (tuner.systems) and table of C1's
-least solution at every requirement (solver.parametric) per horizon,
-shared by its requirements.  Each cell reads C1's solution from the
-table, with the cell's requirement swapped into the horizon's systems,
-and passes it to one tuner.solve, which under pi starts policy
-iteration from it.  A cell whose tuned run takes another number of
-steps than the reference stops the sweep (tuner.divergence).
-run_experiment writes its CSVs under the directory it is given, each
-built as one string and written over the old file (tuner.write_over).
+(interp.run_reference) and generation (tuner.systems) per horizon,
+shared by its requirements, and one tuner.solve per cell, of the
+horizon's systems with the cell's requirement swapped in, as `tune`
+solves them.  A cell whose tuned run takes another number of steps
+than the reference stops the sweep (tuner.divergence).  run_experiment
+writes its CSVs under the directory it is given, each built as one
+string and written over the old file (tuner.write_all).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from decimal import Decimal
@@ -44,9 +41,8 @@ from .interp import Trace, run_reference, run_tuned
 from .mpfloat import DEFAULT_PRECISION, add_t, cmp_t, parse_decimal, unbox
 from .parse import check_literal, parse_program
 from .program import Program
-from .solver import Parametric, parametric
 from .tuner import (
-    TuneError, TuningConfig, divergence, solve, systems, write_over,
+    TuneError, TuningConfig, divergence, solve, systems, write_all,
 )
 
 BODY_ORDER = ("Sun", "Jupiter", "Saturn", "Uranus", "Neptune")
@@ -294,26 +290,22 @@ class SummaryRow(NamedTuple):
 class Horizon(NamedTuple):
     """What every requirement at one horizon shares: the parsed program
     (its require_nsb bit counts are never read by a tuned run), the
-    reference trace with its ranges, the systems generated from them,
-    whose require rows each cell swaps for its own, and the table of
-    C1's least solution at every requirement."""
+    reference trace with its ranges, and the systems generated from
+    them, whose require rows each cell swaps for its own."""
 
     prog: Program
     ref: Trace
     c1: ConstraintSystem
     c2: ConstraintSystem | None
-    table: Parametric
 
 
 def _prepare_horizon(plan: ExperimentPlan, years: float) -> Horizon:
-    """Parse, run the reference, generate and tabulate C1 once for
-    this horizon."""
+    """Parse, run the reference and generate once for this horizon."""
     cfg = plan.tuning_config()
     prog = parse_program(build_nbody_program(
         dt=plan.dt, t_max=horizon_t_max(years, plan.dt)))
     ref = run_reference(prog, cfg.pref, track=planet_coord_names())
-    c1, c2 = systems(prog, ref.ranges, cfg)
-    return Horizon(prog, ref, c1, c2, parametric(c1))
+    return Horizon(prog, ref, *systems(prog, ref.ranges, cfg))
 
 
 def _run_cell(plan: ExperimentPlan, horizon: Horizon, req: int):
@@ -321,20 +313,18 @@ def _run_cell(plan: ExperimentPlan, horizon: Horizon, req: int):
 
     Returns (distances, series, tune_seconds, run_seconds) where
     distances is [(body, final drift)] and series the per-step rows or
-    None.  tune_seconds covers reading C1's solution from the table,
-    the swaps, the row and substitution checks and, under pi, policy
-    iteration; the horizon's shared stage (parse, reference run,
-    generation, the table) is not charged to any cell.
+    None.  tune_seconds covers the swaps and tuner.solve: C1's solve,
+    under pi policy iteration, and the substitution check; the
+    horizon's shared stage (parse, reference run, generation) is not
+    charged to any cell.
     """
     coords = planet_coord_names()
     bodies = [b.name for b in load_bodies().planets()]
-    prog, ref, c1, c2, table = horizon
+    prog, ref, c1, c2 = horizon
 
     t0 = time.perf_counter()
-    c1 = with_requirement(c1, req)
-    _, assignment, _ = solve(c1,
-                             None if c2 is None else with_requirement(c2, req),
-                             table.solve(c1, req))
+    _, assignment, _ = solve(with_requirement(c1, req),
+                             None if c2 is None else with_requirement(c2, req))
     tune_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -388,21 +378,11 @@ def run_experiment(plan: ExperimentPlan, out_dir: str | Path,
     return rows
 
 
-def _write_csv(path: Path, text: str) -> None:
-    """Write text over the file at path, created if missing."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        write_over(fd, text)
-    finally:
-        os.close(fd)
-
-
 def _write_summary(path: Path, rows: list[SummaryRow]) -> None:
-    _write_csv(path, "nsb,horizon_years,body,distance_au,tune_seconds,"
-               "run_seconds\r\n" + "".join(
-                   f"{r.nsb},{r.horizon_years},{r.body},{r.distance_au!r},"
-                   f"{r.tune_seconds:.3f},{r.run_seconds:.3f}\r\n"
-                   for r in rows))
+    header = "nsb,horizon_years,body,distance_au,tune_seconds,run_seconds\r\n"
+    write_all({path: header + "".join(
+        f"{r.nsb},{r.horizon_years},{r.body},{r.distance_au!r},"
+        f"{r.tune_seconds:.3f},{r.run_seconds:.3f}\r\n" for r in rows)})
 
 
 def _series_name(req: int, years: float) -> str:
@@ -423,5 +403,5 @@ def _series_rows(ref: Trace, tuned: Trace, bodies) -> list[tuple[int, str, float
 
 
 def _write_series(path: Path, rows) -> None:
-    _write_csv(path, "step,body,distance_au\r\n" + "".join(
-        f"{k},{body},{dist!r}\r\n" for k, body, dist in rows))
+    write_all({path: "step,body,distance_au\r\n" + "".join(
+        f"{k},{body},{dist!r}\r\n" for k, body, dist in rows)})

@@ -15,9 +15,7 @@ the always-carry policy and switching any definition whose selected
 argument is not minimal at the current solution; each switch keeps the
 incumbent feasible, so the bit-sum never increases.  Given the plain
 system's solution, its first iteration lifts that solution instead of
-branching (_lift).  parametric solves the plain system, a set of
-difference constraints, for every requirement at once: each value is
-max(b, req + o), longest paths from the other rows and the require rows.
+branching (_lift).
 
 Every solve reads the system's own index rows (constraints.Rows) and
 never mutates them.  Values are a list of ints in the system's variable
@@ -49,12 +47,8 @@ already satisfies until something it reads is raised, which leaves
 that order as it is.  The relaxation and the lift, whose fixpoints are
 monotone and so independent of order, start in dependency order instead
 (_dependency_order), so that each row off a cycle is evaluated once.
-parametric's worklist over (b, o) pairs starts in row order, as the
-monotone solve does: on half-year five-body, dependency order took
-2.1 ms against 1.8 ms and peaked at 364 KB against 184 KB.
 
-Everything is exact integer arithmetic (parametric marks an offset no
-require row reaches with -inf); optimality is certified either
+Everything is exact integer arithmetic; optimality is certified either
 by monotonicity or by exhausting the branch tree.
 """
 
@@ -341,73 +335,6 @@ def solve_monotone(system: ConstraintSystem) -> NsbAssignment:
     return _finish(system, values)
 
 
-_NONE = float("-inf")             # no require row reaches the variable
-
-
-class Parametric(NamedTuple):
-    """The plain system's least solution at every requirement, built by
-    parametric(): with req the bits every require row asks, variable v's
-    value is max(base[v], req + offset[v])."""
-
-    base: list[int]
-    offset: list                  # int, or -inf where no require row reaches
-
-    def solve(self, system: ConstraintSystem, req: int) -> NsbAssignment:
-        """The least solution of system, the table's system with req >= 1
-        swapped into its require rows (constraints.with_requirement),
-        checked against its rows.  A width past the cap is left to
-        solve_monotone, so the error names the rows that drove it."""
-        values = [max(b, req + o) for b, o in zip(self.base, self.offset)]
-        if any(v > system.pmax for v in values):
-            return solve_monotone(system)
-        return _finish(system, values)
-
-
-def parametric(system: ConstraintSystem) -> Parametric:
-    """The plain system's least solution as a Parametric table.
-
-    A plain row reads at most one width that depends on the requirement,
-    besides carries fixed at 1, so a require row gives (b, o) = (-inf,
-    0) and a row k + terms gives k plus every term's b, and k plus the
-    other terms' b plus the dependent term's o.  b stops at pmax + 1 and
-    o at pmax, past the cap at every req >= 1, so a positive cycle ends
-    and Parametric.solve sees the width."""
-    _check_monotone(system)
-    rows, n = system.rows, len(system.variables)
-    lhs, const, terms, origin = rows.lhs, rows.const, rows.terms, rows.origin
-    base, offset = [0] * n, [_NONE] * n
-    top = system.pmax
-    pending = list(range(len(lhs)))
-    users = _users(n, pending, terms)
-    queued = bytearray(b"\1") * len(lhs)
-    while pending:
-        r = pending.pop()
-        queued[r] = 0
-        if origin[r] == "require":
-            b, o = _NONE, 0
-        else:
-            b, dep = const[r], -1
-            for _, i in terms[r]:
-                b += base[i]
-                if offset[i] != _NONE:
-                    if dep >= 0:
-                        raise SolverError(
-                            f"{system.constraints[r]} reads two widths that "
-                            f"depend on the requirement")
-                    dep = i
-            o = b - base[dep] + offset[dep] if dep >= 0 else _NONE
-        v = lhs[r]
-        b, o = min(b, top + 1), min(o, top)
-        if b > base[v] or o > offset[v]:
-            base[v] = max(base[v], b)
-            offset[v] = max(offset[v], o)
-            for dep in users[v]:
-                if not queued[dep]:
-                    queued[dep] = 1
-                    pending.append(dep)
-    return Parametric(base, offset)
-
-
 def always_carry_rows(system: ConstraintSystem) -> tuple[list, list, list]:
     """The left variables, constants and terms of system's rows with
     every defined carry at 1 (the always-carry policy), as the solver
@@ -570,6 +497,6 @@ def policy_iterate(system: ConstraintSystem, *,
 
 
 __all__ = [
-    "NsbAssignment", "Parametric", "SolverError", "always_carry_rows",
-    "parametric", "policy_iterate", "solve_ilp", "solve_monotone",
+    "NsbAssignment", "SolverError", "always_carry_rows",
+    "policy_iterate", "solve_ilp", "solve_monotone",
 ]

@@ -11,18 +11,17 @@ solve() solves those systems (pi, by policy iteration from C1's
 solution, exactly when it is given C2) and checks the assignment by
 substitution.  solve() reads no program and no config, so one
 generation can serve several solves: the sweep swaps each cell's
-requirement into its horizon's systems (constraints.with_requirement),
-passes C1's solution read from its horizon's solver.parametric table,
-so that C1 is not solved again, and times each solve itself.
-check_tuned() runs the tuned program against a given reference trace
-and builds the verification table.
+requirement into its horizon's systems (constraints.with_requirement)
+and times each solve itself.  check_tuned() runs the tuned program
+against a given reference trace and builds the verification table.
 tune() chains them and builds the report, once, at its end: the
 per-point widths, system sizes, timings and the verification table.
 The timings are the stage timer's stages, seconds per stage: parse
 (def-use analysis included), reference_run, generate (C1 and C2),
 solve (the substitution check included), tuned_run, verify, and emit,
-the first and last of which the command line adds.  tune's artifacts
-and the sweep's CSVs are written through write_over.
+the first and last of which the command line adds.  Every artifact
+the command line writes, the sweep's CSVs included, goes through
+write_all.
 
 Verification compares the tuned execution against the high-precision
 reference: for each require_nsb(v, n), on each of its visits, the
@@ -45,13 +44,14 @@ import os
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 from . import mpfloat
 from .constraints import ConstraintSystem, gen_ilp, gen_refined, system_stats
 from .interp import Trace, UfpMap, run_reference, run_tuned
 from .program import Program, Require, shown
-from .solver import NsbAssignment, policy_iterate, solve_monotone
+from .solver import policy_iterate, solve_monotone
 
 METHODS = ("ilp", "pi")
 TOLERANCE_FACTOR = 100
@@ -213,16 +213,14 @@ def systems(prog: Program, ranges: UfpMap, cfg: TuningConfig):
             if cfg.method == "pi" else None)
 
 
-def solve(c1: ConstraintSystem, c2: ConstraintSystem | None = None,
-          plain: NsbAssignment | None = None):
+def solve(c1: ConstraintSystem, c2: ConstraintSystem | None = None):
     """Solve C1, then, given C2, C2 by policy iteration started from
     C1's solution, and check the assignment by substitution into the
     system it was solved from.  c1 and c2 are what systems() builds; the
-    method is pi exactly when c2 is given.  plain, when given, is C1's
-    least solution (the sweep reads it from solver.parametric's table).
-    Returns (C1's least solution, the final solution, PI iterations);
-    without c2 the final solution is C1's, and no iteration ran."""
-    plain = final = solve_monotone(c1) if plain is None else plain
+    method is pi exactly when c2 is given.  Returns (C1's least
+    solution, the final solution, PI iterations); without c2 the final
+    solution is C1's, and no iteration ran."""
+    plain = final = solve_monotone(c1)
     iterations = 0
     if c2 is not None:
         final, _policy, iterations = policy_iterate(c2, plain=plain)
@@ -231,17 +229,46 @@ def solve(c1: ConstraintSystem, c2: ConstraintSystem | None = None,
     return plain, final, iterations
 
 
-def write_over(fd: int, text: str) -> None:
-    """Write text over the file open for writing at fd, from its start,
-    and cut the file to what was written.  Emptying a file and then
-    writing it, as open(path, "w") does, makes ext4 start writing it
-    back to disk when it is closed; writing over it does not.  Where a
-    program is tuned again over its old artifacts, as perfbench's
-    corpus workload does, that took op_s.p50 from 9.5 to 8.2 ms (2-vCPU
-    VM)."""
-    with open(fd, "w", closefd=False) as f:
-        f.write(text)
-    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+def write_all(artifacts: dict[Path, str]) -> None:
+    """Write every file of artifacts, or none.  Every target is opened
+    before any is written, without truncating: an existing one as it
+    is, a missing one created.  If one cannot be opened, the files this
+    call created are removed and nothing is written.  Otherwise each is
+    written over from its start, through the descriptor it was opened
+    with, and then cut to what was written.
+
+    Emptying a file and then writing it, as open(path, "w") does, makes
+    ext4 start writing it back to disk when it is closed; writing over
+    it does not.  Where a program is tuned again over its old
+    artifacts, as perfbench's corpus workload does, that took op_s.p50
+    from 9.5 to 8.2 ms (2-vCPU VM).  Writing each to a temporary file
+    and renaming it onto the target made the same tunes 6-25% slower
+    than the plain writes, as every write then makes a new file and
+    deletes the old one."""
+    fds: list[int] = []
+    created: list[Path] = []
+    try:
+        for path in artifacts:
+            try:
+                fds.append(os.open(path, os.O_WRONLY))
+            except FileNotFoundError:
+                fds.append(os.open(path, os.O_WRONLY | os.O_CREAT
+                                   | os.O_EXCL, 0o666))
+                created.append(path)
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        for path in created:
+            path.unlink(missing_ok=True)
+        raise
+    try:
+        for fd, text in zip(fds, artifacts.values()):
+            with open(fd, "w", closefd=False) as f:
+                f.write(text)
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    finally:
+        for fd in fds:
+            os.close(fd)
 
 
 def check_tuned(prog: Program, widths: dict[int, int], ref: Trace,

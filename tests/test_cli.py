@@ -92,14 +92,17 @@ class TestTuneCommand:
 
     # An artifact is written over in place, so a longer old file must
     # be cut to the new text.
+    @pytest.mark.parametrize("command, names", [
+        ("tune", ("small.annotated.pop", "small.mp.txt", "small.report.json")),
+        ("export-lp", ("small.lp",)),
+    ], ids=["tune", "export-lp"])
     def test_a_longer_old_artifact_is_cut_to_the_new_one(
-            self, workdir, capsys):
-        run_cli(capsys, "tune", "small.pop")
-        names = ("small.annotated.pop", "small.mp.txt", "small.report.json")
+            self, workdir, capsys, command, names):
+        assert run_cli(capsys, command, "small.pop")[0] == 0
         first = {n: (workdir / n).read_bytes() for n in names}
         for name, blob in first.items():
             (workdir / name).write_bytes(blob + b"x" * 10000)
-        run_cli(capsys, "tune", "small.pop")
+        assert run_cli(capsys, command, "small.pop")[0] == 0
         for name, blob in first.items():
             assert (workdir / name).read_bytes() == blob
 
@@ -250,6 +253,44 @@ class TestTuneCommand:
         assert len(err.splitlines()) == 1
         assert sorted(p.name for p in workdir.iterdir()) == \
             ["named.pop", "small.pop"]
+
+    # A free input named after a name the script's own code reads broke
+    # the script, while tune exited 0: bound to an MPValue, `any` made
+    # the input check raise TypeError, and `ImportError`, where bittune
+    # is not importable, made the header's except clause raise one.  A
+    # variable the program assigns may take the name, as the header and
+    # the check run before the first statement.
+    @pytest.mark.parametrize("name, isolated", [
+        ("any", False), ("ImportError", True),
+    ], ids=["any", "ImportError-isolated"])
+    def test_a_free_input_the_script_reads_is_refused(
+            self, workdir, capsys, name, isolated):
+        (workdir / "s.json").write_text(json.dumps({name: "1.5", "x": "0.5"}))
+        (workdir / "free.pop").write_text(
+            f"y = {name} * 2.0;\nrequire_nsb(y, 10);\n")
+        code, out, err = run_cli(capsys, "tune", "free.pop", "--samples",
+                                 "s.json")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"bittune: tune: free input {name!r} cannot "
+                              f"be used in the mp script")
+        assert sorted(p.name for p in workdir.iterdir()) == \
+            ["free.pop", "s.json", "small.pop"]
+
+        (workdir / "set.pop").write_text(
+            f"{name} = x * 2.0;\ny = {name} + 1.0;\nrequire_nsb(y, 10);\n")
+        assert run_cli(capsys, "tune", "set.pop", "--samples",
+                       "s.json")[0] == 0
+        script = (workdir / "set.mp.txt").read_text()
+        if isolated:
+            proc = subprocess.run(
+                [sys.executable, "-I", "-S", str(workdir / "set.mp.txt")],
+                capture_output=True, text=True)
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("unbound free inputs: x;")
+        else:
+            ns = {"x": mpfloat.from_float(0.5)}
+            exec(compile(script, "set.mp.txt", "exec"), ns)
+            assert to_float(ns["y"]) == 2.0
 
     def test_infeasibility_message_is_bounded(self, workdir, capsys):
         # Every term of a long sum raises the carry chain above it, so
@@ -706,6 +747,21 @@ class TestBenchCommand:
         with open(workdir / "out" / "summary.csv") as fh:
             assert {row["horizon_years"] for row in csv.DictReader(fh)} == \
                 {"0.0"}
+
+    # Past --pref, a cell's error names the rows that drove the width
+    # there, under either method.
+    @pytest.mark.parametrize("method", ["ilp", "pi"])
+    def test_a_cell_past_the_cap_keeps_solve_monotone_s_message(
+            self, tmp_path, capsys, method):
+        assert main(["bench", "--years", "0.01", "--nsb", "11", "--pref",
+                     "53", "--method", method, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "bittune: bench: infeasible: nsb_895 is driven past the cap 53\n"
+            "  raising chain of 4 rows:\n"
+            "    nsb_895 >= nsb_896 + xi_896(894,895)  (operand, point 896)\n"
+            "    nsb_896 >= nsb_897  (copy, point 897)\n"
+            "    nsb_897 >= nsb_106  (link, point 106)\n"
+            "    nsb_106 >= 53  (cond, point 106)\n")
 
     def test_nsb_out_of_box_is_usage_error(self, workdir, capsys):
         code, _, err = run_cli(capsys, "bench", "--nsb", "0")

@@ -13,9 +13,8 @@ import random
 
 import pytest
 
-from bittune.cli import main
 from bittune.constraints import (
-    ConstraintSystem, gen_ilp, gen_refined, nsb, with_requirement,
+    ConstraintSystem, gen_ilp, gen_refined, nsb,
 )
 from bittune.interp import run_reference
 from bittune.lpfile import export_lp
@@ -23,11 +22,10 @@ from bittune.nbody import build_nbody_program, horizon_t_max
 from bittune.parse import parse_program
 from bittune import solver
 from bittune.solver import (
-    SolverError, _dependency_order, parametric, policy_iterate, solve_ilp,
-    solve_monotone,
+    SolverError, _dependency_order, policy_iterate, solve_ilp, solve_monotone,
 )
 from bittune.tuner import TuningConfig
-from helpers import LOOP, gen_straight_line
+from helpers import gen_straight_line
 
 
 def make_system(rows, n_vars, pmax):
@@ -398,69 +396,6 @@ def test_no_solver_call_changes_its_system():
         export_lp(c2)
         assert (_state(c1), _state(c2)) == before
     assert switched >= 3
-
-
-class TestParametric:
-    """The plain system's least solution at every requirement, read from
-    solver.parametric's table, is solve_monotone's at that requirement:
-    the same values and total, or, past the cap, the same error."""
-
-    @staticmethod
-    def _outcomes(src, pref):
-        """Per req from 1 to pref, whether the table matched a solution
-        (True) or the error (False)."""
-        prog = parse_program(src)
-        c1 = gen_ilp(prog, run_reference(prog, pref).ranges, pref)
-        table = parametric(c1)
-        outcomes = []
-        for req in range(1, pref + 1):
-            system = with_requirement(c1, req)
-            try:
-                want = solve_monotone(system)
-            except SolverError as e:
-                with pytest.raises(SolverError) as got:
-                    table.solve(system, req)
-                assert str(got.value) == str(e), req
-                outcomes.append(False)
-                continue
-            assert table.solve(system, req) == want, req
-            outcomes.append(True)
-        return outcomes
-
-    def test_five_body(self):
-        outcomes = self._outcomes(build_nbody_program(
-            dt="0.01", t_max=horizon_t_max(0.05)), 500)
-        assert outcomes.count(True) == 494 and not any(outcomes[494:])
-
-    def test_loop(self):
-        outcomes = self._outcomes(LOOP, 500)
-        assert outcomes.count(True) == 497 and not any(outcomes[497:])
-
-    def test_random_programs(self):
-        rng = random.Random(4016)
-        outcomes = []
-        for k in range(200):
-            outcomes += self._outcomes(
-                gen_straight_line(rng, max_ops=(4, 12, 30)[k % 3]), 60)
-        assert True in outcomes and False in outcomes
-
-    def test_two_dependent_terms_are_refused(self):
-        sys_, _ = make_system([(0, 5, ()), (1, 2, ((1, 0), (1, 0)))], 2, 100)
-        sys_.rows.origin[0] = "require"
-        with pytest.raises(SolverError, match="two widths"):
-            parametric(sys_)
-
-    def test_a_cell_past_the_cap_keeps_solve_monotone_s_message(
-            self, tmp_path, capsys):
-        assert main(["bench", "--years", "0.01", "--nsb", "11", "--pref",
-                     "53", "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == (
-            "bittune: bench: infeasible: nsb_895 is driven past the cap 53\n"
-            "  raising chain of 4 rows:\n"
-            "    nsb_895 >= nsb_896 + xi_896(894,895)  (operand, point 896)\n"
-            "    nsb_896 >= nsb_897  (copy, point 897)\n"
-            "    nsb_897 >= nsb_106  (link, point 106)\n"
-            "    nsb_106 >= 53  (cond, point 106)\n")
 
 
 class TestExternalSolverBelt:

@@ -134,6 +134,12 @@ class TestPolicyIterationNeverLoses:
         self._assert_pi_not_worse(
             build_nbody_program(t_max=horizon_t_max(2), req=53))
 
+    @pytest.mark.xfail(strict=True, raises=SolverError,
+                       reason="PI infeasible where the plain solve succeeds")
+    def test_five_body_half_year_req_53(self):
+        self._assert_pi_not_worse(
+            build_nbody_program(t_max=horizon_t_max(0.5), req=53))
+
     def test_five_body_short_horizon_req_53(self):
         self._assert_pi_not_worse(
             build_nbody_program(t_max=horizon_t_max(0.05), req=53))
