@@ -12,7 +12,9 @@ root of this script's repository: per workload, the untraced run's
 end_to_end, quality and environment, the traced run's per_layer, and
 as sizes the work counts of the traced run's first invocation (points,
 rows, variables, xi definitions, links, steps and the like).  A run
-that reports a failed check stops the recording.
+that reports a failed check stops the recording.  N must be 1 or more
+and BENCH_N.json must not exist yet: the script refuses either before
+it starts any run, with exit status 2, and writes nothing.
 """
 
 from __future__ import annotations
@@ -38,12 +40,17 @@ def record(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
     return json.loads(path.read_text())
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("n", type=int, help="the record's number")
     ap.add_argument("--checkout", type=Path, default=ROOT,
                     help="source checkout to measure (default this one)")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    out = ROOT / f"BENCH_{args.n}.json"
+    if args.n < 1:
+        ap.error(f"the record's number must be 1 or more, not {args.n}")
+    if out.exists():
+        ap.error(f"{out.name} exists; record under a new number")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     workloads = {}
@@ -58,7 +65,6 @@ def main() -> int:
             "sizes": traced["op_counts"][0],
             "environment": plain["environment"],
         }
-    out = ROOT / f"BENCH_{args.n}.json"
     out.write_text(json.dumps({"seed": SEED, "seconds": seconds,
                                "workloads": workloads}, indent=1) + "\n")
     print(f"wrote {out}")

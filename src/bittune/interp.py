@@ -12,6 +12,20 @@ value is an mpfloat triple (m, e, p); bindings, MPValues, are unboxed
 when the pass starts, and the trace's env and samples are boxed to
 MPValues when it ends.
 
+A statement x = a op b, op in + - *, lowers to one closure, assign_op:
+it reads and operates as the operation's closure does, then rounds,
+notes and stores as an assignment does, so a visit makes one call where
+it made two.  That shape is 107 of the 148 assignments of the five-body
+program, 91 of the 111 in its loop, and about two thirds of those of the
+wide and corpus workloads.  It is a body of its own, not a store tail on
+the operation's closure: that closure also serves nested operations,
+and a tail shared by both positions gave each nested +, - or * four
+more cells and a branch.  On nbody-tune, prototypes measured op_s.p50
+-2.9% with the shared tail and -5.5% with the separate body (harness
+pairs, seed 7), and one closure of this kind per node kind (/, sqrt,
+neg, plain reads) made the tuned five-body pass 7% slower, so only this
+shape has one.
+
 Variables live in slots.  Program.slots numbers every name the program
 reads, assigns or requires, once per program, on first use; a pass
 numbers a binding the program never names after those, in a copy of
@@ -41,8 +55,9 @@ condition after a loop's first, and so is the error of a run that
 passes the cap, unless the same block or trip would hit another error
 first.
 
-Both modes run the same closures: each node kind lowers to one closure,
-and the mode is a flag, noting, bound into it when it is built.
+Both modes run the same closures: each node kind lowers to one closure
+(x = a op b to one for the statement and its operation), and the mode
+is a flag, noting, bound into it when it is built.
 
 * Reference mode (run_reference) evaluates everything at one working
   precision, with noting set.  Each closure then also keeps, for its
@@ -412,8 +427,11 @@ class _Interp:
         self.owner[p] = outer
         fail, noting, high = self.fail, self.ranges is not None, self.high
         if isinstance(st, Assign):
-            rhs = self.expr(st.expr)
             samples = self.samples.get(name)
+            e = st.expr
+            if isinstance(e, BinOp) and e.op in _KERNELS:
+                return self.assign_op(e, k, p, samples)
+            rhs = self.expr(e)
 
             def assign():
                 v = rhs()
@@ -439,6 +457,56 @@ class _Interp:
                 if v[0] and v[1] > high[p]:
                     high[p] = v[1]
         return require
+
+    def assign_op(self, e: BinOp, k: int, p: int,
+                  samples: list | None) -> Callable[[], None]:
+        """x = a op b, op in + - *, as one closure: binop's operand reads
+        and kernel, then assign's rounding, noting and store."""
+        q = e.point
+        m, n = self.widths[q], self.widths[p]
+        self.owner[q] = self.block
+        kernel, env, unset = _KERNELS[e.op], self.env, self.unset
+        noting, high = self.ranges is not None, self.high
+        ak, ap, aw = self.fused_read(e.left)
+        bk, bp, bw = self.fused_read(e.right)
+        a = self.expr(e.left) if ak is None else None
+        b = self.expr(e.right) if bk is None else None
+        # The kernel's result has width m, so whether the store rounds
+        # is known here.
+        narrows = m != n
+
+        def assign_op():
+            if ak is None:
+                x = a()
+            else:
+                x = env[ak]
+                if x is None:
+                    raise unset(ak, ap)
+                if x[2] != aw:
+                    x = round_t(x[0], x[1], aw)
+                if noting and x[0] and x[1] > high[ap]:
+                    high[ap] = x[1]
+            if bk is None:
+                y = b()
+            else:
+                y = env[bk]
+                if y is None:
+                    raise unset(bk, bp)
+                if y[2] != bw:
+                    y = round_t(y[0], y[1], bw)
+                if noting and y[0] and y[1] > high[bp]:
+                    high[bp] = y[1]
+            v = kernel(x, y, m)
+            if noting and v[0] and v[1] > high[q]:
+                high[q] = v[1]
+            if narrows:
+                v = round_t(v[0], v[1], n)
+            if noting and v[0] and v[1] > high[p]:
+                high[p] = v[1]
+            env[k] = v
+            if samples is not None:
+                samples.append(v)
+        return assign_op
 
 
 def run_reference(prog: Program, pref: int = DEFAULT_PRECISION,

@@ -3,8 +3,10 @@
 The arithmetic is written once, on triples (m, e, p): the value m * 2**e
 held at width p, with m a signed int of exactly p bits (or m == 0 and
 e == 0).  Every operation rounds to a caller-chosen width with
-round-to-nearest, ties to even, in one routine (round_t; mul_t keeps an
-inline copy).  Addition and multiplication are computed exactly on
+round-to-nearest, ties to even, in one routine, round_t, of which
+add_t, sub_t and mul_t, the interpreter's most frequent operations,
+keep inline copies: the call they save is a sizeable share of each.
+Addition and multiplication are computed exactly on
 integers before rounding; division and square root run integer
 algorithms whose remainders give exact sticky information, so those are
 correctly rounded as well.  The interpreter computes on triples inside a
@@ -200,12 +202,10 @@ def neg_t(a: tuple, p: int) -> tuple:
     return round_t(-a[0], a[1], p)
 
 
-def add_t(a: tuple, b: tuple, p: int, negate_b: bool = False) -> tuple:
-    """a + b (a - b when negate_b) correctly rounded to p bits."""
+def add_t(a: tuple, b: tuple, p: int) -> tuple:
+    """a + b correctly rounded to p bits."""
     ma, ea, pa = a
     mb, eb, pb = b
-    if negate_b:
-        mb = -mb
     if not ma:
         return (mb, eb, p) if pb == p else round_t(mb, eb, p)
     if not mb:
@@ -217,19 +217,68 @@ def add_t(a: tuple, b: tuple, p: int, negate_b: bool = False) -> tuple:
         pa, pb = pb, pa
     gap = ea - eb
     if gap <= p + pa + pb + 8:
-        return round_t((ma << gap) + mb, eb, p)
-    # b is far below any bit the rounding can keep: replace it with a
-    # one-ulp nudge that preserves ordering and tie direction.
-    g = p + 8
-    return round_t((ma << g) + (1 if mb > 0 else -1), ea - g, p)
+        m = (ma << gap) + mb
+        e = eb
+    else:
+        # b is far below any bit the rounding can keep: replace it with
+        # a one-ulp nudge that preserves ordering and tie direction.
+        g = p + 8
+        m = (ma << g) + (1 if mb > 0 else -1)
+        e = ea - g
+    # round_t's rounding, inline, as in sub_t and mul_t.
+    drop = m.bit_length() - p
+    if drop <= 0:
+        if not m:
+            return (0, 0, p)
+        return (m << -drop, e + drop, p)
+    x = -m if m < 0 else m
+    q = x >> drop
+    if x >> (drop - 1) & 1 and (q & 1 or x & ((1 << (drop - 1)) - 1)):
+        q += 1
+        if q >> p:
+            q >>= 1
+            drop += 1
+    return (-q if m < 0 else q, e + drop, p)
 
 
 def sub_t(a: tuple, b: tuple, p: int) -> tuple:
-    return add_t(a, b, p, True)
+    """a - b correctly rounded to p bits: add_t on a and -b, written out."""
+    ma, ea, pa = a
+    mb, eb, pb = b
+    mb = -mb
+    if not ma:
+        return (mb, eb, p) if pb == p else round_t(mb, eb, p)
+    if not mb:
+        return a if pa == p else round_t(ma, ea, p)
+    if ea < eb:
+        ma, mb = mb, ma
+        ea, eb = eb, ea
+        pa, pb = pb, pa
+    gap = ea - eb
+    if gap <= p + pa + pb + 8:
+        m = (ma << gap) + mb
+        e = eb
+    else:
+        g = p + 8
+        m = (ma << g) + (1 if mb > 0 else -1)
+        e = ea - g
+    drop = m.bit_length() - p
+    if drop <= 0:
+        if not m:
+            return (0, 0, p)
+        return (m << -drop, e + drop, p)
+    x = -m if m < 0 else m
+    q = x >> drop
+    if x >> (drop - 1) & 1 and (q & 1 or x & ((1 << (drop - 1)) - 1)):
+        q += 1
+        if q >> p:
+            q >>= 1
+            drop += 1
+    return (-q if m < 0 else q, e + drop, p)
 
 
 def mul_t(a: tuple, b: tuple, p: int) -> tuple:
-    # round_t's rounding, inline: mul is the most frequent operation.
+    # round_t's rounding, inline, as in add_t and sub_t.
     m = a[0] * b[0]
     e = a[1] + b[1]
     drop = m.bit_length() - p

@@ -18,6 +18,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from bittune import solver, tuner
 from bittune.constraints import gen_ilp, gen_refined, system_stats
 from bittune.interp import run_reference
@@ -155,3 +157,38 @@ def test_every_bench_record_names_each_workload_and_metric():
         for name, record in workloads.items():
             assert set(record["end_to_end"]) == e2e, (path.name, name)
             assert set(record["per_layer"]) == layers, (path.name, name)
+
+
+def _bench_record():
+    """scripts/bench_record.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", ROOT / "scripts" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n, message", [
+    ("3", "BENCH_3.json exists"),
+    ("0", "must be 1 or more, not 0"),
+    ("-1", "must be 1 or more, not -1"),
+])
+def test_bench_record_refuses_a_taken_or_invalid_number_up_front(
+        n, message, tmp_path, monkeypatch, capsys):
+    # Refused before BENCHMARK.json is read or any harness run starts:
+    # tmp_path holds no BENCHMARK.json, and record() fails if called.
+    bench_record = _bench_record()
+
+    def record(*args):
+        raise AssertionError("a harness run started")
+
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "record", record)
+    committed = tmp_path / "BENCH_3.json"
+    committed.write_text("{}\n")
+    with pytest.raises(SystemExit) as exit_:
+        bench_record.main([n])
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_3.json"]
+    assert committed.read_text() == "{}\n"

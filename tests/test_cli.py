@@ -943,16 +943,16 @@ class TestSamplesBindEveryInput:
     SOURCE = "y = x * 2.0;\nrequire_nsb(y, 20);\n"
     # The artifacts of two well-formed sets, pinned before the check
     # below was added.  open.mp.txt was re-pinned when mpfloat, which it
-    # bundles, lost the functions only tests called, and again when
-    # arith lost its sqrt and neg branches; each time only that bundled
-    # copy changed.
+    # bundles, lost the functions only tests called, again when arith
+    # lost its sqrt and neg branches, and again when add_t/sub_t took
+    # round_t's rounding inline; only the bundled copy changed.
     SHA256 = {
         "open.annotated.pop":
             "5f2a031990ba29799cc4af033f1749faa6fa9a2de7d514a24968fbdf825ee297",
         "open.lp":
             "c385f25efdb7c89fc32b59b55fa7f5ce7ae2a294396c06d1e79665922c9f8c4a",
         "open.mp.txt":
-            "87c19f926ad4829d908da09d27aa22456a3d7f77a746a1f3fcd110cc0c248494",
+            "e676bbab84ad62da9f092497ce352a3548f0d750f646408f2c72a33a6d18e00a",
         "open.report.json":
             "1c21e6ab20a91caab240edb75a58c992b87af51ec7bf46dc3331686239a9e61c",
     }

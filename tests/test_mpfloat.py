@@ -103,7 +103,8 @@ class TestRounding:
 
 
 class TestRoundingEdges:
-    """The round-half-even step of round_t and its inline copy in mul_t."""
+    """The round-half-even step of round_t and its inline copies in
+    add_t, sub_t and mul_t."""
 
     def test_round_up_carries_out_of_the_top_bit(self):
         # 7 * 9 = 63 = 111111b rounds up to 1000b at 3 bits, which needs
@@ -112,6 +113,13 @@ class TestRoundingEdges:
         assert (r.sign, r.mant, r.exp, r.prec) == (1, 4, 4, 3)
         r = arith("+", from_int(-62, 6), from_int(-1, 1), 3)
         assert (r.sign, r.mant, r.exp, r.prec) == (-1, 4, 4, 3)
+        # +-7.75 = 111.11b rounds up to 1000b * 2 at 3 bits, in add_t
+        # and in sub_t, for both signs and both operand orders.
+        for x, op, y in _signed_orders(7, 0.75):
+            r = arith(op, from_float(x), from_float(y), 3)
+            assert (r.mant, r.exp, r.prec) == (4, 1, 3), (x, op, y)
+            assert to_fraction(r) == round_fraction(
+                _exact(op, Fraction(x), Fraction(y)), 3)
 
     def test_tie_to_even_carries_out_of_the_top_bit(self):
         # 15 = 1111b ties between 111b and 1000b at 3 bits; 111b is odd.
@@ -119,6 +127,14 @@ class TestRoundingEdges:
                   round_to(from_int(15, 4), 3),
                   arith("/", from_int(15, 4), from_int(1, 1), 3)):
             assert (r.mant, r.exp, r.prec) == (4, 2, 3)
+        # +-15 as 14 + 1 and as 16 - 1, in add_t and in sub_t, for both
+        # signs and both operand orders.
+        for big, small in ((14, 1), (16, -1)):
+            for x, op, y in _signed_orders(big, small):
+                r = arith(op, from_float(x), from_float(y), 3)
+                assert (r.mant, r.exp, r.prec) == (4, 2, 3), (x, op, y)
+                assert to_fraction(r) == round_fraction(
+                    _exact(op, Fraction(x), Fraction(y)), 3)
 
     def test_results_narrower_than_the_width_shift_up_exactly(self):
         # drop < 0 and drop == 0: no bit is dropped, nothing rounds.
@@ -149,6 +165,24 @@ class TestRoundingEdges:
                     assert to_fraction(r) == \
                         round_fraction(_exact(op, Fraction(x), Fraction(y)),
                                        p), (x, op, y, p)
+                # The other operand order, where x, of either sign,
+                # becomes the right operand of add_t and sub_t.
+                for op in "+-":
+                    r = arith(op, b, a, p)
+                    assert r.mant == 0 or r.mant.bit_length() == p
+                    assert to_fraction(r) == \
+                        round_fraction(_exact(op, Fraction(y), Fraction(x)),
+                                       p), (y, op, x, p)
+
+
+def _signed_orders(x, y):
+    """(a, op, b) with a op b == +-(x + y), for + and -, with both
+    operand orders and both signs."""
+    for s in (1, -1):
+        for a, b in ((s * x, s * y), (s * y, s * x)):
+            yield a, "+", b
+        yield s * x, "-", -s * y
+        yield -s * y, "-", s * x
 
 
 def _exact(op, fa, fb):
@@ -267,14 +301,17 @@ class TestTripleCore:
     @given(st.integers(1, 60), st.integers(1, 60), precisions,
            st.integers(1, 40), st.integers(0, 2**59), st.integers(0, 2**59),
            st.sampled_from((1, -1)), st.sampled_from((1, -1)),
-           st.sampled_from(("any", "power of two", "tie")))
+           st.sampled_from(("any", "power of two", "tie", "carry")))
     def test_far_gap_nudge(self, pa, pb, p, past, abits, bbits, sa, sb,
                            shape):
         # b lies below every bit of the sum that rounding to p can keep:
-        # it only decides a tie (a then has p + 1 bits, the last one set)
-        # or pulls a power of two into the binade below.
+        # it only decides a tie (a then has p + 1 bits, the last one set),
+        # a tie that carries out of the top bit (all p + 1 bits set) or
+        # pulls a power of two into the binade below.
         if shape == "tie":
             pa, abits = p + 1, abits | 1
+        if shape == "carry":
+            pa, abits = p + 1, (1 << p + 1) - 1
         a = _triple(pa, 0 if shape == "power of two" else abits, 0, sa)
         gap = p + pa + pb + 8 + past
         b = _triple(pb, bbits, -gap, sb)
