@@ -20,11 +20,15 @@ program, 91 of the 111 in its loop, and about two thirds of those of the
 wide and corpus workloads.  It is a body of its own, not a store tail on
 the operation's closure: that closure also serves nested operations,
 and a tail shared by both positions gave each nested +, - or * four
-more cells and a branch.  On nbody-tune, prototypes measured op_s.p50
--2.9% with the shared tail and -5.5% with the separate body (harness
-pairs, seed 7), and one closure of this kind per node kind (/, sqrt,
-neg, plain reads) made the tuned five-body pass 7% slower, so only this
-shape has one.
+more cells and a branch.  On nbody-tune, a prototype with the shared
+tail kept about half the gain of the separate body (op_s.p50 -2.9%
+against -5.5%, a few harness pairs at seed 7), and one closure of this
+kind per node kind (/, sqrt, neg, plain reads) made the tuned five-body
+pass 7% slower, so only this shape has one.  With add_t and sub_t
+rounding inline, this took nbody-tune's op_s.p50 (perfbench/run.py,
+25 s runs, 10 alternating pairs per seed, 2-vCPU VM) from 0.2647 to
+0.2557 s at seed 7 (-3.4%) and from 0.2648 to 0.2542 s at seed 11
+(-4.0%), faster in 10 of 10 pairs at each.
 
 Variables live in slots.  Program.slots numbers every name the program
 reads, assigns or requires, once per program, on first use; a pass
